@@ -43,7 +43,6 @@ from .page import (
     verify_einstein,
 )
 from .secsign import (
-    CertifyConfig,
     PlaneWitness,
     SecSignCertificate,
     Verdict,
@@ -64,6 +63,6 @@ __all__ = [
     "orbit_quadrature",
     "CohomOneMetric", "certify_negative_curvature", "integrate_char_numbers",
     "page_metric", "verify_einstein",
-    "CertifyConfig", "PlaneWitness", "SecSignCertificate", "Verdict",
+    "PlaneWitness", "SecSignCertificate", "Verdict",
     "certify_sec_sign", "einstein_sec_range", "q_form", "sec_of_plane",
 ]

@@ -20,9 +20,8 @@ an Inconclusive certification.  Reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -66,9 +65,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_certify(args) -> int:
     op = jsonio.load_operator(args.input)
-    cfg = secsign.CertifyConfig(restarts=args.restarts, grid_size=args.grid,
-                                seed=args.seed, tolerance=args.tolerance)
-    cert = secsign.certify_sec_sign(op, cfg)
+    cert = secsign.certify_sec_sign(op, tolerance=args.tolerance)
     _print_report(cert.to_dict(), args.format == "human")
     if cert.verdict is secsign.Verdict.INCONCLUSIVE:
         return EXIT_NUMERIC
@@ -133,24 +130,7 @@ def _cmd_page(args) -> int:
 
 def _cmd_geo(args) -> int:
     if args.csv:
-        from pathlib import Path
-
-        reader = csv.reader(io.StringIO(Path(args.csv).read_text(encoding="utf-8")))
-        out = io.StringIO()
-        out.write(geography.CSV_HEADER + "\n")
-        for row in reader:
-            if not row or row[0].strip().lower() == "chi":
-                continue
-            p = geography.GeoPoint(int(row[0]), int(row[1]))
-            rep = geography.report(p)
-            out.write(",".join([
-                str(p.chi), str(p.tau),
-                *["true" if flag else "false" for flag in
-                  (rep.gromov_luck, rep.einstein_nonpos_strict, rep.bmy, rep.bmy_equality)],
-                str(rep.c1sq),
-                "true" if rep.both_orientations_complex_possible else "false",
-            ]) + "\n")
-        sys.stdout.write(out.getvalue())
+        sys.stdout.write(geography.points_csv(Path(args.csv).read_text(encoding="utf-8")))
         return EXIT_OK
     if args.chi is None or args.tau is None:
         raise ValueError("geo needs --chi and --tau (or --csv batch input)")
@@ -188,10 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify the sign of sectional curvature")
     p.add_argument("-i", "--input", required=True, help="operator JSON file")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="verdict tolerance on q (default 1e-8 max(1, |R|_F))")
     add_format(p)
     p.set_defaults(func=_cmd_certify)
 

@@ -35,6 +35,7 @@ from .errors import (
     BianchiViolationError,
     IndefiniteSignError,
     InvalidBlocksError,
+    NotAdmissibleError,
     NotEinsteinError,
     NotKahlerError,
     NotSymmetricError,
@@ -87,24 +88,26 @@ def hodge_star_matrix() -> np.ndarray:
     return H
 
 
+# Entry (a, b) of the SD/ASD blocks combines M[i_a, i_b], s_b M[i_a, j_b],
+# s_a M[j_a, i_b] and s_a s_b M[j_a, j_b] over the pairs (i, j, s) of
+# _SD_PAIRS: the flat indices and the signs of these four terms.
+_TERMS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_TERM_INDEX = np.array([[[6 * (ia, ja)[p] + (ib, jb)[q] for ib, jb, _ in _SD_PAIRS]
+                         for ia, ja, _ in _SD_PAIRS] for p, q in _TERMS])
+_TERM_SIGN = np.array([[[(1.0, sa)[p] * (1.0, sb)[q] for _, _, sb in _SD_PAIRS]
+                        for _, _, sa in _SD_PAIRS] for p, q in _TERMS])
+
+
 def _block_transform(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coordinate-basis 6x6 -> (A, B, C) blocks of the SD/ASD-basis matrix.
 
     Uses the index arithmetic of the sqrt(2)-normalized eigenframe directly,
     so the transform is exact on dyadic inputs (only adds and halving).
     """
-    A = np.empty((3, 3))
-    B = np.empty((3, 3))
-    C = np.empty((3, 3))
-    for a, (ia, ja, sa) in enumerate(_SD_PAIRS):
-        for b, (ib, jb, sb) in enumerate(_SD_PAIRS):
-            mm = M[ia, ib]
-            mj = sb * M[ia, jb]
-            jm = sa * M[ja, ib]
-            jj = sa * sb * M[ja, jb]
-            A[a, b] = 0.5 * ((mm + jj) + (mj + jm))
-            C[a, b] = 0.5 * ((mm + jj) - (mj + jm))
-            B[a, b] = 0.5 * ((mm - jj) - (mj - jm))
+    mm, mj, jm, jj = M.take(_TERM_INDEX) * _TERM_SIGN
+    A = 0.5 * ((mm + jj) + (mj + jm))
+    C = 0.5 * ((mm + jj) - (mj + jm))
+    B = 0.5 * ((mm - jj) - (mj - jm))
     return A, B, C
 
 
@@ -124,8 +127,19 @@ def _block_assemble(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     return M
 
 
-def _sd_asd_to_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return M[:3, :3].copy(), M[:3, 3:].copy(), M[3:, 3:].copy()
+def _sd_asd_matrix(M: np.ndarray, basis: str) -> np.ndarray:
+    """The operator as [[A, B], [B^T, C]] in the SD/ASD frame.
+
+    Of an SD/ASD-basis input the upper off-diagonal block B is the one used.
+    """
+    if basis == SD_ASD:
+        S = np.array(M)
+    else:
+        S = np.empty((6, 6))
+        with np.errstate(over="ignore"):  # the caller refuses what overflows
+            S[:3, :3], S[:3, 3:], S[3:, 3:] = _block_transform(M)
+    S[3:, :3] = S[:3, 3:].T
+    return S
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -230,10 +244,10 @@ def two_form_from_frame_components(plus, minus) -> TwoForm:
 class CurvatureOperator:
     """Symmetric 6x6 curvature operator with a basis convention tag.
 
-    Construction validates admissibility: the symmetry defect
-    ``max|R - R^T|`` and the first-Bianchi defect (trace of the SD diagonal
-    block minus trace of the ASD diagonal block) must both lie within
-    ``tol``.
+    Construction validates admissibility: every entry must be finite (also
+    in the SD/ASD frame), and the symmetry defect ``max|R - R^T|`` and the
+    first-Bianchi defect (trace of the SD diagonal block minus trace of the
+    ASD diagonal block) must both lie within ``tol``.
     """
 
     matrix: np.ndarray
@@ -246,30 +260,34 @@ class CurvatureOperator:
             raise ValueError("curvature operator must be a 6x6 matrix")
         if self.basis not in (COORDINATE, SD_ASD):
             raise ValueError(f"unknown basis tag {self.basis!r}")
+        if not np.isfinite(M).all():
+            raise NotAdmissibleError(
+                f"operator matrix has {int(np.sum(~np.isfinite(M)))} of 36 entries "
+                "not finite (NaN or Infinity)")
+        S = _sd_asd_matrix(M, self.basis)
+        if not np.isfinite(S).all():
+            raise NotAdmissibleError(
+                f"operator entries up to {np.abs(M).max():.3e} overflow in the SD/ASD frame")
         sym_defect = float(np.abs(M - M.T).max())
         if not sym_defect <= self.tol:
             raise NotSymmetricError(
                 f"symmetry defect {sym_defect:.3e} exceeds tolerance {self.tol:.1e}",
                 defect=sym_defect,
             )
-        A, _, C = self.blocks_of(M, self.basis)
-        bianchi = float(np.trace(A) - np.trace(C))
+        bianchi = float(np.trace(S[:3, :3]) - np.trace(S[3:, 3:]))
         if not abs(bianchi) <= self.tol:
             raise BianchiViolationError(
                 f"Bianchi trace defect {bianchi:.3e} exceeds tolerance {self.tol:.1e}",
                 defect=abs(bianchi),
             )
         object.__setattr__(self, "matrix", _readonly(M))
-
-    @staticmethod
-    def blocks_of(M: np.ndarray, basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if basis == SD_ASD:
-            return _sd_asd_to_blocks(M)
-        return _block_transform(M)
+        S.setflags(write=False)
+        object.__setattr__(self, "_sd_asd", S)  # computed once, read-only
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (A, B, C) blocks of the operator in the SD/ASD frame."""
-        return self.blocks_of(self.matrix, self.basis)
+        """The (A, B, C) blocks of the operator in the SD/ASD frame (read-only)."""
+        S = self._sd_asd
+        return S[:3, :3], S[:3, 3:], S[3:, 3:]
 
     def in_coordinate_basis(self) -> np.ndarray:
         if self.basis == COORDINATE:
@@ -277,13 +295,7 @@ class CurvatureOperator:
         return _block_assemble(*self.blocks())
 
     def in_sd_asd_basis(self) -> np.ndarray:
-        A, B, C = self.blocks()
-        M = np.zeros((6, 6))
-        M[:3, :3] = A
-        M[:3, 3:] = B
-        M[3:, :3] = B.T
-        M[3:, 3:] = C
-        return M
+        return np.array(self._sd_asd)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
@@ -367,11 +379,6 @@ class Decomposition:
         }
 
 
-def _sorted_spectrum(W: np.ndarray) -> np.ndarray:
-    # eigvalsh returns ascending order for symmetric input
-    return np.linalg.eigvalsh(0.5 * (W + W.T))
-
-
 def decompose(op: CurvatureOperator) -> Decomposition:
     """Split an admissible curvature operator into its irreducible blocks.
 
@@ -385,13 +392,16 @@ def decompose(op: CurvatureOperator) -> Decomposition:
     s = 2.0 * (np.trace(A) + np.trace(C))
     w_plus = A - (s / 12.0) * np.eye(3)
     w_minus = C - (s / 12.0) * np.eye(3)
+    W = np.stack([w_plus, w_minus])
+    # one batched call; eigvalsh returns ascending order for symmetric input
+    spectra = np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2)))
     return Decomposition(
         s=float(s),
         w_plus=w_plus,
         w_minus=w_minus,
         ric_block=B,
-        spectrum_plus=_sorted_spectrum(w_plus),
-        spectrum_minus=_sorted_spectrum(w_minus),
+        spectrum_plus=spectra[0],
+        spectrum_minus=spectra[1],
     )
 
 

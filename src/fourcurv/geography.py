@@ -14,10 +14,11 @@ point is realized by a manifold.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 EINSTEIN_SLOPE = Fraction(15, 8)
 
@@ -117,23 +118,46 @@ def scan_rows(chi_max: int) -> Iterator[tuple[GeoPoint, GeoReport]]:
             yield p, report(p)
 
 
-def _csv_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+_CSV_BOOL = ("false", "true")
+
+
+def _csv(rows: Iterable[tuple[GeoPoint, GeoReport]]) -> str:
+    """The CSV table of flag rows: one formatter for every CSV writer."""
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    b = _CSV_BOOL
+    for p, rep in rows:
+        out.write(f"{p.chi},{p.tau},{b[rep.gromov_luck]},{b[rep.einstein_nonpos_strict]},"
+                  f"{b[rep.bmy]},{b[rep.bmy_equality]},{rep.c1sq},"
+                  f"{b[rep.both_orientations_complex_possible]}\n")
+    return out.getvalue()
 
 
 def scan_csv(chi_max: int) -> str:
     """The scan as a deterministic, platform-independent CSV table."""
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for p, rep in scan_rows(chi_max):
-        out.write(",".join([
-            str(p.chi),
-            str(p.tau),
-            _csv_bool(rep.gromov_luck),
-            _csv_bool(rep.einstein_nonpos_strict),
-            _csv_bool(rep.bmy),
-            _csv_bool(rep.bmy_equality),
-            str(rep.c1sq),
-            _csv_bool(rep.both_orientations_complex_possible),
-        ]) + "\n")
-    return out.getvalue()
+    return _csv(scan_rows(chi_max))
+
+
+def _point_rows(text: str) -> Iterator[tuple[GeoPoint, GeoReport]]:
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
+        if not row or row[0].strip().lower() == "chi":
+            continue
+        if len(row) < 2:
+            raise ValueError(f"line {reader.line_num}: expected chi,tau, found one field")
+        try:
+            p = GeoPoint(int(row[0]), int(row[1]))
+        except ValueError:
+            raise ValueError(f"line {reader.line_num}: chi and tau must be integers, "
+                             f"got {row[0]!r}, {row[1]!r}") from None
+        yield p, report(p)
+
+
+def points_csv(text: str) -> str:
+    """Flags of each ``chi,tau`` row of a CSV text, as the scan's CSV table.
+
+    Blank rows and a header row starting with ``chi`` are skipped; a row
+    with fewer than two fields or a non-integer field raises ``ValueError``
+    naming its line.
+    """
+    return _csv(_point_rows(text))

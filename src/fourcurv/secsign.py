@@ -10,15 +10,18 @@ equals twice the sectional curvature of the corresponding plane.  The sign
 of sectional curvature is therefore the sign of q over the product of two
 unit 2-spheres.
 
-For Einstein operators the form is separable and the range of q is exact in
-terms of the extreme Weyl eigenvalues.  Otherwise the maximum is located by
-alternating maximization: with one side fixed the other side is a
-sphere-constrained quadratic ``max <x, Cx> + 2<b, x> over |x| = 1`` that is
-solved exactly through the secular equation in the Lagrange multiplier.
-Analytic outer bounds (``lam_max(A) + lam_max(C) + 2 sigma_max(B)`` and the
-Rayleigh bound of the full 6x6 matrix, whichever is tighter) certify the
-search; the certificate keeps the bound pair explicit so local-optimum risk
-is never hidden.
+In the SD/ASD frame the planes are the unit vectors x = (psi+, psi-)/sqrt(2)
+of R^6 with x^T H x = 0, where H = diag(I3, -I3) is the Hodge star, so
+q_max = 2 max{x^T R x : |x| = 1, x^T H x = 0}.  The joint numerical range of
+two quadratic forms on R^6 is convex (Brickman 1961), so the dual is exact
+("Thorpe's trick", Thorpe 1971):
+
+    q_max = min_t 2 lam_max(R + tH),    q_min = max_t 2 lam_min(R + tH).
+
+Every t gives a rigorous bound by weak duality, and the top eigenvectors at
+the optimal t contain a plane that attains it.  :func:`certify_sec_sign`
+minimizes this convex function of one variable and reports the dual bound
+together with the q of its witness plane.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ class Verdict(str, Enum):
 
 
 class Method(str, Enum):
-    EINSTEIN_EXACT = "EinsteinExact"
-    ALTERNATING_TRS = "AlternatingTRS"
+    THORPE_DUAL = "ThorpeDual"
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,17 +113,6 @@ class SecSignCertificate:
             "verdict": self.verdict.value,
             "method": self.method.value,
         }
-
-
-@dataclass(frozen=True)
-class CertifyConfig:
-    restarts: int = 16
-    grid_size: int = 64
-    seed: int = 0
-    tolerance: float | None = None  # default 1e-8 * max(1, |R|_F)
-    max_sweeps: int = 200
-    improvement_tol: float = 1e-13
-    force_alternating: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -193,218 +184,188 @@ def einstein_sec_range(d: Decomposition, tol: float = CLASSIFY_TOL) -> tuple[flo
 
 
 # ---------------------------------------------------------------------------
-# Exact inner solve: max x^T diag(c) x + 2 b.x on the unit sphere
+# Sign certificate: the exact dual min_t 2 lam_max(R + tH)
 # ---------------------------------------------------------------------------
 
-_BISECT_ITERS = 80
+_H = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])  # the Hodge star in the SD/ASD frame
+_H_MATRIX = np.diag(_H)
+_SIDES = np.array([1.0, -1.0])[:, None, None]  # R and -R
+_GAP_TOL = 1e-14  # stop when the bounds agree this closely (normalized operator)
+_MAX_ITERATIONS = 50
 
 
-def _sphere_max_batch(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Maximizers of x^T diag(c) x + 2 <b_k, x> over |x| = 1, batched over k.
-
-    Solves the secular equation sum_i b_i^2/(sigma - c_i)^2 = 1 for the
-    Lagrange multiplier sigma > max(c) by bisection (robust against the
-    hard case, where the solution gains a component along the top
-    eigenvector).  ``c`` is shape (3,), ``b`` is (k, 3); returns (k, 3).
-    """
-    b = np.atleast_2d(b)
-    k = b.shape[0]
-    cmax = c[-1]
-    bnorm = np.linalg.norm(b, axis=1)
-    scale = max(1.0, float(np.abs(c).max()))
-
-    lo = np.full(k, cmax)
-    hi = cmax + np.maximum(bnorm, 1e-300)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        gaps = np.maximum(mid[:, None] - c[None, :], 1e-300)
-        phi = np.sum((b / gaps) ** 2, axis=1)
-        take_lo = phi > 1.0
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    sigma = hi
-
-    gaps = sigma[:, None] - c[None, :]
-    tiny = 1e-14 * scale + 1e-300
-    safe = gaps > tiny
-    x = np.where(safe, b / np.where(safe, gaps, 1.0), 0.0)
-    # hard case: a genuine norm deficit is filled along the top
-    # eigendirection; bisection roundoff (deficit ~ ulp) is left to the
-    # final renormalization so regular-case witnesses stay stationary
-    n2 = np.sum(x * x, axis=1)
-    top_fill = np.sqrt(np.maximum(0.0, 1.0 - n2))
-    x[:, 2] += np.where(n2 < 1.0 - 1e-10, top_fill, 0.0)
-    norms = np.linalg.norm(x, axis=1)
-    # b = 0 and degenerate fills can leave x = 0; fall back to the top axis
-    zero = norms < 1e-150
-    x[zero] = np.array([0.0, 0.0, 1.0])
-    norms = np.linalg.norm(x, axis=1)
-    return x / norms[:, None]
-
-
-def _q_batch(a: np.ndarray, c: np.ndarray, Bt: np.ndarray,
-             u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (np.sum(u * u * a[None, :], axis=1)
-            + np.sum(v * v * c[None, :], axis=1)
-            + 2.0 * np.sum(u * (v @ Bt.T), axis=1))
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic near-uniform directions on the unit 2-sphere."""
-    k = np.arange(n, dtype=float)
-    z = 1.0 - 2.0 * (k + 0.5) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    phi = golden * k
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+def _ldexp(x: float, n: int) -> float:
+    """x * 2**n, exact unless it leaves the float range (then 0 or inf)."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _canonical(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fix the global (u, v) -> (-u, -v) sign so witnesses compare stably."""
-    w = np.concatenate([u, v])
-    for x in w:
+    for x in u.tolist() + v.tolist():
         if x != 0.0:
-            if x < 0.0:
-                return -u, -v
-            break
+            return (-u, -v) if x < 0.0 else (u, v)
     return u, v
 
 
-def _alternating_max(a, c, Bt, starts, max_sweeps, improvement_tol):
-    """Best witness of q from a batch of psi_plus starts.
+def _hform(a: list[float], b: list[float]) -> float:
+    """a^T H b of two 6-vectors."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - a[3] * b[3] - a[4] * b[4] - a[5] * b[5]
 
-    Alternates the exact inner solves until the batch maximum stops
-    improving.  Returns (q, u, v) in the A/C eigenbases with the winner
-    selected by maximal q and lexicographic tie-break on the canonical
-    witness coordinates.
+
+def _plane(M: list[list[float]], x: list[float]):
+    """``(q, z)``: z scales both halves of x to unit length, q = z^T M z.
+
+    q is -inf when a half of x vanishes, so that x is near no plane.  Plain
+    float arithmetic on lists: between the other work of a request, small
+    numpy calls cost more than these 36 products.
     """
-    u = starts
-    v = _sphere_max_batch(c, u @ Bt)
-    q = _q_batch(a, c, Bt, u, v)
-    for _ in range(max_sweeps):
-        u = _sphere_max_batch(a, v @ Bt.T)
-        v = _sphere_max_batch(c, u @ Bt)
-        q_new = _q_batch(a, c, Bt, u, v)
-        # inner solves are exact maximizations, so q is nondecreasing per start
-        if float(np.max(q_new - q)) < improvement_tol:
-            q = q_new
+    nu, nv = math.hypot(*x[:3]), math.hypot(*x[3:])
+    if nu == 0.0 or nv == 0.0:
+        return -math.inf, None
+    z = [x[0] / nu, x[1] / nu, x[2] / nu, x[3] / nv, x[4] / nv, x[5] / nv]
+    q = sum(zi * (r[0] * z[0] + r[1] * z[1] + r[2] * z[2] + r[3] * z[3] + r[4] * z[4]
+                  + r[5] * z[5]) for zi, r in zip(z, M))
+    return q, z
+
+
+def _witness(M, w, V, x4, x5, best):
+    """The better of ``best`` and the planes among the top eigenvectors.
+
+    ``M`` is the operator as nested lists, ``w`` the ascending eigenvalues
+    of M + tH and the columns of ``V`` its eigenvectors, the last two also
+    given as lists ``x4``, ``x5``.  Candidates are the top eigenvector with
+    its halves normalized, which costs O((x^T H x)^2), and the mix with zero
+    H-form from the smallest top cluster whose H-form is indefinite.  A mix
+    from the top k eigenvectors has q >= 2 w[-k], so larger clusters are
+    tried only while that could win.
+    """
+    g55 = _hform(x5, x5)
+    if abs(g55) < 0.5:  # else x is far from any plane
+        cand = _plane(M, x5)
+        if cand[0] > best[0]:
+            best = cand
+    for k in range(2, 7):
+        if 2.0 * w[6 - k] <= best[0]:
             break
-        q = q_new
-    best = float(q.max())
-    # deterministic reduction: max q, then lexicographically smallest witness
-    top = np.flatnonzero(q >= best)
-    winner = None
-    for idx in top:
-        cu, cv = _canonical(u[idx], v[idx])
-        key = (q[idx], tuple(-cu), tuple(-cv))
-        if winner is None or key > winner[0]:
-            winner = (key, cu, cv)
-    _, cu, cv = winner
-    return float(_q_batch(a, c, Bt, cu[None, :], cv[None, :])[0]), cu, cv
+        if k == 2:  # closed form
+            y1, y2, g11, g12, g22 = x5, x4, g55, _hform(x4, x5), _hform(x4, x4)
+        else:  # the extreme H-form directions of the cluster
+            Vk = V[:, 6 - k:]
+            gam, U = np.linalg.eigh(Vk.T * _H @ Vk)
+            y1, y2 = (Vk @ U[:, -1]).tolist(), (Vk @ U[:, 0]).tolist()
+            g11, g12, g22 = float(gam[-1]), 0.0, float(gam[0])
+        if g11 * g22 <= g12 * g12:  # indefinite: cos(a) y1 + sin(a) y2 is a plane
+            m, d = 0.5 * (g11 + g22), 0.5 * (g11 - g22)
+            r = math.hypot(d, g12)
+            a = 0.5 * (math.atan2(g12, d) + math.acos(max(-1.0, min(1.0, -m / r)))) if r else 0.0
+            c, s = math.cos(a), math.sin(a)
+            cand = _plane(M, [c * p + s * q for p, q in zip(y1, y2)])
+            return cand if cand[0] > best[0] else best
+    return best
 
 
-def _analytic_q_bounds(A, B, C) -> tuple[float, float]:
-    """Certified outer bounds for q over the product of unit spheres.
+def _step(w, G) -> float | None:
+    """The shortest predicted step towards the minimum of lam_max(M + tH).
 
-    Combines the separable bound lam_max(A) + lam_max(C) + 2 sigma_max(B)
-    with the Rayleigh bound 2 lam_max([[A, B], [B^T, C]]) (the witness
-    manifold sits inside the sphere |psi+|^2 + |psi-|^2 = 2), taking the
-    tighter of the two on each side.
+    Newton's step uses f'' = sum_j 2 G[j, top]^2 / (w[top] - w[j]).  For each
+    lower eigenpair j, the top eigenvalue on span(x_j, x_top) is a hyperbola
+    in t with a closed-form minimum; for an uncoupled pair (G[j, top] = 0)
+    that is a crossing of two branches, a kink that Newton would overshoot.
     """
-    ea = np.linalg.eigvalsh(A)
-    ec = np.linalg.eigvalsh(C)
-    smax = float(np.linalg.svd(B, compute_uv=False)[0])
-    M = np.zeros((6, 6))
-    M[:3, :3] = A
-    M[:3, 3:] = B
-    M[3:, :3] = B.T
-    M[3:, 3:] = C
-    em = np.linalg.eigvalsh(M)
-    upper = min(float(ea[-1] + ec[-1]) + 2.0 * smax, 2.0 * float(em[-1]))
-    lower = max(float(ea[0] + ec[0]) - 2.0 * smax, 2.0 * float(em[0]))
-    return lower, upper
+    e, g = G[:5, 5], np.diagonal(G)[:5]
+    c, b, d = 0.5 * (w[5] - w[:5]), 0.5 * (g + G[5, 5]), 0.5 * (G[5, 5] - g)
+    p = d * d + e * e
+    r = p - b * b  # > 0 where the hyperbola has a minimum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.where(r > 0.0, (-np.sign(b) * np.abs(b * c * e) / np.sqrt(r) - c * d) / p,
+                         np.inf)
+        newton = -G[5, 5] / float(np.sum(np.where(e == 0.0, 0.0, e * e / c)))
+    steps = np.append(steps, newton)
+    steps = steps[np.isfinite(steps) & (steps != 0.0)]
+    return float(steps[np.argmin(np.abs(steps))]) if steps.size else None
 
 
-def certify_sec_sign(op: CurvatureOperator,
-                     config: CertifyConfig | None = None) -> SecSignCertificate:
+def _dual_maxima(sides: np.ndarray, t: np.ndarray):
+    """``(upper, q, z)`` for each normalized operator M in ``sides``.
+
+    ``upper`` is the least ``2 lam_max(M + tH)`` met, ``z = (psi+, psi-)``
+    the best witness plane and ``q = z^T M z``.  Each side runs Newton's
+    method on t from its start value, kept inside a bisection bracket
+    (|t*| <= 2 |M|_2 < 12), until the gap is at most ``_GAP_TOL`` or the
+    iteration cap; the bounds are valid either way.
+    """
+    n = len(sides)
+    rows = sides.tolist()
+    lo, hi = [-12.0] * n, [12.0] * n
+    upper, best, done = [math.inf] * n, [(-math.inf, None)] * n, [False] * n
+    for _ in range(_MAX_ITERATIONS):
+        w, V = np.linalg.eigh(sides + np.multiply.outer(t, _H_MATRIX))
+        tops = np.swapaxes(V[:, :, 4:], 1, 2).tolist()  # the top two eigenvectors
+        for i, wi in enumerate(w.tolist()):
+            if done[i]:
+                continue
+            upper[i] = min(upper[i], 2.0 * wi[5])
+            best[i] = _witness(rows[i], wi, V[i], *tops[i], best[i])
+            if upper[i] - best[i][0] <= _GAP_TOL:
+                done[i] = True
+                continue
+            G = V[i].T * _H @ V[i]
+            if G[5, 5] > 0.0:  # the slope of lam_max brackets the minimizer
+                hi[i] = t[i]
+            elif G[5, 5] < 0.0:
+                lo[i] = t[i]
+            step = _step(w[i], G)
+            t_next = None if step is None else t[i] + step
+            if t_next is None or not lo[i] < t_next < hi[i]:
+                t_next = 0.5 * (lo[i] + hi[i])
+            done[i] = t_next == t[i]
+            t[i] = t_next
+        if all(done):
+            break
+    return [(max(upper[i], best[i][0]), best[i][0], np.array(best[i][1])) for i in range(n)]
+
+
+def certify_sec_sign(op: CurvatureOperator, *,
+                     tolerance: float | None = None) -> SecSignCertificate:
     """Certify the global sign of sectional curvature of an operator.
 
-    Einstein inputs use the exact eigenvalue range (method ``EinsteinExact``,
-    bounds collapse to points).  Otherwise the lower bounds come from the
-    best witness of the alternating search started from a Fibonacci grid of
-    ``grid_size`` directions plus ``restarts`` seeded random directions, and
-    the outer bounds come from the analytic certificate
-    ``lam_max(A) + lam_max(C) + 2 sigma_max(B)`` and its mirror.  The result
-    is deterministic for a fixed seed and configuration regardless of
-    execution order; an ``Inconclusive`` verdict (certified intervals
-    straddling zero) is a first-class outcome, not an error.
+    One method for every operator (``ThorpeDual``).  R is first scaled by a
+    power of two to ``1/2 <= max|R| < 1``, which is exact, so nothing
+    overflows and the bounds scale with R.  The max side minimizes
+    ``lam_max(R + tH)`` from the Einstein optimum ``t0 = (nu-_max -
+    nu+_max)/2`` of the Weyl spectra; the min side is the max side of -R.
+    ``qMaxUpper`` and ``qMinLower`` are dual bounds, ``qMaxLower`` and
+    ``qMinUpper`` the q of the witness planes; they agree to about
+    ``1e-14 max|R|``.  The verdict compares them with ``tolerance`` (default
+    ``1e-8 max(1, |R|_F)``, taken on the scaled R so it cannot overflow):
+    ``Inconclusive`` means only that a certified interval straddles it.
     """
-    cfg = config or CertifyConfig()
     d = decompose(op)
-    tol = cfg.tolerance
-    if tol is None:
-        tol = 1e-8 * max(1.0, op.norm())
-
-    if d.is_einstein() and not cfg.force_alternating:
-        sec_min, sec_max = einstein_sec_range(d)
-        q_max = 2.0 * sec_max
-        q_min = 2.0 * sec_min
-        wp, wm = d.w_plus, d.w_minus
-        _, vec_p = np.linalg.eigh(wp)
-        _, vec_m = np.linalg.eigh(wm)
-        up, vp = _canonical(vec_p[:, 2], vec_m[:, 2])
-        lo_u, lo_v = _canonical(vec_p[:, 0], vec_m[:, 0])
-        max_w = PlaneWitness(up, vp, q_value=q_form(op, up, vp))
-        min_w = PlaneWitness(lo_u, lo_v, q_value=q_form(op, lo_u, lo_v))
-        verdict = _verdict(q_max, q_max, q_min, q_min, tol)
-        return SecSignCertificate(
-            q_max_lower=q_max, q_max_upper=q_max,
-            q_min_lower=q_min, q_min_upper=q_min,
-            max_witness=max_w, min_witness=min_w,
-            verdict=verdict, method=Method.EINSTEIN_EXACT,
-        )
-
-    A, B, C = op.blocks()
-    a_eig, Qa = np.linalg.eigh(A)
-    c_eig, Qc = np.linalg.eigh(C)
-    Bt = Qa.T @ B @ Qc  # cross term in the A/C eigenbases
-
-    rng = np.random.default_rng(cfg.seed)
-    starts = [_fibonacci_sphere(max(cfg.grid_size, 1))]
-    if cfg.restarts > 0:
-        rnd = rng.standard_normal((cfg.restarts, 3))
-        rnd /= np.linalg.norm(rnd, axis=1)[:, None]
-        starts.append(rnd)
-    starts = np.vstack(starts)
-
-    q_hi, u_hi, v_hi = _alternating_max(a_eig, c_eig, Bt, starts,
-                                        cfg.max_sweeps, cfg.improvement_tol)
-    # the minimum is the mirrored maximization of -q; exact negation symmetry
-    q_lo_neg, u_lo, v_lo = _alternating_max(-a_eig[::-1], -c_eig[::-1],
-                                            -Bt[::-1, ::-1], starts,
-                                            cfg.max_sweeps, cfg.improvement_tol)
-    u_lo = u_lo[::-1]
-    v_lo = v_lo[::-1]
-
-    lower_bound, upper_bound = _analytic_q_bounds(A, B, C)
-
-    max_u = Qa @ u_hi
-    max_v = Qc @ v_hi
-    min_u = Qa @ u_lo
-    min_v = Qc @ v_lo
-    max_u, max_v = _canonical(max_u / np.linalg.norm(max_u), max_v / np.linalg.norm(max_v))
-    min_u, min_v = _canonical(min_u / np.linalg.norm(min_u), min_v / np.linalg.norm(min_v))
-    max_w = PlaneWitness(max_u, max_v, q_value=q_form(op, max_u, max_v))
-    min_w = PlaneWitness(min_u, min_v, q_value=q_form(op, min_u, min_v))
-
-    q_max_lower = max_w.q_value
-    q_min_upper = min_w.q_value
-    verdict = _verdict(q_max_lower, upper_bound, lower_bound, q_min_upper, tol)
+    S = op.in_sd_asd_basis()
+    e = math.frexp(float(np.abs(S).max()))[1]
+    sides = np.ldexp(S, -e) * _SIDES  # R and -R, scaled
+    if tolerance is None:
+        tol = 1e-8 * max(_ldexp(1.0, -e), float(np.linalg.norm(sides[0])))
+    else:
+        tol = _ldexp(tolerance, -e)
+    sp, sm = d.spectrum_plus, d.spectrum_minus
+    t0 = (_ldexp(0.5 * (sm[2] - sp[2]), -e), _ldexp(0.5 * (sp[0] - sm[0]), -e))
+    t0 = np.array([t if math.isfinite(t) else 0.0 for t in t0])
+    (max_upper, max_q, max_z), (neg_upper, neg_q, min_z) = _dual_maxima(sides, t0)
+    # the min side ran on -R; subtracting from 0.0 turns -0.0 into 0.0
+    bounds = (max_q, max_upper, 0.0 - neg_upper, 0.0 - neg_q)
+    q_max_lower, q_max_upper, q_min_lower, q_min_upper = (_ldexp(b, e) for b in bounds)
+    max_u, max_v = _canonical(max_z[:3], max_z[3:])
+    min_u, min_v = _canonical(min_z[:3], min_z[3:])
     return SecSignCertificate(
-        q_max_lower=q_max_lower, q_max_upper=upper_bound,
-        q_min_lower=lower_bound, q_min_upper=q_min_upper,
-        max_witness=max_w, min_witness=min_w,
-        verdict=verdict, method=Method.ALTERNATING_TRS,
+        q_max_lower=q_max_lower, q_max_upper=q_max_upper,
+        q_min_lower=q_min_lower, q_min_upper=q_min_upper,
+        max_witness=PlaneWitness(max_u, max_v, q_value=q_max_lower),
+        min_witness=PlaneWitness(min_u, min_v, q_value=q_min_upper),
+        verdict=_verdict(*bounds, tol), method=Method.THORPE_DUAL,
     )
 
 

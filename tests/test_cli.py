@@ -55,25 +55,71 @@ def test_certify_identity(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["verdict"] == "NonNegative"
-    assert data["method"] == "EinsteinExact"
+    assert data["method"] == "ThorpeDual"
     assert data["qMaxLower"] == 2.0
 
 
-def test_certify_inconclusive_exit_2(tmp_path, capsys):
-    # true q_max = 10/3 - 3.6 < 0, but both analytic upper bounds land at
-    # 6 - 4.6 = 1.4 > 0: the negative witness cannot certify non-positivity
-    # and neither certified interval clears zero
+def _gap_operator(tmp_path):
+    # q_max = 10/3 - 3.6 = -4/15: sec < 0 everywhere, although the bound
+    # lam_max(A) + lam_max(C) + 2 sigma_max(B) = 1.4 is positive
     M = np.zeros((6, 6))
     M[:3, :3] = np.diag([-2.3, -2.3, 0.7])
     M[3:, 3:] = -1.3 * np.eye(3)
     M[0, 3] = M[3, 0] = 1.0
-    path = write_operator(tmp_path / "gap.json", M, basis="sd-asd")
-    code, out, _ = run_cli(capsys, "certify", "-i", path)
+    return write_operator(tmp_path / "gap.json", M, basis="sd-asd")
+
+
+def test_certify_negative_qmax_nonpositive(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "certify", "-i", _gap_operator(tmp_path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "NonPositive"
+    assert data["qMaxUpper"] == pytest.approx(-4.0 / 15.0, abs=1e-13)
+    assert data["qMaxLower"] == pytest.approx(-4.0 / 15.0, abs=1e-13)
+
+
+def test_certify_inconclusive_exit_2(tmp_path, capsys):
+    # a tolerance strictly inside the certified interval [qMaxLower,
+    # qMaxUpper]: whether q_max <= tol cannot be decided from the bounds
+    path = _gap_operator(tmp_path)
+    _, out, _ = run_cli(capsys, "certify", "-i", path)
+    data = json.loads(out)
+    lo, hi = data["qMaxLower"], data["qMaxUpper"]
+    tol = lo + 0.5 * (hi - lo)
+    assert lo < tol < hi
+    code, out, _ = run_cli(capsys, "certify", "-i", path, "--tolerance", repr(tol))
     assert code == 2
     data = json.loads(out)
     assert data["verdict"] == "Inconclusive"
-    assert data["qMaxLower"] == pytest.approx(10.0 / 3.0 - 3.6, abs=1e-9)
-    assert data["qMaxUpper"] == pytest.approx(1.4, abs=1e-12)
+    assert (data["qMaxLower"], data["qMaxUpper"]) == (lo, hi)
+
+
+def test_certify_search_flags_removed(tmp_path, capsys):
+    path = write_operator(tmp_path / "id.json", np.eye(6))
+    for flag in ("--restarts", "--grid", "--seed"):
+        with pytest.raises(SystemExit):
+            main(["certify", "-i", path, flag, "4"])
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_certify_non_finite_entry_exit_1(tmp_path, capsys, token):
+    rows = [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)]
+    text = json.dumps({"basis": "coordinate", "matrix": rows}).replace("1.0", token, 1)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "certify", "-i", str(path))
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err and len(err.strip().splitlines()) == 1
+
+
+def test_certify_overflowing_entries_exit_1(tmp_path, capsys):
+    # finite, but e1^e2 + e3^e4 overflows in the SD/ASD frame
+    path = write_operator(tmp_path / "big.json", np.diag([1.7e308, 0, 0, 0, 0, 1.7e308]))
+    code, out, err = run_cli(capsys, "certify", "-i", path)
+    assert code == 1
+    assert out == ""
+    assert "overflow" in err and len(err.strip().splitlines()) == 1
 
 
 def test_certify_byte_identical(tmp_path, capsys):
@@ -87,7 +133,7 @@ def test_certify_byte_identical(tmp_path, capsys):
     path = write_operator(tmp_path / "op.json", M, basis="sd-asd")
     outs = []
     for _ in range(2):
-        code, out, _ = run_cli(capsys, "certify", "-i", path, "--seed", "11")
+        code, out, _ = run_cli(capsys, "certify", "-i", path)
         assert code in (0, 2)
         outs.append(out)
     assert outs[0] == outs[1]
@@ -143,6 +189,25 @@ def test_geo_csv_batch(tmp_path, capsys):
     lines = out.strip().split("\n")
     assert lines[1].startswith("3,1,true")
     assert lines[2].split(",")[3] == "false"  # 15,8 fails the strict bound
+    # the batch and the scan write rows alike
+    src.write_text("".join(f"{c},{t}\n" for c in range(4) for t in range(-c, c + 1)),
+                   encoding="utf-8")
+    _, geo, _ = run_cli(capsys, "geo", "--csv", str(src))
+    _, scan, _ = run_cli(capsys, "scan", "--chi-max", "3")
+    assert geo == scan
+
+
+@pytest.mark.parametrize("text, message", [
+    ("chi,tau\n3,1\n7\n", "line 3: expected chi,tau"),
+    ("chi,tau\n3,1\n15,8\n4,x\n", "line 4: chi and tau must be integers"),
+])
+def test_geo_csv_bad_row_exit_1(tmp_path, capsys, text, message):
+    src = tmp_path / "points.csv"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "geo", "--csv", str(src))
+    assert code == 1
+    assert out == ""
+    assert message in err and len(err.strip().splitlines()) == 1
 
 
 def test_unknown_flag_rejected(capsys):
@@ -179,10 +244,18 @@ def test_wire_format_field_names(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import fourcurv
+    # the child imports the same package as this process, installed or not
+    src = str(Path(fourcurv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "fourcurv", "geo",
                            "--chi", "3", "--tau", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bmyEquality"] is True

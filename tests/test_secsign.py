@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    _sphere_max_batch,
     random_admissible_operator,
     random_einstein_operator,
 )
-from fourcurv.curvops import CurvatureOperator, decompose
+from fourcurv.curvops import CLASSIFY_TOL, SD_ASD, CurvatureOperator, decompose
 from fourcurv.errors import DegeneratePlaneError, NotEinsteinError, NotUnitError
 from fourcurv.models import catalog
 from fourcurv.secsign import (
-    CertifyConfig,
     Method,
     Verdict,
-    _sphere_max_batch,
     certify_sec_sign,
     einstein_extreme_witnesses,
     einstein_sec_range,
@@ -134,7 +133,7 @@ def test_einstein_range_rejects_non_einstein():
 
 
 # ---------------------------------------------------------------------------
-# the exact inner solve
+# the exact inner solve of the grid oracle (tests/conftest.py)
 # ---------------------------------------------------------------------------
 
 def brute_force_sphere_max(c, b, n=200000, seed=1):
@@ -183,7 +182,7 @@ def test_sphere_max_zero_linear_term():
 
 def test_certify_unit_sphere_exact():
     cert = certify_sec_sign(CurvatureOperator(np.eye(6)))
-    assert cert.method is Method.EINSTEIN_EXACT
+    assert cert.method is Method.THORPE_DUAL
     assert cert.verdict is Verdict.NON_NEGATIVE
     assert cert.q_max_lower == cert.q_max_upper == 2.0
     assert cert.q_min_lower == cert.q_min_upper == 2.0
@@ -192,9 +191,9 @@ def test_certify_unit_sphere_exact():
 def test_certify_surface_product_1_2():
     op = catalog("surfaceProduct", {"a": 1.0, "b": 2.0}).operator
     cert = certify_sec_sign(op)
-    assert cert.method is Method.ALTERNATING_TRS
+    assert cert.method is Method.THORPE_DUAL
     assert cert.q_max_lower == pytest.approx(4.0, abs=1e-9)
-    assert cert.q_max_upper == pytest.approx(4.0, abs=1e-12)  # analytic bound tight
+    assert cert.q_max_upper == pytest.approx(4.0, abs=1e-12)  # dual bound tight
     assert cert.max_witness.sec_value == pytest.approx(2.0, abs=1e-9)
     assert cert.q_min_upper == pytest.approx(0.0, abs=1e-9)
     assert cert.q_min_lower >= -1e-9
@@ -213,14 +212,16 @@ def test_certify_hyperbolic_product():
 
 
 def test_certify_negation_symmetry(rng):
+    # R -> -R swaps the two sides of the certificate and negates them exactly:
+    # the min side of R is the max side of -R
     for _ in range(10):
         op = random_admissible_operator(rng)
         cert = certify_sec_sign(op)
         neg = certify_sec_sign(CurvatureOperator(-op.matrix, basis=op.basis))
-        assert neg.q_max_upper == pytest.approx(-cert.q_min_lower, abs=1e-12)
-        assert neg.q_min_lower == pytest.approx(-cert.q_max_upper, abs=1e-12)
-        assert neg.q_max_lower == pytest.approx(-cert.q_min_upper, abs=1e-9)
-        assert neg.q_min_upper == pytest.approx(-cert.q_max_lower, abs=1e-9)
+        assert neg.q_max_upper == -cert.q_min_lower
+        assert neg.q_min_lower == -cert.q_max_upper
+        assert neg.q_max_lower == -cert.q_min_upper
+        assert neg.q_min_upper == -cert.q_max_lower
 
 
 def test_certify_witness_feasibility(rng):
@@ -236,21 +237,21 @@ def test_certify_witness_feasibility(rng):
             assert omega.is_decomposable(tol=1e-9)
 
 
-def test_alternating_matches_einstein_exact(rng):
-    # forced alternating path against the exact eigenvalue range
+def test_dual_matches_einstein_exact(rng):
+    # the dual certificate against the closed-form Einstein range
     worst = 0.0
     for _ in range(100):
         op = random_einstein_operator(rng)
         d = decompose(op)
         sec_min, sec_max = einstein_sec_range(d)
-        cert = certify_sec_sign(op, CertifyConfig(force_alternating=True))
+        cert = certify_sec_sign(op)
         worst = max(worst,
                     abs(cert.q_max_lower - 2 * sec_max),
                     abs(cert.q_min_upper - 2 * sec_min))
     assert worst <= 1e-6
 
 
-def test_alternating_matches_grid_oracle(rng):
+def test_dual_matches_grid_oracle(rng):
     from conftest import bare_grid_qmax, grid_oracle_qmax
     worst = 0.0
     for _ in range(30):
@@ -278,8 +279,8 @@ def test_surface_product_sec_extremes():
 
 def test_certify_deterministic(rng):
     op = random_admissible_operator(rng)
-    c1 = certify_sec_sign(op, CertifyConfig(seed=7))
-    c2 = certify_sec_sign(op, CertifyConfig(seed=7))
+    c1 = certify_sec_sign(op)
+    c2 = certify_sec_sign(op)
     assert c1.to_dict() == c2.to_dict()
 
 
@@ -288,3 +289,129 @@ def test_einstein_extreme_witnesses():
     min_w, max_w = einstein_extreme_witnesses(op)
     assert min_w.sec_value == pytest.approx(1.0, abs=1e-12)
     assert max_w.sec_value == pytest.approx(4.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the dual certificate: gaps, clusters, scale
+# ---------------------------------------------------------------------------
+
+def _bounds(cert):
+    return cert.q_max_lower, cert.q_max_upper, cert.q_min_lower, cert.q_min_upper
+
+
+def _relative_gap(cert, op) -> float:
+    """Largest of the two certified interval widths over max|R|."""
+    k = float(np.abs(op.matrix).max())
+    assert cert.q_max_lower <= cert.q_max_upper and cert.q_min_lower <= cert.q_min_upper
+    return max(cert.q_max_upper - cert.q_max_lower, cert.q_min_upper - cert.q_min_lower) / k
+
+
+def _near_einstein(rng):
+    # a Ricci block the Einstein test ignores: |B| < 0.9 CLASSIFY_TOL max(1, |s|)
+    op = random_einstein_operator(rng)
+    B = rng.standard_normal((3, 3))
+    size = rng.uniform(0.0, 0.9) * CLASSIFY_TOL * max(1.0, abs(decompose(op).s))
+    M = op.in_sd_asd_basis()
+    M[:3, 3:] = B * (size / np.linalg.norm(B))
+    M[3:, :3] = M[:3, 3:].T
+    return CurvatureOperator(M, basis=SD_ASD)
+
+
+def _rank_one_plus_shift(rng):
+    w = rng.standard_normal(6)
+    M = rng.normal() * np.eye(6) + rng.choice([-1.0, 1.0]) * np.outer(w, w)
+    # the Bianchi balance moves the blocks by a multiple of H, which leaves q alone
+    shift = (np.trace(M[:3, :3]) - np.trace(M[3:, 3:])) / 6.0
+    M[:3, :3] -= shift * np.eye(3)
+    M[3:, 3:] += shift * np.eye(3)
+    return CurvatureOperator(M, basis=SD_ASD)
+
+
+def _diagonal_integers(rng):
+    # any diagonal coordinate matrix satisfies the Bianchi trace balance
+    return CurvatureOperator(np.diag(rng.integers(-9, 10, 6).astype(float)))
+
+
+DUAL_KINDS = {
+    "generic": random_admissible_operator,
+    "einstein": random_einstein_operator,
+    "near_einstein": _near_einstein,
+    "rank_one_plus_shift": _rank_one_plus_shift,
+    "diagonal_integers": _diagonal_integers,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DUAL_KINDS))
+def test_dual_gap_seeded_kinds(kind):
+    rng = np.random.default_rng(sorted(DUAL_KINDS).index(kind))
+    worst = 0.0
+    for _ in range(50):
+        op = DUAL_KINDS[kind](rng)
+        cert = certify_sec_sign(op)
+        assert cert.method is Method.THORPE_DUAL
+        worst = max(worst, _relative_gap(cert, op))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("name, params, q_range", [
+    ("sphere4", {}, (2.0, 2.0)),
+    ("fubiniStudy", {}, (2.0, 8.0)),
+    ("surfaceProduct", {"a": 1.0, "b": 1.0}, (0.0, 2.0)),
+    ("surfaceProduct", {"a": -1.0, "b": 2.0}, (-2.0, 4.0)),
+    ("hyperbolic4", {}, (-2.0, -2.0)),
+    ("bergman", {}, (-8.0, -2.0)),
+    ("flat", {}, (0.0, 0.0)),
+])
+def test_dual_exact_on_repeated_eigenvalues(name, params, q_range):
+    # repeated eigenvalues of R + tH: the witness comes from the smallest
+    # top cluster of eigenvectors whose H-form is indefinite
+    op = catalog(name, params).operator
+    cert = certify_sec_sign(op)
+    lo, hi = q_range
+    assert _bounds(cert) == (hi, hi, lo, lo)
+
+
+def test_dual_accepts_top_eigenvector_at_roundoff(rng):
+    # R = cI + w w^T with |w+| = |w-|: the top eigenvector is itself a plane
+    # (x^T H x = 0 up to roundoff) and the rest of the spectrum is one
+    # degenerate cluster, whose mixes reach only q = 2c
+    for _ in range(20):
+        plus, minus = rng.standard_normal(3), rng.standard_normal(3)
+        w = np.concatenate([plus, minus * (np.linalg.norm(plus) / np.linalg.norm(minus))])
+        c = rng.normal()
+        op = CurvatureOperator(c * np.eye(6) + np.outer(w, w), basis=SD_ASD)
+        cert = certify_sec_sign(op)
+        scale = float(np.abs(op.matrix).max())
+        assert cert.q_max_lower == pytest.approx(2.0 * (c + w @ w), abs=1e-13 * scale)
+        assert _relative_gap(cert, op) <= 1e-13
+
+
+@pytest.mark.parametrize("M, verdict, q_range", [
+    (-1e300 * np.eye(6), Verdict.NON_POSITIVE, (-2e300, -2e300)),
+    (np.diag([1e200, 0.0, 0.0, 0.0, 0.0, -1e200]), Verdict.INDEFINITE, (-2e200, 2e200)),
+])
+def test_certify_huge_entries(M, verdict, q_range):
+    cert = certify_sec_sign(CurvatureOperator(M))
+    assert cert.verdict is verdict
+    lo, hi = q_range
+    assert _bounds(cert) == (hi, hi, lo, lo)
+
+
+def test_certify_scaling_by_powers_of_two(rng):
+    # the operator is normalized by a power of two before anything else, so
+    # the verdict is kept and the bounds scale exactly; at 2^1000 the Weyl
+    # spectra behind the start value come from a matrix that LAPACK rescales
+    # internally, so there the bounds agree to roundoff only
+    for i in range(20):
+        op = random_admissible_operator(rng, basis=("coordinate", SD_ASD)[i % 2])
+        cert = certify_sec_sign(op)
+        for k in (-20, -1, 1, 7, 100, 300, 1000):
+            # the admissibility tolerance is absolute, so it scales along
+            scaled = certify_sec_sign(CurvatureOperator(
+                np.ldexp(op.matrix, k), basis=op.basis, tol=np.ldexp(1e-9, max(k, 0))))
+            assert scaled.verdict is cert.verdict
+            want = [np.ldexp(b, k) for b in _bounds(cert)]
+            if k <= 300:
+                assert list(_bounds(scaled)) == want
+            else:
+                assert list(_bounds(scaled)) == pytest.approx(want, rel=1e-14)
