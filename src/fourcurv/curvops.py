@@ -390,15 +390,13 @@ def decompose(op: CurvatureOperator) -> Decomposition:
     """
     A, B, C = op.blocks()
     s = 2.0 * (np.trace(A) + np.trace(C))
-    w_plus = A - (s / 12.0) * np.eye(3)
-    w_minus = C - (s / 12.0) * np.eye(3)
-    W = np.stack([w_plus, w_minus])
+    W = np.stack((A, C)) - (s / 12.0) * np.eye(3)  # the Weyl halves W+, W-
     # one batched call; eigvalsh returns ascending order for symmetric input
     spectra = np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2)))
     return Decomposition(
         s=float(s),
-        w_plus=w_plus,
-        w_minus=w_minus,
+        w_plus=W[0],
+        w_minus=W[1],
         ric_block=B,
         spectrum_plus=spectra[0],
         spectrum_minus=spectra[1],
