@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, curvops, geography, jsonio, models, numgeom, page, secsign
-from .errors import FourcurvError, NonConvergentError
+from .errors import FourcurvError, NonConvergentError, NotEinsteinError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -57,7 +57,7 @@ def _cmd_decompose(args) -> int:
     out = {"decomposition": d.to_dict(), "glReport": curvops.gl_defect(d).to_dict()}
     try:
         out["charDensities"] = curvops.char_densities(d).to_dict()
-    except FourcurvError:
+    except NotEinsteinError:
         out["charDensities"] = None
     _print_report(out, args.format == "human")
     return EXIT_OK
@@ -106,6 +106,8 @@ def _chart_default_point(chart: numgeom.MetricChart) -> np.ndarray:
 
 
 def _cmd_page(args) -> int:
+    if args.radii < 1:
+        raise ValueError(f"--radii must be a positive integer, got {args.radii}")
     m = page.page_metric()
     lower, upper = m.endpoint_data()
     out: dict = {

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     BianchiViolationError,
+    DensityOverflowError,
     IndefiniteSignError,
     InvalidBlocksError,
     NotAdmissibleError,
@@ -146,6 +147,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _ldexp(x: float, n: int) -> float:
+    """x * 2**n, exact unless it leaves the float range (then 0 or inf)."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a, taken on a scaled by a power of two so that the
+    squares cannot overflow; equal to ``np.linalg.norm(a)`` wherever that
+    does not overflow or underflow."""
+    v = a.ravel()
+    entries = v.tolist()  # max|v| from the list: cheaper than a numpy reduction
+    e = math.frexp(max(max(entries), -min(entries)))[1]
+    v = np.ldexp(v, -e)
+    return _ldexp(math.sqrt(float(v.dot(v))), e)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +363,14 @@ class Decomposition:
         return self.s / 4.0
 
     def norm_w_plus(self) -> float:
-        return float(np.linalg.norm(self.w_plus))
+        return _norm(self.w_plus)
 
     def norm_w_minus(self) -> float:
-        return float(np.linalg.norm(self.w_minus))
+        return _norm(self.w_minus)
 
     def einstein_residual(self) -> float:
         """Frobenius norm of the traceless-Ricci block over max(1, |s|)."""
-        return float(np.linalg.norm(self.ric_block)) / max(1.0, abs(self.s))
+        return _norm(self.ric_block) / max(1.0, abs(self.s))
 
     def is_einstein(self, tol: float = CLASSIFY_TOL) -> bool:
         return self.einstein_residual() <= tol
@@ -609,9 +629,15 @@ def char_densities(d: Decomposition, tol: float = CLASSIFY_TOL) -> CharDensities
     ratio = None
     if sig_frac != 0:
         ratio = Fraction(3, 2) * euler_frac / sig_frac
+    try:
+        euler, signature = float(euler_frac), float(sig_frac)
+    except OverflowError:
+        raise DensityOverflowError(
+            "characteristic densities exceed the float range (|W|^2 or s^2 above 1e308)"
+        ) from None
     return CharDensities(
-        euler_density=float(euler_frac) / (8.0 * math.pi**2),
-        signature_density=float(sig_frac) / (12.0 * math.pi**2),
+        euler_density=euler / (8.0 * math.pi**2),
+        signature_density=signature / (12.0 * math.pi**2),
         ratio=ratio,
     )
 

@@ -179,25 +179,25 @@ def catalog(name: str, parameters: Mapping[str, float] | None = None) -> ModelSp
 # ---------------------------------------------------------------------------
 
 def _flat_chart_metric(x: np.ndarray) -> np.ndarray:
-    return np.eye(4)
+    return np.broadcast_to(np.eye(4), np.shape(x)[:-1] + (4, 4))
 
 
 def _sphere_product_metric(a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
     # S^2(1/sqrt(a)) x S^2(1/sqrt(b)) in spherical coordinates per factor
     def metric(x: np.ndarray) -> np.ndarray:
-        th1, th2 = x[0], x[2]
-        return np.diag([
-            1.0 / a,
-            np.sin(th1) ** 2 / a,
-            1.0 / b,
-            np.sin(th2) ** 2 / b,
-        ])
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (4, 4))
+        g[..., 0, 0] = 1.0 / a
+        g[..., 1, 1] = np.sin(x[..., 0]) ** 2 / a
+        g[..., 2, 2] = 1.0 / b
+        g[..., 3, 3] = np.sin(x[..., 2]) ** 2 / b
+        return g
 
     return metric
 
 
 def _hyperbolic_half_space_metric(x: np.ndarray) -> np.ndarray:
-    return np.eye(4) / x[3] ** 2
+    return np.eye(4) / np.asarray(x, dtype=float)[..., 3, None, None] ** 2
 
 
 _CHART_DEFAULTS: dict[str, dict] = {

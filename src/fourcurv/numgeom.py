@@ -1,13 +1,22 @@
 """Curvature of coordinate metric charts by high-order finite differences.
 
-Christoffel symbols and the Riemann tensor are assembled from 4th-order
+A chart evaluates its metric on stacks of points: ``metric_at`` maps an
+array of shape ``(..., 4)`` to one of shape ``(..., 4, 4)``.  Christoffel
+symbols and the Riemann tensor are assembled from 4th-order
 central-difference derivatives of the metric; the curvature is re-expressed
 in the orthonormal frame obtained by Gram-Schmidt on the coordinate vectors
 (equivalently, the inverse-transpose Cholesky factor, which preserves the
 coordinate orientation) and packed into the 6x6 operator convention of
 :mod:`fourcurv.curvops`.  Each evaluation is done at steps h and h/2; the
 emitted operator is the h/2 evaluation and the error estimate comes from the
-Richardson comparison of the pair.
+Richardson comparison of the pair plus the roundoff the stencil amplifies.
+
+Points are processed in blocks of at most ``BLOCK`` points: the 113 stencil
+points of both steps of a whole block go through one ``metric_at`` call and
+one stacked Cholesky factorisation (the positive-definiteness check), and
+the tensor algebra carries a leading batch axis.  All arithmetic is
+elementwise or per matrix, so a point's result does not depend on the
+block it is computed in.
 
 Also provides Gauss-Legendre quadrature for the 1-D orbit integrals of
 cohomogeneity-one metrics.
@@ -15,6 +24,7 @@ cohomogeneity-one metrics.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,20 +39,38 @@ from .errors import (
     StepTooLargeError,
 )
 
+BLOCK = 16  # points per metric_at call: 16 x 2 steps x 113 stencil points
+
 # 4th-order central stencils
 _OFF1 = (-2, -1, 1, 2)
-_C1 = (1.0, -8.0, 8.0, -1.0)          # first derivative, / (12 h)
-_OFF2 = (-2, -1, 0, 1, 2)
-_C2 = (-1.0, 16.0, -30.0, 16.0, -1.0)  # second derivative, / (12 h^2)
+_C1 = (1.0, -8.0, 8.0, -1.0)     # first derivative, / (12 h)
+_C2 = (-1.0, 16.0, 16.0, -1.0)   # second derivative at _OFF1, centre -30, / (12 h^2)
+_CC = tuple(cm * cn for cm in _C1 for cn in _C1)  # mixed second derivative, / (144 h^2)
+_MIXED = tuple(itertools.combinations(range(4), 2))
+# stencil offsets in units of the step: the centre, 4 points on each axis,
+# then 16 points on each coordinate plane
+_STENCIL = np.array(
+    [[0, 0, 0, 0]]
+    + [[off * (k == m) for k in range(4)] for m in range(4) for off in _OFF1]
+    + [[om * (k == m) + on * (k == n) for k in range(4)]
+       for m, n in _MIXED for om in _OFF1 for on in _OFF1],
+    dtype=float,
+)
+_ROW = np.array([i for i, _ in PAIRS])
+_COL = np.array([j for _, j in PAIRS])
+# roundoff of one metric value, in units of its own size: the evaluation
+# error (a few ulps of a closed-form expression) with a safety factor
+_METRIC_ULPS = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
 class MetricChart:
-    """A coordinate box with a pointwise metric evaluation.
+    """A coordinate box with a stacked metric evaluation.
 
-    ``metric_at`` must be a pure function of the coordinates returning a
-    symmetric positive-definite 4x4 matrix (checked by Cholesky at every
-    evaluation).
+    ``metric_at`` must be a pure, elementwise function of the coordinates:
+    it maps points of shape ``(..., 4)`` to symmetric positive-definite
+    matrices of shape ``(..., 4, 4)`` (checked by Cholesky at every stencil
+    point).
     """
 
     domain: tuple[tuple[float, float], ...]
@@ -50,13 +78,12 @@ class MetricChart:
     suggested_step: float
     name: str = "chart"
 
-    def contains(self, point, margin: float = 0.0) -> bool:
-        return all(lo + margin <= x <= hi - margin
-                   for x, (lo, hi) in zip(point, self.domain))
-
-    def margin_of(self, point) -> float:
-        return min(min(x - lo, hi - x)
-                   for x, (lo, hi) in zip(point, self.domain))
+    def margin_of(self, points) -> np.ndarray:
+        """Distance of each point of a ``(..., 4)`` stack to the box boundary
+        (negative outside, NaN for NaN coordinates)."""
+        lo, hi = np.array(self.domain, dtype=float).T
+        x = np.asarray(points, dtype=float)
+        return np.minimum(x - lo, hi - x).min(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,114 +106,151 @@ class PointCurvature:
         }
 
 
-def _checked_metric(chart: MetricChart, x: np.ndarray) -> np.ndarray:
-    g = np.asarray(chart.metric_at(x), dtype=float)
-    if g.shape != (4, 4):
-        raise SingularMetricError("metric evaluation must return a 4x4 matrix")
+def _stencil_metrics(chart: MetricChart, x: np.ndarray, H: np.ndarray):
+    """Metric G[b, t, p] at stencil point p of step H[b, t] around x[b], and
+    the Cholesky factors of its symmetric part."""
+    points = x[:, None, None, :] + _STENCIL * H[:, :, None, None]
+    G = np.asarray(chart.metric_at(points), dtype=float)
+    if G.shape != points.shape[:-1] + (4, 4):
+        raise SingularMetricError("metric evaluation must map (..., 4) points to (..., 4, 4)")
+    S = 0.5 * (G + np.swapaxes(G, -1, -2))
     try:
-        np.linalg.cholesky(0.5 * (g + g.T))
+        return G, np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        raise SingularMetricError(f"metric not positive-definite at {x.tolist()}")
-    return g
+        for p, s in zip(points.reshape(-1, 4), S.reshape(-1, 4, 4)):
+            try:
+                np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
+                raise SingularMetricError(
+                    f"metric not positive-definite at {p.tolist()}") from None
+        raise
 
 
-def _metric_derivatives(chart, x, h):
-    """g, dg[m,i,j] = d_m g_ij and d2g[m,n,i,j] by 4th-order stencils."""
-    g = _checked_metric(chart, x)
-    dg = np.zeros((4, 4, 4))
-    d2g = np.zeros((4, 4, 4, 4))
-    for m in range(4):
-        acc1 = np.zeros((4, 4))
-        acc2 = -30.0 * g
-        for off, c1 in zip(_OFF1, _C1):
-            xp = x.copy()
-            xp[m] += off * h
-            gm = _checked_metric(chart, xp)
-            acc1 += c1 * gm
-            acc2 += (16.0 if abs(off) == 1 else -1.0) * gm
-        dg[m] = acc1 / (12.0 * h)
-        d2g[m, m] = acc2 / (12.0 * h * h)
-    for m in range(4):
-        for n in range(m + 1, 4):
-            acc = np.zeros((4, 4))
-            for om, cm in zip(_OFF1, _C1):
-                for on, cn in zip(_OFF1, _C1):
-                    xp = x.copy()
-                    xp[m] += om * h
-                    xp[n] += on * h
-                    acc += cm * cn * _checked_metric(chart, xp)
-            d2g[m, n] = d2g[n, m] = acc / (144.0 * h * h)
+def _metric_derivatives(G: np.ndarray, h: np.ndarray):
+    """g, dg[..., m, i, j] = d_m g_ij and d2g[..., m, n, i, j] from the
+    stencil values G[..., p, i, j] at steps h[...]."""
+    g = G[..., 0, :, :]
+    axis = G[..., 1:17, :, :].reshape(G.shape[:-3] + (4, 4, 4, 4))  # [m, offset]
+    plane = G[..., 17:, :, :].reshape(G.shape[:-3] + (6, 16, 4, 4))  # [(m, n), offsets]
+    h = h[..., None, None, None]
+    dg = sum(c * axis[..., k, :, :] for k, c in enumerate(_C1)) / (12.0 * h)
+    d2g = np.empty(g.shape[:-2] + (4, 4, 4, 4))
+    diag = np.arange(4)
+    d2g[..., diag, diag, :, :] = sum(
+        (c * axis[..., k, :, :] for k, c in enumerate(_C2)), -30.0 * g[..., None, :, :]
+    ) / (12.0 * h * h)
+    mixed = sum(c * plane[..., k, :, :] for k, c in enumerate(_CC)) / (144.0 * h * h)
+    m, n = np.array(_MIXED).T
+    d2g[..., m, n, :, :] = mixed
+    d2g[..., n, m, :, :] = mixed
     return g, dg, d2g
 
 
-def _frame_curvature(chart, x, h):
-    """(operator 6x6, frame Ricci 4x4, frame) at x with step h."""
-    g, dg, d2g = _metric_derivatives(chart, x, h)
-    ginv = np.linalg.inv(g)
-    # dgS[i,l,j] = d_i g_lj + d_j g_li - d_l g_ij
-    dgS = np.transpose(dg, (0, 1, 2)) + np.transpose(dg, (2, 1, 0)) - np.transpose(dg, (1, 0, 2))
-    Gam = 0.5 * np.einsum("kl,ilj->kij", ginv, dgS)
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    d2gS = (np.transpose(d2g, (0, 1, 2, 3))
-            + np.transpose(d2g, (0, 3, 2, 1))
-            - np.transpose(d2g, (0, 2, 1, 3)))
-    dGam = 0.5 * (np.einsum("mkl,ilj->mkij", dginv, dgS)
-                  + np.einsum("kl,milj->mkij", ginv, d2gS))
-    # R^r_smn = d_m Gam^r_ns - d_n Gam^r_ms + Gam^r_ml Gam^l_ns - Gam^r_nl Gam^l_ms
-    Rud = (np.einsum("mrns->rsmn", dGam) - np.einsum("nrms->rsmn", dGam)
-           + np.einsum("rml,lns->rsmn", Gam, Gam)
-           - np.einsum("rnl,lms->rsmn", Gam, Gam))
-    Rdddd = np.einsum("ra,asmn->rsmn", g, Rud)
-    Ric = np.einsum("msmn->sn", Rud)
+def _frame_curvature(g, dg, d2g, L, h):
+    """(operator [..., 6, 6], frame Ricci [..., 4, 4], roundoff [...]) from
+    the metric 2-jet at steps h[...], with L the Cholesky factor of g.
+
+    Tensors are stacks of 4x4 matrices, so every contraction is a stacked
+    matmul: dg[m] = d_m g, d2g[m, n] = d_m d_n g.
+    """
     # Gram-Schmidt frame on coordinate vectors = inverse-transpose Cholesky;
     # det F = 1/sqrt(det g) > 0, so coordinate orientation is preserved.
-    L = np.linalg.cholesky(g)
-    F = np.linalg.inv(L).T
-    Rf = np.einsum("rsmn,ra,sb,mc,nd->abcd", Rdddd, F, F, F, F, optimize=True)
-    Ricf = F.T @ Ric @ F
-    op = np.empty((6, 6))
-    for p, (i, j) in enumerate(PAIRS):
-        for q, (k, l) in enumerate(PAIRS):
-            op[p, q] = Rf[i, j, k, l]
-    return op, Ricf
+    F = np.swapaxes(np.linalg.inv(L), -1, -2)
+    Ft = np.swapaxes(F, -1, -2)
+    ginv = (F @ Ft)[..., None, :, :]
+    # dgS[i][l, j] = d_i g_lj + d_j g_li - d_l g_ij, and Gam[i][k, j] = Gam^k_ij
+    dgS = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
+    Gam = 0.5 * (ginv @ dgS)
+    d2gS = d2g + np.swapaxes(d2g, -3, -1) - np.swapaxes(d2g, -3, -2)
+    # dGam[m, i][k, j] = d_m Gam^k_ij
+    dginv = -(ginv @ dg @ ginv)
+    dGam = 0.5 * (dginv[..., :, None, :, :] @ dgS[..., None, :, :, :]
+                  + ginv[..., None, :, :, :] @ d2gS)
+    # R[m, n][r, s] = R^r_smn
+    #   = d_m Gam^r_ns - d_n Gam^r_ms + Gam^r_ml Gam^l_ns - Gam^r_nl Gam^l_ms
+    K = dGam + Gam[..., :, None, :, :] @ Gam[..., None, :, :, :]
+    R = K - np.swapaxes(K, -4, -3)
+    Ric = np.einsum("...mnms->...sn", R)
+    # op[p, q] = R_abcd F_ra F_sb F_mc F_nd summed, (a, b) and (c, d) the pairs
+    # p and q: with P[(r, s), p] = F_r,a F_s,b it is P^T R_(rs),(mn) P
+    Rl = (g[..., None, None, :, :] @ R).reshape(g.shape[:-2] + (16, 16))
+    P = (F[..., :, None, _ROW] * F[..., None, :, _COL]).reshape(g.shape[:-2] + (16, 6))
+    op = np.swapaxes(P, -1, -2) @ np.swapaxes(Rl, -1, -2) @ P
+    # Roundoff: a relative noise u in each metric value moves a second
+    # difference by at most (16/3) u |g_mn| / h^2, and the frame carries it
+    # into R_abcd through |F|: with M = |F|^T |g| |F| and the column sums c
+    # of |F|, |dR_abcd| <= (8/3) u / h^2 (M_ad c_b c_c + M_bc c_a c_d
+    # + M_ac c_b c_d + M_bd c_a c_c).
+    aF = np.abs(F)
+    M = np.swapaxes(aF, -1, -2) @ np.abs(g) @ aF
+    c = aF.sum(axis=-2)
+    i, j, k, l = _ROW[:, None], _COL[:, None], _ROW, _COL
+    ci, cj, ck, cl = c[..., i], c[..., j], c[..., None, k], c[..., None, l]
+    amp = (M[..., i, l] * cj * ck + M[..., j, k] * ci * cl
+           + M[..., i, k] * cj * cl + M[..., j, l] * ci * ck)
+    roundoff = (8.0 / 3.0) * _METRIC_ULPS * amp.max(axis=(-2, -1)) / (h * h)
+    return op, Ft @ Ric @ F, roundoff
 
 
-def curvature_at(chart: MetricChart, point, step: float | None = None) -> PointCurvature:
-    """Frame curvature operator of a chart at an interior point.
+def _operators(chart: MetricChart, x: np.ndarray, h: np.ndarray):
+    """Operators [b, t], frame Ricci [b, t] and roundoff [b, t] at the points
+    x[b] for the steps (h[b], h[b]/2), t = 0, 1."""
+    H = np.stack((h, h / 2.0), axis=-1)
+    G, L = _stencil_metrics(chart, x, H)
+    return _frame_curvature(*_metric_derivatives(G, H), L[..., 0, :, :], H)
 
-    Evaluates the 4th-order stencil at steps ``h`` and ``h/2`` and emits the
-    ``h/2`` result; ``error_estimate`` is the Richardson error bound of the
-    emitted values (with a safety factor of two and a machine-noise floor).
-    The point must be interior with margin at least ``2 * step`` in every
+
+def curvature_at(chart: MetricChart, points, step=None):
+    """Frame curvature operator of a chart at interior points.
+
+    ``points`` is one point, shape ``(4,)``, which gives one
+    :class:`PointCurvature`, or a stack of shape ``(n, 4)``, which gives a
+    list of n.  ``step`` is one step for all points or one per point
+    (default: the chart's suggested step).  Evaluates the 4th-order stencil
+    at steps ``h`` and ``h/2`` and emits the ``h/2`` result;
+    ``error_estimate`` bounds its error by the Richardson difference of the
+    pair (with a safety factor of two), the roundoff of the metric values
+    amplified by the stencil and the frame, and a machine-noise floor.  Each
+    point must be interior with margin at least ``2 * step`` in every
     coordinate.
     """
-    x = np.asarray(point, dtype=float)
-    if x.shape != (4,):
-        raise OutsideDomainError("point must have 4 coordinates")
-    if not chart.contains(x):
-        raise OutsideDomainError(f"point {x.tolist()} outside chart domain")
-    h = float(step) if step is not None else chart.suggested_step
-    if h <= 0:
+    x = np.asarray(points, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 4:
+        raise OutsideDomainError("points must have 4 coordinates")
+    xs = x.reshape(-1, 4)
+    h = np.broadcast_to(np.asarray(chart.suggested_step if step is None else step,
+                                   dtype=float), xs.shape[:1])
+    margin = chart.margin_of(xs)
+    outside = ~(margin >= 0.0)
+    if outside.any():
+        raise OutsideDomainError(f"point {xs[outside][0].tolist()} outside chart domain")
+    if not (h > 0.0).all():
         raise StepTooLargeError("step must be positive")
-    if chart.margin_of(x) < 2.0 * h:
+    short = margin < 2.0 * h
+    if short.any():
         raise StepTooLargeError(
-            f"margin {chart.margin_of(x):.3e} is below the 2*step stencil requirement"
-        )
-    op_h, _ = _frame_curvature(chart, x, h)
-    op_h2, ric = _frame_curvature(chart, x, h / 2.0)
-    scale = max(1.0, float(np.abs(op_h2).max()))
-    err = 2.0 * float(np.abs(op_h - op_h2).max()) / 15.0 + 1e-13 * scale
-    operator = CurvatureOperator(op_h2, basis=COORDINATE,
-                                 tol=max(STRUCTURAL_TOL, 10.0 * err))
-    s = float(np.trace(ric))
-    residual = float(np.abs(ric - (s / 4.0) * np.eye(4)).max()) / max(1.0, abs(s))
-    return PointCurvature(
-        operator=operator,
-        ricci=ric,
-        einstein_residual=residual,
-        step_used=h / 2.0,
-        error_estimate=err,
-    )
+            f"margin {margin[short][0]:.3e} is below the 2*step stencil requirement")
+    out = []
+    for lo in range(0, len(xs), BLOCK):
+        hb = h[lo:lo + BLOCK]
+        ops, ric, roundoff = _operators(chart, xs[lo:lo + BLOCK], hb)
+        op_h, op, ric = ops[:, 0], ops[:, 1], ric[:, 1]
+        scale = np.maximum(1.0, np.abs(op).max(axis=(1, 2)))
+        err = 2.0 * np.abs(op_h - op).max(axis=(1, 2)) / 15.0 + roundoff[:, 1] + 1e-13 * scale
+        s = np.trace(ric, axis1=1, axis2=2)
+        residual = (np.abs(ric - (s / 4.0)[:, None, None] * np.eye(4)).max(axis=(1, 2))
+                    / np.maximum(1.0, np.abs(s)))
+        out.extend(
+            PointCurvature(
+                operator=CurvatureOperator(op[k], basis=COORDINATE,
+                                           tol=max(STRUCTURAL_TOL, 10.0 * err[k])),
+                ricci=ric[k],
+                einstein_residual=float(residual[k]),
+                step_used=float(hb[k] / 2.0),
+                error_estimate=float(err[k]),
+            )
+            for k in range(len(hb)))
+    return out[0] if x.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -216,14 +280,14 @@ def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> Conv
     if len(steps) < 3 or any(s2 >= s1 for s1, s2 in zip(steps, steps[1:])):
         raise BadIntervalError("need at least 3 strictly decreasing steps")
     x = np.asarray(point, dtype=float)
-    if not chart.contains(x):
+    margin = chart.margin_of(x)
+    if not margin >= 0.0:
         raise OutsideDomainError(f"point {x.tolist()} outside chart domain")
-    if chart.margin_of(x) < 2.0 * max(steps):
+    if margin < 2.0 * max(steps):
         raise StepTooLargeError("largest step violates the stencil margin")
-    ops = [_frame_curvature(chart, x, h)[0] for h in steps]
-    fine, _ = _frame_curvature(chart, x, steps[-1] / 2.0)
-    reference = (16.0 * fine - ops[-1]) / 15.0
-    errors = [float(np.abs(op - reference).max()) for op in ops]
+    ops, _, _ = _operators(chart, np.tile(x, (len(steps), 1)), np.array(steps))
+    reference = (16.0 * ops[-1, 1] - ops[-1, 0]) / 15.0
+    errors = [float(np.abs(op - reference).max()) for op in ops[:, 0]]
     slope = None
     if max(errors) > 1e-12 * max(1.0, float(np.abs(reference).max())):
         fit = np.polyfit(np.log(steps), np.log(np.maximum(errors, 1e-300)), 1)
@@ -231,9 +295,7 @@ def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> Conv
     return ConvergenceStudy(steps=tuple(steps), errors=tuple(errors), slope=slope)
 
 
-def orbit_quadrature(f: Callable[[float], float], weight: Callable[[float], float],
-                     interval: tuple[float, float], nodes: int) -> float:
-    """Gauss-Legendre value of the weighted 1-D integral of f over interval."""
+def _legendre(interval: tuple[float, float], nodes: int):
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise BadIntervalError(f"bad interval [{lo}, {hi}]")
@@ -242,8 +304,19 @@ def orbit_quadrature(f: Callable[[float], float], weight: Callable[[float], floa
     xs, ws = leggauss(int(nodes))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    return mid + half * xs, ws, half
+
+
+def quadrature_nodes(interval: tuple[float, float], nodes: int) -> np.ndarray:
+    """The points at which :func:`orbit_quadrature` evaluates its integrand."""
+    return _legendre(interval, nodes)[0]
+
+
+def orbit_quadrature(f: Callable[[float], float], weight: Callable[[float], float],
+                     interval: tuple[float, float], nodes: int) -> float:
+    """Gauss-Legendre value of the weighted 1-D integral of f over interval."""
+    ts, ws, half = _legendre(interval, nodes)
     total = 0.0
-    for xi, wi in zip(xs, ws):
-        t = mid + half * xi
+    for t, wi in zip(ts, ws):
         total += wi * f(t) * weight(t)
     return float(half * total)

@@ -79,7 +79,11 @@ class EndpointData:
 
 @dataclass(frozen=True, eq=False)
 class CohomOneMetric:
-    """A cohomogeneity-one metric through its radial profile functions."""
+    """A cohomogeneity-one metric through its radial profile functions.
+
+    The profiles are elementwise: each maps a radius or an array of radii to
+    values of the same shape, so the chart evaluates stacks of points.
+    """
 
     u: Callable[[float], float]
     v: Callable[[float], float]
@@ -94,15 +98,16 @@ class CohomOneMetric:
         u, v, w = self.u, self.v, self.w
 
         def metric_at(x: np.ndarray) -> np.ndarray:
-            r, th = x[0], x[1]
+            x = np.asarray(x, dtype=float)
+            r, th = x[..., 0], x[..., 1]
             uu, vv, ww = u(r) ** 2, v(r) ** 2, w(r) ** 2
             cth = np.cos(th)
-            g = np.zeros((4, 4))
-            g[0, 0] = uu
-            g[1, 1] = vv
-            g[2, 2] = vv * np.sin(th) ** 2 + ww * cth * cth
-            g[3, 3] = ww
-            g[2, 3] = g[3, 2] = ww * cth
+            g = np.zeros(x.shape[:-1] + (4, 4))
+            g[..., 0, 0] = uu
+            g[..., 1, 1] = vv
+            g[..., 2, 2] = vv * np.sin(th) ** 2 + ww * cth * cth
+            g[..., 3, 3] = ww
+            g[..., 2, 3] = g[..., 3, 2] = ww * cth
             return g
 
         return numgeom.MetricChart(
@@ -137,22 +142,22 @@ def page_metric() -> CohomOneMetric:
     W = 3.0 + 6.0 * k2 - k2 * k2
     sqT = math.sqrt(T)
 
-    def q_of(r: float) -> float:
-        x = -math.cos(r)
+    def q_of(r):
+        x = -np.cos(r)
         return 1.0 - k2 * x * x
 
-    def U_of(r: float) -> float:
-        x = -math.cos(r)
+    def U_of(r):
+        x = -np.cos(r)
         return 3.0 - k2 - k2 * (1.0 + k2) * x * x
 
-    def u(r: float) -> float:
-        return math.sqrt(T * q_of(r) / U_of(r))
+    def u(r):
+        return np.sqrt(T * q_of(r) / U_of(r))
 
-    def v(r: float) -> float:
-        return math.sqrt(T * q_of(r) / W)
+    def v(r):
+        return np.sqrt(T * q_of(r) / W)
 
-    def w(r: float) -> float:
-        return (2.0 * k * sqT / W) * math.sin(r) * math.sqrt(U_of(r) / q_of(r))
+    def w(r):
+        return (2.0 * k * sqT / W) * np.sin(r) * np.sqrt(U_of(r) / q_of(r))
 
     return CohomOneMetric(
         u=u, v=v, w=w,
@@ -166,11 +171,11 @@ def page_metric() -> CohomOneMetric:
 def sphere_ansatz(radius: float = 1.0) -> CohomOneMetric:
     """The round 4-sphere written in the same cohomogeneity-one ansatz."""
 
-    def u(r: float) -> float:
+    def u(r):
         return radius
 
-    def v(r: float) -> float:
-        return radius * math.sin(r) / 2.0
+    def v(r):
+        return radius * np.sin(r) / 2.0
 
     return CohomOneMetric(
         u=u, v=v, w=v,
@@ -189,18 +194,14 @@ def chebyshev_radii(m: CohomOneMetric, n: int, margin_frac: float = 0.02) -> lis
     return [mid + half * math.cos(math.pi * (2 * j + 1) / (2 * n)) for j in range(n)]
 
 
-def _orbit_point(r: float) -> np.ndarray:
+def orbit_curvature(m: CohomOneMetric, radii):
+    """Frame curvature of the orbits through the given radii, one point per
+    orbit: a single radius gives one PointCurvature, a sequence a list."""
+    r = np.asarray(radii, dtype=float)
+    step = np.minimum(m.suggested_step, 0.4 * np.minimum(r, m.length - r))
     # th = pi/2 keeps clear of the Euler-angle degeneracy at th in {0, pi}
-    return np.array([r, np.pi / 2.0, 0.0, 0.0])
-
-
-def _orbit_step(m: CohomOneMetric, r: float) -> float:
-    return min(m.suggested_step, 0.4 * min(r, m.length - r))
-
-
-def orbit_curvature(m: CohomOneMetric, r: float) -> numgeom.PointCurvature:
-    """Frame curvature of the orbit through radius r (one point per orbit)."""
-    return numgeom.curvature_at(m.chart, _orbit_point(r), step=_orbit_step(m, r))
+    points = np.stack(np.broadcast_arrays(r, np.pi / 2.0, 0.0, 0.0), axis=-1)
+    return numgeom.curvature_at(m.chart, points, step=step)
 
 
 @dataclass(frozen=True)
@@ -231,8 +232,7 @@ def verify_einstein(m: CohomOneMetric, radii: Sequence[float]) -> EinsteinCheck:
     """
     residuals = []
     lambdas = []
-    for r in radii:
-        pc = orbit_curvature(m, float(r))
+    for pc in orbit_curvature(m, radii):
         residuals.append(pc.einstein_residual)
         lambdas.append(float(np.trace(pc.ricci)) / 4.0)
     lam = float(np.mean(lambdas))
@@ -275,8 +275,7 @@ def certify_negative_curvature(m: CohomOneMetric,
         radii = chebyshev_radii(m, 64)
     best: tuple[float, float, PlaneWitness] | None = None
     defect_lo, defect_hi = math.inf, -math.inf
-    for r in radii:
-        pc = orbit_curvature(m, float(r))
+    for r, pc in zip(radii, orbit_curvature(m, radii)):
         d = curvops.decompose(pc.operator)
         report = curvops.gl_defect(d)
         defect_lo = min(defect_lo, report.defect)
@@ -314,21 +313,17 @@ def _char_integrals(m: CohomOneMetric, nodes: int, flip: bool) -> tuple[float, f
     eps = 1e-3 * m.length
     interval = (eps, m.length - eps)
     sign = -1.0 if flip else 1.0
-    cache: dict[float, tuple[float, float]] = {}
-
-    def densities(r: float) -> tuple[float, float]:
-        if r not in cache:
-            pc = orbit_curvature(m, r)
-            d = curvops.decompose(pc.operator)
-            cd = curvops.char_densities(
-                d, tol=max(curvops.CLASSIFY_TOL, 20.0 * pc.error_estimate))
-            cache[r] = (cd.euler_density, cd.signature_density)
-        return cache[r]
-
+    radii = numgeom.quadrature_nodes(interval, nodes)
+    densities = {}
+    for r, pc in zip(radii, orbit_curvature(m, radii)):
+        d = curvops.decompose(pc.operator)
+        cd = curvops.char_densities(
+            d, tol=max(curvops.CLASSIFY_TOL, 20.0 * pc.error_estimate))
+        densities[r] = (cd.euler_density, cd.signature_density)
     chi = numgeom.orbit_quadrature(
-        lambda r: densities(r)[0], m.orbit_volume, interval, nodes)
+        lambda r: densities[r][0], m.orbit_volume, interval, nodes)
     tau = numgeom.orbit_quadrature(
-        lambda r: sign * densities(r)[1], m.orbit_volume, interval, nodes)
+        lambda r: sign * densities[r][1], m.orbit_volume, interval, nodes)
     return chi, tau
 
 

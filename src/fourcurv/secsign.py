@@ -38,6 +38,7 @@ from .curvops import (
     CurvatureSign,
     Decomposition,
     TwoForm,
+    _ldexp,
     decompose,
     sd_frame_components,
     two_form_from_frame_components,
@@ -192,14 +193,6 @@ _H_MATRIX = np.diag(_H)
 _SIDES = np.array([1.0, -1.0])[:, None, None]  # R and -R
 _GAP_TOL = 1e-14  # stop when the bounds agree this closely (normalized operator)
 _MAX_ITERATIONS = 50
-
-
-def _ldexp(x: float, n: int) -> float:
-    """x * 2**n, exact unless it leaves the float range (then 0 or inf)."""
-    try:
-        return math.ldexp(x, n)
-    except OverflowError:
-        return math.copysign(math.inf, x)
 
 
 def _canonical(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -165,6 +165,38 @@ def test_decompose_identity(tmp_path, capsys):
         data["charDensities"]["ratio"], str)
 
 
+@pytest.mark.parametrize("matrix", [
+    -1e300 * np.eye(6),                         # s^2 / 24 overflows
+    np.diag([3e200, -3e200, 0, 1e200, -1e200, 0]),  # |W+|^2 overflows
+])
+def test_decompose_density_overflow_exit_1(tmp_path, capsys, matrix):
+    path = write_operator(tmp_path / "huge.json", matrix, basis="sd-asd")
+    code, out, err = run_cli(capsys, "decompose", "-i", path)
+    assert code == 1
+    assert out == ""
+    assert "float range" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("radii", ["0", "-3"])
+def test_page_nonpositive_radii_exit_1(capsys, radii):
+    code, out, err = run_cli(capsys, "page", "--verify", "--radii", radii)
+    assert code == 1
+    assert out == ""
+    assert "--radii" in err and len(err.strip().splitlines()) == 1
+
+
+def test_page_byte_identical(capsys):
+    argv = ("page", "--verify", "--negcurv", "--integrate", "--radii", "16", "--nodes", "24")
+    code1, out1, _ = run_cli(capsys, *argv)
+    code2, out2, _ = run_cli(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    data = json.loads(out1)
+    assert data["einstein"]["maxResidual"] <= 1e-6
+    assert data["negativeCurvature"]["minSec"] < 0.0
+    assert data["charNumbers"]["chi"] == pytest.approx(4.0, abs=1e-3)
+
+
 def test_chart_study(capsys):
     code, out, _ = run_cli(capsys, "chart", "sphereProductChart", "--study",
                            "--point", "1.2,0.4,1.3,-0.5")

@@ -1,6 +1,7 @@
 """Unit tests for the pointwise curvature algebra."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from fourcurv.curvops import (
 )
 from fourcurv.errors import (
     BianchiViolationError,
+    DensityOverflowError,
     IndefiniteSignError,
     InvalidBlocksError,
     NotEinsteinError,
@@ -263,6 +265,34 @@ def test_positive_scaling_covariance(rng):
         assert r2.defect == pytest.approx(c * r1.defect, rel=1e-10, abs=1e-12)
         assert r1.saturated == r2.saturated
         assert r1.cover_class == r2.cover_class
+
+
+def test_weyl_norms_scale_safe():
+    # |W+|^2 = 9e400 + 9e400 overflows a float; the norm itself does not
+    op = CurvatureOperator(np.diag([3e200, -3e200, 0, 1e200, -1e200, 0]), basis=SD_ASD)
+    d = decompose(op)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = gl_defect(d)
+    assert report.norm_w_plus == pytest.approx(math.sqrt(18.0) * 1e200, rel=1e-15)
+    assert report.norm_w_minus == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert report.defect == pytest.approx(-math.sqrt(32.0) * 1e200, rel=1e-15)
+
+
+def test_char_densities_overflow_raises():
+    d = decompose(CurvatureOperator(-1e300 * np.eye(6), basis=SD_ASD))
+    with pytest.raises(DensityOverflowError):
+        char_densities(d)
+
+
+def test_weyl_norms_equal_numpy_on_ordinary_input(rng):
+    for _ in range(300):
+        op = random_admissible_operator(rng, scale=10.0 ** rng.uniform(-120, 6))
+        d = decompose(op)
+        assert d.norm_w_plus() == float(np.linalg.norm(d.w_plus))
+        assert d.norm_w_minus() == float(np.linalg.norm(d.w_minus))
+        assert d.einstein_residual() == (float(np.linalg.norm(d.ric_block))
+                                         / max(1.0, abs(d.s)))
 
 
 def test_traceless_norm_identity(rng):

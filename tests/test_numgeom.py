@@ -110,14 +110,72 @@ def test_domain_errors():
         curvature_at(chart, [0.0, 0.0, 0.0, 1.0], step=-0.1)
 
 
+def _degenerate_metric(x):
+    # diag(1, 1, 1, x0): positive-definite only where x0 > 0
+    g = np.zeros(np.shape(x)[:-1] + (4, 4))
+    g[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    g[..., 3, 3] = x[..., 0]
+    return g
+
+
+DEGENERATE = MetricChart(domain=((-1.0, 1.0),) * 4, metric_at=_degenerate_metric,
+                         suggested_step=0.01)
+
+
 def test_singular_metric_detected():
-    chart = MetricChart(
-        domain=((-1.0, 1.0),) * 4,
-        metric_at=lambda x: np.diag([1.0, 1.0, 1.0, x[0]]),
-        suggested_step=0.01,
-    )
     with pytest.raises(SingularMetricError):
-        curvature_at(chart, [0.015, 0.0, 0.0, 0.0], step=0.01)  # stencil crosses x0=0
+        curvature_at(DEGENERATE, [0.015, 0.0, 0.0, 0.0], step=0.01)  # stencil crosses x0=0
+
+
+def test_singular_metric_detected_inside_batch():
+    # only the middle point's stencil reaches x0 = -0.005; the error names it
+    points = [[0.5, 0.0, 0.0, 0.0], [0.015, 0.1, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0]]
+    with pytest.raises(SingularMetricError, match=r"\[-0\.005000000000000001, 0\.1, 0\.0, 0\.0\]"):
+        curvature_at(DEGENERATE, points, step=0.01)
+    # the same points away from the degeneracy evaluate as one batch
+    assert len(curvature_at(DEGENERATE, [[0.5, 0.0, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0]])) == 2
+
+
+def test_metric_must_be_stacked():
+    chart = MetricChart(domain=((-1.0, 1.0),) * 4, metric_at=lambda x: np.eye(4),
+                        suggested_step=0.01)
+    with pytest.raises(SingularMetricError, match="must map"):
+        curvature_at(chart, [0.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["flatChart", "sphereProductChart", "hyperbolic4HalfSpace"])
+def test_chart_metric_is_stacked(name, rng):
+    chart = chart_for(name, {"a": 1.0, "b": 2.0} if name == "sphereProductChart" else {})
+    points = np.array(interior_points(chart, rng, 7))
+    g = chart.metric_at(points)
+    assert g.shape == (7, 4, 4)
+    assert chart.metric_at(points.reshape(7, 1, 4)).shape == (7, 1, 4, 4)
+    for p, gp in zip(points, g):
+        assert np.array_equal(chart.metric_at(p), gp)
+
+
+def test_batched_curvature_bitwise_equals_single(rng):
+    # per-point steps; 37 points run as blocks of 16, 16 and 5
+    chart = chart_for("sphereProductChart", {"a": 1.0, "b": 2.0})
+    points = np.array(interior_points(chart, rng, 37))
+    steps = rng.uniform(0.005, 0.02, len(points))
+    batch = curvature_at(chart, points, step=steps)
+    assert isinstance(batch, list) and len(batch) == len(points)
+    for size in (1, 5, 16, 23):
+        for lo in range(0, len(points), size):
+            part = curvature_at(chart, points[lo:lo + size], step=steps[lo:lo + size])
+            for pc, ref in zip(part, batch[lo:lo + size]):
+                assert np.array_equal(pc.operator.matrix, ref.operator.matrix)
+                assert np.array_equal(pc.ricci, ref.ricci)
+                assert pc.error_estimate == ref.error_estimate
+                assert pc.step_used == ref.step_used
+    single = curvature_at(chart, points[3], step=steps[3])
+    assert isinstance(single, numgeom.PointCurvature)
+    assert np.array_equal(single.operator.matrix, batch[3].operator.matrix)
+
+
+def test_empty_batch():
+    assert curvature_at(chart_for("flatChart"), np.empty((0, 4))) == []
 
 
 def test_convergence_slope_fourth_order():

@@ -6,12 +6,13 @@ certifies the transcription, and a deliberate perturbation check confirms
 the oracle has the sensitivity to catch transcription errors.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fourcurv import curvops, secsign
+from fourcurv import curvops, numgeom, secsign
 from fourcurv.models import catalog
 from fourcurv.page import (
     CohomOneMetric,
@@ -86,6 +87,18 @@ def test_profile_positivity_and_chart_definiteness():
         assert np.all(np.linalg.eigvalsh(g) > 0)
 
 
+@pytest.mark.parametrize("metric", [page_metric, sphere_ansatz])
+def test_cohom_one_chart_is_stacked(metric):
+    chart = metric().chart
+    points = np.stack([np.linspace(0.1, 3.0, 9), np.linspace(0.3, 2.8, 9),
+                       np.zeros(9), np.linspace(-1.0, 1.0, 9)], axis=-1)
+    g = chart.metric_at(points)
+    assert g.shape == (9, 4, 4)
+    assert chart.metric_at(points.reshape(3, 3, 4)).shape == (3, 3, 4, 4)
+    for p, gp in zip(points, g):
+        assert np.array_equal(chart.metric_at(p), gp)
+
+
 def test_orbit_homogeneity():
     # frames differ point to point, so compare the frame-independent data:
     # scalar curvature, Weyl spectra, traceless-Ricci singular values
@@ -102,6 +115,46 @@ def test_orbit_homogeneity():
         assert np.abs(d.spectrum_minus - base.spectrum_minus).max() <= tol
         assert np.abs(np.linalg.svd(d.ric_block, compute_uv=False)
                       - np.linalg.svd(base.ric_block, compute_uv=False)).max() <= tol
+
+
+def test_orbit_curvature_batch_bitwise_equals_single():
+    # a point's operator does not depend on the block it is computed in
+    m = page_metric()
+    radii = chebyshev_radii(m, 20)
+    batch = orbit_curvature(m, radii)
+    assert len(batch) == 20
+    for r, pc in zip(radii[::3], batch[::3]):
+        alone = orbit_curvature(m, r)
+        assert np.array_equal(alone.operator.matrix, pc.operator.matrix)
+        assert np.array_equal(alone.ricci, pc.ricci)
+        assert alone.error_estimate == pc.error_estimate
+    tail = orbit_curvature(m, radii[13:])
+    assert all(np.array_equal(a.operator.matrix, b.operator.matrix)
+               for a, b in zip(tail, batch[13:]))
+
+
+def test_error_estimate_covers_metric_roundoff():
+    # moving every metric value by one ulp, up or down at random, must move
+    # the emitted operator by no more than the reported error estimate
+    m = page_metric()
+    radii = np.array(chebyshev_radii(m, 16))
+    clean = orbit_curvature(m, radii)
+    rng = np.random.default_rng(7)
+
+    def noisy(x):
+        g = m.chart.metric_at(x)
+        up = np.triu(rng.integers(0, 2, g.shape).astype(bool))
+        up |= np.swapaxes(up, -1, -2)
+        return np.where(up, np.nextafter(g, np.inf), np.nextafter(g, -np.inf))
+
+    chart = dataclasses.replace(m.chart, metric_at=noisy)
+    step = np.minimum(m.suggested_step, 0.4 * np.minimum(radii, m.length - radii))
+    points = np.stack(np.broadcast_arrays(radii, np.pi / 2, 0.0, 0.0), axis=-1)
+    for trial in range(3):
+        shaken = numgeom.curvature_at(chart, points, step=step)
+        for a, b in zip(clean, shaken):
+            shift = np.abs(a.operator.matrix - b.operator.matrix).max()
+            assert 0.0 < shift <= a.error_estimate
 
 
 def test_page_negative_curvature():
