@@ -40,9 +40,11 @@ from .errors import (
     NotEinsteinError,
     NotKahlerError,
     NotSymmetricError,
+    ToleranceTooTightError,
 )
 
-# Absolute tolerance for symmetry / first-Bianchi / block-trace validation.
+# Tolerance for symmetry / first-Bianchi / block-trace validation, relative
+# to max(1, max|R|) for operators.
 STRUCTURAL_TOL = 1e-9
 # Relative tolerance (scaled by max(1, |s|)) for saturation, eigenvalue
 # multiplicities and the Einstein test.
@@ -215,7 +217,7 @@ class TwoForm:
         plus, minus = sd_projectors(self)
         norms_equal = abs(plus.norm() ** 2 - minus.norm() ** 2) <= tol * scale
         if plucker_zero != norms_equal:
-            raise AssertionError(
+            raise ToleranceTooTightError(
                 "decomposability criteria disagree; tolerance too tight for input"
             )
         return plucker_zero
@@ -267,7 +269,8 @@ class CurvatureOperator:
     Construction validates admissibility: every entry must be finite (also
     in the SD/ASD frame), and the symmetry defect ``max|R - R^T|`` and the
     first-Bianchi defect (trace of the SD diagonal block minus trace of the
-    ASD diagonal block) must both lie within ``tol``.
+    ASD diagonal block) must both lie within ``tol * max(1, max|R|)``, so
+    the test is absolute up to unit entries and relative beyond.
     """
 
     matrix: np.ndarray
@@ -288,16 +291,17 @@ class CurvatureOperator:
         if not np.isfinite(S).all():
             raise NotAdmissibleError(
                 f"operator entries up to {np.abs(M).max():.3e} overflow in the SD/ASD frame")
+        tol = float(self.tol) * max(1.0, float(np.abs(M).max()))
         sym_defect = float(np.abs(M - M.T).max())
-        if not sym_defect <= self.tol:
+        if not sym_defect <= tol:
             raise NotSymmetricError(
-                f"symmetry defect {sym_defect:.3e} exceeds tolerance {self.tol:.1e}",
+                f"symmetry defect {sym_defect:.3e} exceeds tolerance {tol:.1e}",
                 defect=sym_defect,
             )
         bianchi = float(np.trace(S[:3, :3]) - np.trace(S[3:, 3:]))
-        if not abs(bianchi) <= self.tol:
+        if not abs(bianchi) <= tol:
             raise BianchiViolationError(
-                f"Bianchi trace defect {bianchi:.3e} exceeds tolerance {self.tol:.1e}",
+                f"Bianchi trace defect {bianchi:.3e} exceeds tolerance {tol:.1e}",
                 defect=abs(bianchi),
             )
         object.__setattr__(self, "matrix", _readonly(M))
@@ -598,39 +602,35 @@ class CharDensities:
         }
 
 
-def _frobenius_sq_exact(W: np.ndarray) -> Fraction:
-    total = Fraction(0)
-    for x in np.asarray(W, dtype=float).ravel():
-        total += Fraction(float(x)) ** 2
-    return total
-
-
 def char_densities(d: Decomposition, tol: float = CLASSIFY_TOL) -> CharDensities:
     """Chern-Gauss-Bonnet and signature densities of an Einstein operator.
 
         euler     = (|W+|^2 + |W-|^2 + s^2/24) / (8 pi^2)
         signature = (|W+|^2 - |W-|^2) / (12 pi^2)
 
-    The norms are evaluated in exact rational arithmetic on the matrix
-    entries so the ratio is exact whenever the inputs are.  Restricted to
-    Einstein operators: the general traceless-Ricci correction is out of
-    scope here.
+    The norms are evaluated exactly on the matrix entries, so the ratio is
+    exact whenever the inputs are: every float is n / 2^k, so the sums are
+    Python integers over the common denominator 4^K (K the largest k), and
+    the floats are their correctly rounded integer quotients, the same
+    values ``float(Fraction)`` gives.  Restricted to Einstein operators: the
+    general traceless-Ricci correction is out of scope here.
     """
     if not d.is_einstein(tol):
         raise NotEinsteinError(
             f"densities need an Einstein operator; residual {d.einstein_residual():.3e}",
             residual=d.einstein_residual(),
         )
-    wp2 = _frobenius_sq_exact(d.w_plus)
-    wm2 = _frobenius_sq_exact(d.w_minus)
-    s2 = Fraction(float(d.s)) ** 2
-    euler_frac = wp2 + wm2 + s2 / 24
-    sig_frac = wp2 - wm2
-    ratio = None
-    if sig_frac != 0:
-        ratio = Fraction(3, 2) * euler_frac / sig_frac
+    entries = d.w_plus.ravel().tolist() + d.w_minus.ravel().tolist() + [float(d.s)]
+    ratios = [x.as_integer_ratio() for x in entries]
+    K = max(den for _, den in ratios).bit_length() - 1
+    n = [num << (K + 1 - den.bit_length()) for num, den in ratios]  # x = n / 2^K
+    wp2 = sum(v * v for v in n[:9])
+    wm2 = sum(v * v for v in n[9:18])
+    euler_num = 24 * (wp2 + wm2) + n[18] * n[18]  # over 24 * 4^K
+    sig_num = wp2 - wm2  # over 4^K
+    ratio = Fraction(euler_num, 16 * sig_num) if sig_num else None
     try:
-        euler, signature = float(euler_frac), float(sig_frac)
+        euler, signature = euler_num / (24 << 2 * K), sig_num / (1 << 2 * K)
     except OverflowError:
         raise DensityOverflowError(
             "characteristic densities exceed the float range (|W|^2 or s^2 above 1e308)"

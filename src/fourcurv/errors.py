@@ -49,6 +49,11 @@ class NotKahlerError(FourcurvError):
     """Input violates the Kahler identity |W+|^2 = s^2/24."""
 
 
+class ToleranceTooTightError(FourcurvError):
+    """Two equivalent criteria disagree because the tolerance is below the
+    roundoff of the input."""
+
+
 class DegeneratePlaneError(FourcurvError):
     """Vectors do not span a 2-plane."""
 

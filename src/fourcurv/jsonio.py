@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from pathlib import Path
 
 from .curvops import BASIS_LABELS, STRUCTURAL_TOL, CurvatureOperator
@@ -61,6 +62,8 @@ def _emit(obj, out: list):
                 out.append(", ")
             _emit(value, out)
         out.append("]")
+    elif isinstance(obj, numbers.Integral):  # numpy integers
+        out.append(str(int(obj)))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

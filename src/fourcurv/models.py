@@ -226,6 +226,7 @@ def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numge
             metric_at=_flat_chart_metric,
             suggested_step=0.01,
             name=name,
+            depends_on=(),
         )
     if name == "sphereProductChart":
         a, b = params["a"], params["b"]
@@ -236,12 +237,14 @@ def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numge
             metric_at=_sphere_product_metric(a, b),
             suggested_step=0.01,
             name=name,
+            depends_on=(0, 2),
         )
     return numgeom.MetricChart(
         domain=((-10.0, 10.0), (-10.0, 10.0), (-10.0, 10.0), (0.05, 20.0)),
         metric_at=_hyperbolic_half_space_metric,
         suggested_step=0.01,
         name=name,
+        depends_on=(3,),
     )
 
 

@@ -11,12 +11,15 @@ coordinate orientation) and packed into the 6x6 operator convention of
 emitted operator is the h/2 evaluation and the error estimate comes from the
 Richardson comparison of the pair plus the roundoff the stencil amplifies.
 
-Points are processed in blocks of at most ``BLOCK`` points: the 113 stencil
+Points are processed in blocks of at most ``BLOCK`` points: the stencil
 points of both steps of a whole block go through one ``metric_at`` call and
 one stacked Cholesky factorisation (the positive-definiteness check), and
-the tensor algebra carries a leading batch axis.  All arithmetic is
-elementwise or per matrix, so a point's result does not depend on the
-block it is computed in.
+the tensor algebra carries a leading batch axis.  Only the stencil points
+that move along coordinates the chart's metric depends on are evaluated
+(all 113 by default, 25 for a cohomogeneity-one chart); every other point
+takes the metric of the point with those offsets zeroed, which is the same
+value bit for bit.  All arithmetic is elementwise or per matrix, so a
+point's result does not depend on the block it is computed in.
 
 Also provides Gauss-Legendre quadrature for the 1-D orbit integrals of
 cohomogeneity-one metrics.
@@ -24,6 +27,7 @@ cohomogeneity-one metrics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -69,14 +73,21 @@ class MetricChart:
 
     ``metric_at`` must be a pure, elementwise function of the coordinates:
     it maps points of shape ``(..., 4)`` to symmetric positive-definite
-    matrices of shape ``(..., 4, 4)`` (checked by Cholesky at every stencil
-    point).
+    matrices of shape ``(..., 4, 4)`` (checked by Cholesky at every
+    evaluated stencil point).
+
+    ``depends_on`` lists the coordinates the metric can vary along; the
+    default ``(0, 1, 2, 3)`` declares all four.  The metric must be bitwise
+    unchanged when an undeclared coordinate moves, because the stencil
+    points that differ from another one only along undeclared coordinates
+    are not evaluated but copied from it.
     """
 
     domain: tuple[tuple[float, float], ...]
     metric_at: Callable[[np.ndarray], np.ndarray]
     suggested_step: float
     name: str = "chart"
+    depends_on: tuple[int, ...] = (0, 1, 2, 3)
 
     def margin_of(self, points) -> np.ndarray:
         """Distance of each point of a ``(..., 4)`` stack to the box boundary
@@ -106,16 +117,33 @@ class PointCurvature:
         }
 
 
+@functools.lru_cache(maxsize=16)
+def _reduced_stencil(depends_on: tuple[int, ...]):
+    """(kept, source): the stencil points that move only along the declared
+    coordinates, and for every stencil point the position in ``kept`` of the
+    point with its other offsets zeroed (the centre, an axis point or
+    itself)."""
+    reduced = _STENCIL * np.isin(np.arange(4), depends_on)
+    index = {tuple(p): q for q, p in enumerate(_STENCIL.tolist())}
+    kept, source = np.unique([index[tuple(p)] for p in reduced.tolist()],
+                             return_inverse=True)
+    kept.setflags(write=False)
+    source.setflags(write=False)
+    return kept, source
+
+
 def _stencil_metrics(chart: MetricChart, x: np.ndarray, H: np.ndarray):
     """Metric G[b, t, p] at stencil point p of step H[b, t] around x[b], and
-    the Cholesky factors of its symmetric part."""
-    points = x[:, None, None, :] + _STENCIL * H[:, :, None, None]
+    the Cholesky factors of its symmetric part at the evaluated points, the
+    centre first."""
+    kept, source = _reduced_stencil(tuple(chart.depends_on))
+    points = x[:, None, None, :] + _STENCIL[kept] * H[:, :, None, None]
     G = np.asarray(chart.metric_at(points), dtype=float)
     if G.shape != points.shape[:-1] + (4, 4):
         raise SingularMetricError("metric evaluation must map (..., 4) points to (..., 4, 4)")
     S = 0.5 * (G + np.swapaxes(G, -1, -2))
     try:
-        return G, np.linalg.cholesky(S)
+        return G[:, :, source], np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         for p, s in zip(points.reshape(-1, 4), S.reshape(-1, 4, 4)):
             try:
@@ -295,13 +323,22 @@ def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> Conv
     return ConvergenceStudy(steps=tuple(steps), errors=tuple(errors), slope=slope)
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only (shared)."""
+    xs, ws = leggauss(nodes)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
+
+
 def _legendre(interval: tuple[float, float], nodes: int):
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise BadIntervalError(f"bad interval [{lo}, {hi}]")
     if nodes < 16:
         raise BadIntervalError("orbit quadrature needs at least 16 nodes")
-    xs, ws = leggauss(int(nodes))
+    xs, ws = _legendre_rule(int(nodes))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return mid + half * xs, ws, half

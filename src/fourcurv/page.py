@@ -116,6 +116,7 @@ class CohomOneMetric:
             metric_at=metric_at,
             suggested_step=self.suggested_step,
             name=self.name,
+            depends_on=(0, 1),
         )
 
     def endpoint_data(self, delta: float = 1e-5) -> tuple[EndpointData, EndpointData]:
@@ -267,13 +268,17 @@ def certify_negative_curvature(m: CohomOneMetric,
     """Certified minimum of sectional curvature over a radial sweep.
 
     Applies the exact Einstein eigenvalue range orbit by orbit and returns
-    the global minimum with a witnessing 2-plane.  The saturation defect of
-    the pointwise Weyl bound is reported alongside but never asserted: the
-    sign guarantee does not apply when sectional curvature is indefinite.
+    the global minimum with a witnessing 2-plane.  Orbits whose minimum lies
+    within their own error estimate of the smallest one tie, since roundoff
+    alone orders them (the mirror orbits r and pi - r are isometric): the
+    report takes ``min_sec``, the radius and the witness from the smallest
+    tied radius.  The saturation defect of the pointwise Weyl bound is
+    reported alongside but never asserted: the sign guarantee does not apply
+    when sectional curvature is indefinite.
     """
     if radii is None:
         radii = chebyshev_radii(m, 64)
-    best: tuple[float, float, PlaneWitness] | None = None
+    orbits = []
     defect_lo, defect_hi = math.inf, -math.inf
     for r, pc in zip(radii, orbit_curvature(m, radii)):
         d = curvops.decompose(pc.operator)
@@ -282,11 +287,12 @@ def certify_negative_curvature(m: CohomOneMetric,
         defect_hi = max(defect_hi, report.defect)
         min_w, _ = secsign.einstein_extreme_witnesses(
             pc.operator, tol=max(curvops.CLASSIFY_TOL, 20.0 * pc.error_estimate))
-        if best is None or min_w.sec_value < best[0]:
-            best = (min_w.sec_value, float(r), min_w)
-    min_sec, radius, witness = best
+        orbits.append((float(r), min_w, pc.error_estimate))
+    lowest = min(w.sec_value for _, w, _ in orbits)
+    radius, witness, _ = min((o for o in orbits if o[1].sec_value - lowest <= o[2]),
+                             key=lambda o: o[0])
     return NegativeCurvatureReport(
-        min_sec=min_sec,
+        min_sec=witness.sec_value,
         witness_radius=radius,
         witness=witness,
         gl_defect_range=(defect_lo, defect_hi),

@@ -147,6 +147,26 @@ def test_scan_byte_identical(capsys):
     assert out1.startswith("chi,tau,")
 
 
+def test_dumps_numpy_integers():
+    out = jsonio.dumps({"a": np.int64(3), "b": [np.int32(-2), np.uint8(7)]},
+                       with_convention=False)
+    assert out == '{"a": 3, "b": [-2, 7]}\n'
+
+
+def test_decompose_scaled_operator_accepted(tmp_path, capsys):
+    # roundoff in the Bianchi balance of a 1e150-scale operator is not a defect
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((3, 3))
+    C = rng.standard_normal((3, 3))
+    A, C = A + A.T, C + C.T
+    C += (np.trace(A) - np.trace(C)) / 3 * np.eye(3)
+    M = np.block([[A, np.zeros((3, 3))], [np.zeros((3, 3)), C]]) * 1e150
+    path = write_operator(tmp_path / "op.json", M, basis="sd-asd")
+    code, out, err = run_cli(capsys, "decompose", "-i", path)
+    assert code == 0 and err == ""
+    assert json.loads(out)["charDensities"]["ratio"] is not None
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"matrix": [[1, 2,\n', encoding="utf-8")

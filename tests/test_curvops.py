@@ -35,13 +35,16 @@ from fourcurv.curvops import (
 from fourcurv.errors import (
     BianchiViolationError,
     DensityOverflowError,
+    FourcurvError,
     IndefiniteSignError,
     InvalidBlocksError,
     NotEinsteinError,
     NotKahlerError,
     NotSymmetricError,
+    ToleranceTooTightError,
 )
 from fourcurv.models import catalog
+from fourcurv.secsign import certify_sec_sign
 
 SQ6 = math.sqrt(6.0)
 
@@ -100,6 +103,14 @@ def test_not_decomposable_detected():
     assert not omega.is_decomposable()
 
 
+def test_decomposability_disagreement_is_a_fourcurv_error():
+    # wedge square 1.5e-10 passes the Plucker test at 2 tol, not the norm test at tol
+    omega = TwoForm(np.array([0.75e-10, 0, 0, 0, 0, 1.0]))
+    with pytest.raises(ToleranceTooTightError) as err:
+        omega.is_decomposable(tol=1e-10)
+    assert isinstance(err.value, FourcurvError)
+
+
 def test_frame_components_round_trip(rng):
     for _ in range(50):
         omega = TwoForm(rng.standard_normal(6))
@@ -128,6 +139,28 @@ def test_bianchi_violation_reports_defect():
     with pytest.raises(BianchiViolationError) as err:
         CurvatureOperator(M, basis=SD_ASD)
     assert err.value.defect == pytest.approx(1.0)
+
+
+def test_admissibility_is_scale_free(rng):
+    # the defects are compared against tol * max(1, max|R|), so roundoff in
+    # the Bianchi balance never refuses a scaled operator
+    for i in range(20):
+        op = random_admissible_operator(rng, basis=(COORDINATE, SD_ASD)[i % 2])
+        verdict = certify_sec_sign(op).verdict
+        for k in (1, 100, 300, 500, 700, 1000):
+            scaled = CurvatureOperator(np.ldexp(op.matrix, k), basis=op.basis)
+            assert certify_sec_sign(scaled).verdict is verdict
+
+
+def test_relative_bianchi_defect_refused_at_any_scale():
+    M = np.diag([1.0 + 1e-6, 1.0, 1.0, 1.0, 1.0, 1.0]) * 1e200
+    with pytest.raises(BianchiViolationError) as err:
+        CurvatureOperator(M, basis=SD_ASD)
+    assert err.value.defect == pytest.approx(1e194)
+    M = np.eye(6) * 1e200
+    M[0, 1] = 1e194
+    with pytest.raises(NotSymmetricError):
+        CurvatureOperator(M)
 
 
 def test_basis_conversion_round_trip(rng):
@@ -397,6 +430,45 @@ def test_ratio_family_fifteen_eighths(rng):
         op = assemble_einstein(-6.0 * t, np.diag([-2.0, 1.0, 1.0]) * t, np.zeros((3, 3)))
         cd = char_densities(decompose(op))
         assert cd.ratio == Fraction(15, 8)
+
+
+def _char_densities_reference(d):
+    """char_densities with one Fraction per entry: the exact reference."""
+    def frobenius_sq(W):
+        return sum((Fraction(float(x)) ** 2 for x in np.ravel(W)), Fraction(0))
+
+    wp2, wm2 = frobenius_sq(d.w_plus), frobenius_sq(d.w_minus)
+    euler, sig = wp2 + wm2 + Fraction(float(d.s)) ** 2 / 24, wp2 - wm2
+    ratio = Fraction(3, 2) * euler / sig if sig != 0 else None
+    try:
+        return float(euler) / (8.0 * math.pi**2), float(sig) / (12.0 * math.pi**2), ratio
+    except OverflowError:
+        return None
+
+
+def test_char_densities_equal_fraction_reference(rng):
+    scales = [0.0, 5e-324, 1e-320, 1e-300, 1e-160, 1e-154, 1e-3, 1.0, 7.0, 1e150,
+              1e154, 1e160, 1e300, 1e307]
+    for i in range(400):
+        scale = scales[i % len(scales)]
+        wp = random_traceless_symmetric(rng) * scale
+        wm = random_traceless_symmetric(rng) * scale * float(rng.uniform(0.5, 2.0))
+        wp[rng.random((3, 3)) < 0.2] = 0.0  # zeros, not symmetric: W+ is read as given
+        s = float(rng.normal(0, 3)) * scale
+        if i % 5 == 0:
+            wm = wp.copy()  # signature density zero, ratio None
+        d = curvops.Decomposition(s=s, w_plus=wp, w_minus=wm, ric_block=np.zeros((3, 3)),
+                                  spectrum_plus=np.zeros(3), spectrum_minus=np.zeros(3))
+        want = _char_densities_reference(d)
+        if want is None:
+            with pytest.raises(DensityOverflowError):
+                char_densities(d)
+            continue
+        cd = char_densities(d)
+        assert cd.ratio == want[2]
+        assert (cd.euler_density, cd.signature_density) == want[:2]
+        assert np.signbit([cd.euler_density, cd.signature_density]).tolist() == \
+            np.signbit(want[:2]).tolist()
 
 
 def test_euler_density_orientation_invariant(rng):

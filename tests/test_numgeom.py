@@ -1,5 +1,6 @@
 """Finite-difference curvature and quadrature tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from fourcurv.errors import (
 )
 from fourcurv.models import chart_for, chart_reference_operator
 from fourcurv.numgeom import MetricChart, convergence_study, curvature_at, orbit_quadrature
+from fourcurv.page import page_metric, sphere_ansatz
 
 
 def interior_points(chart, rng, n, pad=0.3):
@@ -174,6 +176,55 @@ def test_batched_curvature_bitwise_equals_single(rng):
     assert np.array_equal(single.operator.matrix, batch[3].operator.matrix)
 
 
+CHARTS = {
+    "flatChart": lambda: chart_for("flatChart"),
+    "sphereProductChart": lambda: chart_for("sphereProductChart", {"a": 1.0, "b": 2.0}),
+    "hyperbolic4HalfSpace": lambda: chart_for("hyperbolic4HalfSpace"),
+    "page": lambda: page_metric().chart,
+    "sphere4-ansatz": lambda: sphere_ansatz().chart,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_metric_ignores_undeclared_coordinates(name, rng):
+    # the declaration is what lets the stencil copy metrics between points
+    chart = CHARTS[name]()
+    points = np.array(interior_points(chart, rng, 40, pad=0.05))
+    free = [k for k in range(4) if k not in chart.depends_on]
+    shifted = points.copy()
+    shifted[:, free] += rng.uniform(-3.0, 3.0, (len(points), len(free)))
+    assert np.array_equal(chart.metric_at(shifted), chart.metric_at(points))
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_declared_stencil_bitwise_equals_full_stencil(name, rng):
+    chart = CHARTS[name]()
+    full = dataclasses.replace(chart, depends_on=(0, 1, 2, 3))
+    if name in ("page", "sphere4-ansatz"):
+        radii = np.array([0.03, 0.5, 1.3, np.pi / 2, 2.2, np.pi - 0.03])
+        points = np.stack(np.broadcast_arrays(radii, np.pi / 2, 0.0, 0.0), axis=-1)
+        steps = np.minimum(0.004, 0.4 * np.minimum(radii, np.pi - radii))
+    else:
+        points = np.array(interior_points(chart, rng, 21))
+        steps = rng.uniform(0.005, 0.02, len(points))
+    counted = []
+
+    def metric_at(x):
+        counted.append(np.size(x) // 4)
+        return chart.metric_at(x)
+
+    reduced = curvature_at(dataclasses.replace(chart, metric_at=metric_at), points, step=steps)
+    for pc, ref in zip(reduced, curvature_at(full, points, step=steps)):
+        assert np.array_equal(pc.operator.matrix, ref.operator.matrix)
+        assert np.array_equal(pc.ricci, ref.ricci)
+        assert pc.error_estimate == ref.error_estimate
+        assert pc.einstein_residual == ref.einstein_residual
+        assert pc.step_used == ref.step_used
+    # centre, 4 points on each declared axis, 16 on each declared plane
+    n = len(chart.depends_on)
+    assert sum(counted) == len(points) * 2 * (1 + 4 * n + 16 * n * (n - 1) // 2)
+
+
 def test_empty_batch():
     assert curvature_at(chart_for("flatChart"), np.empty((0, 4))) == []
 
@@ -216,6 +267,17 @@ def test_orbit_quadrature_zero_and_sin():
     assert val == pytest.approx(2.0, abs=1e-12)
     doubled = orbit_quadrature(math.sin, lambda t: 1.0, (0.0, math.pi), 64)
     assert abs(doubled - val) < 1e-12
+
+
+def test_legendre_rule_is_cached_read_only():
+    xs, ws = numgeom._legendre_rule(24)
+    assert numgeom._legendre_rule(24)[0] is xs
+    for a in (xs, ws):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    ts, weights, half = numgeom._legendre((0.0, 2.0), 24)
+    assert np.array_equal(ts, 1.0 + xs) and weights is ws and half == 1.0
 
 
 def test_orbit_quadrature_bad_interval():

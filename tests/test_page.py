@@ -170,6 +170,17 @@ def test_page_negative_curvature():
     assert lo <= hi
 
 
+@pytest.mark.parametrize("r", [0.05, 0.0633, 0.3, 1.0, 1.313])
+def test_witness_radius_of_mirror_orbits_is_the_smaller(r):
+    # r and pi - r are isometric orbits: their minima differ by roundoff only
+    m = page_metric()
+    alone = certify_negative_curvature(m, [r])
+    for radii in ([r, math.pi - r], [math.pi - r, r]):
+        report = certify_negative_curvature(m, radii)
+        assert report.witness_radius == r
+        assert report.min_sec == report.witness.sec_value == alone.min_sec
+
+
 def test_sphere_ansatz_constant_curvature():
     report = certify_negative_curvature(sphere_ansatz(), chebyshev_radii(sphere_ansatz(), 8))
     assert report.min_sec == pytest.approx(1.0, abs=1e-6)
