@@ -55,8 +55,10 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 # Hodge star pairs the basis 2-forms (0,5), (1,4), (2,3) with signs +,-,+.
 # The self-dual frame is f_a = (E_i + sign * E_j)/sqrt(2); flipping the sign
-# gives the anti-self-dual frame.
+# gives the anti-self-dual frame.  Every SD/ASD conversion below indexes this
+# one table, through its array columns _SD_I, _SD_J, _SD_SIGN.
 _SD_PAIRS = ((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0))
+_SD_I, _SD_J, _SD_SIGN = (np.array(col) for col in zip(*_SD_PAIRS))
 
 COORDINATE = "coordinate"
 SD_ASD = "sd-asd"
@@ -82,23 +84,24 @@ class CurvatureSign(str, Enum):
     ZERO = "Zero"
 
 
+_HODGE = np.zeros((6, 6))
+_HODGE[_SD_I, _SD_J] = _HODGE[_SD_J, _SD_I] = _SD_SIGN
+_HODGE.setflags(write=False)
+
+
 def hodge_star_matrix() -> np.ndarray:
-    """Matrix of the Hodge star on 2-forms in the coordinate basis."""
-    H = np.zeros((6, 6))
-    for i, j, sign in _SD_PAIRS:
-        H[i, j] = sign
-        H[j, i] = sign
-    return H
+    """Matrix of the Hodge star on 2-forms in the coordinate basis (read-only)."""
+    return _HODGE
 
 
 # Entry (a, b) of the SD/ASD blocks combines M[i_a, i_b], s_b M[i_a, j_b],
 # s_a M[j_a, i_b] and s_a s_b M[j_a, j_b] over the pairs (i, j, s) of
 # _SD_PAIRS: the flat indices and the signs of these four terms.
+_PAIR_ROWS = (_SD_I, _SD_J)
+_PAIR_SIGNS = (np.ones(3), _SD_SIGN)
 _TERMS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_TERM_INDEX = np.array([[[6 * (ia, ja)[p] + (ib, jb)[q] for ib, jb, _ in _SD_PAIRS]
-                         for ia, ja, _ in _SD_PAIRS] for p, q in _TERMS])
-_TERM_SIGN = np.array([[[(1.0, sa)[p] * (1.0, sb)[q] for _, _, sb in _SD_PAIRS]
-                        for _, _, sa in _SD_PAIRS] for p, q in _TERMS])
+_TERM_INDEX = np.array([6 * _PAIR_ROWS[p][:, None] + _PAIR_ROWS[q] for p, q in _TERMS])
+_TERM_SIGN = np.array([_PAIR_SIGNS[p][:, None] * _PAIR_SIGNS[q] for p, q in _TERMS])
 
 
 def _block_transform(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,18 +119,10 @@ def _block_transform(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _block_assemble(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_block_transform`; exact on dyadic inputs."""
-    M = np.empty((6, 6))
-    for a, (ia, ja, sa) in enumerate(_SD_PAIRS):
-        for b, (ib, jb, sb) in enumerate(_SD_PAIRS):
-            app = A[a, b]
-            cpp = C[a, b]
-            bpp = B[a, b]
-            bqq = B[b, a]
-            M[ia, ib] = 0.5 * ((app + cpp) + (bpp + bqq))
-            M[ja, jb] = sa * sb * 0.5 * ((app + cpp) - (bpp + bqq))
-            M[ia, jb] = sb * 0.5 * ((app - cpp) - (bpp - bqq))
-            M[ja, ib] = sa * 0.5 * ((app - cpp) + (bpp - bqq))
-    return M
+    P, D, Q, E = A + C, A - C, B + B.T, B - B.T
+    M = np.empty(36)
+    M[_TERM_INDEX] = _TERM_SIGN * (0.5 * np.stack((P + Q, D - E, D + E, P - Q)))
+    return M.reshape(6, 6)
 
 
 def _sd_asd_matrix(M: np.ndarray, basis: str) -> np.ndarray:
@@ -209,13 +204,14 @@ class TwoForm:
         """Decomposability, checked through both equivalent criteria.
 
         The wedge-square pairing must vanish and the self-dual and
-        anti-self-dual halves must have equal norm; the two tests are
-        required to agree within tolerance.
+        anti-self-dual halves must have equal norm.  ``|plus|^2 - |minus|^2``
+        is the wedge square, so both are held to the one threshold
+        ``tol * max(1, |omega|^2)``; they can disagree only by roundoff.
         """
-        scale = max(1.0, self.norm() ** 2)
-        plucker_zero = abs(self.wedge_square()) <= 2 * tol * scale
+        bound = tol * max(1.0, self.norm() ** 2)
+        plucker_zero = abs(self.wedge_square()) <= bound
         plus, minus = sd_projectors(self)
-        norms_equal = abs(plus.norm() ** 2 - minus.norm() ** 2) <= tol * scale
+        norms_equal = abs(plus.norm() ** 2 - minus.norm() ** 2) <= bound
         if plucker_zero != norms_equal:
             raise ToleranceTooTightError(
                 "decomposability criteria disagree; tolerance too tight for input"
@@ -230,20 +226,16 @@ def sd_projectors(omega: TwoForm) -> tuple[TwoForm, TwoForm]:
     are the +1 and -1 eigencomponents of the Hodge star.
     """
     c = omega.coefficients
-    star = hodge_star_matrix() @ c
+    star = _HODGE @ c
     return TwoForm(0.5 * (c + star)), TwoForm(0.5 * (c - star))
 
 
 def sd_frame_components(omega: TwoForm) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates of a 2-form in the orthonormal SD/ASD eigenframes."""
     c = omega.coefficients
-    plus = np.empty(3)
-    minus = np.empty(3)
+    ci, cj = c[_SD_I], _SD_SIGN * c[_SD_J]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for a, (i, j, sign) in enumerate(_SD_PAIRS):
-        plus[a] = (c[i] + sign * c[j]) * inv_sqrt2
-        minus[a] = (c[i] - sign * c[j]) * inv_sqrt2
-    return plus, minus
+    return (ci + cj) * inv_sqrt2, (ci - cj) * inv_sqrt2
 
 
 def two_form_from_frame_components(plus, minus) -> TwoForm:
@@ -252,9 +244,8 @@ def two_form_from_frame_components(plus, minus) -> TwoForm:
     minus = np.asarray(minus, dtype=float)
     c = np.zeros(6)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for a, (i, j, sign) in enumerate(_SD_PAIRS):
-        c[i] += (plus[a] + minus[a]) * inv_sqrt2
-        c[j] += sign * (plus[a] - minus[a]) * inv_sqrt2
+    c[_SD_I] += (plus + minus) * inv_sqrt2
+    c[_SD_J] += _SD_SIGN * (plus - minus) * inv_sqrt2
     return TwoForm(c)
 
 
@@ -335,11 +326,10 @@ class CurvatureOperator:
         return {"basis": self.basis, "matrix": self.matrix.tolist()}
 
     @classmethod
-    def from_dict(cls, data: dict, tol: float = STRUCTURAL_TOL) -> "CurvatureOperator":
+    def from_dict(cls, data: dict) -> "CurvatureOperator":
         if "matrix" not in data:
             raise ValueError("operator JSON needs a 'matrix' field")
-        return cls(np.asarray(data["matrix"], dtype=float),
-                   basis=data.get("basis", COORDINATE), tol=tol)
+        return cls(np.asarray(data["matrix"], dtype=float), basis=data.get("basis", COORDINATE))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,6 +368,12 @@ class Decomposition:
 
     def is_einstein(self, tol: float = CLASSIFY_TOL) -> bool:
         return self.einstein_residual() <= tol
+
+    def is_kahler(self) -> bool:
+        """The Kahler identity |W+|^2 = s^2/24, to within
+        ``CLASSIFY_TOL * max(1, s^2)``, decided on scaled squares."""
+        _, bound, s2, (wp2,) = _scaled_squares(self.s, self.w_plus)
+        return abs(wp2 - s2 / 24.0) <= bound
 
     def orientation_flipped(self) -> "Decomposition":
         """Swap the roles of the SD and ASD halves."""
@@ -427,17 +423,16 @@ def decompose(op: CurvatureOperator) -> Decomposition:
     )
 
 
-def recompose(d: Decomposition, basis: str = COORDINATE,
-              tol: float = STRUCTURAL_TOL) -> CurvatureOperator:
+def recompose(d: Decomposition, basis: str = COORDINATE) -> CurvatureOperator:
     """Rebuild the curvature operator from a decomposition.
 
     Raises :class:`InvalidBlocksError` when the Weyl halves are not traceless
-    symmetric within ``tol``.
+    symmetric within ``STRUCTURAL_TOL``.
     """
     for name, W in (("w_plus", d.w_plus), ("w_minus", d.w_minus)):
-        if abs(float(np.trace(W))) > tol * max(1.0, abs(d.s)):
+        if abs(float(np.trace(W))) > STRUCTURAL_TOL * max(1.0, abs(d.s)):
             raise InvalidBlocksError(f"{name} has nonzero trace {np.trace(W):.3e}")
-        if np.abs(W - W.T).max() > tol:
+        if np.abs(W - W.T).max() > STRUCTURAL_TOL:
             raise InvalidBlocksError(f"{name} is not symmetric")
     A = d.w_plus + (d.s / 12.0) * np.eye(3)
     C = d.w_minus + (d.s / 12.0) * np.eye(3)
@@ -449,7 +444,7 @@ def recompose(d: Decomposition, basis: str = COORDINATE,
         M[3:, 3:] = C
     else:
         M = _block_assemble(A, d.ric_block, C)
-    return CurvatureOperator(M, basis=basis, tol=tol)
+    return CurvatureOperator(M, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -478,26 +473,24 @@ class GLReport:
         }
 
 
-def _multiplicities_hold(d: Decomposition, branch: EqualityBranch, tol: float) -> bool:
-    scale = max(1.0, abs(d.s))
+def _multiplicities_hold(d: Decomposition, branch: EqualityBranch) -> bool:
+    tol = CLASSIFY_TOL * max(1.0, abs(d.s))
     lp, mp, vp = d.spectrum_plus
     lm, mm, vm = d.spectrum_minus
     if branch is EqualityBranch.NON_POSITIVE:
         # top eigenvalue doubled in each half
-        return (vp - mp) <= tol * scale and (vm - mm) <= tol * scale
-    if branch is EqualityBranch.NON_NEGATIVE:
-        # bottom eigenvalue doubled in each half
-        return (mp - lp) <= tol * scale and (mm - lm) <= tol * scale
-    return False
+        return (vp - mp) <= tol and (vm - mm) <= tol
+    # bottom eigenvalue doubled in each half
+    return (mp - lp) <= tol and (mm - lm) <= tol
 
 
-def _is_flat(d: Decomposition, tol: float) -> bool:
-    return (abs(d.s) <= tol
-            and d.norm_w_plus() <= tol
-            and d.norm_w_minus() <= tol)
+def _is_flat(d: Decomposition) -> bool:
+    return (abs(d.s) <= CLASSIFY_TOL
+            and d.norm_w_plus() <= CLASSIFY_TOL
+            and d.norm_w_minus() <= CLASSIFY_TOL)
 
 
-def gl_defect(d: Decomposition, tol: float = CLASSIFY_TOL) -> GLReport:
+def gl_defect(d: Decomposition) -> GLReport:
     """Evaluate the defect |s|/sqrt(6) - (|W+| + |W-|) and test saturation.
 
     The defect is defined for every operator; its sign guarantee only holds
@@ -506,29 +499,29 @@ def gl_defect(d: Decomposition, tol: float = CLASSIFY_TOL) -> GLReport:
     branch-specific doubled eigenvalues, with the branch chosen by the sign
     of the scalar curvature.  The cover class is the saturation model the
     operator is pointwise consistent with, and is only assigned to Einstein
-    inputs.
+    inputs.  All tests use ``CLASSIFY_TOL``, relative to ``max(1, |s|)``
+    except the absolute flatness test.
     """
     nwp = d.norm_w_plus()
     nwm = d.norm_w_minus()
     defect = abs(d.s) / math.sqrt(6.0) - (nwp + nwm)
-    scale = max(1.0, abs(d.s))
 
     branch = EqualityBranch.NONE
     saturated = False
     cover = CoverClass.NOT_SATURATED
-    if abs(defect) <= tol * scale:
-        if _is_flat(d, tol):
+    if abs(defect) <= CLASSIFY_TOL * max(1.0, abs(d.s)):
+        if _is_flat(d):
             saturated = True
-            cover = CoverClass.FLAT if d.is_einstein(tol) else CoverClass.NOT_SATURATED
-        elif d.s < 0 and _multiplicities_hold(d, EqualityBranch.NON_POSITIVE, tol):
+            cover = CoverClass.FLAT if d.is_einstein() else CoverClass.NOT_SATURATED
+        elif d.s < 0 and _multiplicities_hold(d, EqualityBranch.NON_POSITIVE):
             branch = EqualityBranch.NON_POSITIVE
             saturated = True
-            if d.is_einstein(tol):
+            if d.is_einstein():
                 cover = CoverClass.HYPERBOLIC_PLANE_PRODUCT
-        elif d.s > 0 and _multiplicities_hold(d, EqualityBranch.NON_NEGATIVE, tol):
+        elif d.s > 0 and _multiplicities_hold(d, EqualityBranch.NON_NEGATIVE):
             branch = EqualityBranch.NON_NEGATIVE
             saturated = True
-            if d.is_einstein(tol):
+            if d.is_einstein():
                 cover = CoverClass.SPHERE_PRODUCT
     return GLReport(
         defect=float(defect),
@@ -540,39 +533,33 @@ def gl_defect(d: Decomposition, tol: float = CLASSIFY_TOL) -> GLReport:
     )
 
 
-def classify_equality(d: Decomposition, curvature_sign: CurvatureSign,
-                      tol: float = CLASSIFY_TOL) -> CoverClass:
+def classify_equality(d: Decomposition, curvature_sign: CurvatureSign) -> CoverClass:
     """Classify a saturated Einstein operator by its model cover.
 
     This is pointwise algebra: it reports which of the three saturation
     models (sphere product, flat space, hyperbolic-plane product) the
     operator is consistent with, given the certified sign of its sectional
-    curvature.  Raises :class:`NotEinsteinError` for non-Einstein input and
-    :class:`IndefiniteSignError` when the sign is indefinite.
+    curvature.  Flat input is ``Flat`` for every semi-definite sign;
+    otherwise the answer is the cover class of :func:`gl_defect` when its
+    equality branch (chosen by the sign of s) is the given sign, and
+    ``NotSaturated`` when it is not.  Raises :class:`NotEinsteinError` for
+    non-Einstein input and :class:`IndefiniteSignError` when the sign is
+    indefinite.
     """
-    if not d.is_einstein(tol):
+    if not d.is_einstein():
         raise NotEinsteinError(
-            f"traceless-Ricci residual {d.einstein_residual():.3e} exceeds {tol:.1e}",
+            f"traceless-Ricci residual {d.einstein_residual():.3e} exceeds {CLASSIFY_TOL:.1e}",
             residual=d.einstein_residual(),
         )
     if curvature_sign is CurvatureSign.INDEFINITE:
         raise IndefiniteSignError(
             "equality classification requires semi-definite sectional curvature"
         )
-    if _is_flat(d, tol):
+    if _is_flat(d):
         return CoverClass.FLAT
-    scale = max(1.0, abs(d.s))
-    nwp = d.norm_w_plus()
-    nwm = d.norm_w_minus()
-    defect = abs(d.s) / math.sqrt(6.0) - (nwp + nwm)
-    if abs(defect) > tol * scale:
-        return CoverClass.NOT_SATURATED
-    if (curvature_sign is CurvatureSign.NON_NEGATIVE
-            and _multiplicities_hold(d, EqualityBranch.NON_NEGATIVE, tol)):
-        return CoverClass.SPHERE_PRODUCT
-    if (curvature_sign is CurvatureSign.NON_POSITIVE
-            and _multiplicities_hold(d, EqualityBranch.NON_POSITIVE, tol)):
-        return CoverClass.HYPERBOLIC_PLANE_PRODUCT
+    report = gl_defect(d)
+    if report.equality_branch.value == curvature_sign.value:
+        return report.cover_class
     return CoverClass.NOT_SATURATED
 
 
@@ -651,21 +638,35 @@ class KahlerSignatureCheck:
         return {"density": self.density, "nonNegative": self.non_negative}
 
 
-def kahler_signature_check(d: Decomposition, tol: float = CLASSIFY_TOL) -> KahlerSignatureCheck:
+def _scaled_squares(s: float, *blocks: np.ndarray) -> tuple[int, float, float, list[float]]:
+    """``(e, CLASSIFY_TOL * max(1, s^2), s^2, [|B|^2 for B in blocks])``, all
+    but e scaled by 4^-e.
+
+    s and the blocks are first scaled by 2^-e, the power of two that brings
+    their largest magnitude to [1/2, 1).  That is exact, so a test on these
+    squares decides as the unscaled one wherever the unscaled squares stay
+    in the float range, and beyond it nothing overflows.
+    """
+    entries = [s] + [x for B in blocks for x in B.ravel().tolist()]
+    e = math.frexp(max(max(entries), -min(entries)))[1]
+    s = _ldexp(s, -e)
+    squares = [float(np.sum(B * B)) for B in (np.ldexp(B, -e) for B in blocks)]
+    return e, CLASSIFY_TOL * max(_ldexp(1.0, -2 * e), s * s), s * s, squares
+
+
+def kahler_signature_check(d: Decomposition) -> KahlerSignatureCheck:
     """Pointwise signature integrand |W+|^2 - |W-|^2 for a Kahler operator.
 
-    Verifies the Kahler identity |W+|^2 = s^2/24 first and raises
-    :class:`NotKahlerError` if it fails.  For non-positively curved
+    Verifies the Kahler identity first (:meth:`Decomposition.is_kahler`) and
+    raises :class:`NotKahlerError` if it fails.  For non-positively curved
     Kahler-Einstein operators the returned density is non-negative, which is
-    the pointwise mechanism behind the signature bound tau >= 0.
+    the pointwise mechanism behind the signature bound tau >= 0.  The
+    density is formed on scaled squares too, so it is infinite only when it
+    lies outside the float range.
     """
-    wp2 = float(np.sum(d.w_plus * d.w_plus))
-    wm2 = float(np.sum(d.w_minus * d.w_minus))
-    target = d.s * d.s / 24.0
-    scale = max(1.0, d.s * d.s)
-    if abs(wp2 - target) > tol * scale:
-        raise NotKahlerError(
-            f"|W+|^2 = {wp2:.6g} deviates from s^2/24 = {target:.6g}"
-        )
+    e, bound, s2, (wp2, wm2) = _scaled_squares(d.s, d.w_plus, d.w_minus)
+    if not d.is_kahler():
+        raise NotKahlerError(f"|W+|^2 = {_ldexp(wp2, 2 * e):.6g} deviates from "
+                             f"s^2/24 = {_ldexp(s2 / 24.0, 2 * e):.6g}")
     density = wp2 - wm2
-    return KahlerSignatureCheck(density=density, non_negative=density >= -tol * scale)
+    return KahlerSignatureCheck(density=_ldexp(density, 2 * e), non_negative=density >= -bound)

@@ -74,11 +74,7 @@ class UnknownChartError(FourcurvError):
     pass
 
 
-class PointOutsideDomainError(FourcurvError):
-    pass
-
-
-class OutsideDomainError(PointOutsideDomainError):
+class OutsideDomainError(FourcurvError):
     pass
 
 

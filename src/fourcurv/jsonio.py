@@ -13,7 +13,7 @@ import math
 import numbers
 from pathlib import Path
 
-from .curvops import BASIS_LABELS, STRUCTURAL_TOL, CurvatureOperator
+from .curvops import BASIS_LABELS, CurvatureOperator
 
 CONVENTION = {
     "twoFormBasis": list(BASIS_LABELS),
@@ -68,17 +68,17 @@ def _emit(obj, out: list):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(report: dict, with_convention: bool = True) -> str:
+def dumps(report: dict) -> str:
     """Serialize a report dict deterministically, appending a newline."""
     payload = dict(report)
-    if with_convention and "convention" not in payload:
+    if "convention" not in payload:
         payload["convention"] = CONVENTION
     out: list[str] = []
     _emit(payload, out)
     return "".join(out) + "\n"
 
 
-def load_operator(path: str | Path, tol: float = STRUCTURAL_TOL) -> CurvatureOperator:
+def load_operator(path: str | Path) -> CurvatureOperator:
     """Load a curvature operator from a JSON file.
 
     Malformed JSON is reported with its line and column; admissibility
@@ -93,4 +93,4 @@ def load_operator(path: str | Path, tol: float = STRUCTURAL_TOL) -> CurvatureOpe
         ) from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: operator JSON must be an object")
-    return CurvatureOperator.from_dict(data, tol=tol)
+    return CurvatureOperator.from_dict(data)

@@ -112,13 +112,10 @@ def model_names() -> tuple[str, ...]:
     return tuple(_DEFAULTS)
 
 
-def _sec_sign_flag(d: Decomposition) -> CurvatureSign:
-    sec_min, sec_max = secsign.einstein_sec_range(d) if d.is_einstein() else (None, None)
-    if sec_min is None:
-        cert = secsign.certify_sec_sign(
-            curvops.recompose(d, basis=curvops.SD_ASD)
-        )
-        return secsign.curvature_sign_of(cert)
+def _sec_sign_flag(op: CurvatureOperator, d: Decomposition) -> CurvatureSign:
+    if not d.is_einstein():
+        return secsign.curvature_sign_of(secsign.certify_sec_sign(op))
+    sec_min, sec_max = secsign.einstein_sec_range(d)
     tol = curvops.CLASSIFY_TOL * max(1.0, abs(d.s))
     if abs(sec_min) <= tol and abs(sec_max) <= tol:
         return CurvatureSign.ZERO
@@ -127,11 +124,6 @@ def _sec_sign_flag(d: Decomposition) -> CurvatureSign:
     if sec_max <= tol:
         return CurvatureSign.NON_POSITIVE
     return CurvatureSign.INDEFINITE
-
-
-def _kahler_flag(d: Decomposition) -> bool:
-    wp2 = float(np.sum(d.w_plus * d.w_plus))
-    return abs(wp2 - d.s * d.s / 24.0) <= curvops.CLASSIFY_TOL * max(1.0, d.s * d.s)
 
 
 def _known_cover(name: str, params: dict, d: Decomposition,
@@ -162,8 +154,8 @@ def catalog(name: str, parameters: Mapping[str, float] | None = None) -> ModelSp
     basis = curvops.SD_ASD if name in ("fubiniStudy", "bergman") else COORDINATE
     op = CurvatureOperator(_operator_matrix(name, params), basis=basis)
     d = curvops.decompose(op)
-    sign = _sec_sign_flag(d)
-    flags = ModelFlags(einstein=d.is_einstein(), kahler=_kahler_flag(d), sec_sign=sign)
+    sign = _sec_sign_flag(op, d)
+    flags = ModelFlags(einstein=d.is_einstein(), kahler=d.is_kahler(), sec_sign=sign)
     return ModelSpec(
         name=name,
         parameters=params,

@@ -45,6 +45,8 @@ from .errors import NonConvergentError
 from .secsign import PlaneWitness
 
 PAGE_LAMBDA = 3.0
+ENDPOINT_DELTA = 1e-5  # radial distance from each end sampled by endpoint_data
+RADIAL_MARGIN = 0.02  # fraction of the radial interval a Chebyshev sweep skips at each end
 # coefficients of the shape-parameter quartic, highest degree first
 PAGE_SHAPE_QUARTIC = (1.0, 4.0, -6.0, 12.0, -3.0)
 
@@ -119,7 +121,9 @@ class CohomOneMetric:
             depends_on=(0, 1),
         )
 
-    def endpoint_data(self, delta: float = 1e-5) -> tuple[EndpointData, EndpointData]:
+    def endpoint_data(self) -> tuple[EndpointData, EndpointData]:
+        """v and the proper slope of w at distance ENDPOINT_DELTA inside each end."""
+        delta = ENDPOINT_DELTA
         out = []
         for r0, sign in ((0.0, 1.0), (self.length, -1.0)):
             r = r0 + sign * delta
@@ -187,10 +191,10 @@ def sphere_ansatz(radius: float = 1.0) -> CohomOneMetric:
     )
 
 
-def chebyshev_radii(m: CohomOneMetric, n: int, margin_frac: float = 0.02) -> list[float]:
-    """n Chebyshev-distributed radii on the margin-clamped interval."""
-    lo = margin_frac * m.length
-    hi = (1.0 - margin_frac) * m.length
+def chebyshev_radii(m: CohomOneMetric, n: int) -> list[float]:
+    """n Chebyshev-distributed radii on the interval clamped by RADIAL_MARGIN."""
+    lo = RADIAL_MARGIN * m.length
+    hi = (1.0 - RADIAL_MARGIN) * m.length
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return [mid + half * math.cos(math.pi * (2 * j + 1) / (2 * n)) for j in range(n)]
 
@@ -286,7 +290,7 @@ def certify_negative_curvature(m: CohomOneMetric,
         defect_lo = min(defect_lo, report.defect)
         defect_hi = max(defect_hi, report.defect)
         min_w, _ = secsign.einstein_extreme_witnesses(
-            pc.operator, tol=max(curvops.CLASSIFY_TOL, 20.0 * pc.error_estimate))
+            pc.operator, d, tol=max(curvops.CLASSIFY_TOL, 20.0 * pc.error_estimate))
         orbits.append((float(r), min_w, pc.error_estimate))
     lowest = min(w.sec_value for _, w, _ in orbits)
     radius, witness, _ = min((o for o in orbits if o[1].sec_value - lowest <= o[2]),

@@ -167,14 +167,14 @@ def plane_witness_vectors(X, Y) -> tuple[np.ndarray, np.ndarray]:
 # Einstein exact range
 # ---------------------------------------------------------------------------
 
-def einstein_sec_range(d: Decomposition, tol: float = CLASSIFY_TOL) -> tuple[float, float]:
+def einstein_sec_range(d: Decomposition) -> tuple[float, float]:
     """Exact sectional-curvature range of an Einstein operator.
 
     ``sec_max = s/12 + (nu+ + nu-)/2`` and ``sec_min = s/12 + (lam+ + lam-)/2``
     with the extreme eigenvalues of the Weyl halves; no optimization is
     involved.
     """
-    if not d.is_einstein(tol):
+    if not d.is_einstein():
         raise NotEinsteinError(
             f"exact range needs an Einstein operator; residual {d.einstein_residual():.3e}",
             residual=d.einstein_residual(),
@@ -377,14 +377,15 @@ def _verdict(q_max_lower, q_max_upper, q_min_lower, q_min_upper, tol) -> Verdict
     return Verdict.INCONCLUSIVE
 
 
-def einstein_extreme_witnesses(op: CurvatureOperator,
+def einstein_extreme_witnesses(op: CurvatureOperator, d: Decomposition,
                                tol: float = CLASSIFY_TOL) -> tuple[PlaneWitness, PlaneWitness]:
     """(min, max) sectional-curvature witnesses of an Einstein operator.
 
+    ``d`` is the decomposition of ``op``, which the caller already holds.
     The extreme planes of the separable Einstein form are spanned by the
-    extreme eigenvectors of the two Weyl halves.
+    extreme eigenvectors of the two Weyl halves; their q is evaluated on
+    ``op`` itself.
     """
-    d = decompose(op)
     if not d.is_einstein(tol):
         raise NotEinsteinError(
             f"witness extraction needs an Einstein operator; residual "
@@ -400,10 +401,11 @@ def einstein_extreme_witnesses(op: CurvatureOperator,
     return min_w, max_w
 
 
-def curvature_sign_of(cert: SecSignCertificate, zero_tol: float = CLASSIFY_TOL) -> CurvatureSign:
-    """Map a certificate to the model-flag sign enum (with a Zero case)."""
-    if (abs(cert.q_max_lower) <= zero_tol and abs(cert.q_max_upper) <= zero_tol
-            and abs(cert.q_min_lower) <= zero_tol and abs(cert.q_min_upper) <= zero_tol):
+def curvature_sign_of(cert: SecSignCertificate) -> CurvatureSign:
+    """Map a certificate to the model-flag sign enum, with a Zero case when
+    all four bounds lie within ``CLASSIFY_TOL`` of zero."""
+    bounds = (cert.q_max_lower, cert.q_max_upper, cert.q_min_lower, cert.q_min_upper)
+    if all(abs(b) <= CLASSIFY_TOL for b in bounds):
         return CurvatureSign.ZERO
     if cert.verdict is Verdict.NON_NEGATIVE:
         return CurvatureSign.NON_NEGATIVE

@@ -148,9 +148,8 @@ def test_scan_byte_identical(capsys):
 
 
 def test_dumps_numpy_integers():
-    out = jsonio.dumps({"a": np.int64(3), "b": [np.int32(-2), np.uint8(7)]},
-                       with_convention=False)
-    assert out == '{"a": 3, "b": [-2, 7]}\n'
+    out = jsonio.dumps({"a": np.int64(3), "b": [np.int32(-2), np.uint8(7)]})
+    assert out.startswith('{"a": 3, "b": [-2, 7], "convention": {')
 
 
 def test_decompose_scaled_operator_accepted(tmp_path, capsys):
@@ -269,7 +268,7 @@ def test_unknown_flag_rejected(capsys):
 
 def test_json_float_format_round_trip():
     payload = {"x": 0.1, "y": 12.0, "z": [1e-17, -0.0]}
-    text = jsonio.dumps(payload, with_convention=False)
+    text = jsonio.dumps(payload)
     back = json.loads(text)
     assert back["x"] == 0.1
     assert back["z"][0] == 1e-17
@@ -311,3 +310,22 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bmyEquality"] is True
+
+
+@pytest.mark.parametrize("name,s", [("fubiniStudy", "1e200"), ("bergman", "-1e200")])
+def test_kahler_model_at_large_scale(name, s):
+    # s^2 overflowed in the Kahler test, which then said false with a numpy warning
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fourcurv
+    src = str(Path(fourcurv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fourcurv", "model", name, "--param", f"s={s}"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["flags"]["kahler"] is True

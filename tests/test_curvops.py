@@ -10,6 +10,8 @@ import pytest
 from conftest import (
     assemble_einstein,
     random_admissible_operator,
+    random_einstein_operator,
+    random_rotation,
     random_traceless_symmetric,
 )
 from fourcurv import curvops
@@ -43,7 +45,7 @@ from fourcurv.errors import (
     NotSymmetricError,
     ToleranceTooTightError,
 )
-from fourcurv.models import catalog
+from fourcurv.models import catalog, model_names
 from fourcurv.secsign import certify_sec_sign
 
 SQ6 = math.sqrt(6.0)
@@ -103,11 +105,31 @@ def test_not_decomposable_detected():
     assert not omega.is_decomposable()
 
 
-def test_decomposability_disagreement_is_a_fourcurv_error():
-    # wedge square 1.5e-10 passes the Plucker test at 2 tol, not the norm test at tol
+def test_decomposability_criteria_share_one_threshold():
+    # |plus|^2 - |minus|^2 is the wedge square 1.5e-10: both criteria say no
     omega = TwoForm(np.array([0.75e-10, 0, 0, 0, 0, 1.0]))
+    assert not omega.is_decomposable(tol=1e-10)
+    assert omega.is_decomposable(tol=1.5e-10)
+
+
+def test_decomposability_disagreement_is_a_fourcurv_error():
+    # the two criteria evaluate one quantity; a tolerance between their
+    # roundings, found by a seeded search, cannot be honoured
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        omega = TwoForm(rng.standard_normal(6))
+        plus, minus = sd_projectors(omega)
+        w = abs(omega.wedge_square())
+        n = abs(plus.norm() ** 2 - minus.norm() ** 2)
+        scale = max(1.0, omega.norm() ** 2)
+        tol = 0.5 * (w + n) / scale
+        if min(w, n) < tol * scale < max(w, n):
+            break
+    else:
+        pytest.fail("no form with roundoff-split criteria in the seeded search")
+    assert abs(w - n) <= 1e-14 * scale
     with pytest.raises(ToleranceTooTightError) as err:
-        omega.is_decomposable(tol=1e-10)
+        omega.is_decomposable(tol=tol)
     assert isinstance(err.value, FourcurvError)
 
 
@@ -120,6 +142,83 @@ def test_frame_components_round_trip(rng):
         p2, m2 = sd_projectors(omega)
         assert np.linalg.norm(plus) == pytest.approx(p2.norm(), abs=1e-14)
         assert np.linalg.norm(minus) == pytest.approx(m2.norm(), abs=1e-14)
+
+
+_PAIRS_REFERENCE = ((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0))
+
+
+def _hodge_reference():
+    H = np.zeros((6, 6))
+    for i, j, sign in _PAIRS_REFERENCE:
+        H[i, j] = sign
+        H[j, i] = sign
+    return H
+
+
+def _frame_components_reference(c):
+    plus, minus = np.empty(3), np.empty(3)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for a, (i, j, sign) in enumerate(_PAIRS_REFERENCE):
+        plus[a] = (c[i] + sign * c[j]) * inv_sqrt2
+        minus[a] = (c[i] - sign * c[j]) * inv_sqrt2
+    return plus, minus
+
+
+def _from_frame_components_reference(plus, minus):
+    c = np.zeros(6)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for a, (i, j, sign) in enumerate(_PAIRS_REFERENCE):
+        c[i] += (plus[a] + minus[a]) * inv_sqrt2
+        c[j] += sign * (plus[a] - minus[a]) * inv_sqrt2
+    return c
+
+
+def _block_assemble_reference(A, B, C):
+    M = np.empty((6, 6))
+    for a, (ia, ja, sa) in enumerate(_PAIRS_REFERENCE):
+        for b, (ib, jb, sb) in enumerate(_PAIRS_REFERENCE):
+            app, cpp, bpp, bqq = A[a, b], C[a, b], B[a, b], B[b, a]
+            M[ia, ib] = 0.5 * ((app + cpp) + (bpp + bqq))
+            M[ja, jb] = sa * sb * 0.5 * ((app + cpp) - (bpp + bqq))
+            M[ia, jb] = sb * 0.5 * ((app - cpp) - (bpp - bqq))
+            M[ja, ib] = sa * 0.5 * ((app - cpp) + (bpp - bqq))
+    return M
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _sample_entries(rng, shape, i):
+    """Dyadic integers, Gaussians, or Gaussians with zeros, -0.0 and subnormals."""
+    if i % 3 == 0:
+        return rng.integers(-8, 9, shape) * 2.0 ** int(rng.integers(-4, 4))
+    x = rng.standard_normal(shape) * 10.0 ** float(rng.uniform(-300, 300))
+    if i % 3 == 2:
+        x[rng.random(shape) < 0.3] = rng.choice([0.0, -0.0, 5e-324, -1e-310])
+    return x
+
+
+def test_sd_tables_bitwise_equal_loop_references(rng):
+    assert _bits(hodge_star_matrix()) == _bits(_hodge_reference())
+    assert not hodge_star_matrix().flags.writeable
+    for i in range(300):
+        c = _sample_entries(rng, 6, i)
+        plus, minus = sd_projectors(TwoForm(c))
+        star = _hodge_reference() @ c
+        assert _bits(plus.coefficients) == _bits(0.5 * (c + star))
+        assert _bits(minus.coefficients) == _bits(0.5 * (c - star))
+        got = sd_frame_components(TwoForm(c))
+        assert [_bits(x) for x in got] == [_bits(x) for x in _frame_components_reference(c)]
+        p, m = _sample_entries(rng, 3, i), _sample_entries(rng, 3, i + 1)
+        if i == 0:
+            p, m = np.full(3, -0.0), np.full(3, -0.0)  # the sum starts from +0.0
+        assert _bits(two_form_from_frame_components(p, m).coefficients) == \
+            _bits(_from_frame_components_reference(p, m))
+        A, B, C = (_sample_entries(rng, (3, 3), i) for _ in range(3))
+        with np.errstate(over="ignore", invalid="ignore"):  # sums past 1e308
+            assert _bits(curvops._block_assemble(A, B, C)) == \
+                _bits(_block_assemble_reference(A, B, C))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +490,83 @@ def test_classify_rejects_indefinite():
         classify_equality(d, CurvatureSign.INDEFINITE)
 
 
+def _classify_equality_reference(d, curvature_sign, tol=curvops.CLASSIFY_TOL):
+    """classify_equality with its own defect and multiplicity tests."""
+    if not d.is_einstein(tol):
+        raise NotEinsteinError("not Einstein")
+    if curvature_sign is CurvatureSign.INDEFINITE:
+        raise IndefiniteSignError("indefinite")
+    if abs(d.s) <= tol and d.norm_w_plus() <= tol and d.norm_w_minus() <= tol:
+        return CoverClass.FLAT
+    scale = max(1.0, abs(d.s))
+    if abs(abs(d.s) / SQ6 - (d.norm_w_plus() + d.norm_w_minus())) > tol * scale:
+        return CoverClass.NOT_SATURATED
+    (lp, mp, vp), (lm, mm, vm) = d.spectrum_plus, d.spectrum_minus
+    if (curvature_sign is CurvatureSign.NON_NEGATIVE
+            and (mp - lp) <= tol * scale and (mm - lm) <= tol * scale):
+        return CoverClass.SPHERE_PRODUCT
+    if (curvature_sign is CurvatureSign.NON_POSITIVE
+            and (vp - mp) <= tol * scale and (vm - mm) <= tol * scale):
+        return CoverClass.HYPERBOLIC_PLANE_PRODUCT
+    return CoverClass.NOT_SATURATED
+
+
+def _saturated_einstein(rng, s, pattern_sign):
+    """|W+| + |W-| = |s|/sqrt(6) with the doubled eigenvalue of the branch of
+    ``pattern_sign``: the bottom one for +1, the top one for -1."""
+    pattern = np.diag([-1.0, -1.0, 2.0]) if pattern_sign > 0 else np.diag([-2.0, 1.0, 1.0])
+    u = float(rng.uniform(0.0, 1.0))
+    halves = []
+    for c in (u * abs(s) / 6.0, (1.0 - u) * abs(s) / 6.0):
+        Q = random_rotation(rng)
+        halves.append(c * Q @ pattern @ Q.T)
+    return assemble_einstein(s, *halves)
+
+
+def _einstein_cases(rng):
+    for name in model_names():
+        yield catalog(name).decomposition
+    for _ in range(40):
+        a = float(rng.normal(0.0, 3.0))
+        yield catalog("surfaceProduct", {"a": a, "b": a}).decomposition
+    for _ in range(150):  # saturated, both eigenvalue patterns, from far to near zero
+        s = float(rng.choice([-1.0, 1.0])) * 10.0 ** float(rng.uniform(-7.5, 3.0))
+        yield decompose(_saturated_einstein(rng, s, float(rng.choice([-1.0, 1.0]))))
+    for _ in range(150):  # flat only to within tolerance
+        s = float(rng.normal(0.0, 1.0)) * 10.0 ** float(rng.uniform(-9.0, -6.0))
+        k = 10.0 ** float(rng.uniform(-9.0, -6.5))
+        yield decompose(assemble_einstein(s, random_traceless_symmetric(rng, k),
+                                          random_traceless_symmetric(rng, k)))
+    for _ in range(150):
+        yield decompose(random_einstein_operator(rng, 10.0 ** float(rng.uniform(-3.0, 3.0))))
+
+
+def _outcome(classify, d, sign):
+    try:
+        return classify(d, sign)
+    except FourcurvError as exc:
+        return type(exc)
+
+
+def test_classify_equality_matches_reference(rng):
+    # The one allowed difference: the given sign contradicts the sign of s
+    # (s < 0 with NonNegative, s > 0 with NonPositive) and the reference,
+    # which ignores s, names the cover of the given sign; gl_defect chooses
+    # the branch by the sign of s, so classify_equality says NotSaturated.
+    contrary = 0
+    for d in _einstein_cases(rng):
+        for sign in CurvatureSign:
+            want = _outcome(_classify_equality_reference, d, sign)
+            got = _outcome(classify_equality, d, sign)
+            if got != want:
+                assert got is CoverClass.NOT_SATURATED
+                assert (want, sign, d.s < 0) in (
+                    (CoverClass.SPHERE_PRODUCT, CurvatureSign.NON_NEGATIVE, True),
+                    (CoverClass.HYPERBOLIC_PLANE_PRODUCT, CurvatureSign.NON_POSITIVE, False))
+                contrary += 1
+    assert contrary > 0  # the cases include contrary patterns
+
+
 # ---------------------------------------------------------------------------
 # characteristic densities
 # ---------------------------------------------------------------------------
@@ -505,3 +681,65 @@ def test_kahler_check_rejects_reversed_fubini_study():
     d = catalog("fubiniStudy").decomposition.orientation_flipped()
     with pytest.raises(NotKahlerError):
         kahler_signature_check(d)
+
+
+def _kahler_flag_reference(d):
+    """The unscaled Kahler test, as it stood before the power-of-two scaling."""
+    wp2 = float(np.sum(d.w_plus * d.w_plus))
+    return abs(wp2 - d.s * d.s / 24.0) <= curvops.CLASSIFY_TOL * max(1.0, d.s * d.s)
+
+
+def test_kahler_flag_matches_unscaled_reference(rng):
+    # below about 1e150 the unscaled squares stay in range and the scaled
+    # test must decide exactly as they do, on and off the tolerance boundary
+    for name, sign in (("fubiniStudy", 1.0), ("bergman", -1.0)):
+        for exponent in rng.uniform(-150.0, 150.0, 60):
+            d = catalog(name, {"s": sign * 10.0 ** float(exponent)}).decomposition
+            assert d.is_kahler() is _kahler_flag_reference(d) is True
+    agree = {True: 0, False: 0}
+    for i in range(600):
+        scale = 10.0 ** float(rng.uniform(-150.0, 150.0))
+        s = float(rng.normal(0.0, 4.0)) * scale
+        pattern = np.diag([-1.0, -1.0, 2.0]) if s > 0 else np.diag([-2.0, 1.0, 1.0])
+        Q = random_rotation(rng)
+        # |W+|^2 = s^2/24 times 1 + r, r spread across the tolerance 24e-7
+        r = float(rng.choice([-1.0, 1.0])) * 10.0 ** float(rng.uniform(-6.5, -5.0))
+        wp = abs(s) / 12.0 * math.sqrt(1.0 + r) * Q @ pattern @ Q.T
+        if i % 7 == 0:
+            wp = random_traceless_symmetric(rng, scale)
+        d = curvops.Decomposition(s=s, w_plus=wp, w_minus=random_traceless_symmetric(rng, scale),
+                                  ric_block=np.zeros((3, 3)), spectrum_plus=np.zeros(3),
+                                  spectrum_minus=np.zeros(3))
+        want = _kahler_flag_reference(d)
+        assert d.is_kahler() is want
+        agree[want] += 1
+        if want:  # the signature check's density and sign, unscaled
+            density = float(np.sum(wp * wp)) - float(np.sum(d.w_minus * d.w_minus))
+            check = kahler_signature_check(d)
+            assert check.density == density
+            assert check.non_negative is (density >= -curvops.CLASSIFY_TOL * max(1.0, s * s))
+    assert min(agree.values()) > 100
+
+
+@pytest.mark.parametrize("name,s", [("fubiniStudy", 1e200), ("bergman", -1e200),
+                                    ("fubiniStudy", 1.7e308), ("bergman", -5e-324)])
+def test_kahler_identity_at_any_scale(name, s):
+    m = catalog(name, {"s": s})
+    assert m.flags.kahler
+    check = kahler_signature_check(m.decomposition)  # W- = 0: density |W+|^2 = s^2/24
+    assert check.non_negative and check.density == pytest.approx(s * s / 24.0, rel=1e-15)
+
+
+def test_kahler_density_with_dominant_w_minus():
+    # W+ and s near 1e-300 and W- near 1: the density is -|W-|^2, not -inf
+    W = np.diag([-1.0, -1.0, 2.0])
+    d = curvops.Decomposition(s=1e-300, w_plus=W * 1e-300, w_minus=W, ric_block=np.zeros((3, 3)),
+                              spectrum_plus=np.zeros(3), spectrum_minus=np.zeros(3))
+    check = kahler_signature_check(d)
+    assert check.density == -6.0 and not check.non_negative
+
+
+def test_round_sphere_not_kahler_at_any_scale():
+    # s^2 overflowed for r = 1e-100, and the unscaled test then passed
+    for r in (1e-100, 1e-10, 1.0):
+        assert not catalog("sphere4", {"r": r}).flags.kahler

@@ -7,6 +7,7 @@ from fourcurv import curvops
 from fourcurv.curvops import CoverClass, CurvatureSign, classify_equality
 from fourcurv.errors import BadParameterError, UnknownChartError, UnknownModelError
 from fourcurv.models import catalog, chart_for, chart_reference_operator, model_names
+from fourcurv.secsign import certify_sec_sign, curvature_sign_of
 
 
 def test_flat_model():
@@ -82,6 +83,17 @@ def test_nonsaturated_models_classify_not_saturated():
         m = catalog(name)
         got = classify_equality(m.decomposition, m.flags.sec_sign)
         assert got is CoverClass.NOT_SATURATED
+
+
+def test_sec_sign_flag_of_held_operator_matches_recomposed(rng):
+    # the flag certifies the catalog operator itself; rebuilding it from the
+    # decomposition first gave the same flag
+    for _ in range(120):
+        a, b = (float(x) for x in rng.normal(0.0, 2.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0))
+        m = catalog("surfaceProduct", {"a": a, "b": b})
+        assert not m.flags.einstein
+        rebuilt = curvops.recompose(m.decomposition, basis=curvops.SD_ASD)
+        assert m.flags.sec_sign is curvature_sign_of(certify_sec_sign(rebuilt))
 
 
 def test_unknown_model_and_bad_parameters():

@@ -188,7 +188,7 @@ def test_sphere_ansatz_constant_curvature():
 
 def test_direct_operator_input_hyperbolic_product():
     op = catalog("surfaceProduct", {"a": -1.0, "b": -1.0}).operator
-    min_w, _ = secsign.einstein_extreme_witnesses(op)
+    min_w, _ = secsign.einstein_extreme_witnesses(op, curvops.decompose(op))
     assert min_w.sec_value == pytest.approx(-1.0, abs=1e-12)
 
 

@@ -286,7 +286,7 @@ def test_certify_deterministic(rng):
 
 def test_einstein_extreme_witnesses():
     op = catalog("fubiniStudy").operator
-    min_w, max_w = einstein_extreme_witnesses(op)
+    min_w, max_w = einstein_extreme_witnesses(op, decompose(op))
     assert min_w.sec_value == pytest.approx(1.0, abs=1e-12)
     assert max_w.sec_value == pytest.approx(4.0, abs=1e-12)
 
