@@ -132,7 +132,8 @@ def _cmd_page(args) -> int:
 
 def _cmd_geo(args) -> int:
     if args.csv:
-        sys.stdout.write(geography.points_csv(Path(args.csv).read_text(encoding="utf-8")))
+        # "utf-8-sig" drops the byte-order mark that spreadsheet exports put first
+        sys.stdout.write(geography.points_csv(Path(args.csv).read_text(encoding="utf-8-sig")))
         return EXIT_OK
     if args.chi is None or args.tau is None:
         raise ValueError("geo needs --chi and --tau (or --csv batch input)")

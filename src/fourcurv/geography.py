@@ -18,7 +18,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 EINSTEIN_SLOPE = Fraction(15, 8)
 
@@ -26,18 +26,19 @@ CSV_HEADER = ("chi,tau,gromov_luck,einstein_nonpos_strict,bmy,"
               "bmy_equality,c1sq,both_orientations_complex")
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    chi: int
-    tau: int
+class GeoPoint(NamedTuple("GeoPoint", [("chi", int), ("tau", int)])):
+    """An integer (chi, tau) pair; the scan and the CSV reader, which make
+    their own ints, build it with ``tuple.__new__`` and skip this check."""
 
-    def __post_init__(self):
-        if not isinstance(self.chi, int) or not isinstance(self.tau, int):
+    __slots__ = ()
+
+    def __new__(cls, chi: int, tau: int):
+        if not isinstance(chi, int) or not isinstance(tau, int):
             raise TypeError("chi and tau are topological invariants: integers only")
+        return tuple.__new__(cls, (chi, tau))
 
 
-@dataclass(frozen=True)
-class GeoReport:
+class GeoReport(NamedTuple):
     gromov_luck: bool
     einstein_nonpos_strict: bool
     bmy: bool
@@ -58,15 +59,15 @@ class GeoReport:
 
 def report(p: GeoPoint) -> GeoReport:
     """All geography flags of an integer (chi, tau) pair, exactly."""
-    chi, tau = p.chi, p.tau
-    return GeoReport(
-        gromov_luck=chi >= abs(tau),
-        einstein_nonpos_strict=8 * chi > 15 * abs(tau),
-        bmy=chi >= 3 * tau,
-        bmy_equality=chi == 3 * tau,
-        c1sq=2 * chi + 3 * tau,
-        both_orientations_complex_possible=tau % 2 == 0,
-    )
+    chi, tau = p
+    return tuple.__new__(GeoReport, (
+        chi >= abs(tau),            # gromov_luck
+        8 * chi > 15 * abs(tau),    # einstein_nonpos_strict
+        chi >= 3 * tau,             # bmy
+        chi == 3 * tau,             # bmy_equality
+        2 * chi + 3 * tau,          # c1sq
+        tau % 2 == 0,               # both_orientations_complex_possible
+    ))
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def scan_rows(chi_max: int) -> Iterator[tuple[GeoPoint, GeoReport]]:
         raise ValueError("chi_max must be non-negative")
     for chi in range(chi_max + 1):
         for tau in range(-chi, chi + 1):
-            p = GeoPoint(chi, tau)
+            p = tuple.__new__(GeoPoint, (chi, tau))
             yield p, report(p)
 
 
@@ -126,10 +127,8 @@ def _csv(rows: Iterable[tuple[GeoPoint, GeoReport]]) -> str:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     b = _CSV_BOOL
-    for p, rep in rows:
-        out.write(f"{p.chi},{p.tau},{b[rep.gromov_luck]},{b[rep.einstein_nonpos_strict]},"
-                  f"{b[rep.bmy]},{b[rep.bmy_equality]},{rep.c1sq},"
-                  f"{b[rep.both_orientations_complex_possible]}\n")
+    for (chi, tau), (gl, ens, bmy, bmy_eq, c1sq, both) in rows:
+        out.write(f"{chi},{tau},{b[gl]},{b[ens]},{b[bmy]},{b[bmy_eq]},{c1sq},{b[both]}\n")
     return out.getvalue()
 
 
@@ -146,7 +145,7 @@ def _point_rows(text: str) -> Iterator[tuple[GeoPoint, GeoReport]]:
         if len(row) < 2:
             raise ValueError(f"line {reader.line_num}: expected chi,tau, found one field")
         try:
-            p = GeoPoint(int(row[0]), int(row[1]))
+            p = tuple.__new__(GeoPoint, (int(row[0]), int(row[1])))
         except ValueError:
             raise ValueError(f"line {reader.line_num}: chi and tau must be integers, "
                              f"got {row[0]!r}, {row[1]!r}") from None

@@ -40,6 +40,26 @@ def test_geo_ball_quotient(capsys):
     assert data["latticeObstruction"]["tauValue"] == "16/7"
 
 
+def test_geo_point_output_bytes(capsys):
+    # the JSON and the human report of one pair are a stable external contract
+    _, out, _ = run_cli(capsys, "geo", "--chi", "3", "--tau", "1", "--json")
+    assert out == (
+        '{"chi": 3, "tau": 1, "gromovLuck": true, "einsteinNonPosStrict": true, "bmy": true, '
+        '"bmyEquality": true, "c1sq": 9, "bothOrientationsComplexPossible": false, '
+        '"latticeObstruction": {"applicable": true, "tauValue": "16/7", "chiValue": "30/7", '
+        '"integral": false}, "convention": {"twoFormBasis": ["e1^e2", "e1^e3", "e1^e4", '
+        '"e2^e3", "e2^e4", "e3^e4"], "selfDualPairs": "(e1^e2 +/- e3^e4), (e1^e3 -/+ e2^e4), '
+        '(e1^e4 +/- e2^e3), over sqrt(2)", "sec": "sec(X,Y) = <R(X^Y), X^Y> / |X^Y|^2; '
+        'identity operator = unit round 4-sphere", "qForm": "q(psi+, psi-) = '
+        '<psi+ + psi-, R(psi+ + psi-)> = 2 * sec of the induced plane"}}\n')
+    _, out, _ = run_cli(capsys, "geo", "--chi", "3", "--tau", "1", "--format", "human")
+    assert out == (
+        "chi: 3\ntau: 1\ngromovLuck: True\neinsteinNonPosStrict: True\nbmy: True\n"
+        "bmyEquality: True\nc1sq: 9\nbothOrientationsComplexPossible: False\n"
+        "latticeObstruction: {'applicable': True, 'tauValue': '16/7', 'chiValue': '30/7', "
+        "'integral': False}\n")
+
+
 def test_certify_not_symmetric_exit_1(tmp_path, capsys):
     M = np.eye(6)
     M[0, 1] = 0.5
@@ -246,6 +266,18 @@ def test_geo_csv_batch(tmp_path, capsys):
     _, geo, _ = run_cli(capsys, "geo", "--csv", str(src))
     _, scan, _ = run_cli(capsys, "scan", "--chi-max", "3")
     assert geo == scan
+
+
+@pytest.mark.parametrize("text", ["chi,tau\n3,1\n15,8\n", "3,1\n15,8\n"])
+def test_geo_csv_byte_order_mark(tmp_path, capsys, text):
+    # a "CSV UTF-8" export starts with U+FEFF, before a header or a first data row
+    src = tmp_path / "points.csv"
+    src.write_text(text, encoding="utf-8")
+    _, plain, _ = run_cli(capsys, "geo", "--csv", str(src))
+    src.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    code, out, err = run_cli(capsys, "geo", "--csv", str(src))
+    assert (code, err) == (0, "")
+    assert out == plain and out.count("\n") == 3
 
 
 @pytest.mark.parametrize("text, message", [

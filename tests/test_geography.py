@@ -1,12 +1,15 @@
 """Exact lattice arithmetic tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from fourcurv import geography
 from fourcurv.geography import (
     CSV_HEADER,
     GeoPoint,
+    points_csv,
     report,
     scan_csv,
     scan_rows,
@@ -105,6 +108,91 @@ def test_scan_csv_deterministic():
     assert len(lines) - 1 == sum(2 * chi + 1 for chi in range(7))
 
 
-def test_geopoint_integrality():
+@pytest.mark.parametrize("chi, tau", [(1.5, 0), ("3", 1), (3, None)])
+def test_geopoint_integrality(chi, tau):
     with pytest.raises(TypeError):
-        GeoPoint(1.5, 0)
+        GeoPoint(chi, tau)
+
+
+def test_records_are_immutable():
+    p = GeoPoint(3, 1)
+    rep = report(p)
+    for record, field in ((p, "chi"), (p, "tau"), (rep, "bmy"), (rep, "c1sq")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert (p.chi, p.tau) == (3, 1) and rep.c1sq == 9
+
+
+def test_report_to_dict_contract():
+    d = report(GeoPoint(3, 1)).to_dict()
+    assert [(k, type(v), v) for k, v in d.items()] == [
+        ("gromovLuck", bool, True), ("einsteinNonPosStrict", bool, True), ("bmy", bool, True),
+        ("bmyEquality", bool, True), ("c1sq", int, 9),
+        ("bothOrientationsComplexPossible", bool, False)]
+
+
+def _row_reference(p, rep):
+    """The per-field CSV row formatter, reading each record by field name:
+    the byte reference for both CSV writers."""
+    b = ("false", "true")
+    return (f"{p.chi},{p.tau},{b[rep.gromov_luck]},{b[rep.einstein_nonpos_strict]},"
+            f"{b[rep.bmy]},{b[rep.bmy_equality]},{rep.c1sq},"
+            f"{b[rep.both_orientations_complex_possible]}\n")
+
+
+def _csv_reference(pairs):
+    return CSV_HEADER + "\n" + "".join(
+        _row_reference(GeoPoint(c, t), report(GeoPoint(c, t))) for c, t in pairs)
+
+
+def _boundary_pairs(seed):
+    """Points on and beside every line the flags test, at small and huge scale."""
+    rng = random.Random(seed)
+    pairs = []
+    for scale in (1, 10**3, 2**64, 10**30):
+        for _ in range(25):
+            k = rng.randrange(scale, 2 * scale + 40)
+            for chi, tau in ((k, k), (k, -k), (k - 1, k), (15 * k, 8 * k), (3 * k, k),
+                             (3 * k - 1, k), (2 * k, k - 1)):
+                for d in (-1, 0, 1):  # the line itself and its neighbours
+                    pairs += [(chi + d, tau), (chi + d, -tau), (-chi - d, tau)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_scan_csv_matches_row_reference():
+    for n in range(61):
+        want = _csv_reference((c, t) for c in range(n + 1) for t in range(-c, c + 1))
+        assert scan_csv(n) == want
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_points_csv_matches_row_reference(seed):
+    pairs = _boundary_pairs(seed)
+    assert {tau % 2 for _, tau in pairs} == {0, 1}
+    assert max(abs(c) for c, _ in pairs) > 2**64 and max(abs(t) for _, t in pairs) > 2**64
+    text = "chi,tau\n" + "".join(f"{c},{t}\n" for c, t in pairs)
+    assert points_csv(text) == _csv_reference(pairs)
+    for chi, tau in pairs:  # the flags against their definitions, in exact rationals
+        rep = report(GeoPoint(chi, tau))
+        assert rep.gromov_luck == (chi >= abs(tau))
+        assert rep.einstein_nonpos_strict == (Fraction(chi) > Fraction(15, 8) * abs(tau))
+        assert rep.bmy == (Fraction(chi, 3) >= tau) and rep.bmy_equality == (Fraction(chi, 3) == tau)
+
+
+def test_every_row_goes_through_report(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append((p.chi, p.tau))
+        return report(p)
+
+    monkeypatch.setattr(geography, "report", counting)
+    for n in (0, 1, 7):
+        calls.clear()
+        rows = scan_csv(n).splitlines()[1:]
+        assert len(calls) == len(rows) == (n + 1) ** 2
+    pairs = _boundary_pairs(5)[:200]
+    calls.clear()
+    rows = points_csv("chi,tau\n" + "".join(f"{c},{t}\n" for c, t in pairs)).splitlines()[1:]
+    assert calls == pairs and len(rows) == len(pairs)
