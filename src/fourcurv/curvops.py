@@ -255,18 +255,19 @@ def two_form_from_frame_components(plus, minus) -> TwoForm:
 
 @dataclass(frozen=True, eq=False)
 class CurvatureOperator:
-    """Symmetric 6x6 curvature operator with a basis convention tag.
+    """Symmetric 6x6 curvature operator with a basis convention tag and an
+    absolute bound ``err`` on the error of its entries (0 for exact input).
 
     Construction validates admissibility: every entry must be finite (also
     in the SD/ASD frame), and the symmetry defect ``max|R - R^T|`` and the
     first-Bianchi defect (trace of the SD diagonal block minus trace of the
-    ASD diagonal block) must both lie within ``tol * max(1, max|R|)``, so
-    the test is absolute up to unit entries and relative beyond.
+    ASD diagonal block) must both lie within ``max(STRUCTURAL_TOL, 10 err)
+    * max(1, max|R|)``: absolute up to unit entries and relative beyond.
     """
 
     matrix: np.ndarray
     basis: str = COORDINATE
-    tol: float = STRUCTURAL_TOL
+    err: float = 0.0
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=float)
@@ -282,7 +283,7 @@ class CurvatureOperator:
         if not np.isfinite(S).all():
             raise NotAdmissibleError(
                 f"operator entries up to {np.abs(M).max():.3e} overflow in the SD/ASD frame")
-        tol = float(self.tol) * max(1.0, float(np.abs(M).max()))
+        tol = max(STRUCTURAL_TOL, 10.0 * self.err) * max(1.0, float(np.abs(M).max()))
         sym_defect = float(np.abs(M - M.T).max())
         if not sym_defect <= tol:
             raise NotSymmetricError(
@@ -338,7 +339,9 @@ class Decomposition:
 
     ``s`` is the scalar curvature, ``w_plus``/``w_minus`` the traceless
     Weyl halves acting on the SD/ASD frames, ``ric_block`` the off-diagonal
-    traceless-Ricci block, and the spectra are sorted ascending.
+    traceless-Ricci block, and the spectra are sorted ascending.  ``err``,
+    the operator's error bound, widens :meth:`is_einstein`; it is not
+    serialized.
     """
 
     s: float
@@ -347,6 +350,7 @@ class Decomposition:
     ric_block: np.ndarray
     spectrum_plus: np.ndarray
     spectrum_minus: np.ndarray
+    err: float = 0.0
 
     def __post_init__(self):
         for name in ("w_plus", "w_minus", "ric_block", "spectrum_plus", "spectrum_minus"):
@@ -366,8 +370,19 @@ class Decomposition:
         """Frobenius norm of the traceless-Ricci block over max(1, |s|)."""
         return _norm(self.ric_block) / max(1.0, abs(self.s))
 
-    def is_einstein(self, tol: float = CLASSIFY_TOL) -> bool:
-        return self.einstein_residual() <= tol
+    def is_einstein(self) -> bool:
+        """The residual within ``max(CLASSIFY_TOL, 20 err)``."""
+        return self.einstein_residual() <= max(CLASSIFY_TOL, 20.0 * self.err)
+
+    def require_einstein(self) -> None:
+        """Raise :class:`NotEinsteinError` unless :meth:`is_einstein`."""
+        if not self.is_einstein():
+            r = self.einstein_residual()
+            raise NotEinsteinError(f"needs an Einstein operator; residual {r:.3e}", residual=r)
+
+    def classify_tol(self) -> float:
+        """``CLASSIFY_TOL * max(1, |s|)``, the bound of the spectral tests."""
+        return CLASSIFY_TOL * max(1.0, abs(self.s))
 
     def is_kahler(self) -> bool:
         """The Kahler identity |W+|^2 = s^2/24, to within
@@ -384,6 +399,7 @@ class Decomposition:
             ric_block=self.ric_block.T,
             spectrum_plus=self.spectrum_minus,
             spectrum_minus=self.spectrum_plus,
+            err=self.err,
         )
 
     def to_dict(self) -> dict:
@@ -420,6 +436,7 @@ def decompose(op: CurvatureOperator) -> Decomposition:
         ric_block=B,
         spectrum_plus=spectra[0],
         spectrum_minus=spectra[1],
+        err=op.err,
     )
 
 
@@ -444,7 +461,7 @@ def recompose(d: Decomposition, basis: str = COORDINATE) -> CurvatureOperator:
         M[3:, 3:] = C
     else:
         M = _block_assemble(A, d.ric_block, C)
-    return CurvatureOperator(M, basis=basis)
+    return CurvatureOperator(M, basis=basis, err=d.err)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +491,7 @@ class GLReport:
 
 
 def _multiplicities_hold(d: Decomposition, branch: EqualityBranch) -> bool:
-    tol = CLASSIFY_TOL * max(1.0, abs(d.s))
+    tol = d.classify_tol()
     lp, mp, vp = d.spectrum_plus
     lm, mm, vm = d.spectrum_minus
     if branch is EqualityBranch.NON_POSITIVE:
@@ -499,8 +516,8 @@ def gl_defect(d: Decomposition) -> GLReport:
     branch-specific doubled eigenvalues, with the branch chosen by the sign
     of the scalar curvature.  The cover class is the saturation model the
     operator is pointwise consistent with, and is only assigned to Einstein
-    inputs.  All tests use ``CLASSIFY_TOL``, relative to ``max(1, |s|)``
-    except the absolute flatness test.
+    inputs (:meth:`Decomposition.is_einstein`).  The other tests use
+    :meth:`Decomposition.classify_tol` except the absolute flatness test.
     """
     nwp = d.norm_w_plus()
     nwm = d.norm_w_minus()
@@ -509,7 +526,7 @@ def gl_defect(d: Decomposition) -> GLReport:
     branch = EqualityBranch.NONE
     saturated = False
     cover = CoverClass.NOT_SATURATED
-    if abs(defect) <= CLASSIFY_TOL * max(1.0, abs(d.s)):
+    if abs(defect) <= d.classify_tol():
         if _is_flat(d):
             saturated = True
             cover = CoverClass.FLAT if d.is_einstein() else CoverClass.NOT_SATURATED
@@ -546,11 +563,7 @@ def classify_equality(d: Decomposition, curvature_sign: CurvatureSign) -> CoverC
     non-Einstein input and :class:`IndefiniteSignError` when the sign is
     indefinite.
     """
-    if not d.is_einstein():
-        raise NotEinsteinError(
-            f"traceless-Ricci residual {d.einstein_residual():.3e} exceeds {CLASSIFY_TOL:.1e}",
-            residual=d.einstein_residual(),
-        )
+    d.require_einstein()
     if curvature_sign is CurvatureSign.INDEFINITE:
         raise IndefiniteSignError(
             "equality classification requires semi-definite sectional curvature"
@@ -589,7 +602,7 @@ class CharDensities:
         }
 
 
-def char_densities(d: Decomposition, tol: float = CLASSIFY_TOL) -> CharDensities:
+def char_densities(d: Decomposition) -> CharDensities:
     """Chern-Gauss-Bonnet and signature densities of an Einstein operator.
 
         euler     = (|W+|^2 + |W-|^2 + s^2/24) / (8 pi^2)
@@ -599,14 +612,11 @@ def char_densities(d: Decomposition, tol: float = CLASSIFY_TOL) -> CharDensities
     exact whenever the inputs are: every float is n / 2^k, so the sums are
     Python integers over the common denominator 4^K (K the largest k), and
     the floats are their correctly rounded integer quotients, the same
-    values ``float(Fraction)`` gives.  Restricted to Einstein operators: the
-    general traceless-Ricci correction is out of scope here.
+    values ``float(Fraction)`` gives.  Restricted to operators Einstein
+    within their own error (:meth:`Decomposition.is_einstein`): the general
+    traceless-Ricci correction is out of scope here.
     """
-    if not d.is_einstein(tol):
-        raise NotEinsteinError(
-            f"densities need an Einstein operator; residual {d.einstein_residual():.3e}",
-            residual=d.einstein_residual(),
-        )
+    d.require_einstein()
     entries = d.w_plus.ravel().tolist() + d.w_minus.ravel().tolist() + [float(d.s)]
     ratios = [x.as_integer_ratio() for x in entries]
     K = max(den for _, den in ratios).bit_length() - 1

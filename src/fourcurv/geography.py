@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -122,13 +124,24 @@ def scan_rows(chi_max: int) -> Iterator[tuple[GeoPoint, GeoReport]]:
 _CSV_BOOL = ("false", "true")
 
 
-def _csv(rows: Iterable[tuple[GeoPoint, GeoReport]]) -> str:
-    """The CSV table of flag rows: one formatter for every CSV writer."""
+def _digit_limit(what: str) -> str:
+    # the interpreter refuses longer int <-> str conversions, which take quadratic time
+    return (f"{what} more than {sys.get_int_max_str_digits()} digits, the limit of "
+            "sys.get_int_max_str_digits()")
+
+
+def _csv(rows: Iterable[tuple[GeoPoint, GeoReport]], reader=None) -> str:
+    """The CSV table of flag rows: one formatter for every CSV writer.  The
+    csv ``reader`` the rows come from, if any, names the line of an error."""
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     b = _CSV_BOOL
     for (chi, tau), (gl, ens, bmy, bmy_eq, c1sq, both) in rows:
-        out.write(f"{chi},{tau},{b[gl]},{b[ens]},{b[bmy]},{b[bmy_eq]},{c1sq},{b[both]}\n")
+        try:
+            out.write(f"{chi},{tau},{b[gl]},{b[ens]},{b[bmy]},{b[bmy_eq]},{c1sq},{b[both]}\n")
+        except ValueError:  # chi and tau were read under the limit; c1sq can pass it
+            where = "" if reader is None else f"line {reader.line_num}: "
+            raise ValueError(where + _digit_limit("c1sq = 2 chi + 3 tau has")) from None
     return out.getvalue()
 
 
@@ -137,17 +150,21 @@ def scan_csv(chi_max: int) -> str:
     return _csv(scan_rows(chi_max))
 
 
-def _point_rows(text: str) -> Iterator[tuple[GeoPoint, GeoReport]]:
-    reader = csv.reader(io.StringIO(text))
-    for row in reader:
-        if not row or row[0].strip().lower() == "chi":
-            continue
+def _point_rows(reader) -> Iterator[tuple[GeoPoint, GeoReport]]:
+    rows = filter(None, reader)  # blank rows are skipped
+    first = next(rows, None)
+    if first is not None and first[0].strip().lower() != "chi":  # not a header
+        rows = itertools.chain((first,), rows)
+    for row in rows:
         if len(row) < 2:
             raise ValueError(f"line {reader.line_num}: expected chi,tau, found one field")
         try:
             p = tuple.__new__(GeoPoint, (int(row[0]), int(row[1])))
         except ValueError:
-            raise ValueError(f"line {reader.line_num}: chi and tau must be integers, "
+            where = f"line {reader.line_num}: "
+            if max(len(row[0]), len(row[1])) > sys.get_int_max_str_digits():
+                raise ValueError(where + _digit_limit("chi or tau has")) from None
+            raise ValueError(f"{where}chi and tau must be integers, "
                              f"got {row[0]!r}, {row[1]!r}") from None
         yield p, report(p)
 
@@ -155,8 +172,10 @@ def _point_rows(text: str) -> Iterator[tuple[GeoPoint, GeoReport]]:
 def points_csv(text: str) -> str:
     """Flags of each ``chi,tau`` row of a CSV text, as the scan's CSV table.
 
-    Blank rows and a header row starting with ``chi`` are skipped; a row
-    with fewer than two fields or a non-integer field raises ``ValueError``
-    naming its line.
+    Blank rows are skipped, and so is a header: the first non-blank row if
+    its first field is ``chi``.  Any other row with fewer than two fields,
+    a non-integer field or an integer past ``sys.get_int_max_str_digits()``
+    (also in c1sq) raises ``ValueError`` naming its line.
     """
-    return _csv(_point_rows(text))
+    reader = csv.reader(io.StringIO(text))
+    return _csv(_point_rows(reader), reader)

@@ -116,7 +116,7 @@ def _sec_sign_flag(op: CurvatureOperator, d: Decomposition) -> CurvatureSign:
     if not d.is_einstein():
         return secsign.curvature_sign_of(secsign.certify_sec_sign(op))
     sec_min, sec_max = secsign.einstein_sec_range(d)
-    tol = curvops.CLASSIFY_TOL * max(1.0, abs(d.s))
+    tol = d.classify_tol()
     if abs(sec_min) <= tol and abs(sec_max) <= tol:
         return CurvatureSign.ZERO
     if sec_min >= -tol:

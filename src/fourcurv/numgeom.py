@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .curvops import COORDINATE, PAIRS, STRUCTURAL_TOL, CurvatureOperator
+from .curvops import COORDINATE, PAIRS, CurvatureOperator
 from .errors import (
     BadIntervalError,
     OutsideDomainError,
@@ -238,9 +238,9 @@ def curvature_at(chart: MetricChart, points, step=None):
     at steps ``h`` and ``h/2`` and emits the ``h/2`` result;
     ``error_estimate`` bounds its error by the Richardson difference of the
     pair (with a safety factor of two), the roundoff of the metric values
-    amplified by the stencil and the frame, and a machine-noise floor.  Each
-    point must be interior with margin at least ``2 * step`` in every
-    coordinate.
+    amplified by the stencil and the frame, and a machine-noise floor; the
+    operator carries it as its ``err``.  Each point must be interior with
+    margin at least ``2 * step`` in every coordinate.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 4:
@@ -270,8 +270,7 @@ def curvature_at(chart: MetricChart, points, step=None):
                     / np.maximum(1.0, np.abs(s)))
         out.extend(
             PointCurvature(
-                operator=CurvatureOperator(op[k], basis=COORDINATE,
-                                           tol=max(STRUCTURAL_TOL, 10.0 * err[k])),
+                operator=CurvatureOperator(op[k], basis=COORDINATE, err=float(err[k])),
                 ricci=ric[k],
                 einstein_residual=float(residual[k]),
                 step_used=float(hb[k] / 2.0),

@@ -289,8 +289,7 @@ def certify_negative_curvature(m: CohomOneMetric,
         report = curvops.gl_defect(d)
         defect_lo = min(defect_lo, report.defect)
         defect_hi = max(defect_hi, report.defect)
-        min_w, _ = secsign.einstein_extreme_witnesses(
-            pc.operator, d, tol=max(curvops.CLASSIFY_TOL, 20.0 * pc.error_estimate))
+        min_w, _ = secsign.einstein_extreme_witnesses(pc.operator, d)
         orbits.append((float(r), min_w, pc.error_estimate))
     lowest = min(w.sec_value for _, w, _ in orbits)
     radius, witness, _ = min((o for o in orbits if o[1].sec_value - lowest <= o[2]),
@@ -327,8 +326,7 @@ def _char_integrals(m: CohomOneMetric, nodes: int, flip: bool) -> tuple[float, f
     densities = {}
     for r, pc in zip(radii, orbit_curvature(m, radii)):
         d = curvops.decompose(pc.operator)
-        cd = curvops.char_densities(
-            d, tol=max(curvops.CLASSIFY_TOL, 20.0 * pc.error_estimate))
+        cd = curvops.char_densities(d)
         densities[r] = (cd.euler_density, cd.signature_density)
     chi = numgeom.orbit_quadrature(
         lambda r: densities[r][0], m.orbit_volume, interval, nodes)

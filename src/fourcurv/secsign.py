@@ -43,7 +43,7 @@ from .curvops import (
     sd_frame_components,
     two_form_from_frame_components,
 )
-from .errors import DegeneratePlaneError, NotEinsteinError, NotUnitError
+from .errors import DegeneratePlaneError, NotUnitError
 
 UNIT_TOL = 1e-9
 
@@ -174,11 +174,7 @@ def einstein_sec_range(d: Decomposition) -> tuple[float, float]:
     with the extreme eigenvalues of the Weyl halves; no optimization is
     involved.
     """
-    if not d.is_einstein():
-        raise NotEinsteinError(
-            f"exact range needs an Einstein operator; residual {d.einstein_residual():.3e}",
-            residual=d.einstein_residual(),
-        )
+    d.require_einstein()
     sec_max = d.s / 12.0 + (d.spectrum_plus[2] + d.spectrum_minus[2]) / 2.0
     sec_min = d.s / 12.0 + (d.spectrum_plus[0] + d.spectrum_minus[0]) / 2.0
     return float(sec_min), float(sec_max)
@@ -377,8 +373,8 @@ def _verdict(q_max_lower, q_max_upper, q_min_lower, q_min_upper, tol) -> Verdict
     return Verdict.INCONCLUSIVE
 
 
-def einstein_extreme_witnesses(op: CurvatureOperator, d: Decomposition,
-                               tol: float = CLASSIFY_TOL) -> tuple[PlaneWitness, PlaneWitness]:
+def einstein_extreme_witnesses(op: CurvatureOperator,
+                               d: Decomposition) -> tuple[PlaneWitness, PlaneWitness]:
     """(min, max) sectional-curvature witnesses of an Einstein operator.
 
     ``d`` is the decomposition of ``op``, which the caller already holds.
@@ -386,12 +382,7 @@ def einstein_extreme_witnesses(op: CurvatureOperator, d: Decomposition,
     extreme eigenvectors of the two Weyl halves; their q is evaluated on
     ``op`` itself.
     """
-    if not d.is_einstein(tol):
-        raise NotEinsteinError(
-            f"witness extraction needs an Einstein operator; residual "
-            f"{d.einstein_residual():.3e}",
-            residual=d.einstein_residual(),
-        )
+    d.require_einstein()
     _, vec_p = np.linalg.eigh(d.w_plus)
     _, vec_m = np.linalg.eigh(d.w_minus)
     lo_u, lo_v = _canonical(vec_p[:, 0], vec_m[:, 0])

@@ -56,10 +56,10 @@ def assemble_einstein(s: float, w_plus: np.ndarray, w_minus: np.ndarray,
     M = np.zeros((6, 6))
     M[:3, :3] = w_plus + (s / 12.0) * np.eye(3)
     M[3:, 3:] = w_minus + (s / 12.0) * np.eye(3)
-    op = CurvatureOperator(M, basis=SD_ASD, tol=1e-8)
+    op = CurvatureOperator(M, basis=SD_ASD)
     if basis == SD_ASD:
         return op
-    return CurvatureOperator(op.in_coordinate_basis(), basis="coordinate", tol=1e-8)
+    return CurvatureOperator(op.in_coordinate_basis(), basis="coordinate")
 
 
 def random_einstein_operator(rng: np.random.Generator, scale: float = 1.0) -> CurvatureOperator:

@@ -1,6 +1,7 @@
 """CLI behavior: output shape, exit codes, and byte-level determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -291,6 +292,30 @@ def test_geo_csv_bad_row_exit_1(tmp_path, capsys, text, message):
     assert code == 1
     assert out == ""
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_geo_csv_later_chi_row_is_not_a_header(tmp_path, capsys):
+    # only the first non-blank row can be a header; a later one is a bad row
+    src = tmp_path / "points.csv"
+    src.write_text("chi,tau\n3,1\nCHI,x\n4,2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "geo", "--csv", str(src))
+    assert (code, out) == (1, "")
+    assert "line 3: chi and tau must be integers" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1" + "0" * 5000 + ",1", "line 2: chi or tau has more than"),  # past the limit itself
+    ("9" * sys.get_int_max_str_digits() + "," + "9" * sys.get_int_max_str_digits(),
+     "line 2: c1sq = 2 chi + 3 tau has more than"),  # c1sq has one digit more
+], ids=["chi", "c1sq"])
+def test_geo_csv_integer_past_digit_limit_exit_1(tmp_path, capsys, row, message):
+    src = tmp_path / "points.csv"
+    src.write_text(f"chi,tau\n{row}\n3,1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "geo", "--csv", str(src))
+    assert (code, out) == (1, "")
+    assert message in err and f"{sys.get_int_max_str_digits()} digits" in err
+    assert "sys.get_int_max_str_digits()" in err
+    assert len(err.strip().splitlines()) == 1 and len(err) < 200  # the field is not echoed
 
 
 def test_unknown_flag_rejected(capsys):

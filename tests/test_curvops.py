@@ -46,7 +46,7 @@ from fourcurv.errors import (
     ToleranceTooTightError,
 )
 from fourcurv.models import catalog, model_names
-from fourcurv.secsign import certify_sec_sign
+from fourcurv.secsign import certify_sec_sign, einstein_extreme_witnesses, einstein_sec_range
 
 SQ6 = math.sqrt(6.0)
 
@@ -344,6 +344,83 @@ def test_recompose_rejects_bad_blocks():
 
 
 # ---------------------------------------------------------------------------
+# the carried error bound
+# ---------------------------------------------------------------------------
+
+def _with_err(op, err):
+    return CurvatureOperator(op.matrix, basis=op.basis, err=err)
+
+
+def test_err_survives_decompose_flip_and_recompose(rng):
+    for basis in (COORDINATE, SD_ASD):
+        for _ in range(10):
+            err = float(10.0 ** rng.uniform(-12.0, -4.0))
+            d = decompose(_with_err(random_admissible_operator(rng, basis=basis), err))
+            assert d.err == err and d.orientation_flipped().err == err
+            for out in (COORDINATE, SD_ASD):
+                assert recompose(d, basis=out).err == err
+            assert "err" not in d.to_dict()
+    assert decompose(CurvatureOperator(np.eye(6))).err == 0.0
+
+
+def _einstein_guards(op, d):
+    """The four operations that refuse non-Einstein input."""
+    return (lambda: char_densities(d),
+            lambda: classify_equality(d, CurvatureSign.NON_NEGATIVE),
+            lambda: einstein_sec_range(d),
+            lambda: einstein_extreme_witnesses(op, d))
+
+
+def test_einstein_guards_widen_by_err(rng):
+    # a Ricci block with residual between CLASSIFY_TOL and 20 err: refused
+    # exactly, accepted once the operator carries err
+    for _ in range(20):
+        scale = float(10.0 ** rng.uniform(-3.0, 3.0))
+        exact = random_einstein_operator(rng, scale)
+        err = float(10.0 ** rng.uniform(-7.0, -4.0))
+        residual = float(np.exp(rng.uniform(np.log(2.0 * curvops.CLASSIFY_TOL),
+                                            np.log(10.0 * err))))
+        d0 = decompose(exact)
+        B = rng.standard_normal((3, 3))
+        B *= residual * max(1.0, abs(d0.s)) / np.linalg.norm(B)
+        M = exact.in_sd_asd_basis()
+        M[:3, 3:], M[3:, :3] = B, B.T
+        for basis in (COORDINATE, SD_ASD):
+            op = CurvatureOperator(M, basis=SD_ASD)
+            if basis == COORDINATE:
+                op = CurvatureOperator(op.in_coordinate_basis())
+            d = decompose(op)
+            assert curvops.CLASSIFY_TOL < d.einstein_residual() <= 20.0 * err
+            assert not d.is_einstein()
+            for guard in _einstein_guards(op, d):
+                with pytest.raises(NotEinsteinError) as info:
+                    guard()
+                assert info.value.residual == d.einstein_residual()
+            op = _with_err(op, err)
+            d = decompose(op)
+            assert d.is_einstein()
+            for guard in _einstein_guards(op, d):
+                guard()
+
+
+def test_admissibility_widens_by_err(rng):
+    # a Bianchi or symmetry defect between STRUCTURAL_TOL and 10 err (relative
+    # to max(1, max|R|)): refused exactly, accepted once the operator carries err
+    for _ in range(20):
+        M = random_admissible_operator(rng, float(10.0 ** rng.uniform(-3.0, 3.0))).in_sd_asd_basis()
+        err = float(10.0 ** rng.uniform(-8.0, -4.0))
+        defect = float(np.sqrt(10.0 * err * curvops.STRUCTURAL_TOL)) * max(1.0, np.abs(M).max())
+        bianchi = M.copy()
+        bianchi[0, 0] += defect
+        skew = M.copy()
+        skew[0, 1] += defect
+        for bad, error in ((bianchi, BianchiViolationError), (skew, NotSymmetricError)):
+            with pytest.raises(error):
+                CurvatureOperator(bad, basis=SD_ASD)
+            assert CurvatureOperator(bad, basis=SD_ASD, err=err).err == err
+
+
+# ---------------------------------------------------------------------------
 # the pointwise Weyl bound
 # ---------------------------------------------------------------------------
 
@@ -492,7 +569,7 @@ def test_classify_rejects_indefinite():
 
 def _classify_equality_reference(d, curvature_sign, tol=curvops.CLASSIFY_TOL):
     """classify_equality with its own defect and multiplicity tests."""
-    if not d.is_einstein(tol):
+    if not d.einstein_residual() <= tol:
         raise NotEinsteinError("not Einstein")
     if curvature_sign is CurvatureSign.INDEFINITE:
         raise IndefiniteSignError("indefinite")
