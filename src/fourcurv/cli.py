@@ -15,6 +15,11 @@ Subcommands:
 
 Exit codes: 0 success; 1 input or validation error; 2 numerical failure or
 an Inconclusive certification.  Reports go to stdout, diagnostics to stderr.
+
+At module level this imports only the standard library and the numpy-free
+modules (``errors``, ``geography``, ``jsonio``, ``names``), so ``geo``,
+``scan``, help and argument errors never load numpy.  Each numerical handler
+imports what it uses when it runs, and calls through the module attribute.
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, curvops, geography, jsonio, models, numgeom, page, secsign
+from . import __version__, geography, jsonio
 from .errors import FourcurvError, NonConvergentError, NotEinsteinError
+from .names import chart_names, model_names
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -43,15 +47,31 @@ def _parse_params(pairs: list[str] | None) -> dict[str, float]:
     return params
 
 
+def _int_option(option: str):
+    """argparse type: ``int``, except that an integer past the interpreter's digit
+    limit exits 1 with one line naming ``option``, without echoing the digits."""
+    def parse(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError as exc:
+            # argparse exits 2 on a ValueError; a FourcurvError passes through to main
+            if "Exceeds the limit" in str(exc):  # the interpreter's digit-limit error
+                raise FourcurvError(geography._digit_limit(f"argument {option} has")) from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return parse
+
+
 def _print_report(data: dict, human: bool) -> None:
+    # formatted whole before it is written, so an error leaves no partial report
     if human:
-        for key, value in data.items():
-            print(f"{key}: {value}")
+        sys.stdout.write("".join(f"{key}: {value}\n" for key, value in data.items()))
     else:
         sys.stdout.write(jsonio.dumps(data))
 
 
 def _cmd_decompose(args) -> int:
+    from . import curvops
+
     op = jsonio.load_operator(args.input)
     d = curvops.decompose(op)
     out = {"decomposition": d.to_dict(), "glReport": curvops.gl_defect(d).to_dict()}
@@ -64,6 +84,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import secsign
+
     op = jsonio.load_operator(args.input)
     cert = secsign.certify_sec_sign(op, tolerance=args.tolerance)
     _print_report(cert.to_dict(), args.format == "human")
@@ -73,39 +95,40 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    from . import models
+
     model = models.catalog(args.name, _parse_params(args.param))
     _print_report(model.to_dict(), args.format == "human")
     return EXIT_OK
 
 
 def _cmd_chart(args) -> int:
+    import numpy as np
+
+    from . import models, numgeom
+
     chart = models.chart_for(args.name, _parse_params(args.param))
+    if args.point:
+        point = np.array([float(p) for p in args.point.split(",")])
+        if len(point) != 4:
+            raise ValueError("--point needs exactly 4 comma-separated coordinates")
+    elif args.study:
+        point = np.array([0.5 * (lo + hi) for lo, hi in chart.domain])
+    else:
+        raise ValueError("chart evaluation needs --point x1,x2,x3,x4")
     if args.study:
-        point = _parse_point(args.point) if args.point else _chart_default_point(chart)
         steps = [float(s) for s in args.steps.split(",")]
         study = numgeom.convergence_study(chart, point, steps)
         _print_report(study.to_dict(), args.format == "human")
         return EXIT_OK
-    if not args.point:
-        raise ValueError("chart evaluation needs --point x1,x2,x3,x4")
-    point = _parse_point(args.point)
     pc = numgeom.curvature_at(chart, point, step=args.step)
     _print_report(pc.to_dict(), args.format == "human")
     return EXIT_OK
 
 
-def _parse_point(text: str) -> np.ndarray:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("--point needs exactly 4 comma-separated coordinates")
-    return np.array(parts)
-
-
-def _chart_default_point(chart: numgeom.MetricChart) -> np.ndarray:
-    return np.array([0.5 * (lo + hi) for lo, hi in chart.domain])
-
-
 def _cmd_page(args) -> int:
+    from . import page
+
     if args.radii < 1:
         raise ValueError(f"--radii must be a positive integer, got {args.radii}")
     m = page.page_metric()
@@ -141,7 +164,10 @@ def _cmd_geo(args) -> int:
     out = {"chi": p.chi, "tau": p.tau}
     out.update(geography.report(p).to_dict())
     out["latticeObstruction"] = geography.self_dual_lattice_obstruction(True).to_dict()
-    _print_report(out, args.format == "human")
+    try:
+        _print_report(out, args.format == "human")
+    except ValueError:  # chi and tau were read under the digit limit; c1sq can pass it
+        raise ValueError(geography._digit_limit("c1sq = 2 chi + 3 tau has")) from None
     return EXIT_OK
 
 
@@ -177,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("model", help="emit a catalog model operator")
-    p.add_argument("name", choices=models.model_names())
+    p.add_argument("name", choices=model_names())
     p.add_argument("--param", action="append", metavar="K=V")
     add_format(p)
     p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("chart", help="finite-difference curvature of an analytic chart")
-    p.add_argument("name", choices=models.chart_names())
+    p.add_argument("name", choices=chart_names())
     p.add_argument("--param", action="append", metavar="K=V")
     p.add_argument("--point", help="x1,x2,x3,x4")
     p.add_argument("--step", type=float, default=None)
@@ -203,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_page)
 
     p = sub.add_parser("geo", help="exact geography flags of a (chi, tau) pair")
-    p.add_argument("--chi", type=int)
-    p.add_argument("--tau", type=int)
+    p.add_argument("--chi", type=_int_option("--chi"))
+    p.add_argument("--tau", type=_int_option("--tau"))
     p.add_argument("--csv", help="batch mode: CSV file with chi,tau rows")
     add_format(p)
     p.set_defaults(func=_cmd_geo)
@@ -218,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except NonConvergentError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

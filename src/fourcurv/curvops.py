@@ -50,7 +50,6 @@ STRUCTURAL_TOL = 1e-9
 # multiplicities and the Einstein test.
 CLASSIFY_TOL = 1e-7
 
-BASIS_LABELS = ("e1^e2", "e1^e3", "e1^e4", "e2^e3", "e2^e4", "e3^e4")
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 # Hodge star pairs the basis 2-forms (0,5), (1,4), (2,3) with signs +,-,+.

@@ -13,7 +13,7 @@ import math
 import numbers
 from pathlib import Path
 
-from .curvops import BASIS_LABELS, CurvatureOperator
+from .names import BASIS_LABELS
 
 CONVENTION = {
     "twoFormBasis": list(BASIS_LABELS),
@@ -84,6 +84,8 @@ def load_operator(path: str | Path) -> CurvatureOperator:
     Malformed JSON is reported with its line and column; admissibility
     failures propagate as fourcurv errors.
     """
+    from .curvops import CurvatureOperator  # numpy: not loaded by the geography commands
+
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)

@@ -28,6 +28,8 @@ from . import curvops, numgeom, secsign
 from .curvops import COORDINATE, CoverClass, CurvatureOperator, CurvatureSign, Decomposition
 from .errors import BadParameterError, UnknownChartError
 from .errors import UnknownModelError
+from .names import CHART_DEFAULTS, MODEL_DEFAULTS
+from .names import chart_names, model_names  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -98,20 +100,6 @@ def _operator_matrix(name: str, params: dict) -> np.ndarray:
     raise UnknownModelError(f"unknown model {name!r}")
 
 
-_DEFAULTS: dict[str, dict] = {
-    "flat": {},
-    "sphere4": {"r": 1.0},
-    "hyperbolic4": {"r": 1.0},
-    "surfaceProduct": {"a": 1.0, "b": 1.0},
-    "fubiniStudy": {"s": 24.0},
-    "bergman": {"s": -24.0},
-}
-
-
-def model_names() -> tuple[str, ...]:
-    return tuple(_DEFAULTS)
-
-
 def _sec_sign_flag(op: CurvatureOperator, d: Decomposition) -> CurvatureSign:
     if not d.is_einstein():
         return secsign.curvature_sign_of(secsign.certify_sec_sign(op))
@@ -144,9 +132,9 @@ def catalog(name: str, parameters: Mapping[str, float] | None = None) -> ModelSp
     Unknown parameter keys raise :class:`BadParameterError`; missing ones
     take the documented defaults.
     """
-    if name not in _DEFAULTS:
-        raise UnknownModelError(f"unknown model {name!r}; choose from {sorted(_DEFAULTS)}")
-    params = dict(_DEFAULTS[name])
+    if name not in MODEL_DEFAULTS:
+        raise UnknownModelError(f"unknown model {name!r}; choose from {sorted(MODEL_DEFAULTS)}")
+    params = dict(MODEL_DEFAULTS[name])
     for key, value in (parameters or {}).items():
         if key not in params:
             raise BadParameterError(f"model {name!r} takes no parameter {key!r}")
@@ -192,22 +180,11 @@ def _hyperbolic_half_space_metric(x: np.ndarray) -> np.ndarray:
     return np.eye(4) / np.asarray(x, dtype=float)[..., 3, None, None] ** 2
 
 
-_CHART_DEFAULTS: dict[str, dict] = {
-    "flatChart": {},
-    "sphereProductChart": {"a": 1.0, "b": 1.0},
-    "hyperbolic4HalfSpace": {},
-}
-
-
-def chart_names() -> tuple[str, ...]:
-    return tuple(_CHART_DEFAULTS)
-
-
 def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numgeom.MetricChart:
     """An analytic chart whose exact frame curvature is a catalog operator."""
-    if name not in _CHART_DEFAULTS:
-        raise UnknownChartError(f"unknown chart {name!r}; choose from {sorted(_CHART_DEFAULTS)}")
-    params = dict(_CHART_DEFAULTS[name])
+    if name not in CHART_DEFAULTS:
+        raise UnknownChartError(f"unknown chart {name!r}; choose from {sorted(CHART_DEFAULTS)}")
+    params = dict(CHART_DEFAULTS[name])
     for key, value in (parameters or {}).items():
         if key not in params:
             raise BadParameterError(f"chart {name!r} takes no parameter {key!r}")
@@ -243,7 +220,7 @@ def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numge
 def chart_reference_operator(name: str,
                              parameters: Mapping[str, float] | None = None) -> CurvatureOperator:
     """The exact catalog operator a chart must reproduce at interior points."""
-    params = dict(_CHART_DEFAULTS.get(name, {}))
+    params = dict(CHART_DEFAULTS.get(name, {}))
     params.update(parameters or {})
     if name == "flatChart":
         return catalog("flat").operator

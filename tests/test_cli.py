@@ -318,6 +318,81 @@ def test_geo_csv_integer_past_digit_limit_exit_1(tmp_path, capsys, row, message)
     assert len(err.strip().splitlines()) == 1 and len(err) < 200  # the field is not echoed
 
 
+_LARGEST = "9" * sys.get_int_max_str_digits()  # the largest integer the interpreter reads
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--chi", "1" + "0" * 5000, "--tau", "1"], "argument --chi has more than"),
+    (["--chi", "1", "--tau", "-1" + "0" * 5000], "argument --tau has more than"),
+    (["--chi", _LARGEST, "--tau", _LARGEST], "c1sq = 2 chi + 3 tau has more than"),
+    (["--chi", _LARGEST, "--tau", _LARGEST, "--format", "human"],
+     "c1sq = 2 chi + 3 tau has more than"),
+], ids=["chi", "tau", "c1sq", "c1sq-human"])
+def test_geo_integer_past_digit_limit_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, "geo", *argv)
+    assert (code, out) == (1, "")
+    assert message in err and f"{sys.get_int_max_str_digits()} digits" in err
+    assert "sys.get_int_max_str_digits()" in err
+    assert len(err.strip().splitlines()) == 1 and len(err) < 200  # the digits are not echoed
+
+
+# The parser's text built from the catalog names, as Python 3.11's argparse formats it
+# at 80 columns: (stdout, stderr, exit code).
+_MODEL_USAGE = ("usage: fourcurv model [-h] [--param K=V] [--json] [--format {json,human}]\n"
+                "                      {flat,sphere4,hyperbolic4,surfaceProduct,fubiniStudy,"
+                "bergman}\n")
+_CHART_USAGE = ("usage: fourcurv chart [-h] [--param K=V] [--point POINT] [--step STEP]\n"
+                "                      [--study] [--steps STEPS] [--json]\n"
+                "                      [--format {json,human}]\n"
+                "                      {flatChart,sphereProductChart,hyperbolic4HalfSpace}\n")
+_OPTIONS = ("options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --param K=V\n")
+_FORMAT = ("  --json                emit JSON (default)\n"
+           "  --format {json,human}\n")
+CATALOG_TEXT = {
+    "model -h": (_MODEL_USAGE + "\npositional arguments:\n"
+                 "  {flat,sphere4,hyperbolic4,surfaceProduct,fubiniStudy,bergman}\n\n"
+                 + _OPTIONS + _FORMAT, "", 0),
+    "chart -h": (_CHART_USAGE + "\npositional arguments:\n"
+                 "  {flatChart,sphereProductChart,hyperbolic4HalfSpace}\n\n"
+                 + _OPTIONS
+                 + "  --point POINT         x1,x2,x3,x4\n"
+                   "  --step STEP\n"
+                   "  --study               run a step-refinement study\n"
+                   "  --steps STEPS         comma-separated steps for --study\n"
+                 + _FORMAT, "", 0),
+    "model nosuch": ("", _MODEL_USAGE + "fourcurv model: error: argument name: invalid choice: "
+                     "'nosuch' (choose from 'flat', 'sphere4', 'hyperbolic4', 'surfaceProduct', "
+                     "'fubiniStudy', 'bergman')\n", 2),
+    "chart nosuch": ("", _CHART_USAGE + "fourcurv chart: error: argument name: invalid choice: "
+                     "'nosuch' (choose from 'flatChart', 'sphereProductChart', "
+                     "'hyperbolic4HalfSpace')\n", 2),
+    "geo --chi abc --tau 1": ("", "usage: fourcurv geo [-h] [--chi CHI] [--tau TAU] [--csv CSV] "
+                              "[--json]\n                    [--format {json,human}]\n"
+                              "fourcurv geo: error: argument --chi: invalid int value: "
+                              "'abc'\n", 2),
+}
+
+
+@pytest.mark.parametrize("command", CATALOG_TEXT)
+def test_catalog_names_text_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(command.split())
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, exit_info.value.code) == CATALOG_TEXT[command]
+
+
+def test_parser_choices_are_the_catalog_names():
+    from fourcurv import cli, models
+
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    for command, names in (("model", models.model_names()), ("chart", models.chart_names())):
+        name_arg = next(a for a in commands[command]._actions if a.dest == "name")
+        assert tuple(name_arg.choices) == names
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["scan", "--chi-max", "3", "--bogus"])
