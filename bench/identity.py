@@ -1,0 +1,223 @@
+"""Byte-identity check of the command line between two commits.
+
+    python3 bench/identity.py BASE HEAD [--seed 12]
+
+Both commits are exported with ``pairs.export``.  One seeded corpus of
+``fourcurv`` requests is then run in process in each tree, and every request
+whose exit code, stdout or stderr differs between the two is printed, with
+the first line where it differs.  The corpus covers:
+
+- ``decompose`` and ``certify`` on generic, Einstein and dyadic operators, in
+  both bases, at scales from 1e-100 to 1e100;
+- ``model`` for each catalog model, in JSON and human format, at seeded
+  parameters from 1e-160 to 1e150 and at sphere4 radii around its Zero
+  threshold, and with bad parameters;
+- ``chart`` for each chart at seeded points and with ``--study``;
+- ``page --verify --negcurv --integrate`` at (R, N) in {16, 32, 64} x {24, 48};
+- ``geo``, ``geo --csv`` and ``scan``;
+- ``-h`` for every subcommand, and argument errors.
+
+Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
+stdout and stderr captured; the warnings registry is reset per request, so
+a warning prints as it would in a fresh process, and the tree's own path in
+stderr reads ``<tree>``.  Exits 1 when any request differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from pairs import export, rev_parse
+
+MODELS = {"flat": [], "sphere4": ["r"], "hyperbolic4": ["r"], "surfaceProduct": ["a", "b"],
+          "fubiniStudy": ["s"], "bergman": ["s"]}
+CHARTS = {"flatChart": ((-10.0, 10.0),) * 4,
+          "sphereProductChart": ((0.0, np.pi), (-np.pi, np.pi), (0.0, np.pi), (-np.pi, np.pi)),
+          "hyperbolic4HalfSpace": ((-10.0, 10.0),) * 3 + ((0.05, 20.0),)}
+COMMANDS = ("decompose", "certify", "model", "chart", "page", "geo", "scan")
+
+RUNNER = r"""
+import contextlib, io, json, os, sys, traceback, warnings
+os.environ["COLUMNS"] = "80"
+from fourcurv import cli
+tree, corpus, out = sys.argv[1:]
+with open(out, "w") as fh:
+    for argv in json.load(open(corpus)):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                code = "traceback"
+                stderr.write(traceback.format_exc().splitlines()[-1] + "\n")
+        fh.write(json.dumps({"code": code, "stdout": stdout.getvalue(),
+                             "stderr": stderr.getvalue().replace(tree, "<tree>")}) + "\n")
+"""
+
+
+def _operator_file(path: Path, matrix: np.ndarray, basis: str) -> str:
+    path.write_text(json.dumps({"basis": basis, "matrix": matrix.tolist()}))
+    return str(path)
+
+
+def _operators(rng: np.random.Generator):
+    """(kind, SD/ASD matrix) of unit scale: generic, Einstein and dyadic."""
+    def traceless(m):
+        m = 0.5 * (m + m.T)
+        return m - np.trace(m) / 3.0 * np.eye(3)
+
+    M = rng.standard_normal((6, 6))
+    M = 0.5 * (M + M.T)
+    shift = (np.trace(M[:3, :3]) - np.trace(M[3:, 3:])) / 6.0
+    M[:3, :3] -= shift * np.eye(3)
+    M[3:, 3:] += shift * np.eye(3)
+    E = np.zeros((6, 6))
+    s = rng.normal(0.0, 4.0)
+    E[:3, :3] = traceless(rng.standard_normal((3, 3))) + s / 12.0 * np.eye(3)
+    E[3:, 3:] = traceless(rng.standard_normal((3, 3))) + s / 12.0 * np.eye(3)
+    D = np.zeros((6, 6))
+    D[:3, :3] = np.diag(rng.integers(-8, 9, 3)) / 8.0
+    D[3:, 3:] = np.diag(rng.integers(-8, 9, 3)) / 8.0
+    D[3, 3] += np.trace(D[:3, :3]) - np.trace(D[3:, 3:])
+    return ("generic", M), ("einstein", E), ("dyadic", D)
+
+
+def _to_coordinate(S: np.ndarray) -> np.ndarray:
+    """The SD/ASD matrix S in the coordinate basis, through the orthonormal
+    frames (e_i +- e_j)/sqrt(2) of the pairs (0, 5), (1, 4), (2, 3)."""
+    P = np.zeros((6, 6))
+    for a, (i, j, sign) in enumerate(((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0))):
+        P[i, a] = P[i, a + 3] = 2 ** -0.5
+        P[j, a], P[j, a + 3] = sign * 2 ** -0.5, -sign * 2 ** -0.5
+    return P @ S @ P.T
+
+
+def corpus(seed: int, inputs: Path) -> list[list[str]]:
+    rng = np.random.default_rng(seed)
+    reqs: list[list[str]] = []
+    for k in range(-100, 101, 10):
+        for kind, S in _operators(rng):
+            for basis, M in (("sd-asd", S), ("coordinate", _to_coordinate(S))):
+                # dyadic entries stay dyadic under a power-of-two scale
+                M = np.ldexp(M, round(k * 3.32)) if kind == "dyadic" else M * 10.0 ** k
+                path = _operator_file(inputs / f"{kind}-{basis}-{k}.json", M, basis)
+                reqs += [["decompose", "-i", path], ["certify", "-i", path]]
+                if k % 50 == 0:
+                    reqs += [["decompose", "-i", path, "--format", "human"],
+                             ["certify", "-i", path, "--tolerance", "1e-6"]]
+    reqs += [["certify", "-i", str(inputs / "missing.json")], ["decompose", "-i", str(
+        _operator_file(inputs / "asym.json", np.triu(np.ones((6, 6))), "coordinate"))]]
+
+    for name, keys in MODELS.items():
+        for _ in range(40):
+            params = {key: float(10.0 ** rng.uniform(-160.0, 150.0)) for key in keys}
+            if name == "bergman":
+                params["s"] = -params["s"]
+            if name == "surfaceProduct":
+                a, b = (v * rng.choice((-1.0, 1.0)) for v in params.values())
+                params = {"a": a, "b": a if rng.random() < 0.5 else b}
+            argv = ["model", name] + [f"--param={key}={v!r}" for key, v in params.items()]
+            reqs += [argv, argv + ["--format", "human"]]
+    reqs += [["model", "sphere4", f"--param=r={r!r}"]
+             for r in rng.uniform(3000.0, 5000.0, 40).tolist()]
+    reqs += [["model", "surfaceProduct", "--param", "a=2", "--param", "b=2"],
+             ["model", "flat", "--param", "r=1"], ["model", "sphere4", "--param", "r=-1"],
+             ["model", "sphere4", "--param", "r=abc"], ["model", "sphere4", "--param", "r"],
+             ["model", "fubiniStudy", "--param", "s=-1"], ["model", "bergman", "--param", "s=1"]]
+
+    for name, box in CHARTS.items():
+        lo, hi = np.array(box).T
+        params = ["--param", "a=1", "--param", "b=2"] if name == "sphereProductChart" else []
+        for x in rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), (5, 4)).tolist():
+            point = ",".join(repr(c) for c in x)
+            reqs += [["chart", name, *params, "--point", point],
+                     ["chart", name, *params, "--study", "--point", point]]
+        reqs += [["chart", name, "--study"], ["chart", name, "--param", "c=1"],
+                 ["chart", name, "--point", "1,2,3"], ["chart", name, "--point", "99,0,0,0"],
+                 ["chart", name]]
+
+    for radii in (16, 32, 64):
+        for nodes in (24, 48):
+            reqs.append(["page", "--verify", "--negcurv", "--integrate",
+                         "--radii", str(radii), "--nodes", str(nodes)])
+    reqs += [["page", "--verify", "--radii", "0"], ["page", "--integrate", "--nodes", "8"],
+             ["page"], ["page", "--verify", "--radii", "5", "--format", "human"]]
+
+    chi = rng.integers(0, 4000, 300)
+    tau = rng.integers(-chi - 3, chi + 4)
+    rows = "".join(f"{c},{t}\n" for c, t in zip(chi.tolist(), tau.tolist()))
+    (inputs / "points.csv").write_text("chi,tau\n" + rows)
+    (inputs / "bad.csv").write_text("chi,tau\n3,1\n4,x\n")
+    reqs += [["geo", "--chi", str(c), "--tau", str(t)] for c, t in zip(chi[:20], tau[:20])]
+    reqs += [["geo", "--chi", "3", "--tau", "1", "--format", "human"],
+             ["geo", "--csv", str(inputs / "points.csv")], ["geo", "--csv", str(inputs / "bad.csv")],
+             ["geo", "--chi", "3"], ["geo", "--chi", "abc", "--tau", "1"]]
+    reqs += [["scan", "--chi-max", str(n)] for n in (0, 5, 40, 100, 400)]
+    reqs += [["scan", "--chi-max", "-1"], ["scan"], ["scan", "--chi-max", "x"]]
+
+    reqs += [["-h"], ["--version"], ["nosuch"], []] + [[c, "-h"] for c in COMMANDS]
+    reqs += [["page", "--verify", "--radii", "4097"], ["page", "--integrate", "--nodes", "1001"],
+             ["scan", "--chi-max", "1001"], ["scan", "--chi-max", "1" + "0" * 5000],
+             ["page", "--verify", "--radii", "1" + "0" * 5000],
+             ["page", "--integrate", "--nodes", "1" + "0" * 5000]]
+    return reqs
+
+
+def run(tree: Path, corpus_file: Path, out: Path) -> list[dict]:
+    subprocess.run([sys.executable, "-c", RUNNER, str(tree), str(corpus_file), str(out)],
+                   cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")), check=True)
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def _first_difference(a: str, b: str) -> str:
+    for n, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
+        if x != y:
+            return f"line {n}:\n      base: {x[:200]}\n      head: {y[:200]}"
+    return f"lengths {len(a)} and {len(b)}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="the parent commit")
+    parser.add_argument("head", help="the commit with the change")
+    parser.add_argument("--seed", type=int, default=12)
+    args = parser.parse_args(argv)
+    ids = {"base": rev_parse(args.base), "head": rev_parse(args.head)}
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        tmp = Path(tmp)
+        (tmp / "inputs").mkdir()
+        requests = corpus(args.seed, tmp / "inputs")
+        (tmp / "corpus.json").write_text(json.dumps(requests))
+        results = {}
+        for side, commit in ids.items():
+            export(commit, tmp / side)
+            results[side] = run(tmp / side, tmp / "corpus.json", tmp / f"{side}.jsonl")
+    differ = 0
+    for req, base, head in zip(requests, results["base"], results["head"]):
+        if base == head:
+            continue
+        differ += 1
+        print(f"fourcurv {' '.join(req)[:160]}")
+        for part in ("code", "stdout", "stderr"):
+            if base[part] != head[part]:
+                what = (f"{base[part]} -> {head[part]}" if part == "code"
+                        else _first_difference(base[part], head[part]))
+                print(f"  {part}: {what}")
+    print(f"{len(requests)} requests, {differ} differ "
+          f"(base {ids['base'][:12]}, head {ids['head'][:12]}, seed {args.seed})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,6 +36,12 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 
+# Largest accepted values of the integer options that size the work of a request:
+# each bounds its run to a few seconds and about 100 MiB.
+MAX_RADII = 4096
+MAX_NODES = 1000
+MAX_CHI = 1000
+
 
 def _parse_params(pairs: list[str] | None) -> dict[str, float]:
     params: dict[str, float] = {}
@@ -47,17 +53,23 @@ def _parse_params(pairs: list[str] | None) -> dict[str, float]:
     return params
 
 
-def _int_option(option: str):
+def _int_option(option: str, lo: int | None = None, hi: int | None = None):
     """argparse type: ``int``, except that an integer past the interpreter's digit
-    limit exits 1 with one line naming ``option``, without echoing the digits."""
+    limit, below ``lo`` or above ``hi`` exits 1 with one line naming ``option``,
+    without echoing the digits."""
     def parse(text: str) -> int:
         try:
-            return int(text)
+            value = int(text)
         except ValueError as exc:
             # argparse exits 2 on a ValueError; a FourcurvError passes through to main
             if "Exceeds the limit" in str(exc):  # the interpreter's digit-limit error
                 raise FourcurvError(geography._digit_limit(f"argument {option} has")) from None
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if lo is not None and value < lo:
+            raise FourcurvError(f"argument {option} must be at least {lo}")
+        if hi is not None and value > hi:
+            raise FourcurvError(f"argument {option} must be at most {hi}")
+        return value
     return parse
 
 
@@ -129,8 +141,6 @@ def _cmd_chart(args) -> int:
 def _cmd_page(args) -> int:
     from . import page
 
-    if args.radii < 1:
-        raise ValueError(f"--radii must be a positive integer, got {args.radii}")
     m = page.page_metric()
     lower, upper = m.endpoint_data()
     out: dict = {
@@ -223,8 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="Einstein residual check")
     p.add_argument("--negcurv", action="store_true", help="negative-curvature certificate")
     p.add_argument("--integrate", action="store_true", help="integrate chi and tau")
-    p.add_argument("--radii", type=int, default=32)
-    p.add_argument("--nodes", type=int, default=48)
+    p.add_argument("--radii", type=_int_option("--radii", 1, MAX_RADII), default=32,
+                   help=f"Einstein-check radii, 1 to {MAX_RADII} (default 32)")
+    p.add_argument("--nodes", type=_int_option("--nodes", hi=MAX_NODES), default=48,
+                   help=f"quadrature nodes, 16 to {MAX_NODES} (default 48)")
     add_format(p)
     p.set_defaults(func=_cmd_page)
 
@@ -236,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_geo)
 
     p = sub.add_parser("scan", help="CSV table of geography flags")
-    p.add_argument("--chi-max", type=int, required=True)
+    p.add_argument("--chi-max", type=_int_option("--chi-max", hi=MAX_CHI), required=True,
+                   help=f"largest chi, 0 to {MAX_CHI}")
     p.set_defaults(func=_cmd_scan)
 
     return parser

@@ -40,7 +40,6 @@ from .errors import (
     NotEinsteinError,
     NotKahlerError,
     NotSymmetricError,
-    ToleranceTooTightError,
 )
 
 # Tolerance for symmetry / first-Bianchi / block-trace validation, relative
@@ -49,6 +48,8 @@ STRUCTURAL_TOL = 1e-9
 # Relative tolerance (scaled by max(1, |s|)) for saturation, eigenvalue
 # multiplicities and the Einstein test.
 CLASSIFY_TOL = 1e-7
+# Decomposability: the wedge square of a 2-form relative to max(1, |omega|^2).
+DECOMPOSABLE_TOL = 1e-10
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -199,23 +200,11 @@ class TwoForm:
         c = self.coefficients
         return 2.0 * (c[0] * c[5] - c[1] * c[4] + c[2] * c[3])
 
-    def is_decomposable(self, tol: float = 1e-10) -> bool:
-        """Decomposability, checked through both equivalent criteria.
-
-        The wedge-square pairing must vanish and the self-dual and
-        anti-self-dual halves must have equal norm.  ``|plus|^2 - |minus|^2``
-        is the wedge square, so both are held to the one threshold
-        ``tol * max(1, |omega|^2)``; they can disagree only by roundoff.
-        """
-        bound = tol * max(1.0, self.norm() ** 2)
-        plucker_zero = abs(self.wedge_square()) <= bound
-        plus, minus = sd_projectors(self)
-        norms_equal = abs(plus.norm() ** 2 - minus.norm() ** 2) <= bound
-        if plucker_zero != norms_equal:
-            raise ToleranceTooTightError(
-                "decomposability criteria disagree; tolerance too tight for input"
-            )
-        return plucker_zero
+    def is_decomposable(self) -> bool:
+        """Whether the form is some X ^ Y: its wedge square, which is also
+        ``|plus|^2 - |minus|^2``, vanishes within
+        ``DECOMPOSABLE_TOL * max(1, |omega|^2)``."""
+        return abs(self.wedge_square()) <= DECOMPOSABLE_TOL * max(1.0, self.norm() ** 2)
 
 
 def sd_projectors(omega: TwoForm) -> tuple[TwoForm, TwoForm]:
@@ -442,16 +431,18 @@ def decompose(op: CurvatureOperator) -> Decomposition:
 def recompose(d: Decomposition, basis: str = COORDINATE) -> CurvatureOperator:
     """Rebuild the curvature operator from a decomposition.
 
-    Raises :class:`InvalidBlocksError` when the Weyl halves are not traceless
-    symmetric within ``STRUCTURAL_TOL``.
+    Raises :class:`InvalidBlocksError` when a Weyl half has a trace beyond
+    the admissibility tolerance ``max(STRUCTURAL_TOL, 10 err) * max(1,
+    max|A, B, C|)`` of the blocks, and :class:`NotSymmetricError` (from the
+    operator's own test) when a Weyl half is not symmetric.
     """
-    for name, W in (("w_plus", d.w_plus), ("w_minus", d.w_minus)):
-        if abs(float(np.trace(W))) > STRUCTURAL_TOL * max(1.0, abs(d.s)):
-            raise InvalidBlocksError(f"{name} has nonzero trace {np.trace(W):.3e}")
-        if np.abs(W - W.T).max() > STRUCTURAL_TOL:
-            raise InvalidBlocksError(f"{name} is not symmetric")
     A = d.w_plus + (d.s / 12.0) * np.eye(3)
     C = d.w_minus + (d.s / 12.0) * np.eye(3)
+    scale = max(1.0, *(float(np.abs(X).max()) for X in (A, d.ric_block, C)))
+    tol = max(STRUCTURAL_TOL, 10.0 * d.err) * scale
+    for name, W in (("w_plus", d.w_plus), ("w_minus", d.w_minus)):
+        if not abs(float(np.trace(W))) <= tol:
+            raise InvalidBlocksError(f"{name} has nonzero trace {np.trace(W):.3e}")
     if basis == SD_ASD:
         M = np.zeros((6, 6))
         M[:3, :3] = A

@@ -26,7 +26,7 @@ class BianchiViolationError(NotAdmissibleError):
 
 
 class InvalidBlocksError(FourcurvError):
-    """Decomposition blocks violate their trace/symmetry constraints."""
+    """A Weyl half of a decomposition is not traceless."""
 
 
 class NotEinsteinError(FourcurvError):
@@ -47,11 +47,6 @@ class IndefiniteSignError(FourcurvError):
 
 class NotKahlerError(FourcurvError):
     """Input violates the Kahler identity |W+|^2 = s^2/24."""
-
-
-class ToleranceTooTightError(FourcurvError):
-    """Two equivalent criteria disagree because the tolerance is below the
-    roundoff of the input."""
 
 
 class DegeneratePlaneError(FourcurvError):

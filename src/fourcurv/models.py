@@ -103,19 +103,13 @@ def _operator_matrix(name: str, params: dict) -> np.ndarray:
 def _sec_sign_flag(op: CurvatureOperator, d: Decomposition) -> CurvatureSign:
     if not d.is_einstein():
         return secsign.curvature_sign_of(secsign.certify_sec_sign(op))
+    # the exact range as q = 2 sec bounds; doubling is exact
     sec_min, sec_max = secsign.einstein_sec_range(d)
-    tol = d.classify_tol()
-    if abs(sec_min) <= tol and abs(sec_max) <= tol:
-        return CurvatureSign.ZERO
-    if sec_min >= -tol:
-        return CurvatureSign.NON_NEGATIVE
-    if sec_max <= tol:
-        return CurvatureSign.NON_POSITIVE
-    return CurvatureSign.INDEFINITE
+    bounds = (2.0 * sec_max, 2.0 * sec_max, 2.0 * sec_min, 2.0 * sec_min)
+    return secsign.sign_flag(bounds, 2.0 * d.classify_tol())
 
 
-def _known_cover(name: str, params: dict, d: Decomposition,
-                 sign: CurvatureSign) -> CoverClass | None:
+def _known_cover(name: str, params: dict) -> CoverClass | None:
     if name == "flat":
         return CoverClass.FLAT
     if name == "surfaceProduct" and params["a"] == params["b"] and params["a"] != 0:
@@ -126,31 +120,40 @@ def _known_cover(name: str, params: dict, d: Decomposition,
     return None
 
 
+def _parameters(kind: str, defaults: dict[str, dict], unknown: type[Exception],
+                name: str, parameters: Mapping[str, float] | None) -> dict:
+    """The parameters of catalog entry ``name``: its defaults from
+    ``defaults``, updated by ``parameters`` as floats.  An unknown name
+    raises ``unknown``, an unknown key :class:`BadParameterError`."""
+    if name not in defaults:
+        raise unknown(f"unknown {kind} {name!r}; choose from {sorted(defaults)}")
+    params = dict(defaults[name])
+    for key, value in (parameters or {}).items():
+        if key not in params:
+            raise BadParameterError(f"{kind} {name!r} takes no parameter {key!r}")
+        params[key] = float(value)
+    return params
+
+
 def catalog(name: str, parameters: Mapping[str, float] | None = None) -> ModelSpec:
     """Build a catalog model, verifying its flags at construction.
 
     Unknown parameter keys raise :class:`BadParameterError`; missing ones
     take the documented defaults.
     """
-    if name not in MODEL_DEFAULTS:
-        raise UnknownModelError(f"unknown model {name!r}; choose from {sorted(MODEL_DEFAULTS)}")
-    params = dict(MODEL_DEFAULTS[name])
-    for key, value in (parameters or {}).items():
-        if key not in params:
-            raise BadParameterError(f"model {name!r} takes no parameter {key!r}")
-        params[key] = float(value)
+    params = _parameters("model", MODEL_DEFAULTS, UnknownModelError, name, parameters)
     basis = curvops.SD_ASD if name in ("fubiniStudy", "bergman") else COORDINATE
     op = CurvatureOperator(_operator_matrix(name, params), basis=basis)
     d = curvops.decompose(op)
-    sign = _sec_sign_flag(op, d)
-    flags = ModelFlags(einstein=d.is_einstein(), kahler=d.is_kahler(), sec_sign=sign)
+    flags = ModelFlags(einstein=d.is_einstein(), kahler=d.is_kahler(),
+                       sec_sign=_sec_sign_flag(op, d))
     return ModelSpec(
         name=name,
         parameters=params,
         operator=op,
         decomposition=d,
         flags=flags,
-        known_cover=_known_cover(name, params, d, sign),
+        known_cover=_known_cover(name, params),
     )
 
 
@@ -182,19 +185,12 @@ def _hyperbolic_half_space_metric(x: np.ndarray) -> np.ndarray:
 
 def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numgeom.MetricChart:
     """An analytic chart whose exact frame curvature is a catalog operator."""
-    if name not in CHART_DEFAULTS:
-        raise UnknownChartError(f"unknown chart {name!r}; choose from {sorted(CHART_DEFAULTS)}")
-    params = dict(CHART_DEFAULTS[name])
-    for key, value in (parameters or {}).items():
-        if key not in params:
-            raise BadParameterError(f"chart {name!r} takes no parameter {key!r}")
-        params[key] = float(value)
+    params = _parameters("chart", CHART_DEFAULTS, UnknownChartError, name, parameters)
     if name == "flatChart":
         return numgeom.MetricChart(
             domain=((-10.0, 10.0),) * 4,
             metric_at=_flat_chart_metric,
             suggested_step=0.01,
-            name=name,
             depends_on=(),
         )
     if name == "sphereProductChart":
@@ -205,27 +201,26 @@ def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numge
             domain=((0.0, np.pi), (-np.pi, np.pi), (0.0, np.pi), (-np.pi, np.pi)),
             metric_at=_sphere_product_metric(a, b),
             suggested_step=0.01,
-            name=name,
             depends_on=(0, 2),
         )
     return numgeom.MetricChart(
         domain=((-10.0, 10.0), (-10.0, 10.0), (-10.0, 10.0), (0.05, 20.0)),
         metric_at=_hyperbolic_half_space_metric,
         suggested_step=0.01,
-        name=name,
         depends_on=(3,),
     )
+
+
+# the catalog model each chart reproduces, taking the chart's parameters
+_CHART_MODEL = {
+    "flatChart": "flat",
+    "sphereProductChart": "surfaceProduct",
+    "hyperbolic4HalfSpace": "hyperbolic4",
+}
 
 
 def chart_reference_operator(name: str,
                              parameters: Mapping[str, float] | None = None) -> CurvatureOperator:
     """The exact catalog operator a chart must reproduce at interior points."""
-    params = dict(CHART_DEFAULTS.get(name, {}))
-    params.update(parameters or {})
-    if name == "flatChart":
-        return catalog("flat").operator
-    if name == "sphereProductChart":
-        return catalog("surfaceProduct", {"a": params["a"], "b": params["b"]}).operator
-    if name == "hyperbolic4HalfSpace":
-        return catalog("hyperbolic4", {"r": 1.0}).operator
-    raise UnknownChartError(f"unknown chart {name!r}")
+    params = _parameters("chart", CHART_DEFAULTS, UnknownChartError, name, parameters)
+    return catalog(_CHART_MODEL[name], params).operator

@@ -86,7 +86,6 @@ class MetricChart:
     domain: tuple[tuple[float, float], ...]
     metric_at: Callable[[np.ndarray], np.ndarray]
     suggested_step: float
-    name: str = "chart"
     depends_on: tuple[int, ...] = (0, 1, 2, 3)
 
     def margin_of(self, points) -> np.ndarray:

@@ -91,7 +91,6 @@ class CohomOneMetric:
     v: Callable[[float], float]
     w: Callable[[float], float]
     length: float
-    name: str = "cohom-one"
     metadata: dict | None = None
     suggested_step: float = 0.01
 
@@ -117,7 +116,6 @@ class CohomOneMetric:
                     (-np.pi, np.pi), (-2.0 * np.pi, 2.0 * np.pi)),
             metric_at=metric_at,
             suggested_step=self.suggested_step,
-            name=self.name,
             depends_on=(0, 1),
         )
 
@@ -167,7 +165,6 @@ def page_metric() -> CohomOneMetric:
     return CohomOneMetric(
         u=u, v=v, w=w,
         length=float(np.pi),
-        name="page",
         metadata={"lambda": PAGE_LAMBDA, "shapeParameter": k},
         suggested_step=0.004,
     )
@@ -185,7 +182,6 @@ def sphere_ansatz(radius: float = 1.0) -> CohomOneMetric:
     return CohomOneMetric(
         u=u, v=v, w=v,
         length=float(np.pi),
-        name="sphere4-ansatz",
         metadata={"lambda": 3.0 / radius**2},
         suggested_step=0.004,
     )
@@ -318,10 +314,9 @@ class CharNumbers:
         }
 
 
-def _char_integrals(m: CohomOneMetric, nodes: int, flip: bool) -> tuple[float, float]:
+def _char_integrals(m: CohomOneMetric, nodes: int) -> tuple[float, float]:
     eps = 1e-3 * m.length
     interval = (eps, m.length - eps)
-    sign = -1.0 if flip else 1.0
     radii = numgeom.quadrature_nodes(interval, nodes)
     densities = {}
     for r, pc in zip(radii, orbit_curvature(m, radii)):
@@ -331,22 +326,21 @@ def _char_integrals(m: CohomOneMetric, nodes: int, flip: bool) -> tuple[float, f
     chi = numgeom.orbit_quadrature(
         lambda r: densities[r][0], m.orbit_volume, interval, nodes)
     tau = numgeom.orbit_quadrature(
-        lambda r: sign * densities[r][1], m.orbit_volume, interval, nodes)
+        lambda r: densities[r][1], m.orbit_volume, interval, nodes)
     return chi, tau
 
 
-def integrate_char_numbers(m: CohomOneMetric, nodes: int = 48,
-                           orientation_flipped: bool = False) -> CharNumbers:
+def integrate_char_numbers(m: CohomOneMetric, nodes: int = 48) -> CharNumbers:
     """Euler characteristic and signature by orbit quadrature.
 
     Integrates the pointwise characteristic densities against the orbit
     volume 16 pi^2 u v^2 w over the end-clamped radial interval, at the
     requested node count and at twice that count; raises
     :class:`NonConvergentError` when doubling moves either result by more
-    than 1e-3.  Orientation flip negates the signature integrand.
+    than 1e-3.
     """
-    chi1, tau1 = _char_integrals(m, nodes, orientation_flipped)
-    chi2, tau2 = _char_integrals(m, 2 * nodes, orientation_flipped)
+    chi1, tau1 = _char_integrals(m, nodes)
+    chi2, tau2 = _char_integrals(m, 2 * nodes)
     delta = max(abs(chi2 - chi1), abs(tau2 - tau1))
     if delta > 1e-3:
         raise NonConvergentError(

@@ -392,14 +392,23 @@ def einstein_extreme_witnesses(op: CurvatureOperator,
     return min_w, max_w
 
 
-def curvature_sign_of(cert: SecSignCertificate) -> CurvatureSign:
-    """Map a certificate to the model-flag sign enum, with a Zero case when
-    all four bounds lie within ``CLASSIFY_TOL`` of zero."""
-    bounds = (cert.q_max_lower, cert.q_max_upper, cert.q_min_lower, cert.q_min_upper)
-    if all(abs(b) <= CLASSIFY_TOL for b in bounds):
+def sign_flag(bounds: tuple[float, float, float, float], tol: float,
+              verdict: Verdict | None = None) -> CurvatureSign:
+    """The model-flag sign of the q-bounds ``(qMaxLower, qMaxUpper,
+    qMinLower, qMinUpper)``: ``Zero`` when all four lie within ``tol`` of
+    zero, else the sign of ``verdict`` (by default the verdict of the bounds
+    at ``tol``), with ``Inconclusive`` read as ``Indefinite``."""
+    if all(abs(b) <= tol for b in bounds):
         return CurvatureSign.ZERO
-    if cert.verdict is Verdict.NON_NEGATIVE:
+    verdict = _verdict(*bounds, tol) if verdict is None else verdict
+    if verdict is Verdict.NON_NEGATIVE:
         return CurvatureSign.NON_NEGATIVE
-    if cert.verdict is Verdict.NON_POSITIVE:
+    if verdict is Verdict.NON_POSITIVE:
         return CurvatureSign.NON_POSITIVE
     return CurvatureSign.INDEFINITE
+
+
+def curvature_sign_of(cert: SecSignCertificate) -> CurvatureSign:
+    """The model-flag sign of a certificate, ``Zero`` within ``CLASSIFY_TOL``."""
+    bounds = (cert.q_max_lower, cert.q_max_upper, cert.q_min_lower, cert.q_min_upper)
+    return sign_flag(bounds, CLASSIFY_TOL, cert.verdict)

@@ -8,6 +8,7 @@ import pytest
 
 from fourcurv import jsonio
 from fourcurv.cli import main
+from fourcurv.errors import FourcurvError
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +224,36 @@ def test_page_nonpositive_radii_exit_1(capsys, radii):
     assert code == 1
     assert out == ""
     assert "--radii" in err and len(err.strip().splitlines()) == 1
+
+
+_SIZE_OPTIONS = [("page", "--verify", "--radii"), ("page", "--integrate", "--nodes"),
+                 ("scan", None, "--chi-max")]
+
+
+@pytest.mark.parametrize("command, mode, option", _SIZE_OPTIONS)
+def test_size_option_past_maximum_refused_while_parsing(capsys, monkeypatch,
+                                                        command, mode, option):
+    from fourcurv import cli
+
+    limit = {"--radii": cli.MAX_RADII, "--nodes": cli.MAX_NODES,
+             "--chi-max": cli.MAX_CHI}[option]
+    argv = [command] + ([mode] if mode else []) + [option, str(limit + 1)]
+    with pytest.raises(FourcurvError, match=f"argument {option} must be at most {limit}$"):
+        cli.build_parser().parse_args(argv)
+    # no work starts: the command's handler is never called
+    monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: pytest.fail("handler ran"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {option} must be at most {limit}\n"
+
+
+@pytest.mark.parametrize("command, mode, option", _SIZE_OPTIONS)
+def test_size_option_past_digit_limit_exit_1(capsys, command, mode, option):
+    argv = [command] + ([mode] if mode else []) + [option, "1" + "0" * 5000]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"argument {option} has more than {sys.get_int_max_str_digits()} digits" in err
+    assert len(err.strip().splitlines()) == 1 and len(err) < 200  # the digits are not echoed
 
 
 def test_page_byte_identical(capsys):

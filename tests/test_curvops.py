@@ -43,7 +43,6 @@ from fourcurv.errors import (
     NotEinsteinError,
     NotKahlerError,
     NotSymmetricError,
-    ToleranceTooTightError,
 )
 from fourcurv.models import catalog, model_names
 from fourcurv.secsign import certify_sec_sign, einstein_extreme_witnesses, einstein_sec_range
@@ -106,31 +105,21 @@ def test_not_decomposable_detected():
 
 
 def test_decomposability_criteria_share_one_threshold():
-    # |plus|^2 - |minus|^2 is the wedge square 1.5e-10: both criteria say no
-    omega = TwoForm(np.array([0.75e-10, 0, 0, 0, 0, 1.0]))
-    assert not omega.is_decomposable(tol=1e-10)
-    assert omega.is_decomposable(tol=1.5e-10)
-
-
-def test_decomposability_disagreement_is_a_fourcurv_error():
-    # the two criteria evaluate one quantity; a tolerance between their
-    # roundings, found by a seeded search, cannot be honoured
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        omega = TwoForm(rng.standard_normal(6))
+    # c e1^e2 + e3^e4 / 2 has |omega| < 1 and wedge square c exactly, which is
+    # also |plus|^2 - |minus|^2; the one threshold is DECOMPOSABLE_TOL itself
+    tol = curvops.DECOMPOSABLE_TOL
+    for c, want in ((tol, True), (math.nextafter(tol, 0.0), True),
+                    (math.nextafter(tol, 1.0), False), (-tol, True),
+                    (math.nextafter(-tol, -1.0), False)):
+        omega = TwoForm(np.array([c, 0, 0, 0, 0, 0.5]))
+        assert omega.wedge_square() == c
         plus, minus = sd_projectors(omega)
-        w = abs(omega.wedge_square())
-        n = abs(plus.norm() ** 2 - minus.norm() ** 2)
-        scale = max(1.0, omega.norm() ** 2)
-        tol = 0.5 * (w + n) / scale
-        if min(w, n) < tol * scale < max(w, n):
-            break
-    else:
-        pytest.fail("no form with roundoff-split criteria in the seeded search")
-    assert abs(w - n) <= 1e-14 * scale
-    with pytest.raises(ToleranceTooTightError) as err:
-        omega.is_decomposable(tol=tol)
-    assert isinstance(err.value, FourcurvError)
+        # the half-norm difference carries the roundoff of |omega|^2 = 1/4
+        assert plus.norm() ** 2 - minus.norm() ** 2 == pytest.approx(c, abs=1e-16)
+        assert omega.is_decomposable() == want, c
+    # beyond unit norm the threshold scales with |omega|^2 = 2500 + c^2
+    assert TwoForm(np.array([12.5 * tol, 0, 0, 0, 0, 50.0])).is_decomposable()  # 1250 tol
+    assert not TwoForm(np.array([50.0 * tol, 0, 0, 0, 0, 50.0])).is_decomposable()
 
 
 def test_frame_components_round_trip(rng):
@@ -341,6 +330,29 @@ def test_recompose_rejects_bad_blocks():
         spectrum_plus=d.spectrum_plus, spectrum_minus=d.spectrum_minus)
     with pytest.raises(InvalidBlocksError):
         recompose(bad)
+    crooked = np.array(d.w_plus)
+    crooked[0, 1] += 1e-3
+    asymmetric = curvops.Decomposition(
+        s=d.s, w_plus=crooked, w_minus=d.w_minus, ric_block=d.ric_block,
+        spectrum_plus=d.spectrum_plus, spectrum_minus=d.spectrum_minus)
+    for basis in (COORDINATE, SD_ASD):
+        with pytest.raises(NotSymmetricError):
+            recompose(asymmetric, basis=basis)
+
+
+@pytest.mark.parametrize("basis", [COORDINATE, SD_ASD])
+def test_recompose_round_trip_at_any_scale(rng, basis):
+    # an admissible operator scaled by 2^k, with the relative asymmetry of
+    # 1e-10 that finite differences leave, rebuilds at every k; the trace
+    # and symmetry tests were absolute and refused it from max|R| ~ 1e3 up
+    worst = 0.0
+    for k in range(-1000, 1001):
+        M = np.ldexp(random_admissible_operator(rng, basis=basis).matrix, k)
+        big = float(np.abs(M).max())
+        M[0, 1] += 1e-10 * big
+        back = recompose(decompose(CurvatureOperator(M, basis=basis)), basis=basis)
+        worst = max(worst, float(np.abs(back.matrix - M).max()) / big)
+    assert worst <= 1e-10
 
 
 # ---------------------------------------------------------------------------

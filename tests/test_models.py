@@ -1,5 +1,7 @@
 """Catalog and chart construction tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from fourcurv import curvops
 from fourcurv.curvops import CoverClass, CurvatureSign, classify_equality
 from fourcurv.errors import BadParameterError, UnknownChartError, UnknownModelError
 from fourcurv.models import catalog, chart_for, chart_reference_operator, model_names
-from fourcurv.secsign import certify_sec_sign, curvature_sign_of
+from fourcurv.errors import FourcurvError
+from fourcurv.secsign import certify_sec_sign, curvature_sign_of, einstein_sec_range, sign_flag
 
 
 def test_flat_model():
@@ -124,6 +127,71 @@ def test_sec_sign_flag_of_held_operator_matches_recomposed(rng):
         assert m.flags.sec_sign is curvature_sign_of(certify_sec_sign(rebuilt))
 
 
+def _einstein_sign_reference(sec_min, sec_max, tol):
+    """The Einstein branch of the model sign flag as it read with its own
+    comparisons, before it called the shared rule ``secsign.sign_flag``."""
+    if abs(sec_min) <= tol and abs(sec_max) <= tol:
+        return CurvatureSign.ZERO
+    if sec_min >= -tol:
+        return CurvatureSign.NON_NEGATIVE
+    if sec_max <= tol:
+        return CurvatureSign.NON_POSITIVE
+    return CurvatureSign.INDEFINITE
+
+
+def test_sign_flag_matches_einstein_reference(rng):
+    # the doubled exact range at twice the tolerance gives the reference's
+    # flag, also exactly at +-tol, one ulp either side and at signed zeros
+    for _ in range(300):
+        tol = float(10.0 ** rng.uniform(-300.0, 300.0))
+        values = [0.0, -0.0]
+        for t in (tol, -tol):
+            values += [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)]
+        values += (tol * rng.normal(0.0, 1.0, 4) * 10.0 ** rng.uniform(-3.0, 3.0, 4)).tolist()
+        for sec_min in values:
+            for sec_max in values:
+                if sec_min > sec_max:
+                    continue
+                bounds = (2.0 * sec_max, 2.0 * sec_max, 2.0 * sec_min, 2.0 * sec_min)
+                want = _einstein_sign_reference(sec_min, sec_max, tol)
+                assert sign_flag(bounds, 2.0 * tol) is want, (sec_min, sec_max, tol)
+
+
+def _sweep_settings(rng):
+    """3,400 seeded catalog settings: 600 per parametrized model with
+    magnitudes from 1e-160 to 1e150 (half the surface products with a = b),
+    and 400 sphere4 radii from 3,000 to 5,000, across the Zero threshold
+    1/r^2 = CLASSIFY_TOL near r = 3162."""
+    mag = 10.0 ** rng.uniform(-160.0, 150.0, (600, 6))
+    mag[:, 2:4] *= rng.choice((-1.0, 1.0), (600, 2))
+    settings = []
+    for (r1, r2, a, b, s, t), equal in zip(mag.tolist(), rng.random(600) < 0.5):
+        settings += [("sphere4", {"r": r1}), ("hyperbolic4", {"r": r2}),
+                     ("surfaceProduct", {"a": a, "b": a if equal else b}),
+                     ("fubiniStudy", {"s": s}), ("bergman", {"s": -t})]
+    return settings + [("sphere4", {"r": r}) for r in rng.uniform(3000.0, 5000.0, 400).tolist()]
+
+
+def test_catalog_sign_flags_match_reference_sweep(rng):
+    settings = _sweep_settings(rng)
+    assert len(settings) == 3400
+    seen = set()
+    for name, params in settings:
+        try:
+            m = catalog(name, params)
+        except (FourcurvError, RuntimeWarning):  # entries past the float range
+            continue
+        d = m.decomposition
+        if m.flags.einstein:
+            want = _einstein_sign_reference(*einstein_sec_range(d), d.classify_tol())
+        else:
+            want = curvature_sign_of(certify_sec_sign(m.operator))
+        assert m.flags.sec_sign is want, (name, params)
+        if name == "sphere4" and 3000.0 <= params["r"] <= 5000.0:
+            seen.add(m.flags.sec_sign)
+    assert seen == {CurvatureSign.ZERO, CurvatureSign.NON_NEGATIVE}
+
+
 def test_unknown_model_and_bad_parameters():
     with pytest.raises(UnknownModelError):
         catalog("torus")
@@ -158,6 +226,14 @@ def test_unknown_chart():
         chart_for("minkowski")
     with pytest.raises(BadParameterError):
         chart_for("sphereProductChart", {"a": -1.0})
+
+
+def test_chart_reference_operator_refuses_unknown_names_and_keys():
+    with pytest.raises(UnknownChartError):
+        chart_reference_operator("minkowski")
+    for name in ("flatChart", "sphereProductChart", "hyperbolic4HalfSpace"):
+        with pytest.raises(BadParameterError):
+            chart_reference_operator(name, {"c": 1.0})
 
 
 def test_chart_reference_operators():

@@ -58,7 +58,6 @@ def test_perturbed_profile_detected():
         v=lambda r: 1.01 * base.v(r),
         w=base.w,
         length=base.length,
-        name="page-perturbed",
         suggested_step=base.suggested_step,
     )
     check = verify_einstein(crooked, [1.0, math.pi / 2, 2.0])
@@ -202,11 +201,3 @@ def test_page_char_numbers_light():
     numbers = integrate_char_numbers(page_metric(), nodes=24)
     assert numbers.chi == pytest.approx(4.0, abs=1e-2)
     assert numbers.tau == pytest.approx(0.0, abs=1e-2)
-
-
-def test_orientation_flip_negates_tau():
-    m = sphere_ansatz()
-    straight = integrate_char_numbers(m, nodes=24)
-    flipped = integrate_char_numbers(m, nodes=24, orientation_flipped=True)
-    assert flipped.chi == pytest.approx(straight.chi, rel=1e-12)
-    assert flipped.tau == pytest.approx(-straight.tau, abs=1e-15)

@@ -234,7 +234,7 @@ def test_certify_witness_feasibility(rng):
             assert q_form(op, w.psi_plus, w.psi_minus) == pytest.approx(w.q_value,
                                                                         abs=1e-12)
             omega = w.two_form()
-            assert omega.is_decomposable(tol=1e-9)
+            assert omega.is_decomposable()
 
 
 def test_dual_matches_einstein_exact(rng):
