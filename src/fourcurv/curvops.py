@@ -204,7 +204,7 @@ class TwoForm:
         """Whether the form is some X ^ Y: its wedge square, which is also
         ``|plus|^2 - |minus|^2``, vanishes within
         ``DECOMPOSABLE_TOL * max(1, |omega|^2)``."""
-        return abs(self.wedge_square()) <= DECOMPOSABLE_TOL * max(1.0, self.norm() ** 2)
+        return bool(abs(self.wedge_square()) <= DECOMPOSABLE_TOL * max(1.0, self.norm() ** 2))
 
 
 def sd_projectors(omega: TwoForm) -> tuple[TwoForm, TwoForm]:
@@ -372,11 +372,25 @@ class Decomposition:
         """``CLASSIFY_TOL * max(1, |s|)``, the bound of the spectral tests."""
         return CLASSIFY_TOL * max(1.0, abs(self.s))
 
+    def _kahler_sigmas(self) -> tuple[float, float, float]:
+        """The top two singular values of the self-dual rows ``[A | B] =
+        [w_plus + (s/12) I | ric_block]``, and err, all scaled exactly by the
+        power of two that brings the largest of s and the entries to [1/2, 1)."""
+        entries = [self.s, *self.w_plus.ravel().tolist(), *self.ric_block.ravel().tolist()]
+        e = -math.frexp(max(max(entries), -min(entries)))[1]
+        rows = np.ldexp(np.concatenate((self.w_plus, self.ric_block), axis=1), e)
+        rows.flat[::7] += math.ldexp(self.s, e) / 12.0  # entries (i, i) of A
+        return (*np.linalg.svd(rows, compute_uv=False).tolist()[:2], _ldexp(self.err, e))
+
     def is_kahler(self) -> bool:
-        """The Kahler identity |W+|^2 = s^2/24, to within
-        ``CLASSIFY_TOL * max(1, s^2)``, decided on scaled squares."""
-        _, bound, s2, (wp2,) = _scaled_squares(self.s, self.w_plus)
-        return abs(wp2 - s2 / 24.0) <= bound
+        """Whether the self-dual rows ``[A | B]`` have rank at most one, as
+        U(2) holonomy forces: ``A = (s/4) omega omega^T``, ``B = omega b^T``
+        (Besse, *Einstein Manifolds*, ch. 2 and 16).  Tested as ``sigma2 <=
+        CLASSIFY_TOL sigma1 + 9 err``: an SD/ASD entry is off by at most 2 err,
+        so the 3x6 rows are off by at most sqrt(18) 2 err < 9 err in norm, and
+        by Weyl's inequality sigma2 by no more."""
+        sigma1, sigma2, err = self._kahler_sigmas()
+        return bool(sigma2 <= CLASSIFY_TOL * sigma1 + 9.0 * err)
 
     def orientation_flipped(self) -> "Decomposition":
         """Swap the roles of the SD and ASD halves."""
@@ -592,28 +606,30 @@ class CharDensities:
         }
 
 
+def _exact_squares(d: Decomposition) -> tuple[int, int, int, int]:
+    """``(K, |W+|^2, |W-|^2, s^2)``, exact integers over ``4^K``: each entry
+    n / 2^k is an integer over 2^K, K the largest k."""
+    entries = d.w_plus.ravel().tolist() + d.w_minus.ravel().tolist() + [float(d.s)]
+    ratios = [x.as_integer_ratio() for x in entries]
+    K = max(den for _, den in ratios).bit_length() - 1
+    n = [num << (K + 1 - den.bit_length()) for num, den in ratios]  # x = n / 2^K
+    return K, sum(v * v for v in n[:9]), sum(v * v for v in n[9:18]), n[18] * n[18]
+
+
 def char_densities(d: Decomposition) -> CharDensities:
     """Chern-Gauss-Bonnet and signature densities of an Einstein operator.
 
         euler     = (|W+|^2 + |W-|^2 + s^2/24) / (8 pi^2)
         signature = (|W+|^2 - |W-|^2) / (12 pi^2)
 
-    The norms are evaluated exactly on the matrix entries, so the ratio is
-    exact whenever the inputs are: every float is n / 2^k, so the sums are
-    Python integers over the common denominator 4^K (K the largest k), and
-    the floats are their correctly rounded integer quotients, the same
-    values ``float(Fraction)`` gives.  Restricted to operators Einstein
+    The squares are exact (:func:`_exact_squares`), so the ratio is exact
+    and the floats are correctly rounded.  Restricted to operators Einstein
     within their own error (:meth:`Decomposition.is_einstein`): the general
     traceless-Ricci correction is out of scope here.
     """
     d.require_einstein()
-    entries = d.w_plus.ravel().tolist() + d.w_minus.ravel().tolist() + [float(d.s)]
-    ratios = [x.as_integer_ratio() for x in entries]
-    K = max(den for _, den in ratios).bit_length() - 1
-    n = [num << (K + 1 - den.bit_length()) for num, den in ratios]  # x = n / 2^K
-    wp2 = sum(v * v for v in n[:9])
-    wm2 = sum(v * v for v in n[9:18])
-    euler_num = 24 * (wp2 + wm2) + n[18] * n[18]  # over 24 * 4^K
+    K, wp2, wm2, s2 = _exact_squares(d)
+    euler_num = 24 * (wp2 + wm2) + s2  # over 24 * 4^K
     sig_num = wp2 - wm2  # over 4^K
     ratio = Fraction(euler_num, 16 * sig_num) if sig_num else None
     try:
@@ -638,35 +654,19 @@ class KahlerSignatureCheck:
         return {"density": self.density, "nonNegative": self.non_negative}
 
 
-def _scaled_squares(s: float, *blocks: np.ndarray) -> tuple[int, float, float, list[float]]:
-    """``(e, CLASSIFY_TOL * max(1, s^2), s^2, [|B|^2 for B in blocks])``, all
-    but e scaled by 4^-e.
-
-    s and the blocks are first scaled by 2^-e, the power of two that brings
-    their largest magnitude to [1/2, 1).  That is exact, so a test on these
-    squares decides as the unscaled one wherever the unscaled squares stay
-    in the float range, and beyond it nothing overflows.
-    """
-    entries = [s] + [x for B in blocks for x in B.ravel().tolist()]
-    e = math.frexp(max(max(entries), -min(entries)))[1]
-    s = _ldexp(s, -e)
-    squares = [float(np.sum(B * B)) for B in (np.ldexp(B, -e) for B in blocks)]
-    return e, CLASSIFY_TOL * max(_ldexp(1.0, -2 * e), s * s), s * s, squares
-
-
 def kahler_signature_check(d: Decomposition) -> KahlerSignatureCheck:
-    """Pointwise signature integrand |W+|^2 - |W-|^2 for a Kahler operator.
-
-    Verifies the Kahler identity first (:meth:`Decomposition.is_kahler`) and
-    raises :class:`NotKahlerError` if it fails.  For non-positively curved
-    Kahler-Einstein operators the returned density is non-negative, which is
-    the pointwise mechanism behind the signature bound tau >= 0.  The
-    density is formed on scaled squares too, so it is infinite only when it
-    lies outside the float range.
-    """
-    e, bound, s2, (wp2, wm2) = _scaled_squares(d.s, d.w_plus, d.w_minus)
+    """Pointwise signature integrand |W+|^2 - |W-|^2 of a Kahler operator
+    (:meth:`Decomposition.is_kahler`, else :class:`NotKahlerError`).  For
+    non-positively curved Kahler-Einstein operators it is non-negative, the
+    pointwise mechanism behind tau >= 0.  It is the correctly rounded
+    quotient of :func:`_exact_squares` (+-inf beyond the float range), and
+    ``non_negative``, density >= -CLASSIFY_TOL s^2, is decided on them."""
     if not d.is_kahler():
-        raise NotKahlerError(f"|W+|^2 = {_ldexp(wp2, 2 * e):.6g} deviates from "
-                             f"s^2/24 = {_ldexp(s2 / 24.0, 2 * e):.6g}")
-    density = wp2 - wm2
-    return KahlerSignatureCheck(density=_ldexp(density, 2 * e), non_negative=density >= -bound)
+        sigma1, sigma2, _ = d._kahler_sigmas()
+        raise NotKahlerError(f"[A | B] is not rank one: sigma2/sigma1 = {sigma2 / sigma1:.6g}")
+    K, wp2, wm2, s2 = _exact_squares(d)
+    try:
+        density = (wp2 - wm2) / (1 << 2 * K)
+    except OverflowError:
+        density = math.inf if wp2 > wm2 else -math.inf
+    return KahlerSignatureCheck(density, non_negative=wp2 - wm2 >= -Fraction(CLASSIFY_TOL) * s2)

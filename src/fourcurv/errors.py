@@ -46,7 +46,7 @@ class IndefiniteSignError(FourcurvError):
 
 
 class NotKahlerError(FourcurvError):
-    """Input violates the Kahler identity |W+|^2 = s^2/24."""
+    """Input is not Kahler: its self-dual rows [A | B] have rank above one."""
 
 
 class DegeneratePlaneError(FourcurvError):

@@ -12,13 +12,16 @@ entries so the rest of the code can test against them bit-for-bit:
     fubiniStudy(s)       W+ spectrum (-s/12, -s/12, s/6), W- = 0, s > 0
     bergman(s)           same spectrum pattern with s < 0
 
-The Kahler models are stored directly through their Weyl spectrum pattern;
-both satisfy |W+|^2 = s^2/24 exactly.  Defaults s = 24 and s = -24 make the
-spectra integers.
+The Kahler models are stored directly in the SD/ASD frame, with the
+self-dual block A = (s/4) e3 e3^T or (s/4) e1 e1^T of rank one and no Ricci
+block, so they pass the exact Kahler test and |W+|^2 = s^2/24 holds exactly.
+Defaults s = 24 and s = -24 make the spectra integers.  The round and
+hyperbolic 4-spaces are not Kahler at any r: their A = +-(1/r^2) I has rank 3.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -68,20 +71,28 @@ class ModelSpec:
         }
 
 
-def _require_positive(params: dict, key: str):
-    if params[key] <= 0:
-        raise BadParameterError(f"parameter {key!r} must be positive, got {params[key]}")
+def _inverse_square(r: float) -> float:
+    """``1 / r**2`` for the radius r, refused unless positive and finite.
+    Where r^2 overflows it is ``1 / r / r``, so a subnormal 1/r^2 is valid."""
+    if r <= 0:
+        raise BadParameterError(f"parameter 'r' must be positive, got {r}")
+    try:
+        inv = 1.0 / r ** 2
+    except OverflowError:
+        inv = 1.0 / r / r
+    except ZeroDivisionError:  # r^2 underflows to 0
+        inv = math.inf
+    if not 0.0 < inv < math.inf:
+        raise BadParameterError(f"parameter 'r' = {r!r} puts 1/r^2 outside the float range")
+    return inv
 
 
 def _operator_matrix(name: str, params: dict) -> np.ndarray:
     if name == "flat":
         return np.zeros((6, 6))
-    if name == "sphere4":
-        _require_positive(params, "r")
-        return np.eye(6) / params["r"] ** 2
-    if name == "hyperbolic4":
-        _require_positive(params, "r")
-        return -np.eye(6) / params["r"] ** 2
+    if name in ("sphere4", "hyperbolic4"):
+        inv = _inverse_square(params["r"])
+        return np.eye(6) * (inv if name == "sphere4" else -inv)
     if name == "surfaceProduct":
         a, b = params["a"], params["b"]
         return np.diag([a, 0.0, 0.0, 0.0, 0.0, b])

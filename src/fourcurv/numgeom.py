@@ -296,15 +296,17 @@ class ConvergenceStudy:
 def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> ConvergenceStudy:
     """Operator error versus step against the finest-step Richardson limit.
 
-    Requires at least three decreasing steps, all valid at the point.  The
-    reference is the Richardson extrapolation of the finest pair
-    ``(h_min, h_min/2)``; the fitted log-log slope should sit near the
-    stencil order (4) and is reported as None when every error is at
-    machine-noise level.
+    Requires at least three decreasing steps, each finite, positive and
+    valid at the point.  The reference is the Richardson extrapolation of
+    the finest pair ``(h_min, h_min/2)``; the fitted log-log slope should
+    sit near the stencil order (4) and is reported as None when every error
+    is at machine-noise level.
     """
     steps = [float(s) for s in steps]
     if len(steps) < 3 or any(s2 >= s1 for s1, s2 in zip(steps, steps[1:])):
         raise BadIntervalError("need at least 3 strictly decreasing steps")
+    if not all(0.0 < s < np.inf for s in steps):
+        raise StepTooLargeError(f"steps must be finite and positive, got {steps}")
     x = np.asarray(point, dtype=float)
     margin = chart.margin_of(x)
     if not margin >= 0.0:

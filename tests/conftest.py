@@ -177,12 +177,14 @@ def _alternating_max(a, c, Bt, starts, max_sweeps, improvement_tol):
 
 
 def grid_oracle_qmax(op: CurvatureOperator, n_grid: int = 2562,
-                     polish_top: int = 256) -> float:
+                     polish_top: int = 256) -> tuple[float, float]:
     """Independent q_max oracle: exhaustive direction grid with exact inner
     solves, then alternation polish of the best candidates.
 
     Every one of the ``n_grid`` Fibonacci directions gets an exact inner
-    solve; the ``polish_top`` best are then alternated to convergence.  It
+    solve; the ``polish_top`` best are then alternated to convergence.
+    Returns ``(polished, bare)``: the polished maximum, and the maximum of
+    the bare grid, a lower bound on q_max taken from the same grid pass.  It
     is reference code for the tests: a primal search that shares no
     optimization code with the dual certificate it is compared against.
     """
@@ -196,20 +198,7 @@ def grid_oracle_qmax(op: CurvatureOperator, n_grid: int = 2562,
          + 2.0 * np.sum(u * (v @ Bt.T), axis=1))
     top = np.argsort(q)[-polish_top:]
     q_best, _, _ = _alternating_max(a, c, Bt, u[top], 200, 1e-13)
-    return float(q_best)
-
-
-def bare_grid_qmax(op: CurvatureOperator, n_grid: int = 2562) -> float:
-    """Lower bound on q_max from the bare exhaustive grid (no polish)."""
-    A, B, C = op.blocks()
-    a, Qa = np.linalg.eigh(A)
-    c, Qc = np.linalg.eigh(C)
-    Bt = Qa.T @ B @ Qc
-    u = _fibonacci_sphere(n_grid)
-    v = _sphere_max_batch(c, u @ Bt)
-    q = (np.sum(u * u * a[None, :], axis=1) + np.sum(v * v * c[None, :], axis=1)
-         + 2.0 * np.sum(u * (v @ Bt.T), axis=1))
-    return float(q.max())
+    return float(q_best), float(q.max())
 
 
 @pytest.fixture

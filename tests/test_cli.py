@@ -276,6 +276,36 @@ def test_chart_study(capsys):
     assert 3.5 <= data["slope"] <= 4.5
 
 
+@pytest.mark.parametrize("steps, shown", [("0.02,0.01,-0.005", "[0.02, 0.01, -0.005]"),
+                                          ("0.02,0.01,0", "[0.02, 0.01, 0.0]"),
+                                          ("0.02,0.01,nan", "[0.02, 0.01, nan]")])
+def test_chart_study_refuses_bad_steps(capsys, steps, shown):
+    # these exited 0 with made-up or NaN errors, one after a numpy warning
+    code, out, err = run_cli(capsys, "chart", "flatChart", "--study", "--steps", steps)
+    assert (code, out) == (1, "")
+    assert err == f"error: steps must be finite and positive, got {shown}\n"
+
+
+@pytest.mark.parametrize("name", ["sphere4", "hyperbolic4"])
+@pytest.mark.parametrize("r", ["1e-160", "1e-155", "1e170", "inf", "nan"])
+def test_model_radius_past_float_range_exit_1(capsys, name, r):
+    # 1e-160 printed a numpy overflow warning first, inf gave the zero operator
+    code, out, err = run_cli(capsys, "model", name, "--param", f"r={r}")
+    assert (code, out) == (1, "")
+    assert err == f"error: parameter 'r' = {float(r)!r} puts 1/r^2 outside the float range\n"
+
+
+@pytest.mark.parametrize("name, sign", [("sphere4", 1.0), ("hyperbolic4", -1.0)])
+@pytest.mark.parametrize("r", ["1e155", "1e160"])
+def test_model_radius_with_subnormal_curvature(capsys, name, sign, r):
+    # r^2 overflowed with a traceback; 1/r^2 is subnormal and valid
+    code, out, err = run_cli(capsys, "model", name, "--param", f"r={r}")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["operator"]["matrix"][0][0] == sign / float(r) / float(r) != 0.0
+    assert data["flags"]["kahler"] is False
+
+
 def test_chart_point_evaluation(capsys):
     code, out, _ = run_cli(capsys, "chart", "hyperbolic4HalfSpace",
                            "--point", "0,0,0,1", "--step", "0.01")

@@ -104,6 +104,11 @@ def test_not_decomposable_detected():
     assert not omega.is_decomposable()
 
 
+def test_is_decomposable_returns_bool():
+    assert TwoForm.from_wedge([1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 3.0, 0.0]).is_decomposable() is True
+    assert TwoForm(np.array([1.0, 0, 0, 0, 0, 1.0])).is_decomposable() is False
+
+
 def test_decomposability_criteria_share_one_threshold():
     # c e1^e2 + e3^e4 / 2 has |omega| < 1 and wedge square c exactly, which is
     # also |plus|^2 - |minus|^2; the one threshold is DECOMPOSABLE_TOL itself
@@ -771,41 +776,125 @@ def test_kahler_check_rejects_reversed_fubini_study():
 
 
 def _kahler_flag_reference(d):
-    """The unscaled Kahler test, as it stood before the power-of-two scaling."""
-    wp2 = float(np.sum(d.w_plus * d.w_plus))
-    return abs(wp2 - d.s * d.s / 24.0) <= curvops.CLASSIFY_TOL * max(1.0, d.s * d.s)
+    """The rank test on the unscaled self-dual rows [A | B]."""
+    rows = np.hstack((d.w_plus + d.s / 12.0 * np.eye(3), d.ric_block))
+    sigma = np.linalg.svd(rows, compute_uv=False)
+    return bool(sigma[1] <= curvops.CLASSIFY_TOL * sigma[0] + 9.0 * d.err)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _kahler_blocks(rng, s, b_scale=1.0):
+    """``(omega2, b, A, B, C)``: the blocks of a Kahler operator in a random
+    U(2) frame, omega a random unit vector of Lambda+, A = (s/4) omega
+    omega^T, B = omega b^T and any W-, with a unit omega2 orthogonal to
+    omega."""
+    omega = _unit(rng.normal(size=3))
+    omega2 = _unit(np.cross(omega, rng.normal(size=3)))
+    b = rng.normal(0.0, b_scale, 3)
+    A = s / 4.0 * np.outer(omega, omega)
+    C = s / 12.0 * np.eye(3) + random_traceless_symmetric(rng, max(abs(s), 1.0) / 10.0)
+    return omega2, b, A, np.outer(omega, b), C
 
 
 def test_kahler_flag_matches_unscaled_reference(rng):
-    # below about 1e150 the unscaled squares stay in range and the scaled
-    # test must decide exactly as they do, on and off the tolerance boundary
+    # between 1e-100 and 1e100 the unscaled rows stay far inside the float
+    # range, and the scaled test must decide as they do on both sides of the
+    # threshold; the density is the correctly rounded exact one
     for name, sign in (("fubiniStudy", 1.0), ("bergman", -1.0)):
-        for exponent in rng.uniform(-150.0, 150.0, 60):
+        for exponent in rng.uniform(-100.0, 100.0, 60):
             d = catalog(name, {"s": sign * 10.0 ** float(exponent)}).decomposition
             assert d.is_kahler() is _kahler_flag_reference(d) is True
     agree = {True: 0, False: 0}
     for i in range(600):
-        scale = 10.0 ** float(rng.uniform(-150.0, 150.0))
+        scale = 10.0 ** float(rng.uniform(-100.0, 100.0))
         s = float(rng.normal(0.0, 4.0)) * scale
-        pattern = np.diag([-1.0, -1.0, 2.0]) if s > 0 else np.diag([-2.0, 1.0, 1.0])
-        Q = random_rotation(rng)
-        # |W+|^2 = s^2/24 times 1 + r, r spread across the tolerance 24e-7
-        r = float(rng.choice([-1.0, 1.0])) * 10.0 ** float(rng.uniform(-6.5, -5.0))
-        wp = abs(s) / 12.0 * math.sqrt(1.0 + r) * Q @ pattern @ Q.T
+        omega2, b, A, B, _ = _kahler_blocks(rng, s, scale * (i % 2))
+        # a second singular value of [A | B], its ratio to the first spread
+        # across CLASSIFY_TOL
+        sigma1 = math.hypot(s / 4.0, float(np.linalg.norm(b)))
+        ratio = curvops.CLASSIFY_TOL * 10.0 ** float(rng.uniform(-0.5, 0.5))
+        A = A + ratio * sigma1 * np.outer(omega2, omega2)
         if i % 7 == 0:
-            wp = random_traceless_symmetric(rng, scale)
-        d = curvops.Decomposition(s=s, w_plus=wp, w_minus=random_traceless_symmetric(rng, scale),
-                                  ric_block=np.zeros((3, 3)), spectrum_plus=np.zeros(3),
-                                  spectrum_minus=np.zeros(3))
+            A = random_traceless_symmetric(rng, scale) + s / 12.0 * np.eye(3)
+        s = 4.0 * float(np.trace(A))
+        d = curvops.Decomposition(s=s, w_plus=A - s / 12.0 * np.eye(3),
+                                  w_minus=random_traceless_symmetric(rng, scale), ric_block=B,
+                                  spectrum_plus=np.zeros(3), spectrum_minus=np.zeros(3))
         want = _kahler_flag_reference(d)
         assert d.is_kahler() is want
         agree[want] += 1
-        if want:  # the signature check's density and sign, unscaled
-            density = float(np.sum(wp * wp)) - float(np.sum(d.w_minus * d.w_minus))
+        if want:  # the signature check's density and sign, in exact arithmetic
+            density = (sum(Fraction(x) ** 2 for x in d.w_plus.ravel().tolist())
+                       - sum(Fraction(x) ** 2 for x in d.w_minus.ravel().tolist()))
             check = kahler_signature_check(d)
-            assert check.density == density
-            assert check.non_negative is (density >= -curvops.CLASSIFY_TOL * max(1.0, s * s))
+            assert check.density == float(density)
+            tol = Fraction(curvops.CLASSIFY_TOL)
+            assert check.non_negative is (density >= -tol * Fraction(s) ** 2)
     assert min(agree.values()) > 100
+
+
+def test_kahler_u2_frames_pass_at_every_scale(rng):
+    for i in range(40):
+        s = float(rng.normal(0.0, 10.0))
+        _, _, A, B, C = _kahler_blocks(rng, s)
+        M, basis = np.block([[A, B], [B.T, C]]), SD_ASD
+        if i % 2:
+            M, basis = curvops._block_assemble(A, B, C), COORDINATE
+        ks = range(-1000, 1001) if i < 2 else rng.integers(-1000, 1001, 25).tolist()
+        for k in ks:
+            d = decompose(CurvatureOperator(np.ldexp(M, k), basis=basis))
+            assert d.is_kahler() is True, (i, k)
+
+
+def test_kahler_counterexample_fails():
+    # |W+|^2 = 24 = s^2/24 holds, but W+ is not (s/6, -s/12, -s/12): the SD
+    # rows have singular values (5.46, 2, 1.46)
+    r3 = math.sqrt(3.0)
+    d = decompose(assemble_einstein(24.0, np.diag([2.0 * r3, -2.0 * r3, 0.0]), np.zeros((3, 3))))
+    assert d.norm_w_plus() ** 2 == pytest.approx(d.s ** 2 / 24.0, rel=1e-15)
+    assert d.is_kahler() is False
+    with pytest.raises(NotKahlerError, match=r"sigma2/sigma1 = 0\.366025"):
+        kahler_signature_check(d)
+
+
+def test_kahler_needs_the_ricci_rows(rng):
+    # A = (s/4) omega omega^T is rank one, but B = omega2 b^T with omega2
+    # orthogonal to omega gives [A | B] the singular values |s|/4 and |b|
+    for _ in range(20):
+        s = float(rng.normal(0.0, 10.0))
+        omega2, b, A, _, C = _kahler_blocks(rng, s)
+        B = np.outer(omega2, b)
+        d = decompose(CurvatureOperator(np.block([[A, B], [B.T, C]]), basis=SD_ASD))
+        assert d.is_kahler() is False
+
+
+@pytest.mark.parametrize("with_err", [False, True])
+def test_kahler_threshold_on_singular_value_ratio(rng, with_err):
+    # sigma2 = (1 -+ 1e-6) (CLASSIFY_TOL sigma1 + 9 err) falls on either side
+    for _ in range(40):
+        s = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 30.0))
+        omega2, b, A, B, C = _kahler_blocks(rng, s)
+        sigma1 = math.hypot(s / 4.0, float(np.linalg.norm(b)))
+        err = 1e-6 * sigma1 if with_err else 0.0
+        for factor, want in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+            eps = factor * (curvops.CLASSIFY_TOL * sigma1 + 9.0 * err)
+            A2 = A + eps * np.outer(omega2, omega2)
+            C2 = C + eps / 3.0 * np.eye(3)  # keeps the Bianchi trace
+            op = CurvatureOperator(np.block([[A2, B], [B.T, C2]]), basis=SD_ASD, err=err)
+            assert decompose(op).is_kahler() is want
+
+
+def test_catalog_kahler_flags_keep_their_default_at_any_scale():
+    for e in range(-12, 201, 4):
+        assert catalog("fubiniStudy", {"s": 10.0 ** e}).flags.kahler is True
+        assert catalog("bergman", {"s": -(10.0 ** e)}).flags.kahler is True
+        a = 10.0 ** (e - 100)
+        for b in (a, -a, 2.0 * a, -3.0 * a):
+            assert catalog("surfaceProduct", {"a": a, "b": b}).flags.kahler is True
+    assert catalog("flat").flags.kahler is True
 
 
 @pytest.mark.parametrize("name,s", [("fubiniStudy", 1e200), ("bergman", -1e200),
@@ -818,15 +907,19 @@ def test_kahler_identity_at_any_scale(name, s):
 
 
 def test_kahler_density_with_dominant_w_minus():
-    # W+ and s near 1e-300 and W- near 1: the density is -|W-|^2, not -inf
+    # a Kahler W+ = (s/12) diag(-1, -1, 2) with s = 1e-300, and W- near 1:
+    # the density is -|W-|^2, not -inf
     W = np.diag([-1.0, -1.0, 2.0])
-    d = curvops.Decomposition(s=1e-300, w_plus=W * 1e-300, w_minus=W, ric_block=np.zeros((3, 3)),
-                              spectrum_plus=np.zeros(3), spectrum_minus=np.zeros(3))
+    d = curvops.Decomposition(s=1e-300, w_plus=W * (1e-300 / 12.0), w_minus=W,
+                              ric_block=np.zeros((3, 3)), spectrum_plus=np.zeros(3),
+                              spectrum_minus=np.zeros(3))
     check = kahler_signature_check(d)
     assert check.density == -6.0 and not check.non_negative
 
 
 def test_round_sphere_not_kahler_at_any_scale():
-    # s^2 overflowed for r = 1e-100, and the unscaled test then passed
-    for r in (1e-100, 1e-10, 1.0):
-        assert not catalog("sphere4", {"r": r}).flags.kahler
+    # A = +-I/r^2 has rank 3; the old floor max(1, s^2) made both Kahler from
+    # r = 90, and s^2 overflowed for r = 1e-100
+    for r in np.logspace(-100.0, 100.0, 201).tolist() + [1e160]:
+        for name in ("sphere4", "hyperbolic4"):
+            assert catalog(name, {"r": r}).flags.kahler is False, (name, r)
