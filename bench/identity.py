@@ -8,7 +8,10 @@ whose exit code, stdout or stderr differs between the two is printed, with
 the first line where it differs.  The corpus covers:
 
 - ``decompose`` and ``certify`` on generic, Einstein and dyadic operators, in
-  both bases, at scales from 1e-100 to 1e100;
+  both bases, at scales from 1e-100 to 1e100, and on operators that reach
+  the edge branches of the dual step: zero, identity, integer diagonals with
+  repeated eigenvalues, Einstein operators whose W+ has a double top
+  eigenvalue and shifted semi-definite ones;
 - ``model`` for each catalog model, in JSON and human format, at seeded
   parameters from 1e-160 to 1e150 and at sphere4 radii around its Zero
   threshold, and with bad parameters;
@@ -93,6 +96,40 @@ def _operators(rng: np.random.Generator):
     return ("generic", M), ("einstein", E), ("dyadic", D)
 
 
+def _edge_operators(rng: np.random.Generator):
+    """(kind, SD/ASD matrix) near the edge branches of the dual step: zero and
+    identity (every eigenvalue tied), integer diagonals with repeated
+    eigenvalues, alone and with a sparse integer Ricci block (whose
+    iterations meet uncoupled pairs, b = 0 and tied top eigenvalues),
+    Einstein operators whose W+ has a double top eigenvalue, and
+    operators shifted by a multiple of I to q <= -m or q >= m, m a tenth of
+    their norm, as certify-generic's semi-definite requests are."""
+    H = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    yield "zero", np.zeros((6, 6))
+    yield "identity", np.eye(6)
+    for _ in range(4):
+        a0, a1, c0 = rng.integers(-4, 5, 3).tolist()
+        D = np.diag([a0, a0, a1, c0, c0, 2 * a0 + a1 - 2 * c0]).astype(float)
+        yield "repeated", D
+        for _ in range(int(rng.integers(1, 4))):  # a sparse integer Ricci block
+            i, j = rng.integers(0, 3, 2).tolist()
+            D[i, 3 + j] = D[3 + j, i] = float(rng.integers(1, 3))
+        yield "repeated-ricci", D
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        E = np.zeros((6, 6))
+        s = rng.normal(0.0, 4.0)
+        E[:3, :3] = Q @ np.diag([-2.0, 1.0, 1.0]) @ Q.T * rng.uniform(0.5, 2.0) + s / 12.0 * np.eye(3)
+        E[3:, 3:] = np.diag(rng.standard_normal(3)) + s / 12.0 * np.eye(3)
+        E[3:, 3:] -= (np.trace(E[3:, 3:]) - s / 4.0) / 3.0 * np.eye(3)
+        yield "double-top", E
+        S = _operators(rng)[0][1]
+        ts = np.linspace(-3.0, 3.0, 129) * np.linalg.norm(S, 2)
+        lam = np.linalg.eigvalsh(S + ts[:, None, None] * H)
+        m = 0.1 * np.linalg.norm(S)
+        yield "nonpos", S - (lam[:, -1].min() + m) * np.eye(6)
+        yield "nonneg", S - (lam[:, 0].max() - m) * np.eye(6)
+
+
 def _to_coordinate(S: np.ndarray) -> np.ndarray:
     """The SD/ASD matrix S in the coordinate basis, through the orthonormal
     frames (e_i +- e_j)/sqrt(2) of the pairs (0, 5), (1, 4), (2, 3)."""
@@ -116,6 +153,12 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
                 if k % 50 == 0:
                     reqs += [["decompose", "-i", path, "--format", "human"],
                              ["certify", "-i", path, "--tolerance", "1e-6"]]
+    for n, (kind, S) in enumerate(_edge_operators(np.random.default_rng([seed, 1]))):
+        for basis, M in (("sd-asd", S), ("coordinate", _to_coordinate(S))):
+            for k in (-100, 0, 100):
+                path = _operator_file(inputs / f"{kind}-{n}-{basis}-{k}.json",
+                                      np.ldexp(M, round(k * 3.32)), basis)
+                reqs += [["decompose", "-i", path], ["certify", "-i", path]]
     reqs += [["certify", "-i", str(inputs / "missing.json")], ["decompose", "-i", str(
         _operator_file(inputs / "asym.json", np.triu(np.ones((6, 6))), "coordinate"))]]
 

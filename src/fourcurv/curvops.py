@@ -287,6 +287,7 @@ class CurvatureOperator:
         object.__setattr__(self, "matrix", _readonly(M))
         S.setflags(write=False)
         object.__setattr__(self, "_sd_asd", S)  # computed once, read-only
+        object.__setattr__(self, "_decomposition", None)  # set by the first decompose()
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (A, B, C) blocks of the operator in the SD/ASD frame (read-only)."""
@@ -424,14 +425,17 @@ def decompose(op: CurvatureOperator) -> Decomposition:
     block equals ``w_minus + (s/12) I`` and the off-diagonal block is the
     traceless-Ricci part.  The scalar curvature is twice the sum of the two
     diagonal-block traces.  All arithmetic is exact basis bookkeeping, so
-    exactly-representable model operators decompose exactly.
+    exactly-representable model operators decompose exactly.  Both types are
+    immutable, so the result is computed once and kept on ``op``.
     """
+    if op._decomposition is not None:
+        return op._decomposition
     A, B, C = op.blocks()
     s = 2.0 * (np.trace(A) + np.trace(C))
     W = np.stack((A, C)) - (s / 12.0) * np.eye(3)  # the Weyl halves W+, W-
     # one batched call; eigvalsh returns ascending order for symmetric input
     spectra = np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2)))
-    return Decomposition(
+    d = Decomposition(
         s=float(s),
         w_plus=W[0],
         w_minus=W[1],
@@ -440,6 +444,8 @@ def decompose(op: CurvatureOperator) -> Decomposition:
         spectrum_minus=spectra[1],
         err=op.err,
     )
+    object.__setattr__(op, "_decomposition", d)
+    return d
 
 
 def recompose(d: Decomposition, basis: str = COORDINATE) -> CurvatureOperator:

@@ -78,7 +78,8 @@ class SingularMetricError(FourcurvError):
 
 
 class StepTooLargeError(FourcurvError):
-    """Finite-difference stencil would leave the chart domain."""
+    """Finite-difference step unusable: the stencil would leave the chart
+    domain, or the step is not positive or too small to divide by."""
 
 
 class BadIntervalError(FourcurvError):

@@ -223,8 +223,26 @@ def _operators(chart: MetricChart, x: np.ndarray, h: np.ndarray):
     """Operators [b, t], frame Ricci [b, t] and roundoff [b, t] at the points
     x[b] for the steps (h[b], h[b]/2), t = 0, 1."""
     H = np.stack((h, h / 2.0), axis=-1)
-    G, L = _stencil_metrics(chart, x, H)
-    return _frame_curvature(*_metric_derivatives(G, H), L[..., 0, :, :], H)
+    # metric entries near the float range can overflow the contraction: such
+    # an operator is refused as not finite, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        G, L = _stencil_metrics(chart, x, H)
+        ops, ric, roundoff = _frame_curvature(*_metric_derivatives(G, H), L[..., 0, :, :], H)
+    finite = np.isfinite(ops).all(axis=(-2, -1))
+    if not finite.all():
+        CurvatureOperator(ops[~finite][0])  # raises its not-finite refusal
+    return ops, ric, roundoff
+
+
+def _refuse_tiny_steps(h: np.ndarray) -> None:
+    """Refuse a step so small that the stencil's divisor (h/2)^2 is below the
+    smallest normal float, where the second differences lose all digits."""
+    half = h / 2.0
+    tiny = half * half < np.finfo(float).tiny
+    if tiny.any():
+        raise StepTooLargeError(
+            f"step {float(h[tiny][0])!r} is too small: (step/2)^2 is below the smallest "
+            "normal float")
 
 
 def curvature_at(chart: MetricChart, points, step=None):
@@ -253,6 +271,7 @@ def curvature_at(chart: MetricChart, points, step=None):
         raise OutsideDomainError(f"point {xs[outside][0].tolist()} outside chart domain")
     if not (h > 0.0).all():
         raise StepTooLargeError("step must be positive")
+    _refuse_tiny_steps(h)
     short = margin < 2.0 * h
     if short.any():
         raise StepTooLargeError(
@@ -307,6 +326,7 @@ def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> Conv
         raise BadIntervalError("need at least 3 strictly decreasing steps")
     if not all(0.0 < s < np.inf for s in steps):
         raise StepTooLargeError(f"steps must be finite and positive, got {steps}")
+    _refuse_tiny_steps(np.array(steps))
     x = np.asarray(point, dtype=float)
     margin = chart.margin_of(x)
     if not margin >= 0.0:

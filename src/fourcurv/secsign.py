@@ -256,28 +256,38 @@ def _witness(M, w, V, x4, x5, best):
     return best
 
 
-def _step(w, G) -> float | None:
+def _step(w: list[float], G: list[list[float]]) -> float | None:
     """The shortest predicted step towards the minimum of lam_max(M + tH).
 
-    Newton's step uses f'' = sum_j 2 G[j, top]^2 / (w[top] - w[j]).  For each
-    lower eigenpair j, the top eigenvalue on span(x_j, x_top) is a hyperbola
-    in t with a closed-form minimum; for an uncoupled pair (G[j, top] = 0)
-    that is a crossing of two branches, a kink that Newton would overshoot.
+    ``w`` holds the ascending eigenvalues and ``G = V^T H V`` the H-form of
+    the eigenvectors, both as lists.  Newton's step uses f'' = sum_j 2
+    G[j, top]^2 / (w[top] - w[j]).  For each lower eigenpair j, the top
+    eigenvalue on span(x_j, x_top) is a hyperbola in t with a closed-form
+    minimum; for an uncoupled pair (G[j, top] = 0) that is a crossing of two
+    branches, a kink that Newton would overshoot.  Of the five hyperbola
+    steps and then Newton's, the first of least |step| is taken.  Plain
+    float arithmetic, because numpy's per-call cost on 5-element arrays
+    outweighs the work; the tests hold it bit for bit to the array form.
     """
-    e, g = G[:5, 5], np.diagonal(G)[:5]
-    c, b, d = 0.5 * (w[5] - w[:5]), 0.5 * (g + G[5, 5]), 0.5 * (G[5, 5] - g)
-    p = d * d + e * e
-    r = p - b * b  # > 0 where the hyperbola has a minimum
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.where(r > 0.0, (-np.sign(b) * np.abs(b * c * e) / np.sqrt(r) - c * d) / p,
-                         np.inf)
-        newton = -G[5, 5] / float(np.sum(np.where(e == 0.0, 0.0, e * e / c)))
-    steps = np.append(steps, newton)
-    steps = steps[np.isfinite(steps) & (steps != 0.0)]
-    return float(steps[np.argmin(np.abs(steps))]) if steps.size else None
+    g55, w5 = G[5][5], w[5]
+    steps, curvature = [], 0.0
+    for j in range(5):
+        e, gjj = G[j][5], G[j][j]
+        c, b, d = 0.5 * (w5 - w[j]), 0.5 * (gjj + g55), 0.5 * (g55 - gjj)
+        p = d * d + e * e
+        r = p - b * b  # > 0 where the hyperbola has a minimum, so p > 0
+        if r > 0.0:
+            bce = abs(b * c * e)  # 0 when b = 0
+            steps.append(((-bce if b > 0.0 else bce) / math.sqrt(r) - c * d) / p)
+        if e != 0.0:  # c >= 0; a coupled pair with c = 0 makes f'' infinite
+            curvature += e * e / c if c != 0.0 else math.inf
+    if 0.0 < curvature < math.inf:
+        steps.append(-g55 / curvature)
+    steps = [x for x in steps if math.isfinite(x) and x != 0.0]
+    return min(steps, key=abs) if steps else None
 
 
-def _dual_maxima(sides: np.ndarray, t: np.ndarray):
+def _dual_maxima(sides: np.ndarray, t: list[float]):
     """``(upper, q, z)`` for each normalized operator M in ``sides``.
 
     ``upper`` is the least ``2 lam_max(M + tH)`` met, ``z = (psi+, psi-)``
@@ -301,12 +311,12 @@ def _dual_maxima(sides: np.ndarray, t: np.ndarray):
             if upper[i] - best[i][0] <= _GAP_TOL:
                 done[i] = True
                 continue
-            G = V[i].T * _H @ V[i]
-            if G[5, 5] > 0.0:  # the slope of lam_max brackets the minimizer
+            G = (V[i].T * _H @ V[i]).tolist()  # in numpy: the bits follow its matmul's sums
+            if G[5][5] > 0.0:  # the slope of lam_max brackets the minimizer
                 hi[i] = t[i]
-            elif G[5, 5] < 0.0:
+            elif G[5][5] < 0.0:
                 lo[i] = t[i]
-            step = _step(w[i], G)
+            step = _step(wi, G)
             t_next = None if step is None else t[i] + step
             if t_next is None or not lo[i] < t_next < hi[i]:
                 t_next = 0.5 * (lo[i] + hi[i])
@@ -342,7 +352,7 @@ def certify_sec_sign(op: CurvatureOperator, *,
         tol = _ldexp(tolerance, -e)
     sp, sm = d.spectrum_plus, d.spectrum_minus
     t0 = (_ldexp(0.5 * (sm[2] - sp[2]), -e), _ldexp(0.5 * (sp[0] - sm[0]), -e))
-    t0 = np.array([t if math.isfinite(t) else 0.0 for t in t0])
+    t0 = [t if math.isfinite(t) else 0.0 for t in t0]
     (max_upper, max_q, max_z), (neg_upper, neg_q, min_z) = _dual_maxima(sides, t0)
     # the min side ran on -R; subtracting from 0.0 turns -0.0 into 0.0
     bounds = (max_q, max_upper, 0.0 - neg_upper, 0.0 - neg_q)

@@ -112,6 +112,17 @@ def test_domain_errors():
         curvature_at(chart, [0.0, 0.0, 0.0, 1.0], step=-0.1)
 
 
+def test_smallest_usable_step():
+    # the stencil divides by (step/2)^2, which must be a normal float
+    chart = chart_for("flatChart")
+    step = math.ldexp(1.0, -510)  # (step/2)^2 = 2^-1022, the smallest normal float
+    assert curvature_at(chart, [0.0, 0.0, 0.0, 0.0], step=step).error_estimate > 0.0
+    with pytest.raises(StepTooLargeError, match="too small"):
+        curvature_at(chart, [0.0, 0.0, 0.0, 0.0], step=math.nextafter(step, 0.0))
+    with pytest.raises(StepTooLargeError, match="too small"):
+        convergence_study(chart, [0.0, 0.0, 0.0, 0.0], [4 * step, 2 * step, step / 2])
+
+
 def _degenerate_metric(x):
     # diag(1, 1, 1, x0): positive-definite only where x0 > 0
     g = np.zeros(np.shape(x)[:-1] + (4, 4))

@@ -10,8 +10,10 @@ from conftest import (
     random_admissible_operator,
     random_einstein_operator,
 )
+from fourcurv import secsign
 from fourcurv.curvops import CLASSIFY_TOL, SD_ASD, CurvatureOperator, decompose
 from fourcurv.errors import DegeneratePlaneError, NotEinsteinError, NotUnitError
+from fourcurv.jsonio import dumps
 from fourcurv.models import catalog
 from fourcurv.secsign import (
     Method,
@@ -413,3 +415,138 @@ def test_certify_scaling_by_powers_of_two(rng):
                 assert list(_bounds(scaled)) == want
             else:
                 assert list(_bounds(scaled)) == pytest.approx(want, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the dual step in plain floats against its numpy form
+# ---------------------------------------------------------------------------
+
+def _step_reference(w, G):
+    """The numpy ``_step`` that the plain-float one replaced, kept verbatim."""
+    e, g = G[:5, 5], np.diagonal(G)[:5]
+    c, b, d = 0.5 * (w[5] - w[:5]), 0.5 * (g + G[5, 5]), 0.5 * (G[5, 5] - g)
+    p = d * d + e * e
+    r = p - b * b  # > 0 where the hyperbola has a minimum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.where(r > 0.0, (-np.sign(b) * np.abs(b * c * e) / np.sqrt(r) - c * d) / p,
+                         np.inf)
+        newton = -G[5, 5] / float(np.sum(np.where(e == 0.0, 0.0, e * e / c)))
+    steps = np.append(steps, newton)
+    steps = steps[np.isfinite(steps) & (steps != 0.0)]
+    return float(steps[np.argmin(np.abs(steps))]) if steps.size else None
+
+
+def _same_step(w, G):
+    """Assert that both forms give the identical float, or both None."""
+    new = secsign._step(list(map(float, w)), np.asarray(G, dtype=float).tolist())
+    old = _step_reference(np.asarray(w, dtype=float), np.asarray(G, dtype=float))
+    assert (new is None and old is None) or (
+        new is not None and old is not None and new.hex() == old.hex()), (w, G, new, old)
+    return new
+
+
+def _recorded_steps(monkeypatch, ops):
+    """The (w, G) of every ``_step`` call the certificates of ``ops`` make."""
+    calls = []
+    step = secsign._step
+
+    def recording(w, G):
+        calls.append((list(w), [list(row) for row in G]))
+        return step(w, G)
+
+    monkeypatch.setattr(secsign, "_step", recording)
+    for op in ops:
+        certify_sec_sign(op)
+    monkeypatch.undo()
+    return calls
+
+
+def _repeated_diagonal_sparse_ricci(rng):
+    # integer SD/ASD diagonal with repeated entries and a sparse integer Ricci
+    # block: its iterations meet uncoupled pairs, b = 0 and tied eigenvalues
+    a0, a1, c0 = rng.integers(-3, 4, 3).tolist()
+    M = np.diag([a0, a0, a1, c0, c0, 2 * a0 + a1 - 2 * c0]).astype(float)
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = rng.integers(0, 3, 2).tolist()
+        M[i, 3 + j] = M[3 + j, i] = float(rng.integers(1, 3))
+    return CurvatureOperator(M, basis=SD_ASD)
+
+
+def test_step_bitwise_equals_numpy_reference_on_dual_iterations(monkeypatch):
+    rng = np.random.default_rng(1400)
+    ops = [DUAL_KINDS[kind](rng) for kind in sorted(DUAL_KINDS) for _ in range(30)]
+    ops += [_repeated_diagonal_sparse_ricci(rng) for _ in range(100)]
+    ops += [CurvatureOperator(np.ldexp(op.matrix, k), basis=op.basis)
+            for op, k in zip(ops[:40], rng.integers(-300, 300, 40).tolist())]
+    calls = _recorded_steps(monkeypatch, ops)
+    assert len(calls) > 400
+    # the edge branches occur: an uncoupled pair, b = 0, tied top eigenvalues
+    assert any(0.0 in [G[j][5] for j in range(5)] for _, G in calls)
+    assert any(0.0 in [G[j][j] + G[5][5] for j in range(5)] for _, G in calls)
+    assert any(w[4] == w[5] for w, _ in calls)
+    for w, G in calls:
+        _same_step(w, G)
+
+
+def _edge_G(rng, e=None, gdiag=None):
+    G = rng.standard_normal((6, 6))
+    G = 0.5 * (G + G.T)
+    if e is not None:
+        G[:5, 5] = G[5, :5] = e
+    if gdiag is not None:
+        G[np.arange(6), np.arange(6)] = gdiag
+    return G
+
+
+def test_step_edge_branches_bitwise_equal_numpy_reference():
+    rng = np.random.default_rng(1401)
+    w = np.sort(rng.standard_normal(6))
+    # an uncoupled pair (e_j = 0): its hyperbola is a kink, Newton skips it
+    G = _edge_G(rng, e=[0.0, 0.3, -0.2, 0.0, 0.5])
+    assert _same_step(w, G) is not None
+    # tied top eigenvalues (c_4 = 0) with coupling: f'' is infinite, no Newton step
+    tied = w.copy()
+    tied[4] = tied[5]
+    G = _edge_G(rng, e=[0.1, 0.2, 0.3, 0.4, 0.5])
+    _same_step(tied, G)
+    # the same with the tied pair uncoupled: Newton's step is kept
+    G = _edge_G(rng, e=[0.1, 0.2, 0.3, 0.4, 0.0])
+    assert _same_step(tied, G) is not None
+    # b_j = 0 (G[j, j] = -G[5, 5]): the sign term vanishes
+    G = _edge_G(rng, e=[0.3, 0.1, -0.4, 0.2, 0.6])
+    G[2, 2] = -G[5, 5]
+    assert _same_step(w, G) is not None
+    # all e = 0: Newton's sum is 0, so only hyperbola steps remain
+    G = _edge_G(rng, e=[0.0] * 5, gdiag=[0.5, -0.2, 0.3, -0.7, 0.1, 0.4])
+    assert _same_step(w, G) is not None
+    # every step filtered out: no coupling, and no hyperbola has a minimum
+    G = _edge_G(rng, e=[0.0] * 5, gdiag=[0.5, 0.2, 0.3, 0.7, 0.1, 0.4])
+    assert _same_step(w, G) is None
+    # a zero slope G[5, 5] = 0 and uncoupled pairs: every step is 0 and filtered
+    G = _edge_G(rng, e=[0.0] * 5, gdiag=[0.5, -0.2, 0.3, -0.7, 0.1, 0.0])
+    assert _same_step(tied, G) is None
+
+
+def test_step_random_arrays_bitwise_equal_numpy_reference():
+    rng = np.random.default_rng(1402)
+    for _ in range(2000):
+        w = np.sort(rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 1))
+        G = _edge_G(rng)
+        zero = rng.random(5) < 0.3
+        G[:5, 5][zero] = 0.0
+        G[5, :5][zero] = 0.0
+        if rng.random() < 0.2:
+            w[4] = w[5]
+        _same_step(w, G)
+
+
+def test_decompose_kept_on_the_operator(rng):
+    for kind in sorted(DUAL_KINDS):
+        op = DUAL_KINDS[kind](rng)
+        assert decompose(op) is decompose(op)
+        fresh = CurvatureOperator(np.array(op.matrix), basis=op.basis, err=op.err)
+        first = dumps(certify_sec_sign(op).to_dict())
+        assert dumps(certify_sec_sign(op).to_dict()) == first
+        assert dumps(certify_sec_sign(fresh).to_dict()) == first
+        assert decompose(fresh) is not decompose(op)
+        assert decompose(fresh).to_dict() == decompose(op).to_dict()
