@@ -15,7 +15,8 @@ the first line where it differs.  The corpus covers:
 - ``model`` for each catalog model, in JSON and human format, at seeded
   parameters from 1e-160 to 1e150 and at sphere4 radii around its Zero
   threshold, and with bad parameters;
-- ``chart`` for each chart at seeded points and with ``--study``;
+- ``chart`` for each chart at seeded points and with ``--study``, at steps too
+  small for the stencil and with curvatures that overflow the frame contraction;
 - ``page --verify --negcurv --integrate`` at (R, N) in {16, 32, 64} x {24, 48};
 - ``geo``, ``geo --csv`` and ``scan``;
 - ``-h`` for every subcommand, and argument errors.
@@ -189,6 +190,11 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
         reqs += [["chart", name, "--study"], ["chart", name, "--param", "c=1"],
                  ["chart", name, "--point", "1,2,3"], ["chart", name, "--point", "99,0,0,0"],
                  ["chart", name]]
+    reqs += [["chart", "flatChart", "--study", "--steps", "1e-200,1e-201,1e-202"],
+             ["chart", "hyperbolic4HalfSpace", "--point", "0,0,0,1", "--step", "1e-300"],
+             ["chart", "flatChart", "--point", "0,0,0,0", "--step", "1e-160"]]
+    reqs += [["chart", "sphereProductChart", "--param", f"a={a}", "--param", "b=1",
+              "--point", "1,0,1,0", *study] for a in ("1e-300", "1e-200") for study in ([], ["--study"])]
 
     for radii in (16, 32, 64):
         for nodes in (24, 48):
