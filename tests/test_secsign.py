@@ -522,7 +522,7 @@ def test_step_edge_branches_bitwise_equal_numpy_reference():
     # every step filtered out: no coupling, and no hyperbola has a minimum
     G = _edge_G(rng, e=[0.0] * 5, gdiag=[0.5, 0.2, 0.3, 0.7, 0.1, 0.4])
     assert _same_step(w, G) is None
-    # a zero slope G[5, 5] = 0 and uncoupled pairs: every step is 0 and filtered
+    # a zero slope G[5, 5] = 0 and no coupling: r = 0 for every pair, so no step
     G = _edge_G(rng, e=[0.0] * 5, gdiag=[0.5, -0.2, 0.3, -0.7, 0.1, 0.0])
     assert _same_step(tied, G) is None
 
