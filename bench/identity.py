@@ -194,7 +194,8 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
              ["chart", "hyperbolic4HalfSpace", "--point", "0,0,0,1", "--step", "1e-300"],
              ["chart", "flatChart", "--point", "0,0,0,0", "--step", "1e-160"]]
     reqs += [["chart", "sphereProductChart", "--param", f"a={a}", "--param", "b=1",
-              "--point", "1,0,1,0", *study] for a in ("1e-300", "1e-200") for study in ([], ["--study"])]
+              "--point", "1,0,1,0", *study]
+             for a in ("1e-300", "1e-200", "1e-308", "1e-310") for study in ([], ["--study"])]
 
     for radii in (16, 32, 64):
         for nodes in (24, 48):

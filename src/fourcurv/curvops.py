@@ -241,6 +241,13 @@ def two_form_from_frame_components(plus, minus) -> TwoForm:
 # Curvature operators and their decomposition
 # ---------------------------------------------------------------------------
 
+def not_finite_error(M: np.ndarray) -> NotAdmissibleError:
+    """The refusal of an operator matrix with NaN or infinite entries."""
+    return NotAdmissibleError(
+        f"operator matrix has {int(np.sum(~np.isfinite(M)))} of 36 entries "
+        "not finite (NaN or Infinity)")
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureOperator:
     """Symmetric 6x6 curvature operator with a basis convention tag and an
@@ -264,9 +271,7 @@ class CurvatureOperator:
         if self.basis not in (COORDINATE, SD_ASD):
             raise ValueError(f"unknown basis tag {self.basis!r}")
         if not np.isfinite(M).all():
-            raise NotAdmissibleError(
-                f"operator matrix has {int(np.sum(~np.isfinite(M)))} of 36 entries "
-                "not finite (NaN or Infinity)")
+            raise not_finite_error(M)
         S = _sd_asd_matrix(M, self.basis)
         if not np.isfinite(S).all():
             raise NotAdmissibleError(
@@ -287,7 +292,6 @@ class CurvatureOperator:
         object.__setattr__(self, "matrix", _readonly(M))
         S.setflags(write=False)
         object.__setattr__(self, "_sd_asd", S)  # computed once, read-only
-        object.__setattr__(self, "_decomposition", None)  # set by the first decompose()
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (A, B, C) blocks of the operator in the SD/ASD frame (read-only)."""
@@ -425,17 +429,14 @@ def decompose(op: CurvatureOperator) -> Decomposition:
     block equals ``w_minus + (s/12) I`` and the off-diagonal block is the
     traceless-Ricci part.  The scalar curvature is twice the sum of the two
     diagonal-block traces.  All arithmetic is exact basis bookkeeping, so
-    exactly-representable model operators decompose exactly.  Both types are
-    immutable, so the result is computed once and kept on ``op``.
+    exactly-representable model operators decompose exactly.
     """
-    if op._decomposition is not None:
-        return op._decomposition
     A, B, C = op.blocks()
     s = 2.0 * (np.trace(A) + np.trace(C))
     W = np.stack((A, C)) - (s / 12.0) * np.eye(3)  # the Weyl halves W+, W-
     # one batched call; eigvalsh returns ascending order for symmetric input
     spectra = np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2)))
-    d = Decomposition(
+    return Decomposition(
         s=float(s),
         w_plus=W[0],
         w_minus=W[1],
@@ -444,8 +445,6 @@ def decompose(op: CurvatureOperator) -> Decomposition:
         spectrum_minus=spectra[1],
         err=op.err,
     )
-    object.__setattr__(op, "_decomposition", d)
-    return d
 
 
 def recompose(d: Decomposition, basis: str = COORDINATE) -> CurvatureOperator:

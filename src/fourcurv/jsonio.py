@@ -68,22 +68,13 @@ def _emit(obj, out: list):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _serialize(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
-
-
-# the constant block, serialized once: the last item of every report without its own
-_CONVENTION_ITEM = '"convention": ' + _serialize(CONVENTION) + "}"
-
-
 def dumps(report: dict) -> str:
     """Serialize a report dict deterministically, appending a newline."""
+    payload = dict(report)
+    if "convention" not in payload:
+        payload["convention"] = CONVENTION
     out: list[str] = []
-    _emit(report, out)
-    if "convention" not in report:
-        out[-1] = (", " if report else "") + _CONVENTION_ITEM  # replaces the closing "}"
+    _emit(payload, out)
     return "".join(out) + "\n"
 
 

@@ -208,6 +208,10 @@ def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numge
         a, b = params["a"], params["b"]
         if a <= 0 or b <= 0:
             raise BadParameterError("sphereProductChart needs positive curvatures a, b")
+        for key, k in params.items():
+            if not 1.0 / k < math.inf:  # the metric entries 1/a, 1/b
+                raise BadParameterError(
+                    f"parameter {key!r} = {k!r} puts 1/{key} outside the float range")
         return numgeom.MetricChart(
             domain=((0.0, np.pi), (-np.pi, np.pi), (0.0, np.pi), (-np.pi, np.pi)),
             metric_at=_sphere_product_metric(a, b),

@@ -35,9 +35,10 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .curvops import COORDINATE, PAIRS, CurvatureOperator
+from .curvops import COORDINATE, PAIRS, CurvatureOperator, not_finite_error
 from .errors import (
     BadIntervalError,
+    NotAdmissibleError,
     OutsideDomainError,
     SingularMetricError,
     StepTooLargeError,
@@ -140,7 +141,8 @@ def _stencil_metrics(chart: MetricChart, x: np.ndarray, H: np.ndarray):
     G = np.asarray(chart.metric_at(points), dtype=float)
     if G.shape != points.shape[:-1] + (4, 4):
         raise SingularMetricError("metric evaluation must map (..., 4) points to (..., 4, 4)")
-    S = 0.5 * (G + np.swapaxes(G, -1, -2))
+    with np.errstate(over="ignore"):  # the operator then is not finite and refused
+        S = 0.5 * (G + np.swapaxes(G, -1, -2))
     try:
         return G[:, :, source], np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
@@ -223,14 +225,16 @@ def _operators(chart: MetricChart, x: np.ndarray, h: np.ndarray):
     """Operators [b, t], frame Ricci [b, t] and roundoff [b, t] at the points
     x[b] for the steps (h[b], h[b]/2), t = 0, 1."""
     H = np.stack((h, h / 2.0), axis=-1)
-    # metric entries near the float range can overflow the contraction: such
-    # an operator is refused as not finite, without numpy's warnings
+    G, L = _stencil_metrics(chart, x, H)
+    # metric entries near the float range can overflow the differences and
+    # the frame contraction: what overflows is refused, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        G, L = _stencil_metrics(chart, x, H)
         ops, ric, roundoff = _frame_curvature(*_metric_derivatives(G, H), L[..., 0, :, :], H)
     finite = np.isfinite(ops).all(axis=(-2, -1))
     if not finite.all():
-        CurvatureOperator(ops[~finite][0])  # raises its not-finite refusal
+        raise not_finite_error(ops[~finite][0])
+    if not (np.isfinite(ric).all() and np.isfinite(roundoff).all()):
+        raise NotAdmissibleError("frame Ricci curvature or roundoff bound not finite")
     return ops, ric, roundoff
 
 

@@ -9,6 +9,7 @@ import pytest
 from fourcurv import numgeom
 from fourcurv.errors import (
     BadIntervalError,
+    NotAdmissibleError,
     OutsideDomainError,
     SingularMetricError,
     StepTooLargeError,
@@ -121,6 +122,16 @@ def test_smallest_usable_step():
         curvature_at(chart, [0.0, 0.0, 0.0, 0.0], step=math.nextafter(step, 0.0))
     with pytest.raises(StepTooLargeError, match="too small"):
         convergence_study(chart, [0.0, 0.0, 0.0, 0.0], [4 * step, 2 * step, step / 2])
+
+
+def test_roundoff_bound_past_float_range_refused():
+    # a tiny constant metric: the operator stays finite, its roundoff bound does not
+    chart = MetricChart(domain=((-1.0, 1.0),) * 4, suggested_step=0.01, depends_on=(),
+                        metric_at=lambda x: np.broadcast_to(
+                            1e-303 * np.eye(4), np.shape(x)[:-1] + (4, 4)))
+    assert curvature_at(chart, [0.0] * 4, step=1e-8).error_estimate < np.inf
+    with pytest.raises(NotAdmissibleError, match="roundoff bound not finite"):
+        curvature_at(chart, [0.0] * 4, step=1e-10)
 
 
 def _degenerate_metric(x):
