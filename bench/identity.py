@@ -11,7 +11,10 @@ the first line where it differs.  The corpus covers:
   both bases, at scales from 1e-100 to 1e100, and on operators that reach
   the edge branches of the dual step: zero, identity, integer diagonals with
   repeated eigenvalues, Einstein operators whose W+ has a double top
-  eigenvalue and shifted semi-definite ones;
+  eigenvalue and shifted semi-definite ones; ``decompose`` also at scales
+  2^-100, 1 and 2^100 on operators that reach each branch of the saturation
+  test (sphere and hyperbolic-plane products, with and without a small Ricci
+  block, near-flat but not Einstein, s = 0 with doubled eigenvalues);
 - ``model`` for each catalog model, in JSON and human format, at seeded
   parameters from 1e-160 to 1e150 and at sphere4 radii around its Zero
   threshold, and with bad parameters;
@@ -131,6 +134,37 @@ def _edge_operators(rng: np.random.Generator):
         yield "nonneg", S - (lam[:, 0].max() - m) * np.eye(6)
 
 
+def _saturation_operators(rng: np.random.Generator):
+    """(kind, SD/ASD matrix) that reach each branch of ``gl_defect``: the
+    products S^2 x S^2 and H^2 x H^2 (saturated on either side) with their
+    Weyl halves rotated, alone and with a small Ricci block (saturated but
+    not Einstein); a Ricci block of 1e-6 on Weyl halves of 1e-9 (within
+    CLASSIFY_TOL of flat, not Einstein); and s = 0 with each Weyl half's
+    bottom eigenvalue doubled (never saturated)."""
+    def rotated(spectrum):
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        return Q @ np.diag(spectrum) @ Q.T
+
+    def with_ricci(S, size):
+        S = S.copy()
+        S[:3, 3:] = size * rng.standard_normal((3, 3))
+        S[3:, :3] = S[:3, 3:].T
+        return S
+
+    for _ in range(3):
+        for sign, kind in ((1.0, "sphere-product"), (-1.0, "hyperbolic-product")):
+            c = sign * rng.uniform(0.5, 2.0)
+            S = np.zeros((6, 6))
+            S[:3, :3], S[3:, 3:] = rotated([c, 0.0, 0.0]), rotated([c, 0.0, 0.0])
+            yield kind, S
+            yield kind + "-ricci", with_ricci(S, 1e-3)
+        F = np.zeros((6, 6))
+        F[:3, :3], F[3:, 3:] = rotated([1e-9, 0.0, -1e-9]), rotated([1e-9, 0.0, -1e-9])
+        yield "near-flat", with_ricci(F, 1e-6)
+        a, b = rng.integers(1, 5, 2).tolist()
+        yield "scalar-flat", np.diag([a, a, -2 * a, -b, -b, 2 * b]).astype(float)
+
+
 def _to_coordinate(S: np.ndarray) -> np.ndarray:
     """The SD/ASD matrix S in the coordinate basis, through the orthonormal
     frames (e_i +- e_j)/sqrt(2) of the pairs (0, 5), (1, 4), (2, 3)."""
@@ -160,6 +194,12 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
                 path = _operator_file(inputs / f"{kind}-{n}-{basis}-{k}.json",
                                       np.ldexp(M, round(k * 3.32)), basis)
                 reqs += [["decompose", "-i", path], ["certify", "-i", path]]
+    for n, (kind, S) in enumerate(_saturation_operators(np.random.default_rng([seed, 2]))):
+        for basis, M in (("sd-asd", S), ("coordinate", _to_coordinate(S))):
+            for k in (-100, 0, 100):
+                path = _operator_file(inputs / f"{kind}-{n}-{basis}-2^{k}.json",
+                                      np.ldexp(M, k), basis)
+                reqs.append(["decompose", "-i", path])
     reqs += [["certify", "-i", str(inputs / "missing.json")], ["decompose", "-i", str(
         _operator_file(inputs / "asym.json", np.triu(np.ones((6, 6))), "coordinate"))]]
 

@@ -148,7 +148,7 @@ def _cmd_page(args) -> int:
         "endpointData": {"lower": lower.to_dict(), "upper": upper.to_dict()},
     }
     if args.verify:
-        radii = page.chebyshev_radii(m, args.radii)
+        radii = page.chebyshev_radii(args.radii)
         check = page.verify_einstein(m, radii)
         out["einstein"] = check.to_dict()
     if args.negcurv:
@@ -173,7 +173,7 @@ def _cmd_geo(args) -> int:
     p = geography.GeoPoint(args.chi, args.tau)
     out = {"chi": p.chi, "tau": p.tau}
     out.update(geography.report(p).to_dict())
-    out["latticeObstruction"] = geography.self_dual_lattice_obstruction(True).to_dict()
+    out["latticeObstruction"] = geography.self_dual_lattice_obstruction().to_dict()
     try:
         _print_report(out, args.format == "human")
     except ValueError:  # chi and tau were read under the digit limit; c1sq can pass it

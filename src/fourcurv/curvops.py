@@ -59,6 +59,7 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # one table, through its array columns _SD_I, _SD_J, _SD_SIGN.
 _SD_PAIRS = ((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0))
 _SD_I, _SD_J, _SD_SIGN = (np.array(col) for col in zip(*_SD_PAIRS))
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # the frames' normalization
 
 COORDINATE = "coordinate"
 SD_ASD = "sd-asd"
@@ -125,19 +126,22 @@ def _block_assemble(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     return M.reshape(6, 6)
 
 
+def _sd_block(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The SD/ASD-basis matrix [[A, B], [B^T, C]] of three blocks, as a new array."""
+    S = np.empty((6, 6))
+    S[:3, :3], S[:3, 3:], S[3:, :3], S[3:, 3:] = A, B, B.T, C
+    return S
+
+
 def _sd_asd_matrix(M: np.ndarray, basis: str) -> np.ndarray:
     """The operator as [[A, B], [B^T, C]] in the SD/ASD frame.
 
     Of an SD/ASD-basis input the upper off-diagonal block B is the one used.
     """
     if basis == SD_ASD:
-        S = np.array(M)
-    else:
-        S = np.empty((6, 6))
-        with np.errstate(over="ignore"):  # the caller refuses what overflows
-            S[:3, :3], S[:3, 3:], S[3:, 3:] = _block_transform(M)
-    S[3:, :3] = S[:3, 3:].T
-    return S
+        return _sd_block(M[:3, :3], M[:3, 3:], M[3:, 3:])
+    with np.errstate(over="ignore"):  # the caller refuses what overflows
+        return _sd_block(*_block_transform(M))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -154,14 +158,24 @@ def _ldexp(x: float, n: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def _exponent(entries: list[float]) -> int:
+    """The e with ``2**(e-1) <= max|x| < 2**e`` over the entries, 0 when all are
+    zero; from a list, which is cheaper than a numpy reduction."""
+    return math.frexp(max(max(entries, default=0.0), -min(entries, default=0.0)))[1]
+
+
+def _unit_scaled(v) -> np.ndarray:
+    """v as floats scaled by a power of two, which is exact, to ``max|v|`` in [1/2, 1)."""
+    v = np.asarray(v, dtype=float)
+    return np.ldexp(v, -_exponent(v.ravel().tolist()))
+
+
 def _norm(a: np.ndarray) -> float:
     """Frobenius norm of a, taken on a scaled by a power of two so that the
     squares cannot overflow; equal to ``np.linalg.norm(a)`` wherever that
     does not overflow or underflow."""
-    v = a.ravel()
-    entries = v.tolist()  # max|v| from the list: cheaper than a numpy reduction
-    e = math.frexp(max(max(entries), -min(entries)))[1]
-    v = np.ldexp(v, -e)
+    e = _exponent(a.ravel().tolist())
+    v = np.ldexp(a.ravel(), -e)
     return _ldexp(math.sqrt(float(v.dot(v))), e)
 
 
@@ -203,8 +217,12 @@ class TwoForm:
     def is_decomposable(self) -> bool:
         """Whether the form is some X ^ Y: its wedge square, which is also
         ``|plus|^2 - |minus|^2``, vanishes within
-        ``DECOMPOSABLE_TOL * max(1, |omega|^2)``."""
-        return bool(abs(self.wedge_square()) <= DECOMPOSABLE_TOL * max(1.0, self.norm() ** 2))
+        ``DECOMPOSABLE_TOL * max(1, |omega|^2)``, tested on omega scaled by
+        ``2**-e`` (and the 1 by ``4**-e``) where an entry is at least 1."""
+        e = max(0, _exponent(self.coefficients.tolist()))
+        w = TwoForm(np.ldexp(self.coefficients, -e))
+        return bool(abs(w.wedge_square())
+                    <= DECOMPOSABLE_TOL * max(math.ldexp(1.0, -2 * e), w.norm() ** 2))
 
 
 def sd_projectors(omega: TwoForm) -> tuple[TwoForm, TwoForm]:
@@ -222,8 +240,7 @@ def sd_frame_components(omega: TwoForm) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates of a 2-form in the orthonormal SD/ASD eigenframes."""
     c = omega.coefficients
     ci, cj = c[_SD_I], _SD_SIGN * c[_SD_J]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return (ci + cj) * inv_sqrt2, (ci - cj) * inv_sqrt2
+    return (ci + cj) * _INV_SQRT2, (ci - cj) * _INV_SQRT2
 
 
 def two_form_from_frame_components(plus, minus) -> TwoForm:
@@ -231,9 +248,8 @@ def two_form_from_frame_components(plus, minus) -> TwoForm:
     plus = np.asarray(plus, dtype=float)
     minus = np.asarray(minus, dtype=float)
     c = np.zeros(6)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    c[_SD_I] += (plus + minus) * inv_sqrt2
-    c[_SD_J] += _SD_SIGN * (plus - minus) * inv_sqrt2
+    c[_SD_I] += (plus + minus) * _INV_SQRT2
+    c[_SD_J] += _SD_SIGN * (plus - minus) * _INV_SQRT2
     return TwoForm(c)
 
 
@@ -305,9 +321,6 @@ class CurvatureOperator:
 
     def in_sd_asd_basis(self) -> np.ndarray:
         return np.array(self._sd_asd)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
 
     def symmetry_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.T).max())
@@ -382,7 +395,7 @@ class Decomposition:
         [w_plus + (s/12) I | ric_block]``, and err, all scaled exactly by the
         power of two that brings the largest of s and the entries to [1/2, 1)."""
         entries = [self.s, *self.w_plus.ravel().tolist(), *self.ric_block.ravel().tolist()]
-        e = -math.frexp(max(max(entries), -min(entries)))[1]
+        e = -_exponent(entries)
         rows = np.ldexp(np.concatenate((self.w_plus, self.ric_block), axis=1), e)
         rows.flat[::7] += math.ldexp(self.s, e) / 12.0  # entries (i, i) of A
         return (*np.linalg.svd(rows, compute_uv=False).tolist()[:2], _ldexp(self.err, e))
@@ -462,15 +475,8 @@ def recompose(d: Decomposition, basis: str = COORDINATE) -> CurvatureOperator:
     for name, W in (("w_plus", d.w_plus), ("w_minus", d.w_minus)):
         if not abs(float(np.trace(W))) <= tol:
             raise InvalidBlocksError(f"{name} has nonzero trace {np.trace(W):.3e}")
-    if basis == SD_ASD:
-        M = np.zeros((6, 6))
-        M[:3, :3] = A
-        M[:3, 3:] = d.ric_block
-        M[3:, :3] = d.ric_block.T
-        M[3:, 3:] = C
-    else:
-        M = _block_assemble(A, d.ric_block, C)
-    return CurvatureOperator(M, basis=basis, err=d.err)
+    assemble = _sd_block if basis == SD_ASD else _block_assemble
+    return CurvatureOperator(assemble(A, d.ric_block, C), basis=basis, err=d.err)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +505,17 @@ class GLReport:
         }
 
 
+# the cover of a saturated Einstein operator on each equality branch
+_BRANCH_COVER = {EqualityBranch.NON_POSITIVE: CoverClass.HYPERBOLIC_PLANE_PRODUCT,
+                 EqualityBranch.NON_NEGATIVE: CoverClass.SPHERE_PRODUCT}
+
+
 def _multiplicities_hold(d: Decomposition, branch: EqualityBranch) -> bool:
+    """Whether each Weyl half has its top eigenvalue (NonPositive) or its
+    bottom one (NonNegative) doubled."""
+    i = 1 if branch is EqualityBranch.NON_POSITIVE else 0
     tol = d.classify_tol()
-    lp, mp, vp = d.spectrum_plus
-    lm, mm, vm = d.spectrum_minus
-    if branch is EqualityBranch.NON_POSITIVE:
-        # top eigenvalue doubled in each half
-        return (vp - mp) <= tol and (vm - mm) <= tol
-    # bottom eigenvalue doubled in each half
-    return (mp - lp) <= tol and (mm - lm) <= tol
+    return all(sp[i + 1] - sp[i] <= tol for sp in (d.spectrum_plus, d.spectrum_minus))
 
 
 def _is_flat(d: Decomposition) -> bool:
@@ -539,16 +547,12 @@ def gl_defect(d: Decomposition) -> GLReport:
         if _is_flat(d):
             saturated = True
             cover = CoverClass.FLAT if d.is_einstein() else CoverClass.NOT_SATURATED
-        elif d.s < 0 and _multiplicities_hold(d, EqualityBranch.NON_POSITIVE):
-            branch = EqualityBranch.NON_POSITIVE
-            saturated = True
-            if d.is_einstein():
-                cover = CoverClass.HYPERBOLIC_PLANE_PRODUCT
-        elif d.s > 0 and _multiplicities_hold(d, EqualityBranch.NON_NEGATIVE):
-            branch = EqualityBranch.NON_NEGATIVE
-            saturated = True
-            if d.is_einstein():
-                cover = CoverClass.SPHERE_PRODUCT
+        elif d.s != 0.0:
+            side = EqualityBranch.NON_POSITIVE if d.s < 0 else EqualityBranch.NON_NEGATIVE
+            if _multiplicities_hold(d, side):
+                branch, saturated = side, True
+                if d.is_einstein():
+                    cover = _BRANCH_COVER[side]
     return GLReport(
         defect=float(defect),
         norm_w_plus=nwp,

@@ -76,14 +76,11 @@ def report(p: GeoPoint) -> GeoReport:
 class LatticeObstruction:
     """Outcome of intersecting chi = 2 + tau with chi = (15/8) tau."""
 
-    applicable: bool
-    tau: Fraction | None
-    chi: Fraction | None
-    integral: bool | None
+    tau: Fraction
+    chi: Fraction
+    integral: bool
 
     def to_dict(self) -> dict:
-        if not self.applicable:
-            return {"applicable": False, "tauValue": None, "integral": None}
         return {
             "applicable": True,
             "tauValue": f"{self.tau.numerator}/{self.tau.denominator}",
@@ -92,22 +89,18 @@ class LatticeObstruction:
         }
 
 
-def self_dual_lattice_obstruction(b1_zero: bool) -> LatticeObstruction:
+def self_dual_lattice_obstruction() -> LatticeObstruction:
     """The non-integrality that rules out the saturated self-dual case.
 
     When the first Betti number vanishes, chi = 2 + tau; intersected with
     the saturated line chi = (15/8) tau this forces tau = 16/7, which is not
-    an integer.  Returns a NotApplicable marker when b1 is not known to
-    vanish.
+    an integer.
     """
-    if not b1_zero:
-        return LatticeObstruction(applicable=False, tau=None, chi=None, integral=None)
     # (15/8) tau = 2 + tau  =>  (7/8) tau = 2
     tau = Fraction(2) / (EINSTEIN_SLOPE - 1)
     chi = EINSTEIN_SLOPE * tau
     assert chi == 2 + tau
-    return LatticeObstruction(
-        applicable=True, tau=tau, chi=chi, integral=tau.denominator == 1)
+    return LatticeObstruction(tau=tau, chi=chi, integral=tau.denominator == 1)
 
 
 def scan_rows(chi_max: int) -> Iterator[tuple[GeoPoint, GeoReport]]:

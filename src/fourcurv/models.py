@@ -104,10 +104,7 @@ def _operator_matrix(name: str, params: dict) -> np.ndarray:
             raise BadParameterError("bergman requires s < 0")
         # SD/ASD basis: A = s/12 + W+, C = s/12, Kahler spectrum pattern
         A = np.diag([0.0, 0.0, s / 4.0]) if s > 0 else np.diag([s / 4.0, 0.0, 0.0])
-        M = np.zeros((6, 6))
-        M[:3, :3] = A
-        M[3:, 3:] = (s / 12.0) * np.eye(3)
-        return M
+        return curvops._sd_block(A, np.zeros((3, 3)), (s / 12.0) * np.eye(3))
     raise UnknownModelError(f"unknown model {name!r}")
 
 
@@ -201,7 +198,6 @@ def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numge
         return numgeom.MetricChart(
             domain=((-10.0, 10.0),) * 4,
             metric_at=_flat_chart_metric,
-            suggested_step=0.01,
             depends_on=(),
         )
     if name == "sphereProductChart":
@@ -215,13 +211,11 @@ def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numge
         return numgeom.MetricChart(
             domain=((0.0, np.pi), (-np.pi, np.pi), (0.0, np.pi), (-np.pi, np.pi)),
             metric_at=_sphere_product_metric(a, b),
-            suggested_step=0.01,
             depends_on=(0, 2),
         )
     return numgeom.MetricChart(
         domain=((-10.0, 10.0), (-10.0, 10.0), (-10.0, 10.0), (0.05, 20.0)),
         metric_at=_hyperbolic_half_space_metric,
-        suggested_step=0.01,
         depends_on=(3,),
     )
 

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .curvops import COORDINATE, PAIRS, CurvatureOperator, not_finite_error
+from .curvops import COORDINATE, PAIRS, CurvatureOperator, _readonly, not_finite_error
 from .errors import (
     BadIntervalError,
     NotAdmissibleError,
@@ -86,7 +86,7 @@ class MetricChart:
 
     domain: tuple[tuple[float, float], ...]
     metric_at: Callable[[np.ndarray], np.ndarray]
-    suggested_step: float
+    suggested_step: float = 0.01
     depends_on: tuple[int, ...] = (0, 1, 2, 3)
 
     def margin_of(self, points) -> np.ndarray:
@@ -105,7 +105,11 @@ class PointCurvature:
     ricci: np.ndarray
     einstein_residual: float
     step_used: float
-    error_estimate: float
+
+    @property
+    def error_estimate(self) -> float:
+        """The bound on the operator's error, which the operator carries as ``err``."""
+        return self.operator.err
 
     def to_dict(self) -> dict:
         return {
@@ -296,7 +300,6 @@ def curvature_at(chart: MetricChart, points, step=None):
                 ricci=ric[k],
                 einstein_residual=float(residual[k]),
                 step_used=float(hb[k] / 2.0),
-                error_estimate=float(err[k]),
             )
             for k in range(len(hb)))
     return out[0] if x.ndim == 1 else out
@@ -351,9 +354,7 @@ def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> Conv
 def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only (shared)."""
     xs, ws = leggauss(nodes)
-    xs.setflags(write=False)
-    ws.setflags(write=False)
-    return xs, ws
+    return _readonly(xs), _readonly(ws)
 
 
 def _legendre(interval: tuple[float, float], nodes: int):

@@ -47,6 +47,7 @@ from .secsign import PlaneWitness
 PAGE_LAMBDA = 3.0
 ENDPOINT_DELTA = 1e-5  # radial distance from each end sampled by endpoint_data
 RADIAL_MARGIN = 0.02  # fraction of the radial interval a Chebyshev sweep skips at each end
+ORBIT_STEP = 0.004  # the finite-difference step of an orbit point away from the ends
 # coefficients of the shape-parameter quartic, highest degree first
 PAGE_SHAPE_QUARTIC = (1.0, 4.0, -6.0, 12.0, -3.0)
 
@@ -81,7 +82,8 @@ class EndpointData:
 
 @dataclass(frozen=True, eq=False)
 class CohomOneMetric:
-    """A cohomogeneity-one metric through its radial profile functions.
+    """A cohomogeneity-one metric through its radial profile functions of the
+    angle r in (0, pi).
 
     The profiles are elementwise: each maps a radius or an array of radii to
     values of the same shape, so the chart evaluates stacks of points.
@@ -90,9 +92,7 @@ class CohomOneMetric:
     u: Callable[[float], float]
     v: Callable[[float], float]
     w: Callable[[float], float]
-    length: float
-    metadata: dict | None = None
-    suggested_step: float = 0.01
+    metadata: dict
 
     @property
     def chart(self) -> numgeom.MetricChart:
@@ -112,10 +112,9 @@ class CohomOneMetric:
             return g
 
         return numgeom.MetricChart(
-            domain=((0.0, self.length), (0.0, np.pi),
-                    (-np.pi, np.pi), (-2.0 * np.pi, 2.0 * np.pi)),
+            domain=((0.0, np.pi), (0.0, np.pi), (-np.pi, np.pi), (-2.0 * np.pi, 2.0 * np.pi)),
             metric_at=metric_at,
-            suggested_step=self.suggested_step,
+            suggested_step=ORBIT_STEP,
             depends_on=(0, 1),
         )
 
@@ -123,7 +122,7 @@ class CohomOneMetric:
         """v and the proper slope of w at distance ENDPOINT_DELTA inside each end."""
         delta = ENDPOINT_DELTA
         out = []
-        for r0, sign in ((0.0, 1.0), (self.length, -1.0)):
+        for r0, sign in ((0.0, 1.0), (math.pi, -1.0)):
             r = r0 + sign * delta
             proper = abs(self.u(r0 + sign * delta / 2.0)) * delta
             out.append(EndpointData(
@@ -162,35 +161,25 @@ def page_metric() -> CohomOneMetric:
     def w(r):
         return (2.0 * k * sqT / W) * np.sin(r) * np.sqrt(U_of(r) / q_of(r))
 
-    return CohomOneMetric(
-        u=u, v=v, w=w,
-        length=float(np.pi),
-        metadata={"lambda": PAGE_LAMBDA, "shapeParameter": k},
-        suggested_step=0.004,
-    )
+    return CohomOneMetric(u=u, v=v, w=w, metadata={"lambda": PAGE_LAMBDA, "shapeParameter": k})
 
 
-def sphere_ansatz(radius: float = 1.0) -> CohomOneMetric:
-    """The round 4-sphere written in the same cohomogeneity-one ansatz."""
+def sphere_ansatz() -> CohomOneMetric:
+    """The unit round 4-sphere written in the same cohomogeneity-one ansatz."""
 
     def u(r):
-        return radius
+        return 1.0
 
     def v(r):
-        return radius * np.sin(r) / 2.0
+        return np.sin(r) / 2.0
 
-    return CohomOneMetric(
-        u=u, v=v, w=v,
-        length=float(np.pi),
-        metadata={"lambda": 3.0 / radius**2},
-        suggested_step=0.004,
-    )
+    return CohomOneMetric(u=u, v=v, w=v, metadata={"lambda": 3.0})
 
 
-def chebyshev_radii(m: CohomOneMetric, n: int) -> list[float]:
-    """n Chebyshev-distributed radii on the interval clamped by RADIAL_MARGIN."""
-    lo = RADIAL_MARGIN * m.length
-    hi = (1.0 - RADIAL_MARGIN) * m.length
+def chebyshev_radii(n: int) -> list[float]:
+    """n Chebyshev-distributed radii on (0, pi) clamped by RADIAL_MARGIN."""
+    lo = RADIAL_MARGIN * math.pi
+    hi = (1.0 - RADIAL_MARGIN) * math.pi
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return [mid + half * math.cos(math.pi * (2 * j + 1) / (2 * n)) for j in range(n)]
 
@@ -199,7 +188,7 @@ def orbit_curvature(m: CohomOneMetric, radii):
     """Frame curvature of the orbits through the given radii, one point per
     orbit: a single radius gives one PointCurvature, a sequence a list."""
     r = np.asarray(radii, dtype=float)
-    step = np.minimum(m.suggested_step, 0.4 * np.minimum(r, m.length - r))
+    step = np.minimum(ORBIT_STEP, 0.4 * np.minimum(r, math.pi - r))
     # th = pi/2 keeps clear of the Euler-angle degeneracy at th in {0, pi}
     points = np.stack(np.broadcast_arrays(r, np.pi / 2.0, 0.0, 0.0), axis=-1)
     return numgeom.curvature_at(m.chart, points, step=step)
@@ -277,7 +266,7 @@ def certify_negative_curvature(m: CohomOneMetric,
     when sectional curvature is indefinite.
     """
     if radii is None:
-        radii = chebyshev_radii(m, 64)
+        radii = chebyshev_radii(64)
     orbits = []
     defect_lo, defect_hi = math.inf, -math.inf
     for r, pc in zip(radii, orbit_curvature(m, radii)):
@@ -315,8 +304,8 @@ class CharNumbers:
 
 
 def _char_integrals(m: CohomOneMetric, nodes: int) -> tuple[float, float]:
-    eps = 1e-3 * m.length
-    interval = (eps, m.length - eps)
+    eps = 1e-3 * math.pi
+    interval = (eps, math.pi - eps)
     radii = numgeom.quadrature_nodes(interval, nodes)
     densities = {}
     for r, pc in zip(radii, orbit_curvature(m, radii)):

@@ -38,7 +38,9 @@ from .curvops import (
     CurvatureSign,
     Decomposition,
     TwoForm,
+    _exponent,
     _ldexp,
+    _unit_scaled,
     decompose,
     sd_frame_components,
     two_form_from_frame_components,
@@ -53,10 +55,6 @@ class Verdict(str, Enum):
     NON_POSITIVE = "NonPositive"
     INDEFINITE = "Indefinite"
     INCONCLUSIVE = "Inconclusive"
-
-
-class Method(str, Enum):
-    THORPE_DUAL = "ThorpeDual"
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +94,6 @@ class SecSignCertificate:
     max_witness: PlaneWitness
     min_witness: PlaneWitness
     verdict: Verdict
-    method: Method
 
     @property
     def sec_range(self) -> tuple[float, float]:
@@ -112,7 +109,7 @@ class SecSignCertificate:
             "maxWitness": self.max_witness.to_dict(),
             "minWitness": self.min_witness.to_dict(),
             "verdict": self.verdict.value,
-            "method": self.method.value,
+            "method": "ThorpeDual",  # the one method, for every operator
         }
 
 
@@ -125,10 +122,10 @@ def sec_of_plane(op: CurvatureOperator, X, Y) -> float:
 
     Returns ``<R(X^Y), X^Y> / (|X|^2 |Y|^2 - <X, Y>^2)``; independent of the
     chosen basis of the plane.  Raises :class:`DegeneratePlaneError` when the
-    Gram determinant vanishes relative to the vector norms.
+    Gram determinant vanishes relative to the vector norms.  X and Y are
+    scaled by powers of two first, so that no product overflows.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = _unit_scaled(X), _unit_scaled(Y)
     gram = float(X @ X) * float(Y @ Y) - float(X @ Y) ** 2
     if gram <= 1e-14 * float(X @ X) * float(Y @ Y) or gram == 0.0:
         raise DegeneratePlaneError("vectors do not span a 2-plane")
@@ -154,8 +151,8 @@ def q_form(op: CurvatureOperator, psi_plus, psi_minus) -> float:
 
 
 def plane_witness_vectors(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """Unit SD/ASD frame vectors of the plane spanned by X, Y."""
-    omega = TwoForm.from_wedge(X, Y)
+    """Unit SD/ASD frame vectors of the plane spanned by X, Y, at any scale."""
+    omega = TwoForm.from_wedge(_unit_scaled(X), _unit_scaled(Y))
     n = omega.norm()
     if n == 0.0:
         raise DegeneratePlaneError("vectors do not span a 2-plane")
@@ -344,7 +341,7 @@ def certify_sec_sign(op: CurvatureOperator, *,
     """
     d = decompose(op)
     S = op.in_sd_asd_basis()
-    e = math.frexp(float(np.abs(S).max()))[1]
+    e = _exponent(S.ravel().tolist())
     sides = np.ldexp(S, -e) * _SIDES  # R and -R, scaled
     if tolerance is None:
         tol = 1e-8 * max(_ldexp(1.0, -e), float(np.linalg.norm(sides[0])))
@@ -364,20 +361,15 @@ def certify_sec_sign(op: CurvatureOperator, *,
         q_min_lower=q_min_lower, q_min_upper=q_min_upper,
         max_witness=PlaneWitness(max_u, max_v, q_value=q_max_lower),
         min_witness=PlaneWitness(min_u, min_v, q_value=q_min_upper),
-        verdict=_verdict(*bounds, tol), method=Method.THORPE_DUAL,
+        verdict=_verdict(*bounds, tol),
     )
 
 
 def _verdict(q_max_lower, q_max_upper, q_min_lower, q_min_upper, tol) -> Verdict:
-    non_positive = q_max_upper <= tol
-    non_negative = q_min_lower >= -tol
-    if non_negative and non_positive:
-        # sec identically zero to tolerance; report the non-negative branch
+    if q_min_lower >= -tol:  # also when sec is identically zero to tolerance
         return Verdict.NON_NEGATIVE
-    if non_positive:
+    if q_max_upper <= tol:
         return Verdict.NON_POSITIVE
-    if non_negative:
-        return Verdict.NON_NEGATIVE
     if q_max_lower > tol and q_min_upper < -tol:
         return Verdict.INDEFINITE
     return Verdict.INCONCLUSIVE

@@ -264,7 +264,7 @@ def test_criterion_07_numgeom_validation(rng):
 def test_criterion_08_page_pipeline():
     crit = Criterion(8, "Page metric: Einstein, negative curvature, chi and tau")
     m = page.page_metric()
-    check = page.verify_einstein(m, page.chebyshev_radii(m, 32))
+    check = page.verify_einstein(m, page.chebyshev_radii(32))
     ok = check.max_residual <= 1e-6
     ok &= check.lambda_ > 0
 
@@ -290,7 +290,7 @@ def test_criterion_09_geography_exactness():
     ok &= not rep.einstein_nonpos_strict
     rep = geography.report(geography.GeoPoint(5, -1))
     ok &= rep.c1sq == 7 and not rep.both_orientations_complex_possible
-    obstruction = geography.self_dual_lattice_obstruction(True)
+    obstruction = geography.self_dual_lattice_obstruction()
     ok &= obstruction.tau == Fraction(16, 7) and obstruction.integral is False
     crit.conclude(ok)
 

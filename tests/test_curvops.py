@@ -264,6 +264,42 @@ def test_basis_conversion_round_trip(rng):
         assert np.allclose(back.matrix, op.matrix, atol=1e-14)
 
 
+def _slice_assembly(A, B, C):
+    """[[A, B], [B^T, C]] written slice by slice into zeros."""
+    M = np.zeros((6, 6))
+    M[:3, :3] = A
+    M[:3, 3:] = B
+    M[3:, :3] = B.T
+    M[3:, 3:] = C
+    return M
+
+
+def test_sd_block_bitwise_equals_slice_assembly(rng):
+    for _ in range(50):
+        A, B, C = (rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-300, 300)
+                   for _ in range(3))
+        assert curvops._sd_block(A, B, C).tobytes() == _slice_assembly(A, B, C).tobytes()
+        # an SD/ASD input keeps its upper B; a coordinate input goes through
+        # _block_transform, as the constructor's own copies did
+        M = rng.standard_normal((6, 6))
+        assert (curvops._sd_asd_matrix(M, SD_ASD).tobytes()
+                == _slice_assembly(M[:3, :3], M[:3, 3:], M[3:, 3:]).tobytes())
+        assert (curvops._sd_asd_matrix(M, COORDINATE).tobytes()
+                == _slice_assembly(*curvops._block_transform(M)).tobytes())
+        d = decompose(random_admissible_operator(rng))
+        A, C = (W + (d.s / 12.0) * np.eye(3) for W in (d.w_plus, d.w_minus))
+        assert (recompose(d, basis=SD_ASD).matrix.tobytes()
+                == _slice_assembly(A, d.ric_block, C).tobytes())
+    # the Kahler models: (s/12) I has -0.0 off its diagonal when s < 0
+    for name in ("fubiniStudy", "bergman"):
+        for s in (24.0, 1e-300, 3e300) if name == "fubiniStudy" else (-24.0, -1e-300, -3e300):
+            A = np.diag([0.0, 0.0, s / 4.0]) if s > 0 else np.diag([s / 4.0, 0.0, 0.0])
+            want = _slice_assembly(A, np.zeros((3, 3)), (s / 12.0) * np.eye(3))
+            got = catalog(name, {"s": s}).operator.matrix
+            assert got.tobytes() == want.tobytes()
+            assert np.signbit(got[3, 4]) == (s < 0)
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -468,6 +504,84 @@ def test_gl_defect_sphere_product():
     assert rep.cover_class is CoverClass.SPHERE_PRODUCT
     assert d.spectrum_plus[0] == pytest.approx(-1.0 / 3.0, abs=1e-15)
     assert d.spectrum_plus[1] == pytest.approx(-1.0 / 3.0, abs=1e-15)
+
+
+def _gl_defect_reference(d):
+    """gl_defect as an if-chain with one branch per sign of s, and its
+    flatness and multiplicity tests written out: (defect, |W+|, |W-|,
+    branch, saturated, cover)."""
+    tol = d.classify_tol()
+    lp, mp, vp = d.spectrum_plus
+    lm, mm, vm = d.spectrum_minus
+    nwp, nwm = d.norm_w_plus(), d.norm_w_minus()
+    defect = abs(d.s) / math.sqrt(6.0) - (nwp + nwm)
+    branch, saturated, cover = EqualityBranch.NONE, False, CoverClass.NOT_SATURATED
+    if abs(defect) <= tol:
+        flat_tol = curvops.CLASSIFY_TOL
+        if abs(d.s) <= flat_tol and nwp <= flat_tol and nwm <= flat_tol:
+            saturated = True
+            cover = CoverClass.FLAT if d.is_einstein() else CoverClass.NOT_SATURATED
+        elif d.s < 0 and (vp - mp) <= tol and (vm - mm) <= tol:
+            branch = EqualityBranch.NON_POSITIVE
+            saturated = True
+            if d.is_einstein():
+                cover = CoverClass.HYPERBOLIC_PLANE_PRODUCT
+        elif d.s > 0 and (mp - lp) <= tol and (mm - lm) <= tol:
+            branch = EqualityBranch.NON_NEGATIVE
+            saturated = True
+            if d.is_einstein():
+                cover = CoverClass.SPHERE_PRODUCT
+    return float(defect), nwp, nwm, branch, saturated, cover
+
+
+def _with_ricci(op, rng, size):
+    M = op.in_sd_asd_basis()
+    M[:3, 3:] = size * rng.standard_normal((3, 3))
+    M[3:, :3] = M[:3, 3:].T
+    return CurvatureOperator(M, basis=SD_ASD)
+
+
+def _gl_branch_cases(rng):
+    """Seeded operators that reach every branch of gl_defect."""
+    for _ in range(30):
+        k = 10.0 ** float(rng.uniform(-10.0, -8.0))  # flat within CLASSIFY_TOL
+        flat = assemble_einstein(float(rng.normal(0.0, k)), random_traceless_symmetric(rng, k),
+                                 random_traceless_symmetric(rng, k))
+        yield flat  # Einstein
+        yield _with_ricci(flat, rng, 1e-6)  # not Einstein
+        a, b = rng.integers(1, 5, 2).tolist()  # s = 0, each bottom eigenvalue doubled
+        yield assemble_einstein(0.0, np.diag([a, a, -2.0 * a]), np.diag([b, b, -2.0 * b]))
+        for sign in (1.0, -1.0):  # S^2 x S^2 and H^2 x H^2 patterns, on either sign of s
+            s = sign * 10.0 ** float(rng.uniform(-3.0, 3.0))
+            for pattern in (1.0, -1.0):
+                op = _saturated_einstein(rng, s, pattern)
+                yield op
+                yield _with_ricci(op, rng, 1e-3 * abs(s))  # saturated, not Einstein
+        yield random_admissible_operator(rng)
+        yield random_einstein_operator(rng)
+
+
+def test_gl_defect_matches_if_chain_reference(rng):
+    outcomes = set()
+    for op in _gl_branch_cases(rng):
+        for basis_op in (op, CurvatureOperator(op.in_coordinate_basis())):
+            for k in (-40, 0, 40):
+                d = decompose(CurvatureOperator(np.ldexp(basis_op.matrix, k),
+                                                basis=basis_op.basis))
+                report = gl_defect(d)
+                got = (report.defect, report.norm_w_plus, report.norm_w_minus,
+                       report.equality_branch, report.saturated, report.cover_class)
+                want = _gl_defect_reference(d)
+                assert repr(got) == repr(want)
+                outcomes.add(got[3:])
+    NONE, NONPOS, NONNEG = (EqualityBranch.NONE, EqualityBranch.NON_POSITIVE,
+                            EqualityBranch.NON_NEGATIVE)
+    assert outcomes == {
+        (NONE, True, CoverClass.FLAT), (NONE, True, CoverClass.NOT_SATURATED),
+        (NONPOS, True, CoverClass.HYPERBOLIC_PLANE_PRODUCT),
+        (NONPOS, True, CoverClass.NOT_SATURATED),
+        (NONNEG, True, CoverClass.SPHERE_PRODUCT), (NONNEG, True, CoverClass.NOT_SATURATED),
+        (NONE, False, CoverClass.NOT_SATURATED)}
 
 
 def test_gl_defect_orientation_flip_invariance(rng):

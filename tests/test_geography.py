@@ -61,20 +61,14 @@ def test_strict_bound_implies_gromov_luck():
 
 
 def test_lattice_obstruction():
-    out = self_dual_lattice_obstruction(True)
-    assert out.applicable
+    out = self_dual_lattice_obstruction()
+    assert out.to_dict()["applicable"] is True
     assert out.tau == Fraction(16, 7)
     assert out.chi == Fraction(30, 7)
     assert out.integral is False
     # consistency: tau = 16/7 sits on both lines
     assert out.chi == 2 + out.tau
     assert out.chi == Fraction(15, 8) * out.tau
-
-
-def test_lattice_obstruction_not_applicable():
-    out = self_dual_lattice_obstruction(False)
-    assert not out.applicable
-    assert out.to_dict()["applicable"] is False
 
 
 def test_scan_zero():

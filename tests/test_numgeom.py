@@ -16,7 +16,7 @@ from fourcurv.errors import (
 )
 from fourcurv.models import chart_for, chart_reference_operator
 from fourcurv.numgeom import MetricChart, convergence_study, curvature_at, orbit_quadrature
-from fourcurv.page import page_metric, sphere_ansatz
+from fourcurv.page import chebyshev_radii, orbit_curvature, page_metric, sphere_ansatz
 
 
 def interior_points(chart, rng, n, pad=0.3):
@@ -78,6 +78,20 @@ def test_emitted_operator_defects_small():
     pc = curvature_at(chart, [1.2, 0.4, 1.4, -0.2], step=0.01)
     assert pc.operator.symmetry_defect() <= 10 * pc.error_estimate
     assert pc.operator.bianchi_defect() <= 10 * pc.error_estimate
+
+
+def test_error_estimate_is_the_operator_err(rng):
+    charts = [chart_for(name) for name in ("flatChart", "sphereProductChart",
+                                           "hyperbolic4HalfSpace")]
+    points = [rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), (4, 4))
+              for lo, hi in (np.array(c.domain).T for c in charts)]
+    m = page_metric()
+    pcs = [pc for c, x in zip(charts, points) for pc in curvature_at(c, x)]
+    pcs += orbit_curvature(m, chebyshev_radii(8)) + [orbit_curvature(m, 1.0)]
+    for pc in pcs:
+        assert pc.error_estimate == pc.operator.err
+        assert pc.to_dict()["errorEstimate"] == pc.operator.err
+    assert any(pc.error_estimate > 0.0 for pc in pcs)
 
 
 def test_defects_dominated_by_error_at_every_step():

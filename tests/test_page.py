@@ -16,6 +16,7 @@ from fourcurv import curvops, numgeom, secsign
 from fourcurv.models import catalog
 from fourcurv.page import (
     CohomOneMetric,
+    ORBIT_STEP,
     PAGE_SHAPE_QUARTIC,
     certify_negative_curvature,
     chebyshev_radii,
@@ -37,7 +38,7 @@ def test_shape_parameter_root():
 
 def test_page_einstein_residual():
     m = page_metric()
-    check = verify_einstein(m, chebyshev_radii(m, 12))
+    check = verify_einstein(m, chebyshev_radii(12))
     assert check.max_residual <= 1e-6
     assert check.lambda_ == pytest.approx(3.0, abs=1e-7)
     assert check.lambda_ > 0
@@ -57,8 +58,7 @@ def test_perturbed_profile_detected():
         u=base.u,
         v=lambda r: 1.01 * base.v(r),
         w=base.w,
-        length=base.length,
-        suggested_step=base.suggested_step,
+        metadata=base.metadata,
     )
     check = verify_einstein(crooked, [1.0, math.pi / 2, 2.0])
     assert check.max_residual > 1e-3
@@ -78,7 +78,7 @@ def test_endpoint_closure():
 
 def test_profile_positivity_and_chart_definiteness():
     m = page_metric()
-    for r in np.linspace(1e-6, m.length - 1e-6, 200):
+    for r in np.linspace(1e-6, math.pi - 1e-6, 200):
         assert m.u(r) > 0 and m.v(r) > 0 and m.w(r) > 0
     # chart metric positive-definite away from the Euler-angle poles
     for th in (0.3, 1.0, 2.5):
@@ -119,7 +119,7 @@ def test_orbit_homogeneity():
 def test_orbit_curvature_batch_bitwise_equals_single():
     # a point's operator does not depend on the block it is computed in
     m = page_metric()
-    radii = chebyshev_radii(m, 20)
+    radii = chebyshev_radii(20)
     batch = orbit_curvature(m, radii)
     assert len(batch) == 20
     for r, pc in zip(radii[::3], batch[::3]):
@@ -136,7 +136,7 @@ def test_error_estimate_covers_metric_roundoff():
     # moving every metric value by one ulp, up or down at random, must move
     # the emitted operator by no more than the reported error estimate
     m = page_metric()
-    radii = np.array(chebyshev_radii(m, 16))
+    radii = np.array(chebyshev_radii(16))
     clean = orbit_curvature(m, radii)
     rng = np.random.default_rng(7)
 
@@ -147,7 +147,7 @@ def test_error_estimate_covers_metric_roundoff():
         return np.where(up, np.nextafter(g, np.inf), np.nextafter(g, -np.inf))
 
     chart = dataclasses.replace(m.chart, metric_at=noisy)
-    step = np.minimum(m.suggested_step, 0.4 * np.minimum(radii, m.length - radii))
+    step = np.minimum(ORBIT_STEP, 0.4 * np.minimum(radii, math.pi - radii))
     points = np.stack(np.broadcast_arrays(radii, np.pi / 2, 0.0, 0.0), axis=-1)
     for trial in range(3):
         shaken = numgeom.curvature_at(chart, points, step=step)
@@ -158,7 +158,7 @@ def test_error_estimate_covers_metric_roundoff():
 
 def test_page_negative_curvature():
     m = page_metric()
-    report = certify_negative_curvature(m, chebyshev_radii(m, 32))
+    report = certify_negative_curvature(m, chebyshev_radii(32))
     assert report.min_sec < -0.1
     w = report.witness
     op = orbit_curvature(m, report.witness_radius).operator
@@ -181,7 +181,7 @@ def test_witness_radius_of_mirror_orbits_is_the_smaller(r):
 
 
 def test_sphere_ansatz_constant_curvature():
-    report = certify_negative_curvature(sphere_ansatz(), chebyshev_radii(sphere_ansatz(), 8))
+    report = certify_negative_curvature(sphere_ansatz(), chebyshev_radii(8))
     assert report.min_sec == pytest.approx(1.0, abs=1e-6)
 
 

@@ -1,5 +1,6 @@
 """Sectional-curvature evaluation and certification tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,12 +12,19 @@ from conftest import (
     random_einstein_operator,
 )
 from fourcurv import secsign
-from fourcurv.curvops import CLASSIFY_TOL, SD_ASD, CurvatureOperator, decompose
+from fourcurv.curvops import (
+    CLASSIFY_TOL,
+    DECOMPOSABLE_TOL,
+    SD_ASD,
+    CurvatureOperator,
+    TwoForm,
+    decompose,
+    sd_frame_components,
+)
 from fourcurv.errors import DegeneratePlaneError, NotEinsteinError, NotUnitError
 from fourcurv.jsonio import dumps
 from fourcurv.models import catalog
 from fourcurv.secsign import (
-    Method,
     Verdict,
     certify_sec_sign,
     einstein_extreme_witnesses,
@@ -108,6 +116,72 @@ def test_plane_witness_vectors_round_trip(rng):
     assert q_form(op, psi_p, psi_m) == pytest.approx(2 * sec_of_plane(op, X, Y), abs=1e-12)
 
 
+def _sec_of_plane_unscaled(op, X, Y):
+    """sec_of_plane on X and Y as given, with no power-of-two scaling."""
+    gram = float(X @ X) * float(Y @ Y) - float(X @ Y) ** 2
+    omega = TwoForm.from_wedge(X, Y).coefficients
+    return float(omega @ op.in_coordinate_basis() @ omega) / gram
+
+
+def _plane_witness_vectors_unscaled(X, Y):
+    omega = TwoForm.from_wedge(X, Y)
+    plus, minus = sd_frame_components(TwoForm(omega.coefficients / omega.norm()))
+    return plus * math.sqrt(2.0), minus * math.sqrt(2.0)
+
+
+def test_plane_helpers_keep_their_bits_at_any_scale(rng):
+    # X, Y scaled by 2^k stay normal for |k| <= 1000 (entries 1/2..2 in size),
+    # so the result is the unit-scale one bit for bit
+    ops = [CurvatureOperator(np.eye(6)), random_admissible_operator(rng),
+           random_admissible_operator(rng, basis="coordinate")]
+    pairs = [(E[0], E[1]), (E[0] + E[2], E[1] - E[3])]
+    pairs += [tuple(rng.uniform(0.5, 2.0, 4) * rng.choice([-1.0, 1.0], 4) for _ in "XY")
+              for _ in range(6)]
+    ks = [(k, k) for k in range(-1000, 1001, 40)]
+    ks += [tuple(rng.integers(-1000, 1001, 2).tolist()) for _ in range(20)]
+    for X, Y in pairs:
+        vectors = plane_witness_vectors(X, Y)
+        assert [v.tobytes() for v in vectors] == [
+            v.tobytes() for v in _plane_witness_vectors_unscaled(X, Y)]
+        secs = [sec_of_plane(op, X, Y) for op in ops]
+        assert secs == [_sec_of_plane_unscaled(op, X, Y) for op in ops]
+        for kx, ky in ks:
+            Xk, Yk = np.ldexp(X, kx), np.ldexp(Y, ky)
+            assert [v.tobytes() for v in plane_witness_vectors(Xk, Yk)] == [
+                v.tobytes() for v in vectors]
+            assert [sec_of_plane(op, Xk, Yk) for op in ops] == secs
+    # the cases that overflowed, underflowed or lost the plane without the scaling
+    op = ops[0]
+    for scale in (1e80, 1e160, 1e-170, 1e-300):
+        assert sec_of_plane(op, scale * E[0], scale * E[1]) == 1.0
+        psi_p, psi_m = plane_witness_vectors(scale * E[0], scale * E[1])
+        assert q_form(op, psi_p, psi_m) == 2.0
+    with pytest.raises(DegeneratePlaneError):
+        sec_of_plane(op, 1e160 * E[0], 2e160 * E[0])
+
+
+def test_decomposable_verdict_at_any_scale_beyond_unit_norm(rng):
+    tol = DECOMPOSABLE_TOL
+    forms = [np.array([1.0, 0, 0, 0, 0, 1.0]),  # e12 + e34, self-dual
+             # wedge square 100 c against the threshold 2500 tol (+ c^2 tol)
+             np.array([24.0 * tol, 0, 0, 0, 0, 50.0]), np.array([26.0 * tol, 0, 0, 0, 0, 50.0]),
+             np.array([1.0, 0, 0, 0, 0, 0])]
+    forms += [TwoForm.from_wedge(*rng.uniform(-2.0, 2.0, (2, 4))).coefficients * 4.0
+              for _ in range(10)]
+    forms += [rng.uniform(-2.0, 2.0, 6) * 4.0 for _ in range(10)]
+    verdicts = []
+    for c in forms:
+        assert np.linalg.norm(c) >= 1.0
+        want = TwoForm(c).is_decomposable()
+        verdicts.append(want)
+        for k in range(0, 1000, 10):
+            assert TwoForm(np.ldexp(c, k)).is_decomposable() is want, (c, k)
+    assert verdicts[:4] == [False, True, False, True]
+    assert all(verdicts[4:14]) and not any(verdicts[14:])
+    assert not TwoForm([1e160, 0, 0, 0, 0, 1e160]).is_decomposable()
+    assert TwoForm([1e160, 0, 0, 0, 0, 0]).is_decomposable()
+
+
 # ---------------------------------------------------------------------------
 # Einstein exact range
 # ---------------------------------------------------------------------------
@@ -184,16 +258,43 @@ def test_sphere_max_zero_linear_term():
 
 def test_certify_unit_sphere_exact():
     cert = certify_sec_sign(CurvatureOperator(np.eye(6)))
-    assert cert.method is Method.THORPE_DUAL
+    assert cert.to_dict()["method"] == "ThorpeDual"
     assert cert.verdict is Verdict.NON_NEGATIVE
     assert cert.q_max_lower == cert.q_max_upper == 2.0
     assert cert.q_min_lower == cert.q_min_upper == 2.0
 
 
+def _verdict_reference(q_max_lower, q_max_upper, q_min_lower, q_min_upper, tol):
+    """The verdict with its zero case as a branch of its own."""
+    non_positive = q_max_upper <= tol
+    non_negative = q_min_lower >= -tol
+    if non_negative and non_positive:
+        return Verdict.NON_NEGATIVE
+    if non_positive:
+        return Verdict.NON_POSITIVE
+    if non_negative:
+        return Verdict.NON_NEGATIVE
+    if q_max_lower > tol and q_min_upper < -tol:
+        return Verdict.INDEFINITE
+    return Verdict.INCONCLUSIVE
+
+
+def test_verdict_matches_reference_on_every_tie():
+    tol = 1e-8
+    values = (-1.0, -tol, math.nextafter(-tol, 0.0), -0.0, 0.0, math.nextafter(tol, 0.0),
+              tol, math.nextafter(tol, 1.0), 1.0)
+    verdicts = set()
+    for bounds in itertools.product(values, repeat=4):
+        want = _verdict_reference(*bounds, tol)
+        assert secsign._verdict(*bounds, tol) is want
+        verdicts.add(want)
+    assert verdicts == set(Verdict)
+
+
 def test_certify_surface_product_1_2():
     op = catalog("surfaceProduct", {"a": 1.0, "b": 2.0}).operator
     cert = certify_sec_sign(op)
-    assert cert.method is Method.THORPE_DUAL
+    assert cert.to_dict()["method"] == "ThorpeDual"
     assert cert.q_max_lower == pytest.approx(4.0, abs=1e-9)
     assert cert.q_max_upper == pytest.approx(4.0, abs=1e-12)  # dual bound tight
     assert cert.max_witness.sec_value == pytest.approx(2.0, abs=1e-9)
@@ -350,7 +451,7 @@ def test_dual_gap_seeded_kinds(kind):
     for _ in range(50):
         op = DUAL_KINDS[kind](rng)
         cert = certify_sec_sign(op)
-        assert cert.method is Method.THORPE_DUAL
+        assert cert.to_dict()["method"] == "ThorpeDual"
         worst = max(worst, _relative_gap(cert, op))
     assert worst <= 1e-13
 
