@@ -22,7 +22,12 @@ the first line where it differs.  The corpus covers:
   small for the stencil and with curvatures that overflow the frame contraction;
 - ``page --verify --negcurv --integrate`` at (R, N) in {16, 32, 64} x {24, 48};
 - ``geo``, ``geo --csv`` and ``scan``;
-- ``-h`` for every subcommand, and argument errors.
+- ``-h`` for every subcommand, and argument errors;
+- operator files of the wrong shape or type (nested too deeply, an integer
+  beyond the float range, ``true``, a string, ``null``, a nested entry, a
+  ragged or short matrix, no matrix, not an object, an unknown basis), ``certify
+  --tolerance`` at values that are not finite or are negative and at 0, and
+  the Kahler models at a non-finite ``s``.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -261,6 +266,25 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
              ["scan", "--chi-max", "1001"], ["scan", "--chi-max", "1" + "0" * 5000],
              ["page", "--verify", "--radii", "1" + "0" * 5000],
              ["page", "--integrate", "--nodes", "1" + "0" * 5000]]
+
+    rows = np.eye(6).tolist()
+    text = json.dumps({"matrix": rows})
+    bad = {"deep": "[" * 100_000, "huge-int": text.replace("1.0", "1" + "0" * 400, 1),
+           "true": text.replace("0.0", "true", 1), "string": text.replace("1.0", '"1"', 1),
+           "null": text.replace("0.0", "null", 1), "nested": text.replace("0.0", "[0.0]", 1),
+           "ragged": json.dumps({"matrix": rows[:5] + [rows[5][:5]]}),
+           "rows": json.dumps({"matrix": rows[:5]}), "scalar": '{"matrix": 1}',
+           "no-matrix": '{"basis": "coordinate"}', "not-object": "[]",
+           "basis": json.dumps({"basis": "SD/ASD", "matrix": rows})}
+    for name, text in bad.items():
+        path = inputs / f"bad-{name}.json"
+        path.write_text(text)
+        reqs += [["decompose", "-i", str(path)], ["certify", "-i", str(path)]]
+    neg = _operator_file(inputs / "neg.json", -1e-9 * np.eye(6), "coordinate")
+    reqs += [["certify", "-i", neg, f"--tolerance={t}"]
+             for t in ("-1", "inf", "-inf", "nan", "1e400", "0")]
+    reqs += [["model", "fubiniStudy", f"--param=s={s}"] for s in ("inf", "nan")]
+    reqs += [["model", "bergman", f"--param=s={s}"] for s in ("-inf", "nan")]
     return reqs
 
 

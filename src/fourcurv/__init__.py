@@ -2,8 +2,8 @@
 
 Submodules:
 
-    curvops    2-form algebra, curvature-operator decomposition, the
-               pointwise Weyl bound and its saturation classifier,
+    curvops    the SD/ASD frame change, curvature-operator decomposition,
+               the pointwise Weyl bound and its saturation classifier,
                characteristic densities
     models     exact catalog operators and analytic validation charts
     secsign    sectional-curvature evaluation and sign certification
@@ -24,9 +24,9 @@ __version__ = "0.1.0"
 
 _SUBMODULE = {name: module for module, names in {
     "curvops": ("CharDensities", "CoverClass", "CurvatureOperator", "CurvatureSign",
-                "Decomposition", "EqualityBranch", "GLReport", "TwoForm",
+                "Decomposition", "EqualityBranch", "GLReport",
                 "char_densities", "classify_equality", "decompose", "gl_defect",
-                "kahler_signature_check", "recompose", "sd_projectors"),
+                "kahler_signature_check", "recompose"),
     "geography": ("GeoPoint", "GeoReport", "report", "scan_csv",
                   "self_dual_lattice_obstruction"),
     "models": ("ModelSpec", "catalog", "chart_for"),

@@ -73,6 +73,17 @@ def _int_option(option: str, lo: int | None = None, hi: int | None = None):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``certify --tolerance``: a finite float >= 0, else exit 1."""
+    try:
+        value = float(text)
+    except ValueError:  # argparse's own message for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= sys.float_info.max:
+        raise FourcurvError(f"argument --tolerance must be finite and at least 0, got {value!r}")
+    return value
+
+
 def _print_report(data: dict, human: bool) -> None:
     # formatted whole before it is written, so an error leaves no partial report
     if human:
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify the sign of sectional curvature")
     p.add_argument("-i", "--input", required=True, help="operator JSON file")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="verdict tolerance on q (default 1e-8 max(1, |R|_F))")
     add_format(p)
     p.set_defaults(func=_cmd_certify)

@@ -25,7 +25,7 @@ unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -41,6 +41,7 @@ from .errors import (
     NotKahlerError,
     NotSymmetricError,
 )
+from .names import COORDINATE, SD_ASD
 
 # Tolerance for symmetry / first-Bianchi / block-trace validation, relative
 # to max(1, max|R|) for operators.
@@ -48,8 +49,6 @@ STRUCTURAL_TOL = 1e-9
 # Relative tolerance (scaled by max(1, |s|)) for saturation, eigenvalue
 # multiplicities and the Einstein test.
 CLASSIFY_TOL = 1e-7
-# Decomposability: the wedge square of a 2-form relative to max(1, |omega|^2).
-DECOMPOSABLE_TOL = 1e-10
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -59,10 +58,6 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # one table, through its array columns _SD_I, _SD_J, _SD_SIGN.
 _SD_PAIRS = ((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0))
 _SD_I, _SD_J, _SD_SIGN = (np.array(col) for col in zip(*_SD_PAIRS))
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # the frames' normalization
-
-COORDINATE = "coordinate"
-SD_ASD = "sd-asd"
 
 
 class CoverClass(str, Enum):
@@ -83,16 +78,6 @@ class CurvatureSign(str, Enum):
     NON_NEGATIVE = "NonNegative"
     INDEFINITE = "Indefinite"
     ZERO = "Zero"
-
-
-_HODGE = np.zeros((6, 6))
-_HODGE[_SD_I, _SD_J] = _HODGE[_SD_J, _SD_I] = _SD_SIGN
-_HODGE.setflags(write=False)
-
-
-def hodge_star_matrix() -> np.ndarray:
-    """Matrix of the Hodge star on 2-forms in the coordinate basis (read-only)."""
-    return _HODGE
 
 
 # Entry (a, b) of the SD/ASD blocks combines M[i_a, i_b], s_b M[i_a, j_b],
@@ -177,80 +162,6 @@ def _norm(a: np.ndarray) -> float:
     e = _exponent(a.ravel().tolist())
     v = np.ldexp(a.ravel(), -e)
     return _ldexp(math.sqrt(float(v.dot(v))), e)
-
-
-# ---------------------------------------------------------------------------
-# 2-forms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TwoForm:
-    """A 2-form given by its 6 coefficients in the coordinate basis."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.shape != (6,):
-            raise ValueError("TwoForm needs exactly 6 coefficients")
-        object.__setattr__(self, "coefficients", _readonly(c))
-
-    @classmethod
-    def from_wedge(cls, X, Y) -> "TwoForm":
-        """The decomposable form X ^ Y of two tangent vectors."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        c = np.array([X[i] * Y[j] - X[j] * Y[i] for i, j in PAIRS])
-        return cls(c)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-    def wedge_square(self) -> float:
-        """Coefficient of the wedge square against the volume form (Plucker).
-
-        Vanishes exactly on decomposable forms.
-        """
-        c = self.coefficients
-        return 2.0 * (c[0] * c[5] - c[1] * c[4] + c[2] * c[3])
-
-    def is_decomposable(self) -> bool:
-        """Whether the form is some X ^ Y: its wedge square, which is also
-        ``|plus|^2 - |minus|^2``, vanishes within
-        ``DECOMPOSABLE_TOL * max(1, |omega|^2)``, tested on omega scaled by
-        ``2**-e`` (and the 1 by ``4**-e``) where an entry is at least 1."""
-        e = max(0, _exponent(self.coefficients.tolist()))
-        w = TwoForm(np.ldexp(self.coefficients, -e))
-        return bool(abs(w.wedge_square())
-                    <= DECOMPOSABLE_TOL * max(math.ldexp(1.0, -2 * e), w.norm() ** 2))
-
-
-def sd_projectors(omega: TwoForm) -> tuple[TwoForm, TwoForm]:
-    """Split a 2-form into its self-dual and anti-self-dual parts.
-
-    Returns ``(plus, minus)`` with ``plus + minus == omega``, where the parts
-    are the +1 and -1 eigencomponents of the Hodge star.
-    """
-    c = omega.coefficients
-    star = _HODGE @ c
-    return TwoForm(0.5 * (c + star)), TwoForm(0.5 * (c - star))
-
-
-def sd_frame_components(omega: TwoForm) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of a 2-form in the orthonormal SD/ASD eigenframes."""
-    c = omega.coefficients
-    ci, cj = c[_SD_I], _SD_SIGN * c[_SD_J]
-    return (ci + cj) * _INV_SQRT2, (ci - cj) * _INV_SQRT2
-
-
-def two_form_from_frame_components(plus, minus) -> TwoForm:
-    """Inverse of :func:`sd_frame_components`."""
-    plus = np.asarray(plus, dtype=float)
-    minus = np.asarray(minus, dtype=float)
-    c = np.zeros(6)
-    c[_SD_I] += (plus + minus) * _INV_SQRT2
-    c[_SD_J] += _SD_SIGN * (plus - minus) * _INV_SQRT2
-    return TwoForm(c)
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +320,6 @@ class Decomposition:
         by Weyl's inequality sigma2 by no more."""
         sigma1, sigma2, err = self._kahler_sigmas()
         return bool(sigma2 <= CLASSIFY_TOL * sigma1 + 9.0 * err)
-
-    def orientation_flipped(self) -> "Decomposition":
-        """Swap the roles of the SD and ASD halves."""
-        return Decomposition(
-            s=self.s,
-            w_plus=self.w_minus,
-            w_minus=self.w_plus,
-            ric_block=self.ric_block.T,
-            spectrum_plus=self.spectrum_minus,
-            spectrum_minus=self.spectrum_plus,
-            err=self.err,
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ import math
 import numbers
 from pathlib import Path
 
-from .names import BASIS_LABELS
+from .names import BASIS_LABELS, COORDINATE, SD_ASD
 
 CONVENTION = {
     "twoFormBasis": list(BASIS_LABELS),
@@ -78,11 +78,36 @@ def dumps(report: dict) -> str:
     return "".join(out) + "\n"
 
 
+def _operator_problem(data) -> str | None:
+    """Why ``data`` is not an object with a ``matrix`` of 6 arrays of 6 numbers (no
+    booleans, no integers beyond the float range) and an optional ``basis`` tag,
+    naming the first offending entry; None if it is.  Plain Python, no numpy."""
+    if not isinstance(data, dict) or "matrix" not in data:
+        return "operator JSON must be an object with a 'matrix' field"
+    rows = data["matrix"]
+    if type(rows) is not list or len(rows) != 6:
+        return "matrix must be an array of 6 rows"
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != 6:
+            return f"matrix[{i}] must be an array of 6 numbers"
+        for j, x in enumerate(row):
+            if type(x) is not float:  # the rare case, so floats cost one test
+                if type(x) is not int:
+                    return f"matrix[{i}][{j}] must be a number"
+                try:
+                    float(x)
+                except OverflowError:
+                    return f"matrix[{i}][{j}] is an integer beyond the float range"
+    if data.get("basis", COORDINATE) not in (COORDINATE, SD_ASD):
+        return f"basis must be {COORDINATE!r} or {SD_ASD!r}"
+
+
 def load_operator(path: str | Path) -> CurvatureOperator:
     """Load a curvature operator from a JSON file.
 
-    Malformed JSON is reported with its line and column; admissibility
-    failures propagate as fourcurv errors.
+    Malformed JSON (with its line and column), JSON nested too deeply to read
+    and a file of the wrong shape (:func:`_operator_problem`) are refused in one
+    line each; admissibility failures propagate as fourcurv errors.
     """
     from .curvops import CurvatureOperator  # numpy: not loaded by the geography commands
 
@@ -93,6 +118,8 @@ def load_operator(path: str | Path) -> CurvatureOperator:
         raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: operator JSON must be an object")
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    if problem := _operator_problem(data):
+        raise ValueError(f"{path}: {problem}")
     return CurvatureOperator.from_dict(data)

@@ -102,6 +102,8 @@ def _operator_matrix(name: str, params: dict) -> np.ndarray:
             raise BadParameterError("fubiniStudy requires s > 0")
         if name == "bergman" and s >= 0:
             raise BadParameterError("bergman requires s < 0")
+        if not math.isfinite(s):
+            raise BadParameterError(f"parameter 's' must be finite, got {s!r}")
         # SD/ASD basis: A = s/12 + W+, C = s/12, Kahler spectrum pattern
         A = np.diag([0.0, 0.0, s / 4.0]) if s > 0 else np.diag([s / 4.0, 0.0, 0.0])
         return curvops._sd_block(A, np.zeros((3, 3)), (s / 12.0) * np.eye(3))

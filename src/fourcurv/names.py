@@ -1,10 +1,13 @@
 """Names that the numerical modules and the numpy-free command line share:
-the catalog's models and charts with their default parameters, and the
-labels of the coordinate 2-form basis.  This module imports nothing, so the
-CLI can build its parser without loading numpy.
+the catalog's models and charts with their default parameters, the labels
+of the coordinate 2-form basis and the tags of the two operator bases.  This
+module imports nothing, so the CLI can build its parser without loading numpy.
 """
 
 BASIS_LABELS = ("e1^e2", "e1^e3", "e1^e4", "e2^e3", "e2^e4", "e3^e4")
+
+COORDINATE = "coordinate"
+SD_ASD = "sd-asd"
 
 MODEL_DEFAULTS: dict[str, dict] = {
     "flat": {},

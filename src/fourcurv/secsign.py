@@ -34,16 +34,14 @@ import numpy as np
 
 from .curvops import (
     CLASSIFY_TOL,
+    PAIRS,
     CurvatureOperator,
     CurvatureSign,
     Decomposition,
-    TwoForm,
     _exponent,
     _ldexp,
     _unit_scaled,
     decompose,
-    sd_frame_components,
-    two_form_from_frame_components,
 )
 from .errors import DegeneratePlaneError, NotUnitError
 
@@ -68,11 +66,6 @@ class PlaneWitness:
     @property
     def sec_value(self) -> float:
         return self.q_value / 2.0
-
-    def two_form(self) -> TwoForm:
-        return two_form_from_frame_components(
-            self.psi_plus / math.sqrt(2.0), self.psi_minus / math.sqrt(2.0)
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -129,7 +122,7 @@ def sec_of_plane(op: CurvatureOperator, X, Y) -> float:
     gram = float(X @ X) * float(Y @ Y) - float(X @ Y) ** 2
     if gram <= 1e-14 * float(X @ X) * float(Y @ Y) or gram == 0.0:
         raise DegeneratePlaneError("vectors do not span a 2-plane")
-    omega = TwoForm.from_wedge(X, Y).coefficients
+    omega = np.array([X[i] * Y[j] - X[j] * Y[i] for i, j in PAIRS])  # X ^ Y
     M = op.in_coordinate_basis()
     return float(omega @ M @ omega) / gram
 
@@ -148,16 +141,6 @@ def q_form(op: CurvatureOperator, psi_plus, psi_minus) -> float:
     A, B, C = op.blocks()
     return float(psi_plus @ A @ psi_plus + psi_minus @ C @ psi_minus
                  + 2.0 * psi_plus @ B @ psi_minus)
-
-
-def plane_witness_vectors(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """Unit SD/ASD frame vectors of the plane spanned by X, Y, at any scale."""
-    omega = TwoForm.from_wedge(_unit_scaled(X), _unit_scaled(Y))
-    n = omega.norm()
-    if n == 0.0:
-        raise DegeneratePlaneError("vectors do not span a 2-plane")
-    plus, minus = sd_frame_components(TwoForm(omega.coefficients / n))
-    return plus * math.sqrt(2.0), minus * math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------

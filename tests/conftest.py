@@ -74,6 +74,31 @@ def rotated_spectrum(rng: np.random.Generator, spectrum) -> np.ndarray:
     return Q @ np.diag(np.asarray(spectrum, dtype=float)) @ Q.T
 
 
+def orientation_flipped(d: curvops.Decomposition) -> curvops.Decomposition:
+    """The decomposition of the same operator under the opposite orientation:
+    the roles of the SD and ASD halves swap, and the Ricci block transposes."""
+    return curvops.Decomposition(
+        s=d.s,
+        w_plus=d.w_minus,
+        w_minus=d.w_plus,
+        ric_block=d.ric_block.T,
+        spectrum_plus=d.spectrum_minus,
+        spectrum_minus=d.spectrum_plus,
+        err=d.err,
+    )
+
+
+def witness_two_form(psi_plus, psi_minus) -> np.ndarray:
+    """Coordinate-basis coefficients of the unit 2-form (psi+ + psi-)/sqrt(2)
+    of a witness plane, from its unit vectors in the SD/ASD frames: the frames
+    are (e_i +- sign e_j)/sqrt(2) over the Hodge pairs (i, j, sign) below."""
+    c = np.zeros(6)
+    for a, (i, j, sign) in enumerate(((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0))):
+        c[i] = 0.5 * (psi_plus[a] + psi_minus[a])
+        c[j] = 0.5 * sign * (psi_plus[a] - psi_minus[a])
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Grid oracle for q_max, independent of the dual certificate: exact
 # sphere-constrained inner solves (secular equation) and alternating

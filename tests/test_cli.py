@@ -81,14 +81,15 @@ def test_certify_identity(tmp_path, capsys):
     assert data["qMaxLower"] == 2.0
 
 
-def _gap_operator(tmp_path):
+def _gap_operator(tmp_path, shift=0.0):
     # q_max = 10/3 - 3.6 = -4/15: sec < 0 everywhere, although the bound
-    # lam_max(A) + lam_max(C) + 2 sigma_max(B) = 1.4 is positive
+    # lam_max(A) + lam_max(C) + 2 sigma_max(B) = 1.4 is positive; a shift by
+    # c I adds 2c to every q
     M = np.zeros((6, 6))
     M[:3, :3] = np.diag([-2.3, -2.3, 0.7])
     M[3:, 3:] = -1.3 * np.eye(3)
     M[0, 3] = M[3, 0] = 1.0
-    return write_operator(tmp_path / "gap.json", M, basis="sd-asd")
+    return write_operator(tmp_path / "gap.json", M + shift * np.eye(6), basis="sd-asd")
 
 
 def test_certify_negative_qmax_nonpositive(tmp_path, capsys):
@@ -102,8 +103,9 @@ def test_certify_negative_qmax_nonpositive(tmp_path, capsys):
 
 def test_certify_inconclusive_exit_2(tmp_path, capsys):
     # a tolerance strictly inside the certified interval [qMaxLower,
-    # qMaxUpper]: whether q_max <= tol cannot be decided from the bounds
-    path = _gap_operator(tmp_path)
+    # qMaxUpper]: whether q_max <= tol cannot be decided from the bounds; the
+    # shift by I/2 makes q_max = 11/15 positive, so the tolerance is too
+    path = _gap_operator(tmp_path, shift=0.5)
     _, out, _ = run_cli(capsys, "certify", "-i", path)
     data = json.loads(out)
     lo, hi = data["qMaxLower"], data["qMaxUpper"]
@@ -186,6 +188,77 @@ def test_decompose_scaled_operator_accepted(tmp_path, capsys):
     code, out, err = run_cli(capsys, "decompose", "-i", path)
     assert code == 0 and err == ""
     assert json.loads(out)["charDensities"]["ratio"] is not None
+
+
+_ROWS = [[float(i == j) for j in range(6)] for i in range(6)]
+_NEG = json.dumps({"matrix": [[-1e-9 * x for x in row] for row in _ROWS]})  # q <= -2e-9
+
+
+def _with_entry(i, j, token):
+    """The identity operator file with entry (i, j) written as the JSON ``token``."""
+    rows = [[json.dumps(x) for x in row] for row in _ROWS]
+    rows[i][j] = token
+    return '{"matrix": [' + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]}"
+
+
+_BAD_FILES = [
+    ("[" * 100_000, "{op}: JSON nested too deeply to read"),
+    (_with_entry(5, 5, "1" + "0" * 400),
+     "{op}: matrix[5][5] is an integer beyond the float range"),
+    (_with_entry(0, 0, "true"), "{op}: matrix[0][0] must be a number"),
+    (_with_entry(2, 3, '"1"'), "{op}: matrix[2][3] must be a number"),
+    (_with_entry(1, 1, "null"), "{op}: matrix[1][1] must be a number"),
+    (_with_entry(4, 0, "[1.0]"), "{op}: matrix[4][0] must be a number"),
+    (json.dumps({"matrix": _ROWS[:3] + [_ROWS[3][:5]] + _ROWS[4:]}),
+     "{op}: matrix[3] must be an array of 6 numbers"),
+    (json.dumps({"matrix": _ROWS[:5]}), "{op}: matrix must be an array of 6 rows"),
+    (json.dumps({"matrix": sum(_ROWS, [])}),
+     "{op}: matrix must be an array of 6 rows"),
+    ('{"matrix": 1}', "{op}: matrix must be an array of 6 rows"),
+    ("[]", "{op}: operator JSON must be an object with a 'matrix' field"),
+    ('{"basis": "coordinate"}', "{op}: operator JSON must be an object with a 'matrix' field"),
+    (json.dumps({"basis": "SD/ASD", "matrix": _ROWS}),
+     "{op}: basis must be 'coordinate' or 'sd-asd'"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    *[([command, "-i", "{op}"], text, message)
+      for text, message in _BAD_FILES for command in ("decompose", "certify")],
+    *[(["certify", "-i", "{op}", f"--tolerance={value}"], _NEG,
+       f"argument --tolerance must be finite and at least 0, got {shown}")
+      for value, shown in (("-1", "-1.0"), ("inf", "inf"), ("-inf", "-inf"), ("nan", "nan"),
+                           ("1e400", "inf"))],
+    *[(["model", name, "--param", f"s={value}"], None,
+       f"parameter 's' must be finite, got {value}")
+      for name, value in (("fubiniStudy", "inf"), ("bergman", "-inf"), ("fubiniStudy", "nan"),
+                          ("bergman", "nan"))],
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_refused_input_exit_1_one_line(tmp_path, capsys, argv, text, message):
+    # before, these printed a traceback or a numpy warning, exited 0 with a verdict,
+    # or gave a message that named no entry
+    op = tmp_path / "op.json"
+    if text is not None:
+        op.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *(arg.format(op=op) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message.format(op=op)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "-i", "{op}"], ["certify", "-i", "{op}"],
+    ["certify", "-i", "{neg}", "--tolerance", "0"],
+    ["certify", "-i", "{neg}", "--tolerance", "-0"],
+])
+def test_valid_file_and_zero_tolerance_exit_0(tmp_path, capsys, argv):
+    # integer literals are numbers; a tolerance of 0 is valid
+    op, neg = tmp_path / "op.json", tmp_path / "neg.json"
+    op.write_text(_with_entry(0, 0, "1").replace("0.0", "0"), encoding="utf-8")
+    neg.write_text(_NEG, encoding="utf-8")
+    code, out, err = run_cli(capsys, *(arg.format(op=op, neg=neg) for arg in argv))
+    assert (code, err) == (0, "")
+    if "--tolerance" in argv:
+        assert json.loads(out)["verdict"] == "NonPositive"
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):

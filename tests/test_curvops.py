@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     assemble_einstein,
+    orientation_flipped,
     random_admissible_operator,
     random_einstein_operator,
     random_rotation,
@@ -22,17 +23,12 @@ from fourcurv.curvops import (
     CurvatureOperator,
     CurvatureSign,
     EqualityBranch,
-    TwoForm,
     char_densities,
     classify_equality,
     decompose,
     gl_defect,
-    hodge_star_matrix,
     kahler_signature_check,
     recompose,
-    sd_frame_components,
-    sd_projectors,
-    two_form_from_frame_components,
 )
 from fourcurv.errors import (
     BianchiViolationError,
@@ -51,120 +47,10 @@ SQ6 = math.sqrt(6.0)
 
 
 # ---------------------------------------------------------------------------
-# two-forms and the SD/ASD split
+# the SD/ASD frame change
 # ---------------------------------------------------------------------------
 
-def test_hodge_star_squares_to_identity():
-    H = hodge_star_matrix()
-    assert np.array_equal(H @ H, np.eye(6))
-    assert np.array_equal(H, H.T)
-
-
-def test_sd_projectors_basis_form():
-    omega = TwoForm(np.array([1.0, 0, 0, 0, 0, 0]))  # e1^e2
-    plus, minus = sd_projectors(omega)
-    assert np.array_equal(plus.coefficients, [0.5, 0, 0, 0, 0, 0.5])
-    assert np.array_equal(minus.coefficients, [0.5, 0, 0, 0, 0, -0.5])
-    assert plus.norm() == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-    assert minus.norm() == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-
-
-def test_sd_projectors_zero():
-    plus, minus = sd_projectors(TwoForm(np.zeros(6)))
-    assert plus.norm() == 0.0 and minus.norm() == 0.0
-
-
-def test_sd_projectors_eigenvectors_and_orthogonality(rng):
-    H = hodge_star_matrix()
-    for _ in range(50):
-        omega = TwoForm(rng.standard_normal(6))
-        plus, minus = sd_projectors(omega)
-        assert np.allclose(plus.coefficients + minus.coefficients,
-                           omega.coefficients, atol=1e-15)
-        assert np.allclose(H @ plus.coefficients, plus.coefficients, atol=1e-14)
-        assert np.allclose(H @ minus.coefficients, -minus.coefficients, atol=1e-14)
-        assert abs(plus.coefficients @ minus.coefficients) < 1e-14
-
-
-def test_simple_forms_have_equal_half_norms(rng):
-    # oracle: the Plucker quantity of X^Y computed straight from coefficients
-    for _ in range(100):
-        X = rng.standard_normal(4)
-        Y = rng.standard_normal(4)
-        omega = TwoForm.from_wedge(X, Y)
-        assert abs(omega.wedge_square()) < 1e-12 * max(1.0, omega.norm() ** 2)
-        plus, minus = sd_projectors(omega)
-        assert plus.norm() == pytest.approx(minus.norm(), abs=1e-12)
-        assert omega.is_decomposable()
-
-
-def test_not_decomposable_detected():
-    # e1^e2 + e3^e4 is self-dual, never a wedge of two vectors
-    omega = TwoForm(np.array([1.0, 0, 0, 0, 0, 1.0]))
-    assert not omega.is_decomposable()
-
-
-def test_is_decomposable_returns_bool():
-    assert TwoForm.from_wedge([1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 3.0, 0.0]).is_decomposable() is True
-    assert TwoForm(np.array([1.0, 0, 0, 0, 0, 1.0])).is_decomposable() is False
-
-
-def test_decomposability_criteria_share_one_threshold():
-    # c e1^e2 + e3^e4 / 2 has |omega| < 1 and wedge square c exactly, which is
-    # also |plus|^2 - |minus|^2; the one threshold is DECOMPOSABLE_TOL itself
-    tol = curvops.DECOMPOSABLE_TOL
-    for c, want in ((tol, True), (math.nextafter(tol, 0.0), True),
-                    (math.nextafter(tol, 1.0), False), (-tol, True),
-                    (math.nextafter(-tol, -1.0), False)):
-        omega = TwoForm(np.array([c, 0, 0, 0, 0, 0.5]))
-        assert omega.wedge_square() == c
-        plus, minus = sd_projectors(omega)
-        # the half-norm difference carries the roundoff of |omega|^2 = 1/4
-        assert plus.norm() ** 2 - minus.norm() ** 2 == pytest.approx(c, abs=1e-16)
-        assert omega.is_decomposable() == want, c
-    # beyond unit norm the threshold scales with |omega|^2 = 2500 + c^2
-    assert TwoForm(np.array([12.5 * tol, 0, 0, 0, 0, 50.0])).is_decomposable()  # 1250 tol
-    assert not TwoForm(np.array([50.0 * tol, 0, 0, 0, 0, 50.0])).is_decomposable()
-
-
-def test_frame_components_round_trip(rng):
-    for _ in range(50):
-        omega = TwoForm(rng.standard_normal(6))
-        plus, minus = sd_frame_components(omega)
-        back = two_form_from_frame_components(plus, minus)
-        assert np.allclose(back.coefficients, omega.coefficients, atol=1e-14)
-        p2, m2 = sd_projectors(omega)
-        assert np.linalg.norm(plus) == pytest.approx(p2.norm(), abs=1e-14)
-        assert np.linalg.norm(minus) == pytest.approx(m2.norm(), abs=1e-14)
-
-
 _PAIRS_REFERENCE = ((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0))
-
-
-def _hodge_reference():
-    H = np.zeros((6, 6))
-    for i, j, sign in _PAIRS_REFERENCE:
-        H[i, j] = sign
-        H[j, i] = sign
-    return H
-
-
-def _frame_components_reference(c):
-    plus, minus = np.empty(3), np.empty(3)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for a, (i, j, sign) in enumerate(_PAIRS_REFERENCE):
-        plus[a] = (c[i] + sign * c[j]) * inv_sqrt2
-        minus[a] = (c[i] - sign * c[j]) * inv_sqrt2
-    return plus, minus
-
-
-def _from_frame_components_reference(plus, minus):
-    c = np.zeros(6)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for a, (i, j, sign) in enumerate(_PAIRS_REFERENCE):
-        c[i] += (plus[a] + minus[a]) * inv_sqrt2
-        c[j] += sign * (plus[a] - minus[a]) * inv_sqrt2
-    return c
 
 
 def _block_assemble_reference(A, B, C):
@@ -194,21 +80,7 @@ def _sample_entries(rng, shape, i):
 
 
 def test_sd_tables_bitwise_equal_loop_references(rng):
-    assert _bits(hodge_star_matrix()) == _bits(_hodge_reference())
-    assert not hodge_star_matrix().flags.writeable
     for i in range(300):
-        c = _sample_entries(rng, 6, i)
-        plus, minus = sd_projectors(TwoForm(c))
-        star = _hodge_reference() @ c
-        assert _bits(plus.coefficients) == _bits(0.5 * (c + star))
-        assert _bits(minus.coefficients) == _bits(0.5 * (c - star))
-        got = sd_frame_components(TwoForm(c))
-        assert [_bits(x) for x in got] == [_bits(x) for x in _frame_components_reference(c)]
-        p, m = _sample_entries(rng, 3, i), _sample_entries(rng, 3, i + 1)
-        if i == 0:
-            p, m = np.full(3, -0.0), np.full(3, -0.0)  # the sum starts from +0.0
-        assert _bits(two_form_from_frame_components(p, m).coefficients) == \
-            _bits(_from_frame_components_reference(p, m))
         A, B, C = (_sample_entries(rng, (3, 3), i) for _ in range(3))
         with np.errstate(over="ignore", invalid="ignore"):  # sums past 1e308
             assert _bits(curvops._block_assemble(A, B, C)) == \
@@ -409,7 +281,7 @@ def test_err_survives_decompose_flip_and_recompose(rng):
         for _ in range(10):
             err = float(10.0 ** rng.uniform(-12.0, -4.0))
             d = decompose(_with_err(random_admissible_operator(rng, basis=basis), err))
-            assert d.err == err and d.orientation_flipped().err == err
+            assert d.err == err and orientation_flipped(d).err == err
             for out in (COORDINATE, SD_ASD):
                 assert recompose(d, basis=out).err == err
             assert "err" not in d.to_dict()
@@ -587,7 +459,7 @@ def test_gl_defect_matches_if_chain_reference(rng):
 def test_gl_defect_orientation_flip_invariance(rng):
     for _ in range(50):
         d = decompose(random_admissible_operator(rng))
-        fl = d.orientation_flipped()
+        fl = orientation_flipped(d)
         assert gl_defect(fl).defect == pytest.approx(gl_defect(d).defect, abs=1e-13)
 
 
@@ -860,7 +732,7 @@ def test_euler_density_orientation_invariant(rng):
         s = float(rng.normal(0, 3))
         d = decompose(assemble_einstein(s, wp, wm))
         cd = char_densities(d)
-        cf = char_densities(d.orientation_flipped())
+        cf = char_densities(orientation_flipped(d))
         assert cf.euler_density == pytest.approx(cd.euler_density, rel=1e-15)
         assert cf.signature_density == pytest.approx(-cd.signature_density, rel=1e-15)
 
@@ -884,7 +756,7 @@ def test_kahler_check_hyperbolic_plane_product():
 
 
 def test_kahler_check_rejects_reversed_fubini_study():
-    d = catalog("fubiniStudy").decomposition.orientation_flipped()
+    d = orientation_flipped(catalog("fubiniStudy").decomposition)
     with pytest.raises(NotKahlerError):
         kahler_signature_check(d)
 

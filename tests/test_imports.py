@@ -18,9 +18,9 @@ import fourcurv
 # the package's public names before they were imported lazily
 PUBLIC_NAMES = {
     "CharDensities", "CoverClass", "CurvatureOperator", "CurvatureSign",
-    "Decomposition", "EqualityBranch", "GLReport", "TwoForm",
+    "Decomposition", "EqualityBranch", "GLReport",
     "char_densities", "classify_equality", "decompose", "gl_defect",
-    "kahler_signature_check", "recompose", "sd_projectors",
+    "kahler_signature_check", "recompose",
     "GeoPoint", "GeoReport", "report", "scan_csv", "self_dual_lattice_obstruction",
     "ModelSpec", "catalog", "chart_for",
     "MetricChart", "PointCurvature", "convergence_study", "curvature_at",

@@ -10,16 +10,15 @@ from conftest import (
     _sphere_max_batch,
     random_admissible_operator,
     random_einstein_operator,
+    witness_two_form,
 )
 from fourcurv import secsign
 from fourcurv.curvops import (
     CLASSIFY_TOL,
-    DECOMPOSABLE_TOL,
+    PAIRS,
     SD_ASD,
     CurvatureOperator,
-    TwoForm,
     decompose,
-    sd_frame_components,
 )
 from fourcurv.errors import DegeneratePlaneError, NotEinsteinError, NotUnitError
 from fourcurv.jsonio import dumps
@@ -29,7 +28,6 @@ from fourcurv.secsign import (
     certify_sec_sign,
     einstein_extreme_witnesses,
     einstein_sec_range,
-    plane_witness_vectors,
     q_form,
     sec_of_plane,
 )
@@ -96,37 +94,21 @@ def test_q_form_equals_twice_sec(rng):
         psi_m /= np.linalg.norm(psi_m)
         q = q_form(op, psi_p, psi_m)
         # recover a basis of the plane from the antisymmetric coefficient matrix
-        from fourcurv.curvops import PAIRS, two_form_from_frame_components
-        omega = two_form_from_frame_components(psi_p / math.sqrt(2), psi_m / math.sqrt(2))
+        omega = witness_two_form(psi_p, psi_m)
         Om = np.zeros((4, 4))
         for idx, (i, j) in enumerate(PAIRS):
-            Om[i, j] = omega.coefficients[idx]
-            Om[j, i] = -omega.coefficients[idx]
+            Om[i, j] = omega[idx]
+            Om[j, i] = -omega[idx]
         u_svd, s_svd, _ = np.linalg.svd(Om)
         X, Y = u_svd[:, 0], u_svd[:, 1]
         assert q == pytest.approx(2.0 * sec_of_plane(op, X, Y), abs=1e-10)
 
 
-def test_plane_witness_vectors_round_trip(rng):
-    op = random_admissible_operator(rng)
-    X, Y = rng.standard_normal(4), rng.standard_normal(4)
-    psi_p, psi_m = plane_witness_vectors(X, Y)
-    assert np.linalg.norm(psi_p) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(psi_m) == pytest.approx(1.0, abs=1e-12)
-    assert q_form(op, psi_p, psi_m) == pytest.approx(2 * sec_of_plane(op, X, Y), abs=1e-12)
-
-
 def _sec_of_plane_unscaled(op, X, Y):
     """sec_of_plane on X and Y as given, with no power-of-two scaling."""
     gram = float(X @ X) * float(Y @ Y) - float(X @ Y) ** 2
-    omega = TwoForm.from_wedge(X, Y).coefficients
+    omega = np.array([X[i] * Y[j] - X[j] * Y[i] for i, j in PAIRS])
     return float(omega @ op.in_coordinate_basis() @ omega) / gram
-
-
-def _plane_witness_vectors_unscaled(X, Y):
-    omega = TwoForm.from_wedge(X, Y)
-    plus, minus = sd_frame_components(TwoForm(omega.coefficients / omega.norm()))
-    return plus * math.sqrt(2.0), minus * math.sqrt(2.0)
 
 
 def test_plane_helpers_keep_their_bits_at_any_scale(rng):
@@ -140,46 +122,17 @@ def test_plane_helpers_keep_their_bits_at_any_scale(rng):
     ks = [(k, k) for k in range(-1000, 1001, 40)]
     ks += [tuple(rng.integers(-1000, 1001, 2).tolist()) for _ in range(20)]
     for X, Y in pairs:
-        vectors = plane_witness_vectors(X, Y)
-        assert [v.tobytes() for v in vectors] == [
-            v.tobytes() for v in _plane_witness_vectors_unscaled(X, Y)]
         secs = [sec_of_plane(op, X, Y) for op in ops]
         assert secs == [_sec_of_plane_unscaled(op, X, Y) for op in ops]
         for kx, ky in ks:
             Xk, Yk = np.ldexp(X, kx), np.ldexp(Y, ky)
-            assert [v.tobytes() for v in plane_witness_vectors(Xk, Yk)] == [
-                v.tobytes() for v in vectors]
             assert [sec_of_plane(op, Xk, Yk) for op in ops] == secs
     # the cases that overflowed, underflowed or lost the plane without the scaling
     op = ops[0]
     for scale in (1e80, 1e160, 1e-170, 1e-300):
         assert sec_of_plane(op, scale * E[0], scale * E[1]) == 1.0
-        psi_p, psi_m = plane_witness_vectors(scale * E[0], scale * E[1])
-        assert q_form(op, psi_p, psi_m) == 2.0
     with pytest.raises(DegeneratePlaneError):
         sec_of_plane(op, 1e160 * E[0], 2e160 * E[0])
-
-
-def test_decomposable_verdict_at_any_scale_beyond_unit_norm(rng):
-    tol = DECOMPOSABLE_TOL
-    forms = [np.array([1.0, 0, 0, 0, 0, 1.0]),  # e12 + e34, self-dual
-             # wedge square 100 c against the threshold 2500 tol (+ c^2 tol)
-             np.array([24.0 * tol, 0, 0, 0, 0, 50.0]), np.array([26.0 * tol, 0, 0, 0, 0, 50.0]),
-             np.array([1.0, 0, 0, 0, 0, 0])]
-    forms += [TwoForm.from_wedge(*rng.uniform(-2.0, 2.0, (2, 4))).coefficients * 4.0
-              for _ in range(10)]
-    forms += [rng.uniform(-2.0, 2.0, 6) * 4.0 for _ in range(10)]
-    verdicts = []
-    for c in forms:
-        assert np.linalg.norm(c) >= 1.0
-        want = TwoForm(c).is_decomposable()
-        verdicts.append(want)
-        for k in range(0, 1000, 10):
-            assert TwoForm(np.ldexp(c, k)).is_decomposable() is want, (c, k)
-    assert verdicts[:4] == [False, True, False, True]
-    assert all(verdicts[4:14]) and not any(verdicts[14:])
-    assert not TwoForm([1e160, 0, 0, 0, 0, 1e160]).is_decomposable()
-    assert TwoForm([1e160, 0, 0, 0, 0, 0]).is_decomposable()
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +289,9 @@ def test_certify_witness_feasibility(rng):
             assert np.linalg.norm(w.psi_minus) == pytest.approx(1.0, abs=1e-12)
             assert q_form(op, w.psi_plus, w.psi_minus) == pytest.approx(w.q_value,
                                                                         abs=1e-12)
-            omega = w.two_form()
-            assert omega.is_decomposable()
+            # a plane: the wedge square (Plucker relation) of its 2-form vanishes
+            c = witness_two_form(w.psi_plus, w.psi_minus)
+            assert abs(2.0 * (c[0] * c[5] - c[1] * c[4] + c[2] * c[3])) <= 1e-10
 
 
 def test_dual_matches_einstein_exact(rng):
