@@ -27,7 +27,13 @@ the first line where it differs.  The corpus covers:
   beyond the float range, ``true``, a string, ``null``, a nested entry, a
   ragged or short matrix, no matrix, not an object, an unknown basis), ``certify
   --tolerance`` at values that are not finite or are negative and at 0, and
-  the Kahler models at a non-finite ``s``.
+  the Kahler models at a non-finite ``s``;
+- last, with no draw from the seeded stream: ``decompose`` and ``certify`` on
+  the Einstein operator with s = -12, W+ = diag(-3, 1, 2) and W- = 0, whose
+  sec_max is 0 while the top eigenvalue of W+ is single (not saturated), at
+  2^k for k in {-1000, -540, 0, 540, 1000}; on a copy of it whose file starts
+  with a UTF-8 byte-order mark; and on an operator file with a 5,001-digit
+  integer entry.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -285,6 +291,16 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
              for t in ("-1", "inf", "-inf", "nan", "1e400", "0")]
     reqs += [["model", "fubiniStudy", f"--param=s={s}"] for s in ("inf", "nan")]
     reqs += [["model", "bergman", f"--param=s={s}"] for s in ("-inf", "nan")]
+
+    sigma_zero = np.diag([-4.0, 0.0, 1.0, -1.0, -1.0, -1.0])  # s = -12, W+ = diag(-3, 1, 2)
+    for k in (-1000, -540, 0, 540, 1000):
+        path = _operator_file(inputs / f"sigma-zero-2^{k}.json", np.ldexp(sigma_zero, k), "sd-asd")
+        reqs += [["decompose", "-i", path], ["certify", "-i", path]]
+    (inputs / "bom.json").write_bytes(b"\xef\xbb\xbf" + (inputs / "sigma-zero-2^0.json").read_bytes())
+    (inputs / "digits.json").write_text(json.dumps({"matrix": rows}).replace("1.0", "1" + "0" * 5000, 1))
+    for name in ("bom", "digits"):
+        reqs += [["decompose", "-i", str(inputs / f"{name}.json")],
+                 ["certify", "-i", str(inputs / f"{name}.json")]]
     return reqs
 
 

@@ -46,9 +46,11 @@ from .names import COORDINATE, SD_ASD
 # Tolerance for symmetry / first-Bianchi / block-trace validation, relative
 # to max(1, max|R|) for operators.
 STRUCTURAL_TOL = 1e-9
-# Relative tolerance (scaled by max(1, |s|)) for saturation, eigenvalue
-# multiplicities and the Einstein test.
+# Relative tolerance of the spectral tests.  Saturation: times |s| + |W+| + |W-|,
+# with no floor (see _gl_terms); the Kahler rank test: times sigma1; the Einstein
+# test and the Einstein operators' catalog sign flag: times max(1, |s|).
 CLASSIFY_TOL = 1e-7
+_SQRT6 = math.sqrt(6.0)
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -245,8 +247,6 @@ class CurvatureOperator:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CurvatureOperator":
-        if "matrix" not in data:
-            raise ValueError("operator JSON needs a 'matrix' field")
         return cls(np.asarray(data["matrix"], dtype=float), basis=data.get("basis", COORDINATE))
 
 
@@ -273,10 +273,6 @@ class Decomposition:
         for name in ("w_plus", "w_minus", "ric_block", "spectrum_plus", "spectrum_minus"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
-    @property
-    def einstein_constant(self) -> float:
-        return self.s / 4.0
-
     def norm_w_plus(self) -> float:
         return _norm(self.w_plus)
 
@@ -296,10 +292,6 @@ class Decomposition:
         if not self.is_einstein():
             r = self.einstein_residual()
             raise NotEinsteinError(f"needs an Einstein operator; residual {r:.3e}", residual=r)
-
-    def classify_tol(self) -> float:
-        """``CLASSIFY_TOL * max(1, |s|)``, the bound of the spectral tests."""
-        return CLASSIFY_TOL * max(1.0, abs(self.s))
 
     def _kahler_sigmas(self) -> tuple[float, float, float]:
         """The top two singular values of the self-dual rows ``[A | B] =
@@ -409,18 +401,40 @@ _BRANCH_COVER = {EqualityBranch.NON_POSITIVE: CoverClass.HYPERBOLIC_PLANE_PRODUC
                  EqualityBranch.NON_NEGATIVE: CoverClass.SPHERE_PRODUCT}
 
 
-def _multiplicities_hold(d: Decomposition, branch: EqualityBranch) -> bool:
-    """Whether each Weyl half has its top eigenvalue (NonPositive) or its
-    bottom one (NonNegative) doubled."""
-    i = 1 if branch is EqualityBranch.NON_POSITIVE else 0
-    tol = d.classify_tol()
-    return all(sp[i + 1] - sp[i] <= tol for sp in (d.spectrum_plus, d.spectrum_minus))
+def _gl_terms(d: Decomposition) -> tuple[int, float, tuple[float, float, float], float]:
+    """``(e, s, terms, tau)``: the defect as the paper's three terms, and their bound.
 
+    A traceless spectrum a <= b <= m has ``6 m^2 - |lam|^2 = 2 (m - a)(m - b)``, so
+    ``delta = sqrt(6) m - |lam| = 2 (m - a)(m - b) / (sqrt(6) m + |lam|) >= 0``, zero
+    exactly when the top eigenvalue is doubled.  For s <= 0 the defect is then
+    ``delta(W+) + delta(W-) - 2 sqrt(6) sigma``, ``sigma = s/12 + (m+ + m-)/2`` (sec_max
+    of an Einstein operator); for s > 0 the terms are those of -R, with the bottom
+    eigenvalues and ``+ 2 sqrt(6) sec_min``.
 
-def _is_flat(d: Decomposition) -> bool:
-    return (abs(d.s) <= CLASSIFY_TOL
-            and d.norm_w_plus() <= CLASSIFY_TOL
-            and d.norm_w_minus() <= CLASSIFY_TOL)
+    ``tau = CLASSIFY_TOL (|s| + |W+| + |W-|) + 30 err``: an SD/ASD entry is off by at
+    most 2 err, so s/12 = tr(A + C)/6 by 2 err, an entry of W = A - (s/12) I by 4 err
+    and |dW| <= sqrt(72) err, which bounds the moves of m and |lam|; delta moves by
+    (sqrt(6) + 1) sqrt(72) err < 30 err, and sigma = (lam_max(A) + lam_max(C))/2 by
+    |dA| <= 6 err, its term by 12 sqrt(6) err < 30 err.  s, the terms and tau are
+    times 2^e, which brings the largest of |s| and the spectra to [1/2, 1), so that
+    the products neither underflow nor overflow.
+    """
+    p, q = d.spectrum_plus.tolist(), d.spectrum_minus.tolist()
+    if d.s > 0.0:  # the terms of -R: the negated spectra, ascending
+        p, q = [-p[2], -p[1], -p[0]], [-q[2], -q[1], -q[0]]
+    e = -_exponent([d.s, *p, *q])
+    s = math.ldexp(d.s, e)
+    sigma, size, terms = -abs(s) / 12.0, abs(s), []
+    for a, b, m in (p, q):
+        a, b, m = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(m, e)
+        norm = math.hypot(a, b, m)
+        den = _SQRT6 * m + norm
+        terms.append(2.0 * (m - a) * (m - b) / den if den else 0.0)
+        sigma += m / 2.0
+        size += norm
+    terms.append(-2.0 * _SQRT6 * sigma)
+    tau = CLASSIFY_TOL * size + 30.0 * _ldexp(d.err, e)
+    return e, s, tuple(terms), tau
 
 
 def gl_defect(d: Decomposition) -> GLReport:
@@ -428,62 +442,41 @@ def gl_defect(d: Decomposition) -> GLReport:
 
     The defect is defined for every operator; its sign guarantee only holds
     under the Einstein/semi-definite hypotheses, which this function does not
-    check.  ``saturated`` requires both a vanishing defect and the
-    branch-specific doubled eigenvalues, with the branch chosen by the sign
-    of the scalar curvature.  The cover class is the saturation model the
-    operator is pointwise consistent with, and is only assigned to Einstein
-    inputs (:meth:`Decomposition.is_einstein`).  The other tests use
-    :meth:`Decomposition.classify_tol` except the absolute flatness test.
+    check.  ``saturated``: each of the defect's three terms (:func:`_gl_terms`)
+    lies within tau, i.e. doubled extreme eigenvalues and sec touching 0.  The
+    branch is the sign of s; a saturated operator with |s| <= tau is flat and
+    has none.  The cover class, from the branch or ``Flat``, is only assigned
+    to Einstein inputs (:meth:`Decomposition.is_einstein`).
     """
-    nwp = d.norm_w_plus()
-    nwm = d.norm_w_minus()
-    defect = abs(d.s) / math.sqrt(6.0) - (nwp + nwm)
-
-    branch = EqualityBranch.NONE
-    saturated = False
-    cover = CoverClass.NOT_SATURATED
-    if abs(defect) <= d.classify_tol():
-        if _is_flat(d):
-            saturated = True
-            cover = CoverClass.FLAT if d.is_einstein() else CoverClass.NOT_SATURATED
-        elif d.s != 0.0:
-            side = EqualityBranch.NON_POSITIVE if d.s < 0 else EqualityBranch.NON_NEGATIVE
-            if _multiplicities_hold(d, side):
-                branch, saturated = side, True
-                if d.is_einstein():
-                    cover = _BRANCH_COVER[side]
-    return GLReport(
-        defect=float(defect),
-        norm_w_plus=nwp,
-        norm_w_minus=nwm,
-        equality_branch=branch,
-        saturated=saturated,
-        cover_class=cover,
-    )
+    nwp, nwm = d.norm_w_plus(), d.norm_w_minus()
+    defect = abs(d.s) / _SQRT6 - (nwp + nwm)
+    _, s, terms, tau = _gl_terms(d)
+    saturated = max(map(abs, terms)) <= tau
+    branch, cover = EqualityBranch.NONE, CoverClass.NOT_SATURATED
+    if saturated and abs(s) > tau:
+        branch = EqualityBranch.NON_POSITIVE if s < 0 else EqualityBranch.NON_NEGATIVE
+    if saturated and d.is_einstein():
+        cover = _BRANCH_COVER.get(branch, CoverClass.FLAT)
+    return GLReport(float(defect), nwp, nwm, branch, saturated, cover)
 
 
 def classify_equality(d: Decomposition, curvature_sign: CurvatureSign) -> CoverClass:
     """Classify a saturated Einstein operator by its model cover.
 
-    This is pointwise algebra: it reports which of the three saturation
-    models (sphere product, flat space, hyperbolic-plane product) the
-    operator is consistent with, given the certified sign of its sectional
-    curvature.  Flat input is ``Flat`` for every semi-definite sign;
-    otherwise the answer is the cover class of :func:`gl_defect` when its
-    equality branch (chosen by the sign of s) is the given sign, and
-    ``NotSaturated`` when it is not.  Raises :class:`NotEinsteinError` for
-    non-Einstein input and :class:`IndefiniteSignError` when the sign is
-    indefinite.
+    Pointwise algebra: which of the three saturation models (sphere product,
+    flat space, hyperbolic-plane product) the operator is consistent with,
+    given the certified sign of its sectional curvature.  That is the cover
+    class of :func:`gl_defect` when it is ``Flat`` or its equality branch is
+    the given sign, else ``NotSaturated``.  Raises :class:`NotEinsteinError`
+    for non-Einstein input and :class:`IndefiniteSignError` for an indefinite sign.
     """
     d.require_einstein()
     if curvature_sign is CurvatureSign.INDEFINITE:
         raise IndefiniteSignError(
-            "equality classification requires semi-definite sectional curvature"
-        )
-    if _is_flat(d):
-        return CoverClass.FLAT
+            "equality classification requires semi-definite sectional curvature")
     report = gl_defect(d)
-    if report.equality_branch.value == curvature_sign.value:
+    if (report.cover_class is CoverClass.FLAT
+            or report.equality_branch.value == curvature_sign.value):
         return report.cover_class
     return CoverClass.NOT_SATURATED
 

@@ -13,6 +13,7 @@ import math
 import numbers
 from pathlib import Path
 
+from .geography import _digit_limit
 from .names import BASIS_LABELS, COORDINATE, SD_ASD
 
 CONVENTION = {
@@ -105,19 +106,23 @@ def _operator_problem(data) -> str | None:
 def load_operator(path: str | Path) -> CurvatureOperator:
     """Load a curvature operator from a JSON file.
 
-    Malformed JSON (with its line and column), JSON nested too deeply to read
-    and a file of the wrong shape (:func:`_operator_problem`) are refused in one
-    line each; admissibility failures propagate as fourcurv errors.
+    The file is read as UTF-8 with an optional byte-order mark.  Malformed JSON
+    (with its line and column), an integer literal past the interpreter's digit
+    limit, JSON nested too deeply to read and a file of the wrong shape
+    (:func:`_operator_problem`) are refused in one line each; admissibility
+    failures propagate as fourcurv errors.
     """
     from .curvops import CurvatureOperator  # numpy: not loaded by the geography commands
 
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # as geo --csv reads its file
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError:  # the interpreter's digit limit on an integer literal
+        raise ValueError(f"{path}: " + _digit_limit("an integer has")) from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if problem := _operator_problem(data):

@@ -116,7 +116,7 @@ def _sec_sign_flag(op: CurvatureOperator, d: Decomposition) -> CurvatureSign:
     # the exact range as q = 2 sec bounds; doubling is exact
     sec_min, sec_max = secsign.einstein_sec_range(d)
     bounds = (2.0 * sec_max, 2.0 * sec_max, 2.0 * sec_min, 2.0 * sec_min)
-    return secsign.sign_flag(bounds, 2.0 * d.classify_tol())
+    return secsign.sign_flag(bounds, 2.0 * curvops.CLASSIFY_TOL * max(1.0, abs(d.s)))
 
 
 def _known_cover(name: str, params: dict) -> CoverClass | None:

@@ -246,7 +246,7 @@ def _refuse_tiny_steps(h: np.ndarray) -> None:
     """Refuse a step so small that the stencil's divisor (h/2)^2 is below the
     smallest normal float, where the second differences lose all digits."""
     half = h / 2.0
-    tiny = half * half < np.finfo(float).tiny
+    tiny = half < np.sqrt(np.finfo(float).tiny)  # (h/2)^2 < tiny; squaring a huge h overflows
     if tiny.any():
         raise StepTooLargeError(
             f"step {float(h[tiny][0])!r} is too small: (step/2)^2 is below the smallest "

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import random_admissible_operator
 from fourcurv import jsonio
 from fourcurv.cli import main
 from fourcurv.errors import FourcurvError
@@ -219,6 +220,9 @@ _BAD_FILES = [
     ('{"basis": "coordinate"}', "{op}: operator JSON must be an object with a 'matrix' field"),
     (json.dumps({"basis": "SD/ASD", "matrix": _ROWS}),
      "{op}: basis must be 'coordinate' or 'sd-asd'"),
+    *[(_with_entry(2, 2, sign + "1" + "0" * 5000),
+       f"{{op}}: an integer has more than {sys.get_int_max_str_digits()} digits, "
+       "the limit of sys.get_int_max_str_digits()") for sign in ("", "-")],
 ]
 
 
@@ -259,6 +263,18 @@ def test_valid_file_and_zero_tolerance_exit_0(tmp_path, capsys, argv):
     assert (code, err) == (0, "")
     if "--tolerance" in argv:
         assert json.loads(out)["verdict"] == "NonPositive"
+
+
+@pytest.mark.parametrize("command", ["decompose", "certify"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, command):
+    # some editors start a UTF-8 file with a byte-order mark; geo --csv skips it too
+    op = random_admissible_operator(np.random.default_rng(16), basis="coordinate")
+    plain = write_operator(tmp_path / "op.json", op.matrix)
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "op.json").read_bytes())
+    want = run_cli(capsys, command, "-i", plain)
+    assert want[0] == 0
+    assert run_cli(capsys, command, "-i", str(bom)) == want
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):

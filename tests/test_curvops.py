@@ -182,7 +182,6 @@ def test_decompose_identity_is_unit_sphere():
     assert np.array_equal(d.w_plus, np.zeros((3, 3)))
     assert np.array_equal(d.w_minus, np.zeros((3, 3)))
     assert np.array_equal(d.ric_block, np.zeros((3, 3)))
-    assert d.einstein_constant == 3.0
 
 
 def test_decompose_hyperbolic_plane_product():
@@ -382,7 +381,7 @@ def _gl_defect_reference(d):
     """gl_defect as an if-chain with one branch per sign of s, and its
     flatness and multiplicity tests written out: (defect, |W+|, |W-|,
     branch, saturated, cover)."""
-    tol = d.classify_tol()
+    tol = curvops.CLASSIFY_TOL * max(1.0, abs(d.s))
     lp, mp, vp = d.spectrum_plus
     lm, mm, vm = d.spectrum_minus
     nwp, nwm = d.norm_w_plus(), d.norm_w_minus()
@@ -413,15 +412,34 @@ def _with_ricci(op, rng, size):
     return CurvatureOperator(M, basis=SD_ASD)
 
 
-def _gl_branch_cases(rng):
-    """Seeded operators that reach every branch of gl_defect."""
-    for _ in range(30):
-        k = 10.0 ** float(rng.uniform(-10.0, -8.0))  # flat within CLASSIFY_TOL
+# sec_max = s/12 + (m+ + m-)/2 = -1 + 2/2 = 0, yet the top eigenvalue of W+ is
+# single, so the defect is delta(W+) = 20/(2 sqrt(6) + sqrt(14)) > 0
+SIGMA_ZERO = assemble_einstein(-12.0, np.diag([-3.0, 1.0, 2.0]), np.zeros((3, 3)))
+_SCALES = range(-1000, 1001, 125)
+# 2^_FLOOR_FREE is the largest entry of an operator read by the old if-chain:
+# there its max(1, |s|) floor and its absolute flatness test decide nothing
+_FLOOR_FREE = 21
+
+
+def _scaled(op, k):
+    """op brought to max|R| in [1/2, 1), then times 2^k."""
+    return CurvatureOperator(np.ldexp(curvops._unit_scaled(op.matrix), k), basis=op.basis)
+
+
+def _gl_cases(rng):
+    """Seeded operators, each far from the saturation threshold, that reach
+    every outcome of gl_defect."""
+    zero = CurvatureOperator(np.zeros((6, 6)), basis=SD_ASD)
+    yield zero  # flat
+    yield _with_ricci(zero, rng, 1.0)  # s = 0 and W = 0, not Einstein
+    yield SIGMA_ZERO
+    for _ in range(8):
+        k = 10.0 ** float(rng.uniform(-10.0, -8.0))  # flat within the old absolute floor
         flat = assemble_einstein(float(rng.normal(0.0, k)), random_traceless_symmetric(rng, k),
                                  random_traceless_symmetric(rng, k))
-        yield flat  # Einstein
-        yield _with_ricci(flat, rng, 1e-6)  # not Einstein
-        a, b = rng.integers(1, 5, 2).tolist()  # s = 0, each bottom eigenvalue doubled
+        yield flat
+        yield _with_ricci(flat, rng, 1e-6)
+        a, b = rng.integers(1, 5, 2).tolist()  # s = 0, each top eigenvalue doubled
         yield assemble_einstein(0.0, np.diag([a, a, -2.0 * a]), np.diag([b, b, -2.0 * b]))
         for sign in (1.0, -1.0):  # S^2 x S^2 and H^2 x H^2 patterns, on either sign of s
             s = sign * 10.0 ** float(rng.uniform(-3.0, 3.0))
@@ -433,19 +451,34 @@ def _gl_branch_cases(rng):
         yield random_einstein_operator(rng)
 
 
+def _flags(report):
+    return report.equality_branch, report.saturated, report.cover_class
+
+
 def test_gl_defect_matches_if_chain_reference(rng):
+    """At 2^k for k from -1000 to 1000, gl_defect keeps the if-chain's defect
+    and norms bit for bit, and has its flags read at 2^_FLOOR_FREE.
+
+    So the if-chain's flags below that scale, where its floors decided, are
+    not compared: the near-flat operators (Flat or saturated there), the
+    saturated patterns on the wrong side of s (saturated where |s| < 1e-7),
+    and SIGMA_ZERO (Flat where |s| < 1e-7).  The cover of an operator with a
+    Ricci block follows is_einstein, whose own max(1, |s|) floor reads it
+    Einstein at small scales; it is compared where is_einstein agrees."""
     outcomes = set()
-    for op in _gl_branch_cases(rng):
-        for basis_op in (op, CurvatureOperator(op.in_coordinate_basis())):
-            for k in (-40, 0, 40):
-                d = decompose(CurvatureOperator(np.ldexp(basis_op.matrix, k),
-                                                basis=basis_op.basis))
+    for op in _gl_cases(rng):
+        for base in (op, CurvatureOperator(op.in_coordinate_basis())):
+            free = decompose(_scaled(base, _FLOOR_FREE))
+            branch, saturated, cover = _gl_defect_reference(free)[3:]
+            for k in _SCALES:
+                d = decompose(_scaled(base, k))
                 report = gl_defect(d)
-                got = (report.defect, report.norm_w_plus, report.norm_w_minus,
-                       report.equality_branch, report.saturated, report.cover_class)
-                want = _gl_defect_reference(d)
-                assert repr(got) == repr(want)
-                outcomes.add(got[3:])
+                got = (report.defect, report.norm_w_plus, report.norm_w_minus)
+                assert repr(got) == repr(_gl_defect_reference(d)[:3])
+                assert (report.equality_branch, report.saturated) == (branch, saturated)
+                if d.is_einstein() == free.is_einstein():
+                    assert report.cover_class is cover
+                outcomes.add(_flags(report))
     NONE, NONPOS, NONNEG = (EqualityBranch.NONE, EqualityBranch.NON_POSITIVE,
                             EqualityBranch.NON_NEGATIVE)
     assert outcomes == {
@@ -454,6 +487,62 @@ def test_gl_defect_matches_if_chain_reference(rng):
         (NONPOS, True, CoverClass.NOT_SATURATED),
         (NONNEG, True, CoverClass.SPHERE_PRODUCT), (NONNEG, True, CoverClass.NOT_SATURATED),
         (NONE, False, CoverClass.NOT_SATURATED)}
+
+
+def test_gl_terms_sum_to_defect_at_any_scale(rng):
+    # delta(W+) + delta(W-) -+ 2 sqrt(6) sec is the defect, to a few ulps of
+    # |s| + |W+| + |W-|, on either sign of s
+    eps = np.finfo(float).eps
+    for op in _gl_cases(rng):
+        for k in _SCALES:
+            d = decompose(_scaled(op, k))
+            e, s, terms, _ = curvops._gl_terms(d)
+            size = abs(s) + math.ldexp(d.norm_w_plus() + d.norm_w_minus(), e)
+            assert abs(sum(terms) - math.ldexp(gl_defect(d).defect, e)) <= 8.0 * eps * size
+
+
+def _semidefinite_einstein(rng, non_positive, doubled, slack):
+    """An Einstein operator with sec <= 0 (or >= 0), zero at slack 1."""
+    if doubled:
+        t = rng.uniform(0.2, 2.0, 2)
+        pattern = [-2.0, 1.0, 1.0] if non_positive else [-1.0, -1.0, 2.0]
+        spectra = [c * np.array(pattern) for c in t]
+    else:
+        spectra = [np.sort(x - x.mean()) for x in rng.uniform(-2.0, 2.0, (2, 3))]
+    i = 2 if non_positive else 0  # sec_max, or sec_min, is s/12 + (x+ + x-)/2
+    s = -6.0 * (spectra[0][i] + spectra[1][i]) * slack
+    return assemble_einstein(s, *(Q @ np.diag(x) @ Q.T for Q, x in
+                                  ((random_rotation(rng), x) for x in spectra)))
+
+
+def test_gl_terms_non_negative_on_semidefinite_einstein(rng):
+    # the paper's inequality term by term: each term >= -tau
+    for _ in range(40):
+        non_positive, doubled = bool(rng.integers(2)), bool(rng.integers(2))
+        slack = 1.0 if rng.random() < 0.5 else 1.0 + float(rng.uniform(0.05, 2.0))
+        op = _semidefinite_einstein(rng, non_positive, doubled, slack)
+        for k in _SCALES:
+            _, _, terms, tau = curvops._gl_terms(decompose(_scaled(op, k)))
+            assert min(terms) >= -tau
+
+
+def test_gl_flags_same_at_every_scale():
+    products = {-1.0: (EqualityBranch.NON_POSITIVE, True, CoverClass.HYPERBOLIC_PLANE_PRODUCT),
+                1.0: (EqualityBranch.NON_NEGATIVE, True, CoverClass.SPHERE_PRODUCT)}
+    for k in range(-1000, 1001):
+        c = math.ldexp(1.0, k)
+        d = decompose(CurvatureOperator(c * SIGMA_ZERO.matrix, basis=SD_ASD))
+        assert _flags(gl_defect(d)) == (EqualityBranch.NONE, False, CoverClass.NOT_SATURATED)
+        sign = 1.0 if k % 2 else -1.0
+        d = decompose(CurvatureOperator(np.diag([sign * c, 0, 0, 0, 0, sign * c])))
+        assert _flags(gl_defect(d)) == products[sign]
+
+
+def test_round_sphere_not_saturated_at_any_radius():
+    # the round 4-sphere has W = 0 and sec_min = s/12 > 0 at every radius
+    for r in 10.0 ** np.arange(-150.0, 151.0, 5.0):
+        report = catalog("sphere4", {"r": float(r)}).to_dict()["glReport"]
+        assert (report["saturated"], report["coverClass"]) == (False, "NotSaturated")
 
 
 def test_gl_defect_orientation_flip_invariance(rng):
@@ -603,20 +692,20 @@ def _saturated_einstein(rng, s, pattern_sign):
 
 def _einstein_cases(rng):
     for name in model_names():
-        yield catalog(name).decomposition
-    for _ in range(40):
+        yield catalog(name).operator
+    for _ in range(20):
         a = float(rng.normal(0.0, 3.0))
-        yield catalog("surfaceProduct", {"a": a, "b": a}).decomposition
-    for _ in range(150):  # saturated, both eigenvalue patterns, from far to near zero
+        yield catalog("surfaceProduct", {"a": a, "b": a}).operator
+    for _ in range(60):  # saturated, both eigenvalue patterns, from far to near zero
         s = float(rng.choice([-1.0, 1.0])) * 10.0 ** float(rng.uniform(-7.5, 3.0))
-        yield decompose(_saturated_einstein(rng, s, float(rng.choice([-1.0, 1.0]))))
-    for _ in range(150):  # flat only to within tolerance
+        yield _saturated_einstein(rng, s, float(rng.choice([-1.0, 1.0])))
+    for _ in range(60):  # flat only to within the old absolute floor
         s = float(rng.normal(0.0, 1.0)) * 10.0 ** float(rng.uniform(-9.0, -6.0))
         k = 10.0 ** float(rng.uniform(-9.0, -6.5))
-        yield decompose(assemble_einstein(s, random_traceless_symmetric(rng, k),
-                                          random_traceless_symmetric(rng, k)))
-    for _ in range(150):
-        yield decompose(random_einstein_operator(rng, 10.0 ** float(rng.uniform(-3.0, 3.0))))
+        yield assemble_einstein(s, random_traceless_symmetric(rng, k),
+                                random_traceless_symmetric(rng, k))
+    for _ in range(60):
+        yield random_einstein_operator(rng, 10.0 ** float(rng.uniform(-3.0, 3.0)))
 
 
 def _outcome(classify, d, sign):
@@ -627,21 +716,29 @@ def _outcome(classify, d, sign):
 
 
 def test_classify_equality_matches_reference(rng):
-    # The one allowed difference: the given sign contradicts the sign of s
-    # (s < 0 with NonNegative, s > 0 with NonPositive) and the reference,
-    # which ignores s, names the cover of the given sign; gl_defect chooses
-    # the branch by the sign of s, so classify_equality says NotSaturated.
+    """classify_equality at 2^k, k in {-1000, 0, 1000}, against the reference
+    read at 2^_FLOOR_FREE, where its floors decide nothing.  Its answers below
+    that scale are not compared: the near-flat operators (Flat there) and the
+    saturated patterns whose |s| is below 1e-7 (the cover of the given sign
+    there, whatever the pattern).
+
+    The one allowed difference: the given sign contradicts the sign of s
+    (s < 0 with NonNegative, s > 0 with NonPositive) and the reference,
+    which ignores s, names the cover of the given sign; gl_defect chooses
+    the branch by the sign of s, so classify_equality says NotSaturated."""
     contrary = 0
-    for d in _einstein_cases(rng):
-        for sign in CurvatureSign:
-            want = _outcome(_classify_equality_reference, d, sign)
-            got = _outcome(classify_equality, d, sign)
-            if got != want:
-                assert got is CoverClass.NOT_SATURATED
-                assert (want, sign, d.s < 0) in (
-                    (CoverClass.SPHERE_PRODUCT, CurvatureSign.NON_NEGATIVE, True),
-                    (CoverClass.HYPERBOLIC_PLANE_PRODUCT, CurvatureSign.NON_POSITIVE, False))
-                contrary += 1
+    for op in _einstein_cases(rng):
+        free = decompose(_scaled(op, _FLOOR_FREE))
+        for d in (decompose(_scaled(op, k)) for k in (-1000, 0, 1000)):
+            for sign in CurvatureSign:
+                want = _outcome(_classify_equality_reference, free, sign)
+                got = _outcome(classify_equality, d, sign)
+                if got != want:
+                    assert got is CoverClass.NOT_SATURATED
+                    assert (want, sign, d.s < 0) in (
+                        (CoverClass.SPHERE_PRODUCT, CurvatureSign.NON_NEGATIVE, True),
+                        (CoverClass.HYPERBOLIC_PLANE_PRODUCT, CurvatureSign.NON_POSITIVE, False))
+                    contrary += 1
     assert contrary > 0  # the cases include contrary patterns
 
 

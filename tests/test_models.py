@@ -100,7 +100,7 @@ def _scaled(name, params, c):
 
 def test_known_cover_same_at_small_scales(rng):
     # knownCover as the catalog states it today, before it is derived from
-    # the decomposition, whose flatness test is absolute at these scales
+    # classify_equality(d, sign), whose sign flag reads Zero at these scales
     assert {name for name, _ in _UNIT_SETTINGS} == set(model_names())
     for name, params in _UNIT_SETTINGS:
         want = catalog(name, params).known_cover
@@ -183,7 +183,8 @@ def test_catalog_sign_flags_match_reference_sweep(rng):
             continue
         d = m.decomposition
         if m.flags.einstein:
-            want = _einstein_sign_reference(*einstein_sec_range(d), d.classify_tol())
+            want = _einstein_sign_reference(*einstein_sec_range(d),
+                                              curvops.CLASSIFY_TOL * max(1.0, abs(d.s)))
         else:
             want = curvature_sign_of(certify_sec_sign(m.operator))
         assert m.flags.sec_sign is want, (name, params)
