@@ -461,8 +461,8 @@ def test_gl_defect_matches_if_chain_reference(rng):
 
     So the if-chain's flags below that scale, where its floors decided, are
     not compared: the near-flat operators (Flat or saturated there), the
-    saturated patterns on the wrong side of s (saturated where |s| < 1e-7),
-    and SIGMA_ZERO (Flat where |s| < 1e-7).  The cover of an operator with a
+    saturated patterns on the wrong side of s (Flat or saturated where |s|
+    is below about 2e-7), and SIGMA_ZERO (Flat or saturated below 1e-6).  The cover of an operator with a
     Ricci block follows is_einstein, whose own max(1, |s|) floor reads it
     Einstein at small scales; it is compared where is_einstein agrees."""
     outcomes = set()
@@ -719,8 +719,8 @@ def test_classify_equality_matches_reference(rng):
     """classify_equality at 2^k, k in {-1000, 0, 1000}, against the reference
     read at 2^_FLOOR_FREE, where its floors decide nothing.  Its answers below
     that scale are not compared: the near-flat operators (Flat there) and the
-    saturated patterns whose |s| is below 1e-7 (the cover of the given sign
-    there, whatever the pattern).
+    saturated patterns whose |s| is below about 2e-7 (Flat, or the cover of
+    the given sign whatever the pattern).
 
     The one allowed difference: the given sign contradicts the sign of s
     (s < 0 with NonNegative, s > 0 with NonPositive) and the reference,
