@@ -33,7 +33,9 @@ the first line where it differs.  The corpus covers:
   sec_max is 0 while the top eigenvalue of W+ is single (not saturated), at
   2^k for k in {-1000, -540, 0, 540, 1000}; on a copy of it whose file starts
   with a UTF-8 byte-order mark; and on an operator file with a 5,001-digit
-  integer entry.
+  integer entry; then ``model surfaceProduct`` at (a, b) = (1e-20, 1e-20),
+  (-1e-20, -1e-20), (1e-20, 2e-20) and (-1e-20, -2e-20): saturated products
+  of small curvature, Einstein only where a = b.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -301,6 +303,9 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
     for name in ("bom", "digits"):
         reqs += [["decompose", "-i", str(inputs / f"{name}.json")],
                  ["certify", "-i", str(inputs / f"{name}.json")]]
+    reqs += [["model", "surfaceProduct", "--param", f"a={a}", "--param", f"b={b}"]
+             for a, b in (("1e-20", "1e-20"), ("-1e-20", "-1e-20"),
+                          ("1e-20", "2e-20"), ("-1e-20", "-2e-20"))]
     return reqs
 
 

@@ -46,9 +46,10 @@ from .names import COORDINATE, SD_ASD
 # Tolerance for symmetry / first-Bianchi / block-trace validation, relative
 # to max(1, max|R|) for operators.
 STRUCTURAL_TOL = 1e-9
-# Relative tolerance of the spectral tests.  Saturation: times |s| + |W+| + |W-|,
-# with no floor (see _gl_terms); the Kahler rank test: times sigma1; the Einstein
-# test and the Einstein operators' catalog sign flag: times max(1, |s|).
+# Relative tolerance of the spectral tests.  Saturation and the cover's Ricci
+# bound: times |s| + |W+| + |W-|, with no floor (see _gl_terms); the Kahler rank
+# test: times sigma1; the Einstein test and the Einstein operators' catalog sign
+# flag: times max(1, |s|).
 CLASSIFY_TOL = 1e-7
 _SQRT6 = math.sqrt(6.0)
 
@@ -247,6 +248,8 @@ class CurvatureOperator:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CurvatureOperator":
+        if "matrix" not in data:
+            raise ValueError("operator JSON needs a 'matrix' field")
         return cls(np.asarray(data["matrix"], dtype=float), basis=data.get("basis", COORDINATE))
 
 
@@ -272,6 +275,10 @@ class Decomposition:
     def __post_init__(self):
         for name in ("w_plus", "w_minus", "ric_block", "spectrum_plus", "spectrum_minus"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @property
+    def einstein_constant(self) -> float:
+        return self.s / 4.0
 
     def norm_w_plus(self) -> float:
         return _norm(self.w_plus)
@@ -401,8 +408,9 @@ _BRANCH_COVER = {EqualityBranch.NON_POSITIVE: CoverClass.HYPERBOLIC_PLANE_PRODUC
                  EqualityBranch.NON_NEGATIVE: CoverClass.SPHERE_PRODUCT}
 
 
-def _gl_terms(d: Decomposition) -> tuple[int, float, tuple[float, float, float], float]:
-    """``(e, s, terms, tau)``: the defect as the paper's three terms, and their bound.
+def _gl_terms(d: Decomposition) -> tuple[float, tuple[float, float, float], float, float]:
+    """``(s, terms, tau, ric)``: the defect as the paper's three terms, their bound,
+    and the norm of the traceless-Ricci block.
 
     A traceless spectrum a <= b <= m has ``6 m^2 - |lam|^2 = 2 (m - a)(m - b)``, so
     ``delta = sqrt(6) m - |lam| = 2 (m - a)(m - b) / (sqrt(6) m + |lam|) >= 0``, zero
@@ -415,9 +423,10 @@ def _gl_terms(d: Decomposition) -> tuple[int, float, tuple[float, float, float],
     most 2 err, so s/12 = tr(A + C)/6 by 2 err, an entry of W = A - (s/12) I by 4 err
     and |dW| <= sqrt(72) err, which bounds the moves of m and |lam|; delta moves by
     (sqrt(6) + 1) sqrt(72) err < 30 err, and sigma = (lam_max(A) + lam_max(C))/2 by
-    |dA| <= 6 err, its term by 12 sqrt(6) err < 30 err.  s, the terms and tau are
-    times 2^e, which brings the largest of |s| and the spectra to [1/2, 1), so that
-    the products neither underflow nor overflow.
+    |dA| <= 6 err, its term by 12 sqrt(6) err < 30 err.  The Ricci block moves by
+    sqrt(9) 2 err < 30 err, so an Einstein operator has ``ric <= tau``, with no floor.
+    All four are times 2^e, which brings the largest of |s| and the spectra to
+    [1/2, 1), so that the products neither underflow nor overflow.
     """
     p, q = d.spectrum_plus.tolist(), d.spectrum_minus.tolist()
     if d.s > 0.0:  # the terms of -R: the negated spectra, ascending
@@ -434,7 +443,7 @@ def _gl_terms(d: Decomposition) -> tuple[int, float, tuple[float, float, float],
         size += norm
     terms.append(-2.0 * _SQRT6 * sigma)
     tau = CLASSIFY_TOL * size + 30.0 * _ldexp(d.err, e)
-    return e, s, tuple(terms), tau
+    return s, tuple(terms), tau, _ldexp(math.hypot(*d.ric_block.ravel().tolist()), e)
 
 
 def gl_defect(d: Decomposition) -> GLReport:
@@ -446,16 +455,17 @@ def gl_defect(d: Decomposition) -> GLReport:
     lies within tau, i.e. doubled extreme eigenvalues and sec touching 0.  The
     branch is the sign of s; a saturated operator with |s| <= tau is flat and
     has none.  The cover class, from the branch or ``Flat``, is only assigned
-    to Einstein inputs (:meth:`Decomposition.is_einstein`).
+    to Einstein inputs: :meth:`Decomposition.is_einstein`, and, as its
+    ``max(1, |s|)`` floor passes any small operator, ``ric <= tau`` as well.
     """
     nwp, nwm = d.norm_w_plus(), d.norm_w_minus()
     defect = abs(d.s) / _SQRT6 - (nwp + nwm)
-    _, s, terms, tau = _gl_terms(d)
+    s, terms, tau, ric = _gl_terms(d)
     saturated = max(map(abs, terms)) <= tau
     branch, cover = EqualityBranch.NONE, CoverClass.NOT_SATURATED
     if saturated and abs(s) > tau:
         branch = EqualityBranch.NON_POSITIVE if s < 0 else EqualityBranch.NON_NEGATIVE
-    if saturated and d.is_einstein():
+    if saturated and ric <= tau and d.is_einstein():
         cover = _BRANCH_COVER.get(branch, CoverClass.FLAT)
     return GLReport(float(defect), nwp, nwm, branch, saturated, cover)
 
