@@ -21,7 +21,10 @@ the first line where it differs.  The corpus covers:
 - ``chart`` for each chart at seeded points and with ``--study``, at steps too
   small for the stencil and with curvatures that overflow the frame contraction;
 - ``page --verify --negcurv --integrate`` at (R, N) in {16, 32, 64} x {24, 48};
-- ``geo``, ``geo --csv`` and ``scan``;
+- ``geo``; ``geo --csv`` on seeded points, on a bad row and on points on
+  and beside the lines 8 chi = 15 |tau|, chi = 3 tau and chi = |tau|, of
+  both parities and past 2^64; and ``scan`` up to ``--chi-max 1000``, the
+  largest accepted, whose table every smaller scan's is a prefix of;
 - ``-h`` for every subcommand, and argument errors;
 - operator files of the wrong shape or type (nested too deeply, an integer
   beyond the float range, ``true``, a string, ``null``, a nested entry, a
@@ -35,7 +38,9 @@ the first line where it differs.  The corpus covers:
   with a UTF-8 byte-order mark; and on an operator file with a 5,001-digit
   integer entry; then ``model surfaceProduct`` at (a, b) = (1e-20, 1e-20),
   (-1e-20, -1e-20), (1e-20, 2e-20) and (-1e-20, -2e-20): saturated products
-  of small curvature, Einstein only where a = b.
+  of small curvature, Einstein only where a = b; last, an operator file and a
+  ``geo --csv`` file that are not UTF-8, ``model sphere4 --param r=`` and
+  ``chart flatChart --point 1,x,1,1``.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -222,7 +227,7 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
             if name == "bergman":
                 params["s"] = -params["s"]
             if name == "surfaceProduct":
-                a, b = (v * rng.choice((-1.0, 1.0)) for v in params.values())
+                a, b = (float(v * rng.choice((-1.0, 1.0))) for v in params.values())
                 params = {"a": a, "b": a if rng.random() < 0.5 else b}
             argv = ["model", name] + [f"--param={key}={v!r}" for key, v in params.items()]
             reqs += [argv, argv + ["--format", "human"]]
@@ -266,7 +271,14 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
     reqs += [["geo", "--chi", "3", "--tau", "1", "--format", "human"],
              ["geo", "--csv", str(inputs / "points.csv")], ["geo", "--csv", str(inputs / "bad.csv")],
              ["geo", "--chi", "3"], ["geo", "--chi", "abc", "--tau", "1"]]
-    reqs += [["scan", "--chi-max", str(n)] for n in (0, 5, 40, 100, 400)]
+    boundary = [(chi + d, sign * tau) for k in (1, 2, 3, 8, 2**64 + 1, 2**64 + 2, 10**30 + 1)
+                for chi, tau in ((15 * k, 8 * k), (3 * k, k), (k, k))
+                for sign in (1, -1) for d in (-1, 0, 1)]
+    (inputs / "boundary.csv").write_text(
+        "chi,tau\n\n" + "".join(f"{c},{t}\n" for c, t in boundary))
+    reqs.append(["geo", "--csv", str(inputs / "boundary.csv")])
+    # every accepted scan is a prefix of the largest
+    reqs += [["scan", "--chi-max", str(n)] for n in (0, 5, 40, 100, 400, 1000)]
     reqs += [["scan", "--chi-max", "-1"], ["scan"], ["scan", "--chi-max", "x"]]
 
     reqs += [["-h"], ["--version"], ["nosuch"], []] + [[c, "-h"] for c in COMMANDS]
@@ -306,6 +318,11 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
     reqs += [["model", "surfaceProduct", "--param", f"a={a}", "--param", f"b={b}"]
              for a, b in (("1e-20", "1e-20"), ("-1e-20", "-1e-20"),
                           ("1e-20", "2e-20"), ("-1e-20", "-2e-20"))]
+    (inputs / "latin1.json").write_bytes(b'{"matrix": \xff}')
+    (inputs / "latin1.csv").write_bytes(b"chi,tau\n3,\xff\n")
+    reqs += [["decompose", "-i", str(inputs / "latin1.json")],
+             ["geo", "--csv", str(inputs / "latin1.csv")],
+             ["model", "sphere4", "--param", "r="], ["chart", "flatChart", "--point", "1,x,1,1"]]
     return reqs
 
 

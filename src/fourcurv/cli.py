@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import __version__, geography, jsonio
 from .errors import FourcurvError, NonConvergentError, NotEinsteinError
@@ -49,8 +48,19 @@ def _parse_params(pairs: list[str] | None) -> dict[str, float]:
         if "=" not in item:
             raise ValueError(f"--param expects k=v, got {item!r}")
         key, _, value = item.partition("=")
-        params[key.strip()] = float(value)
+        try:
+            params[key.strip()] = float(value)
+        except ValueError:
+            raise ValueError(f"--param {item!r}: the value is not a number") from None
     return params
+
+
+def _floats(option: str, text: str) -> list[float]:
+    """The comma-separated numbers of ``option``'s value, refused naming ``option``."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} {text!r}: expected comma-separated numbers") from None
 
 
 def _int_option(option: str, lo: int | None = None, hi: int | None = None):
@@ -132,7 +142,7 @@ def _cmd_chart(args) -> int:
 
     chart = models.chart_for(args.name, _parse_params(args.param))
     if args.point:
-        point = np.array([float(p) for p in args.point.split(",")])
+        point = np.array(_floats("--point", args.point))
         if len(point) != 4:
             raise ValueError("--point needs exactly 4 comma-separated coordinates")
     elif args.study:
@@ -140,7 +150,7 @@ def _cmd_chart(args) -> int:
     else:
         raise ValueError("chart evaluation needs --point x1,x2,x3,x4")
     if args.study:
-        steps = [float(s) for s in args.steps.split(",")]
+        steps = _floats("--steps", args.steps)
         study = numgeom.convergence_study(chart, point, steps)
         _print_report(study.to_dict(), args.format == "human")
         return EXIT_OK
@@ -176,8 +186,7 @@ def _cmd_page(args) -> int:
 
 def _cmd_geo(args) -> int:
     if args.csv:
-        # "utf-8-sig" drops the byte-order mark that spreadsheet exports put first
-        sys.stdout.write(geography.points_csv(Path(args.csv).read_text(encoding="utf-8-sig")))
+        sys.stdout.write(geography.points_csv(jsonio.read_text(args.csv)))
         return EXIT_OK
     if args.chi is None or args.tau is None:
         raise ValueError("geo needs --chi and --tau (or --csv batch input)")

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 EINSTEIN_SLOPE = Fraction(15, 8)
 
@@ -29,8 +28,9 @@ CSV_HEADER = ("chi,tau,gromov_luck,einstein_nonpos_strict,bmy,"
 
 
 class GeoPoint(NamedTuple("GeoPoint", [("chi", int), ("tau", int)])):
-    """An integer (chi, tau) pair; the scan and the CSV reader, which make
-    their own ints, build it with ``tuple.__new__`` and skip this check."""
+    """An integer (chi, tau) pair.  ``scan_csv``, for the first two points of
+    each run of rows, and ``points_csv``, for each row, make their own ints
+    and build it with ``tuple.__new__``, skipping this check."""
 
     __slots__ = ()
 
@@ -103,17 +103,6 @@ def self_dual_lattice_obstruction() -> LatticeObstruction:
     return LatticeObstruction(tau=tau, chi=chi, integral=tau.denominator == 1)
 
 
-def scan_rows(chi_max: int) -> Iterator[tuple[GeoPoint, GeoReport]]:
-    """All integer points with 0 <= chi <= chi_max, |tau| <= chi, in
-    lexicographic order."""
-    if chi_max < 0:
-        raise ValueError("chi_max must be non-negative")
-    for chi in range(chi_max + 1):
-        for tau in range(-chi, chi + 1):
-            p = tuple.__new__(GeoPoint, (chi, tau))
-            yield p, report(p)
-
-
 _CSV_BOOL = ("false", "true")
 
 
@@ -123,43 +112,47 @@ def _digit_limit(what: str) -> str:
             "sys.get_int_max_str_digits()")
 
 
-def _csv(rows: Iterable[tuple[GeoPoint, GeoReport]], reader=None) -> str:
-    """The CSV table of flag rows: one formatter for every CSV writer.  The
-    csv ``reader`` the rows come from, if any, names the line of an error."""
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    b = _CSV_BOOL
-    for (chi, tau), (gl, ens, bmy, bmy_eq, c1sq, both) in rows:
-        try:
-            out.write(f"{chi},{tau},{b[gl]},{b[ens]},{b[bmy]},{b[bmy_eq]},{c1sq},{b[both]}\n")
-        except ValueError:  # chi and tau were read under the limit; c1sq can pass it
-            where = "" if reader is None else f"line {reader.line_num}: "
-            raise ValueError(where + _digit_limit("c1sq = 2 chi + 3 tau has")) from None
-    return out.getvalue()
+def _cuts(chi: int) -> list[int]:
+    """The sorted taus of -chi..chi where a run of constant flags starts, then
+    chi + 1: run i is ``range(cuts[i], cuts[i + 1])``.
+
+    Only the parity and c1sq change inside a run: 8 chi > 15 |tau| holds
+    exactly for |tau| <= (8 chi - 1)//15, chi >= 3 tau for tau <= chi//3,
+    chi == 3 tau at most at tau = chi//3, and chi >= |tau| all along."""
+    e, b = (8 * chi - 1) // 15, chi // 3
+    return sorted({c for c in (-chi, -e, b, b + 1, e + 1, chi + 1) if -chi <= c <= chi + 1})
 
 
 def scan_csv(chi_max: int) -> str:
-    """The scan as a deterministic, platform-independent CSV table."""
-    return _csv(scan_rows(chi_max))
+    """The CSV table of all integer points with 0 <= chi <= chi_max and
+    |tau| <= chi, in lexicographic order.
 
-
-def _point_rows(reader) -> Iterator[tuple[GeoPoint, GeoReport]]:
-    rows = filter(None, reader)  # blank rows are skipped
-    first = next(rows, None)
-    if first is not None and first[0].strip().lower() != "chi":  # not a header
-        rows = itertools.chain((first,), rows)
-    for row in rows:
-        if len(row) < 2:
-            raise ValueError(f"line {reader.line_num}: expected chi,tau, found one field")
-        try:
-            p = tuple.__new__(GeoPoint, (int(row[0]), int(row[1])))
-        except ValueError:
-            where = f"line {reader.line_num}: "
-            if max(len(row[0]), len(row[1])) > sys.get_int_max_str_digits():
-                raise ValueError(where + _digit_limit("chi or tau has")) from None
-            raise ValueError(f"{where}chi and tau must be integers, "
-                             f"got {row[0]!r}, {row[1]!r}") from None
-        yield p, report(p)
+    Each run of :func:`_cuts` takes its flags from ``report`` of its first
+    point, and its parities and c1sq step from its first two, then writes
+    its rows with one ``%`` over a template of two rows (even and odd)."""
+    if chi_max < 0:
+        raise ValueError("chi_max must be non-negative")
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    b = _CSV_BOOL
+    for chi in range(chi_max + 1):
+        cuts = _cuts(chi)
+        for lo, hi in zip(cuts, cuts[1:]):
+            gl, ens, bmy, bmy_eq, c1sq, both = report(tuple.__new__(GeoPoint, (chi, lo)))
+            row = f"{chi},%d,{b[gl]},{b[ens]},{b[bmy]},{b[bmy_eq]},%d,"
+            first = row + b[both] + "\n"
+            n = hi - lo
+            if n == 1:
+                out.write(first % (lo, c1sq))
+                continue
+            *_, c1sq_next, both_next = report(tuple.__new__(GeoPoint, (chi, lo + 1)))
+            step = c1sq_next - c1sq
+            args = [0] * (2 * n)  # tau and c1sq of each row, in turn
+            args[::2] = range(lo, hi)
+            args[1::2] = range(c1sq, c1sq + n * step, step)
+            pair = first + row + b[both_next] + "\n"
+            out.write((pair * (n // 2) + first * (n % 2)) % tuple(args))
+    return out.getvalue()
 
 
 def points_csv(text: str) -> str:
@@ -171,4 +164,31 @@ def points_csv(text: str) -> str:
     (also in c1sq) raises ``ValueError`` naming its line.
     """
     reader = csv.reader(io.StringIO(text))
-    return _csv(_point_rows(reader), reader)
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    b = _CSV_BOOL
+    header = True  # until the first non-blank row
+    for row in reader:
+        if not row:
+            continue
+        if header:
+            header = False
+            if row[0].strip().lower() == "chi":
+                continue
+        if len(row) < 2:
+            raise ValueError(f"line {reader.line_num}: expected chi,tau, found one field")
+        try:
+            chi, tau = int(row[0]), int(row[1])
+        except ValueError:
+            where = f"line {reader.line_num}: "
+            if max(len(row[0]), len(row[1])) > sys.get_int_max_str_digits():
+                raise ValueError(where + _digit_limit("chi or tau has")) from None
+            raise ValueError(f"{where}chi and tau must be integers, "
+                             f"got {row[0]!r}, {row[1]!r}") from None
+        gl, ens, bmy, bmy_eq, c1sq, both = report(tuple.__new__(GeoPoint, (chi, tau)))
+        try:
+            out.write(f"{chi},{tau},{b[gl]},{b[ens]},{b[bmy]},{b[bmy_eq]},{c1sq},{b[both]}\n")
+        except ValueError:  # chi and tau were read under the limit; c1sq can pass it
+            raise ValueError(f"line {reader.line_num}: "
+                             + _digit_limit("c1sq = 2 chi + 3 tau has")) from None
+    return out.getvalue()

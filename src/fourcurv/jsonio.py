@@ -103,6 +103,15 @@ def _operator_problem(data) -> str | None:
         return f"basis must be {COORDINATE!r} or {SD_ASD!r}"
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, with an optional byte-order mark (as spreadsheet
+    exports write it); a file that is not UTF-8 is refused naming ``path``."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def load_operator(path: str | Path) -> CurvatureOperator:
     """Load a curvature operator from a JSON file.
 
@@ -114,7 +123,7 @@ def load_operator(path: str | Path) -> CurvatureOperator:
     """
     from .curvops import CurvatureOperator  # numpy: not loaded by the geography commands
 
-    text = Path(path).read_text(encoding="utf-8-sig")  # as geo --csv reads its file
+    text = read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -201,3 +201,16 @@ def test_contract_checker_catches_breaks():
     assert _broken(argv, 0, "{", "", []).startswith("stdout is not JSON")
     assert _broken(["scan"], 0, "chi,tau\n", "", []) is None
     assert _broken(argv, 0, "{}", "", []) is None
+
+
+def test_refusals_name_the_file_or_option(tmp_path):
+    operator, points = tmp_path / "latin1.json", tmp_path / "latin1.csv"
+    operator.write_bytes(b'{"matrix": \xff}')
+    points.write_bytes(b"chi,tau\n3,\xff\n")
+    for argv, named in ((["decompose", "-i", str(operator)], str(operator)),
+                        (["geo", "--csv", str(points)], str(points)),
+                        (["model", "sphere4", "--param", "r="], "--param 'r='"),
+                        (["chart", "flatChart", "--point", "1,x,1,1"], "--point '1,x,1,1'")):
+        code, out, err, caught = _run(argv)
+        assert _broken(argv, code, out, err, caught) is None
+        assert code == 1 and err.startswith(f"error: {named}: "), err

@@ -9,10 +9,10 @@ from fourcurv import geography
 from fourcurv.geography import (
     CSV_HEADER,
     GeoPoint,
+    GeoReport,
     points_csv,
     report,
     scan_csv,
-    scan_rows,
     self_dual_lattice_obstruction,
 )
 
@@ -71,24 +71,26 @@ def test_lattice_obstruction():
     assert out.chi == Fraction(15, 8) * out.tau
 
 
+def _scan_table(chi_max):
+    """The scan's CSV rows, keyed by (chi, tau)."""
+    rows = (line.split(",") for line in scan_csv(chi_max).splitlines()[1:])
+    return {(int(r[0]), int(r[1])): r[2:] for r in rows}
+
+
 def test_scan_zero():
-    rows = list(scan_rows(0))
-    assert len(rows) == 1
-    p, rep = rows[0]
-    assert (p.chi, p.tau) == (0, 0)
-    assert rep.gromov_luck
+    assert scan_csv(0).splitlines()[1:] == ["0,0,true,false,true,true,0,true"]
 
 
 def test_scan_examples():
-    table = {(p.chi, p.tau): rep for p, rep in scan_rows(4)}
-    assert table[(4, 2)].einstein_nonpos_strict  # 32 > 30
-    assert table[(3, 3)].gromov_luck
-    assert not table[(3, 3)].bmy  # 3 < 9
+    table = _scan_table(4)
+    assert table[(4, 2)][1] == "true"  # einstein_nonpos_strict: 32 > 30
+    assert table[(3, 3)][0] == "true"  # gromov_luck
+    assert table[(3, 3)][2] == "false"  # bmy: 3 < 9
 
 
 def test_scan_rejects_negative():
     with pytest.raises(ValueError):
-        list(scan_rows(-1))
+        scan_csv(-1)
 
 
 def test_scan_csv_deterministic():
@@ -134,9 +136,13 @@ def _row_reference(p, rep):
             f"{b[rep.both_orientations_complex_possible]}\n")
 
 
-def _csv_reference(pairs):
+def _csv_reference(pairs, report=report):
     return CSV_HEADER + "\n" + "".join(
         _row_reference(GeoPoint(c, t), report(GeoPoint(c, t))) for c, t in pairs)
+
+
+def _scan_pairs(chi_max):
+    return [(c, t) for c in range(chi_max + 1) for t in range(-c, c + 1)]
 
 
 def _boundary_pairs(seed):
@@ -156,8 +162,11 @@ def _boundary_pairs(seed):
 
 def test_scan_csv_matches_row_reference():
     for n in range(61):
-        want = _csv_reference((c, t) for c in range(n + 1) for t in range(-c, c + 1))
-        assert scan_csv(n) == want
+        assert scan_csv(n) == _csv_reference(_scan_pairs(n))
+
+
+def test_scan_csv_matches_row_reference_at_benchmark_size():
+    assert scan_csv(400) == _csv_reference(_scan_pairs(400))  # the benchmark's largest chi_max
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -175,6 +184,16 @@ def test_points_csv_matches_row_reference(seed):
 
 
 def test_every_row_goes_through_report(monkeypatch):
+    # the scan writes runs of rows from report's first two points of each run: with
+    # every flag and c1sq negated, its table is still the per-row one of that report
+    def negated(p):
+        gl, ens, bmy, bmy_eq, c1sq, both = report(p)
+        return GeoReport(not gl, not ens, not bmy, not bmy_eq, -c1sq, not both)
+
+    monkeypatch.setattr(geography, "report", negated)
+    for n in (0, 1, 7, 40):
+        want = _csv_reference(_scan_pairs(n), negated)
+        assert scan_csv(n) == want != _csv_reference(_scan_pairs(n))
     calls = []
 
     def counting(p):
@@ -182,10 +201,6 @@ def test_every_row_goes_through_report(monkeypatch):
         return report(p)
 
     monkeypatch.setattr(geography, "report", counting)
-    for n in (0, 1, 7):
-        calls.clear()
-        rows = scan_csv(n).splitlines()[1:]
-        assert len(calls) == len(rows) == (n + 1) ** 2
     pairs = _boundary_pairs(5)[:200]
     calls.clear()
     rows = points_csv("chi,tau\n" + "".join(f"{c},{t}\n" for c, t in pairs)).splitlines()[1:]
