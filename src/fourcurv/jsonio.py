@@ -1,4 +1,5 @@
-"""Deterministic JSON emission and operator-file loading for the CLI.
+"""Deterministic JSON emission and input-file reading for the CLI: operator
+files, and the text of every file it reads.
 
 Floats are serialized with 17 significant digits so output is byte-identical
 across runs and platforms and round-trips exactly.  Every report carries a

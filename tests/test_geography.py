@@ -161,12 +161,8 @@ def _boundary_pairs(seed):
 
 
 def test_scan_csv_matches_row_reference():
-    for n in range(61):
+    for n in [*range(61), 400]:  # 400: the benchmark's largest chi_max
         assert scan_csv(n) == _csv_reference(_scan_pairs(n))
-
-
-def test_scan_csv_matches_row_reference_at_benchmark_size():
-    assert scan_csv(400) == _csv_reference(_scan_pairs(400))  # the benchmark's largest chi_max
 
 
 @pytest.mark.parametrize("seed", [3, 4])
