@@ -71,18 +71,13 @@ def test_lattice_obstruction():
     assert out.chi == Fraction(15, 8) * out.tau
 
 
-def _scan_table(chi_max):
-    """The scan's CSV rows, keyed by (chi, tau)."""
-    rows = (line.split(",") for line in scan_csv(chi_max).splitlines()[1:])
-    return {(int(r[0]), int(r[1])): r[2:] for r in rows}
-
-
 def test_scan_zero():
     assert scan_csv(0).splitlines()[1:] == ["0,0,true,false,true,true,0,true"]
 
 
 def test_scan_examples():
-    table = _scan_table(4)
+    rows = (line.split(",") for line in scan_csv(4).splitlines()[1:])
+    table = {(int(r[0]), int(r[1])): r[2:] for r in rows}
     assert table[(4, 2)][1] == "true"  # einstein_nonpos_strict: 32 > 30
     assert table[(3, 3)][0] == "true"  # gromov_luck
     assert table[(3, 3)][2] == "false"  # bmy: 3 < 9
