@@ -40,7 +40,12 @@ the first line where it differs.  The corpus covers:
   (-1e-20, -1e-20), (1e-20, 2e-20) and (-1e-20, -2e-20): saturated products
   of small curvature, Einstein only where a = b; last, an operator file and a
   ``geo --csv`` file that are not UTF-8, ``model sphere4 --param r=`` and
-  ``chart flatChart --point 1,x,1,1``.
+  ``chart flatChart --point 1,x,1,1``; then the ``chart --study`` steps -0.005,
+  0 and NaN, a ``sphereProductChart`` study at 2,000 steps and one at 4,097
+  (one past the ``--steps`` maximum), ``model sphere4`` at r = 1.2e-154 and
+  2e-154 and operator files holding 2e307 I (SD/ASD) and 3e307 I
+  (coordinate), whose traces or scalar curvature overflow, and a ``geo
+  --csv`` file with a short row.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -323,6 +328,17 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
     reqs += [["decompose", "-i", str(inputs / "latin1.json")],
              ["geo", "--csv", str(inputs / "latin1.csv")],
              ["model", "sphere4", "--param", "r="], ["chart", "flatChart", "--point", "1,x,1,1"]]
+    reqs += [["chart", "flatChart", "--study", "--steps", f"0.02,0.01,{bad}"]
+             for bad in ("-0.005", "0", "nan")]
+    steps = [0.02 * 0.999**k for k in range(4097)]
+    reqs += [["chart", "sphereProductChart", "--param", "a=1", "--param", "b=2", "--study",
+              "--steps", ",".join(map(repr, steps[:n]))] for n in (2000, 4097)]
+    reqs += [["model", "sphere4", f"--param=r={r}"] for r in ("1.2e-154", "2e-154")]
+    for basis, scale in (("sd-asd", 2e307), ("coordinate", 3e307)):
+        path = _operator_file(inputs / f"overflow-s-{basis}.json", scale * np.eye(6), basis)
+        reqs += [["decompose", "-i", path], ["certify", "-i", path]]
+    (inputs / "short-row.csv").write_text("chi,tau\n3,1\n7\n")
+    reqs.append(["geo", "--csv", str(inputs / "short-row.csv")])
     return reqs
 
 

@@ -38,6 +38,7 @@ EXIT_NUMERIC = 2
 # Largest accepted values of the integer options that size the work of a request:
 # each bounds its run to a few seconds and about 100 MiB.
 MAX_RADII = 4096
+MAX_STEPS = MAX_RADII  # chart --study: one point at each step, the same point budget
 MAX_NODES = 1000
 MAX_CHI = 1000
 
@@ -151,6 +152,9 @@ def _cmd_chart(args) -> int:
         raise ValueError("chart evaluation needs --point x1,x2,x3,x4")
     if args.study:
         steps = _floats("--steps", args.steps)
+        if len(steps) > MAX_STEPS:
+            raise ValueError(f"argument --steps must have at most {MAX_STEPS} entries, "
+                             f"got {len(steps)}")
         study = numgeom.convergence_study(chart, point, steps)
         _print_report(study.to_dict(), args.format == "human")
         return EXIT_OK
@@ -186,7 +190,12 @@ def _cmd_page(args) -> int:
 
 def _cmd_geo(args) -> int:
     if args.csv:
-        sys.stdout.write(geography.points_csv(jsonio.read_text(args.csv)))
+        text = jsonio.read_text(args.csv)
+        try:
+            table = geography.points_csv(text)
+        except ValueError as exc:  # a bad row, named by its line
+            raise ValueError(f"{args.csv}: {exc}") from None
+        sys.stdout.write(table)
         return EXIT_OK
     if args.chi is None or args.tau is None:
         raise ValueError("geo needs --chi and --tau (or --csv batch input)")

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (
     BianchiViolationError,
-    DensityOverflowError,
     IndefiniteSignError,
     InvalidBlocksError,
     NotAdmissibleError,
@@ -184,10 +183,11 @@ class CurvatureOperator:
     absolute bound ``err`` on the error of its entries (0 for exact input).
 
     Construction validates admissibility: every entry must be finite (also
-    in the SD/ASD frame), and the symmetry defect ``max|R - R^T|`` and the
-    first-Bianchi defect (trace of the SD diagonal block minus trace of the
-    ASD diagonal block) must both lie within ``max(STRUCTURAL_TOL, 10 err)
-    * max(1, max|R|)``: absolute up to unit entries and relative beyond.
+    in the SD/ASD frame), as must the diagonal-block traces and the scalar
+    curvature ``2 (tr A + tr C)``, and the symmetry defect ``max|R - R^T|``
+    and the first-Bianchi defect ``tr A - tr C`` (the SD and ASD diagonal
+    blocks) must both lie within ``max(STRUCTURAL_TOL, 10 err) * max(1,
+    max|R|)``: absolute up to unit entries and relative beyond.
     """
 
     matrix: np.ndarray
@@ -206,6 +206,13 @@ class CurvatureOperator:
         if not np.isfinite(S).all():
             raise NotAdmissibleError(
                 f"operator entries up to {np.abs(M).max():.3e} overflow in the SD/ASD frame")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, without warnings
+            trace_a, trace_c = np.trace(S[:3, :3]), np.trace(S[3:, 3:])
+            s, bianchi = 2.0 * (trace_a + trace_c), float(trace_a - trace_c)
+        if not np.isfinite(s):
+            raise NotAdmissibleError(
+                f"operator entries up to {np.abs(M).max():.3e} overflow in the traces "
+                "or the scalar curvature")
         tol = max(STRUCTURAL_TOL, 10.0 * self.err) * max(1.0, float(np.abs(M).max()))
         sym_defect = float(np.abs(M - M.T).max())
         if not sym_defect <= tol:
@@ -213,7 +220,6 @@ class CurvatureOperator:
                 f"symmetry defect {sym_defect:.3e} exceeds tolerance {tol:.1e}",
                 defect=sym_defect,
             )
-        bianchi = float(np.trace(S[:3, :3]) - np.trace(S[3:, 3:]))
         if not abs(bianchi) <= tol:
             raise BianchiViolationError(
                 f"Bianchi trace defect {bianchi:.3e} exceeds tolerance {tol:.1e}",
@@ -527,6 +533,17 @@ def _exact_squares(d: Decomposition) -> tuple[int, int, int, int]:
     return K, sum(v * v for v in n[:9]), sum(v * v for v in n[9:18]), n[18] * n[18]
 
 
+def _density(num: int, den: int, c: float = 1.0) -> float:
+    """``(num / den) / c``, with ``num / den`` correctly rounded, for c of order
+    one; +-inf only where the value leaves the float range, even where
+    ``num / den`` alone does."""
+    try:
+        return num / den / c
+    except OverflowError:  # divide at the scale 2^e, which is exact, then scale back
+        e = num.bit_length() - den.bit_length()
+        return _ldexp(num / (den << e) / c, e)
+
+
 def char_densities(d: Decomposition) -> CharDensities:
     """Chern-Gauss-Bonnet and signature densities of an Einstein operator.
 
@@ -534,7 +551,8 @@ def char_densities(d: Decomposition) -> CharDensities:
         signature = (|W+|^2 - |W-|^2) / (12 pi^2)
 
     The squares are exact (:func:`_exact_squares`), so the ratio is exact
-    and the floats are correctly rounded.  Restricted to operators Einstein
+    and the floats are :func:`_density` quotients, +-inf only where a
+    density leaves the float range.  Restricted to operators Einstein
     within their own error (:meth:`Decomposition.is_einstein`): the general
     traceless-Ricci correction is out of scope here.
     """
@@ -542,17 +560,10 @@ def char_densities(d: Decomposition) -> CharDensities:
     K, wp2, wm2, s2 = _exact_squares(d)
     euler_num = 24 * (wp2 + wm2) + s2  # over 24 * 4^K
     sig_num = wp2 - wm2  # over 4^K
-    ratio = Fraction(euler_num, 16 * sig_num) if sig_num else None
-    try:
-        euler, signature = euler_num / (24 << 2 * K), sig_num / (1 << 2 * K)
-    except OverflowError:
-        raise DensityOverflowError(
-            "characteristic densities exceed the float range (|W|^2 or s^2 above 1e308)"
-        ) from None
     return CharDensities(
-        euler_density=euler / (8.0 * math.pi**2),
-        signature_density=signature / (12.0 * math.pi**2),
-        ratio=ratio,
+        euler_density=_density(euler_num, 24 << 2 * K, 8.0 * math.pi**2),
+        signature_density=_density(sig_num, 1 << 2 * K, 12.0 * math.pi**2),
+        ratio=Fraction(euler_num, 16 * sig_num) if sig_num else None,
     )
 
 
@@ -569,15 +580,12 @@ def kahler_signature_check(d: Decomposition) -> KahlerSignatureCheck:
     """Pointwise signature integrand |W+|^2 - |W-|^2 of a Kahler operator
     (:meth:`Decomposition.is_kahler`, else :class:`NotKahlerError`).  For
     non-positively curved Kahler-Einstein operators it is non-negative, the
-    pointwise mechanism behind tau >= 0.  It is the correctly rounded
+    pointwise mechanism behind tau >= 0.  It is the :func:`_density`
     quotient of :func:`_exact_squares` (+-inf beyond the float range), and
     ``non_negative``, density >= -CLASSIFY_TOL s^2, is decided on them."""
     if not d.is_kahler():
         sigma1, sigma2, _ = d._kahler_sigmas()
         raise NotKahlerError(f"[A | B] is not rank one: sigma2/sigma1 = {sigma2 / sigma1:.6g}")
     K, wp2, wm2, s2 = _exact_squares(d)
-    try:
-        density = (wp2 - wm2) / (1 << 2 * K)
-    except OverflowError:
-        density = math.inf if wp2 > wm2 else -math.inf
-    return KahlerSignatureCheck(density, non_negative=wp2 - wm2 >= -Fraction(CLASSIFY_TOL) * s2)
+    return KahlerSignatureCheck(_density(wp2 - wm2, 1 << 2 * K),
+                                non_negative=wp2 - wm2 >= -Fraction(CLASSIFY_TOL) * s2)

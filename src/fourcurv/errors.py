@@ -37,10 +37,6 @@ class NotEinsteinError(FourcurvError):
         self.residual = residual
 
 
-class DensityOverflowError(FourcurvError):
-    """A characteristic density lies outside the float range."""
-
-
 class IndefiniteSignError(FourcurvError):
     """Equality classification is undefined for indefinite sectional curvature."""
 

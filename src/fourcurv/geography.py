@@ -128,8 +128,9 @@ def scan_csv(chi_max: int) -> str:
     |tau| <= chi, in lexicographic order.
 
     Each run of :func:`_cuts` takes its flags from ``report`` of its first
-    point, and its parities and c1sq step from its first two, then formats
-    its rows with one ``%`` over a template of two rows (even and odd).
+    point, and its parities and c1sq step from its first two (of a one-row
+    run, its point and the next, which is not printed), then formats its
+    rows with one ``%`` over a template of two rows (even and odd).
     """
     if chi_max < 0:
         raise ValueError("chi_max must be non-negative")
@@ -144,9 +145,6 @@ def scan_csv(chi_max: int) -> str:
             row = f"{chi},%d,{b[gl]},{b[ens]},{b[bmy]},{b[bmy_eq]},%d,"
             first = row + b[both] + "\n"
             n = hi - lo
-            if n == 1:
-                write(first % (lo, c1sq))
-                continue
             *_, c1sq_next, both_next = report(tuple.__new__(GeoPoint, (chi, lo + 1)))
             step = c1sq_next - c1sq
             args = [0] * (2 * n)  # tau and c1sq of each row, in turn

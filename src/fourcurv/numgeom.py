@@ -11,10 +11,12 @@ coordinate orientation) and packed into the 6x6 operator convention of
 emitted operator is the h/2 evaluation and the error estimate comes from the
 Richardson comparison of the pair plus the roundoff the stencil amplifies.
 
-Points are processed in blocks of at most ``BLOCK`` points: the stencil
-points of both steps of a whole block go through one ``metric_at`` call and
-one stacked Cholesky factorisation (the positive-definiteness check), and
-the tensor algebra carries a leading batch axis.  Only the stencil points
+Both :func:`curvature_at` and :func:`convergence_study` (one point at a list
+of steps) go through ``_blocks``, which checks the points and steps once and
+processes them in blocks of at most ``BLOCK`` points: the stencil points of
+both steps of a whole block go through one ``metric_at`` call and one
+stacked Cholesky factorisation (the positive-definiteness check), and the
+tensor algebra carries a leading batch axis.  Only the stencil points
 that move along coordinates the chart's metric depends on are evaluated
 (all 113 by default, 25 for a cohomogeneity-one chart); every other point
 takes the metric of the point with those offsets zeroed, which is the same
@@ -45,6 +47,7 @@ from .errors import (
 )
 
 BLOCK = 16  # points per metric_at call: 16 x 2 steps x 113 stencil points
+DEFAULT_STEP = 0.01  # the step of curvature_at when none is given
 
 # 4th-order central stencils
 _OFF1 = (-2, -1, 1, 2)
@@ -81,12 +84,12 @@ class MetricChart:
     default ``(0, 1, 2, 3)`` declares all four.  The metric must be bitwise
     unchanged when an undeclared coordinate moves, because the stencil
     points that differ from another one only along undeclared coordinates
-    are not evaluated but copied from it.
+    are not evaluated but copied from it.  The step is not the chart's:
+    :func:`curvature_at` takes it per call.
     """
 
     domain: tuple[tuple[float, float], ...]
     metric_at: Callable[[np.ndarray], np.ndarray]
-    suggested_step: float = 0.01
     depends_on: tuple[int, ...] = (0, 1, 2, 3)
 
     def margin_of(self, points) -> np.ndarray:
@@ -242,15 +245,36 @@ def _operators(chart: MetricChart, x: np.ndarray, h: np.ndarray):
     return ops, ric, roundoff
 
 
-def _refuse_tiny_steps(h: np.ndarray) -> None:
-    """Refuse a step so small that the stencil's divisor (h/2)^2 is below the
-    smallest normal float, where the second differences lose all digits."""
-    half = h / 2.0
-    tiny = half < np.sqrt(np.finfo(float).tiny)  # (h/2)^2 < tiny; squaring a huge h overflows
+def _blocks(chart: MetricChart, points, step):
+    """``(h, ops, ric, roundoff)`` of :func:`_operators` per block of at most
+    ``BLOCK`` of the points, shape ``(4,)`` or ``(n, 4)``, once all are checked:
+    each inside the chart, each step finite and positive with (step/2)^2, the
+    stencil's divisor, a normal float, and each margin at least ``2 * step``."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 4:
+        raise OutsideDomainError("points must have 4 coordinates")
+    xs = x.reshape(-1, 4)
+    h = np.broadcast_to(np.asarray(DEFAULT_STEP if step is None else step, dtype=float),
+                        xs.shape[:1])
+    margin = chart.margin_of(xs)
+    outside = ~(margin >= 0.0)
+    if outside.any():
+        raise OutsideDomainError(f"point {xs[outside][0].tolist()} outside chart domain")
+    bad = ~((h > 0.0) & (h < np.inf))
+    if bad.any():
+        raise StepTooLargeError(f"step {float(h[bad][0])!r} is not finite and positive")
+    tiny = h / 2.0 < np.sqrt(np.finfo(float).tiny)  # (h/2)^2 < tiny; squaring a huge h overflows
     if tiny.any():
         raise StepTooLargeError(
             f"step {float(h[tiny][0])!r} is too small: (step/2)^2 is below the smallest "
             "normal float")
+    short = margin < 2.0 * h
+    if short.any():
+        raise StepTooLargeError(
+            f"margin {margin[short][0]:.3e} is below the 2*step stencil requirement")
+    for lo in range(0, len(xs), BLOCK):
+        hb = h[lo:lo + BLOCK]
+        yield (hb, *_operators(chart, xs[lo:lo + BLOCK], hb))
 
 
 def curvature_at(chart: MetricChart, points, step=None):
@@ -259,35 +283,15 @@ def curvature_at(chart: MetricChart, points, step=None):
     ``points`` is one point, shape ``(4,)``, which gives one
     :class:`PointCurvature`, or a stack of shape ``(n, 4)``, which gives a
     list of n.  ``step`` is one step for all points or one per point
-    (default: the chart's suggested step).  Evaluates the 4th-order stencil
-    at steps ``h`` and ``h/2`` and emits the ``h/2`` result;
-    ``error_estimate`` bounds its error by the Richardson difference of the
-    pair (with a safety factor of two), the roundoff of the metric values
-    amplified by the stencil and the frame, and a machine-noise floor; the
-    operator carries it as its ``err``.  Each point must be interior with
-    margin at least ``2 * step`` in every coordinate.
+    (default ``DEFAULT_STEP``).  Evaluates the 4th-order stencil at steps
+    ``h`` and ``h/2`` and emits the ``h/2`` result; ``error_estimate`` bounds
+    its error by the Richardson difference of the pair (with a safety factor
+    of two), the roundoff of the metric values amplified by the stencil and
+    the frame, and a machine-noise floor; the operator carries it as its
+    ``err``.  The points and steps are checked as :func:`_blocks` says.
     """
-    x = np.asarray(points, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 4:
-        raise OutsideDomainError("points must have 4 coordinates")
-    xs = x.reshape(-1, 4)
-    h = np.broadcast_to(np.asarray(chart.suggested_step if step is None else step,
-                                   dtype=float), xs.shape[:1])
-    margin = chart.margin_of(xs)
-    outside = ~(margin >= 0.0)
-    if outside.any():
-        raise OutsideDomainError(f"point {xs[outside][0].tolist()} outside chart domain")
-    if not (h > 0.0).all():
-        raise StepTooLargeError("step must be positive")
-    _refuse_tiny_steps(h)
-    short = margin < 2.0 * h
-    if short.any():
-        raise StepTooLargeError(
-            f"margin {margin[short][0]:.3e} is below the 2*step stencil requirement")
     out = []
-    for lo in range(0, len(xs), BLOCK):
-        hb = h[lo:lo + BLOCK]
-        ops, ric, roundoff = _operators(chart, xs[lo:lo + BLOCK], hb)
+    for hb, ops, ric, roundoff in _blocks(chart, points, step):
         op_h, op, ric = ops[:, 0], ops[:, 1], ric[:, 1]
         scale = np.maximum(1.0, np.abs(op).max(axis=(1, 2)))
         err = 2.0 * np.abs(op_h - op).max(axis=(1, 2)) / 15.0 + roundoff[:, 1] + 1e-13 * scale
@@ -302,7 +306,7 @@ def curvature_at(chart: MetricChart, points, step=None):
                 step_used=float(hb[k] / 2.0),
             )
             for k in range(len(hb)))
-    return out[0] if x.ndim == 1 else out
+    return out[0] if np.ndim(points) == 1 else out
 
 
 @dataclass(frozen=True)
@@ -322,25 +326,18 @@ class ConvergenceStudy:
 def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> ConvergenceStudy:
     """Operator error versus step against the finest-step Richardson limit.
 
-    Requires at least three decreasing steps, each finite, positive and
-    valid at the point.  The reference is the Richardson extrapolation of
-    the finest pair ``(h_min, h_min/2)``; the fitted log-log slope should
-    sit near the stencil order (4) and is reported as None when every error
-    is at machine-noise level.
+    Requires at least three strictly decreasing steps; the point and every
+    step are checked as for :func:`curvature_at`, and the operators at
+    ``(h, h/2)`` are computed in the same blocks.  The reference is the
+    Richardson extrapolation of the finest pair ``(h_min, h_min/2)``; the
+    fitted log-log slope should sit near the stencil order (4) and is
+    reported as None when every error is at machine-noise level.
     """
     steps = [float(s) for s in steps]
     if len(steps) < 3 or any(s2 >= s1 for s1, s2 in zip(steps, steps[1:])):
         raise BadIntervalError("need at least 3 strictly decreasing steps")
-    if not all(0.0 < s < np.inf for s in steps):
-        raise StepTooLargeError(f"steps must be finite and positive, got {steps}")
-    _refuse_tiny_steps(np.array(steps))
-    x = np.asarray(point, dtype=float)
-    margin = chart.margin_of(x)
-    if not margin >= 0.0:
-        raise OutsideDomainError(f"point {x.tolist()} outside chart domain")
-    if margin < 2.0 * max(steps):
-        raise StepTooLargeError("largest step violates the stencil margin")
-    ops, _, _ = _operators(chart, np.tile(x, (len(steps), 1)), np.array(steps))
+    xs = np.tile(np.asarray(point, dtype=float), (len(steps), 1))
+    ops = np.concatenate([ops for _, ops, _, _ in _blocks(chart, xs, np.array(steps))])
     reference = (16.0 * ops[-1, 1] - ops[-1, 0]) / 15.0
     errors = [float(np.abs(op - reference).max()) for op in ops[:, 0]]
     slope = None

@@ -114,7 +114,6 @@ class CohomOneMetric:
         return numgeom.MetricChart(
             domain=((0.0, np.pi), (0.0, np.pi), (-np.pi, np.pi), (-2.0 * np.pi, 2.0 * np.pi)),
             metric_at=metric_at,
-            suggested_step=ORBIT_STEP,
             depends_on=(0, 1),
         )
 

@@ -299,12 +299,15 @@ def test_decompose_identity(tmp_path, capsys):
     -1e300 * np.eye(6),                         # s^2 / 24 overflows
     np.diag([3e200, -3e200, 0, 1e200, -1e200, 0]),  # |W+|^2 overflows
 ])
-def test_decompose_density_overflow_exit_1(tmp_path, capsys, matrix):
+def test_decompose_density_overflow_prints_infinity(tmp_path, capsys, matrix):
+    # these exited 1; the decomposition and glReport are finite, and a density
+    # past the float range reads Infinity
     path = write_operator(tmp_path / "huge.json", matrix, basis="sd-asd")
     code, out, err = run_cli(capsys, "decompose", "-i", path)
-    assert code == 1
-    assert out == ""
-    assert "float range" in err and len(err.strip().splitlines()) == 1
+    assert (code, err) == (0, "")
+    densities = json.loads(out)["charDensities"]
+    assert densities["eulerDensity"] == "Infinity"
+    assert densities["signatureDensity"] == ("Infinity" if matrix[0, 0] > 0 else 0.0)
 
 
 @pytest.mark.parametrize("radii", ["0", "-3"])
@@ -365,14 +368,36 @@ def test_chart_study(capsys):
     assert 3.5 <= data["slope"] <= 4.5
 
 
-@pytest.mark.parametrize("steps, shown", [("0.02,0.01,-0.005", "[0.02, 0.01, -0.005]"),
-                                          ("0.02,0.01,0", "[0.02, 0.01, 0.0]"),
-                                          ("0.02,0.01,nan", "[0.02, 0.01, nan]")])
+@pytest.mark.parametrize("steps, shown", [("0.02,0.01,-0.005", "-0.005"),
+                                          ("0.02,0.01,0", "0.0"),
+                                          ("0.02,0.01,nan", "nan")])
 def test_chart_study_refuses_bad_steps(capsys, steps, shown):
-    # these exited 0 with made-up or NaN errors, one after a numpy warning
+    # these exited 0 with made-up or NaN errors, one after a numpy warning; the
+    # refusal names the first bad step, as for --step
     code, out, err = run_cli(capsys, "chart", "flatChart", "--study", "--steps", steps)
     assert (code, out) == (1, "")
-    assert err == f"error: steps must be finite and positive, got {shown}\n"
+    assert err == f"error: step {shown} is not finite and positive\n"
+    code, out, err = run_cli(capsys, "chart", "flatChart", "--point", "0,0,0,0", "--step", shown)
+    assert (code, out, err) == (1, "", f"error: step {shown} is not finite and positive\n")
+
+
+def test_chart_steps_past_maximum_refused(capsys, monkeypatch):
+    from fourcurv import cli, numgeom
+
+    calls = []
+
+    def study(chart, point, steps):
+        calls.append(len(steps))
+        return numgeom.ConvergenceStudy(steps=(1.0,), errors=(0.0,), slope=None)
+
+    monkeypatch.setattr(numgeom, "convergence_study", study)
+    for n in (cli.MAX_STEPS, cli.MAX_STEPS + 1):
+        steps = ",".join(repr(0.02 * 0.999**k) for k in range(n))
+        code, out, err = run_cli(capsys, "chart", "flatChart", "--study", "--steps", steps)
+    assert calls == [cli.MAX_STEPS]  # the longer list starts no work
+    assert (code, out) == (1, "")
+    assert err == (f"error: argument --steps must have at most {cli.MAX_STEPS} entries, "
+                   f"got {cli.MAX_STEPS + 1}\n")
 
 
 @pytest.mark.parametrize("argv, step", [
@@ -472,7 +497,8 @@ def test_geo_csv_bad_row_exit_1(tmp_path, capsys, text, message):
     code, out, err = run_cli(capsys, "geo", "--csv", str(src))
     assert code == 1
     assert out == ""
-    assert message in err and len(err.strip().splitlines()) == 1
+    # the refusal starts with the file, as every other input-file refusal does
+    assert err.startswith(f"error: {src}: {message}") and len(err.strip().splitlines()) == 1
 
 
 def test_geo_csv_later_chi_row_is_not_a_header(tmp_path, capsys):

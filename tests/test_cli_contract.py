@@ -86,6 +86,9 @@ def _operator_files(rng):
                        ("bom-only", b"\xef\xbb\xbf"), ("array", b"[]"), ("number", b"1"),
                        ("deep", b"[" * 100_000), ("deep-object", b'{"matrix": ' + b"[" * 100_000)):
         yield name, data
+    for basis, scale in (("sd-asd", 2e307), ("coordinate", 3e307)):  # s overflows
+        yield f"overflow-s-{basis}", json.dumps(
+            {"basis": basis, "matrix": (scale * np.eye(6)).tolist()}).encode()
 
 
 def _option_argvs(rng, op):
@@ -99,6 +102,8 @@ def _option_argvs(rng, op):
             yield ["model", name, f"--param={key}={value}"]
         yield ["model", name, "--param", "zz=1"]
         yield ["model", name, "--param", "=1"]
+    for r in ("1.2e-154", "2e-154"):  # 1/r^2 passes; the traces or s = 12/r^2 overflow
+        yield ["model", "sphere4", f"--param=r={r}"]
     for name in ("flatChart", "sphereProductChart", "hyperbolic4HalfSpace"):
         for value in NUMBERS:
             yield ["chart", name, "--point", "1,1,1,1", f"--step={value}"]

@@ -32,7 +32,6 @@ from fourcurv.curvops import (
 )
 from fourcurv.errors import (
     BianchiViolationError,
-    DensityOverflowError,
     FourcurvError,
     IndefiniteSignError,
     InvalidBlocksError,
@@ -589,10 +588,22 @@ def test_weyl_norms_scale_safe():
     assert report.defect == pytest.approx(-math.sqrt(32.0) * 1e200, rel=1e-15)
 
 
-def test_char_densities_overflow_raises():
+def test_char_densities_past_float_range_are_infinite():
+    # s^2/24 passes the float range: the Euler density is +inf, the ratio stays exact
     d = decompose(CurvatureOperator(-1e300 * np.eye(6), basis=SD_ASD))
-    with pytest.raises(DensityOverflowError):
-        char_densities(d)
+    cd = char_densities(d)
+    assert (cd.euler_density, cd.signature_density, cd.ratio) == (math.inf, 0.0, None)
+
+
+def test_char_densities_finite_where_the_quotient_alone_overflows():
+    # at 2^511 the squares over 4^K pass the float range, the densities (divided
+    # by 8 pi^2 and 12 pi^2) do not: they are the unit densities times 4^511
+    R = np.diag([-4.0, 0.0, 1.0, -1.0, -1.0, -1.0])  # s = -12, W+ = diag(-3, 1, 2)
+    unit = char_densities(decompose(CurvatureOperator(R, basis=SD_ASD)))
+    big = char_densities(decompose(CurvatureOperator(np.ldexp(R, 511), basis=SD_ASD)))
+    assert big.euler_density == math.ldexp(unit.euler_density, 1022) < math.inf
+    assert big.signature_density == math.ldexp(unit.signature_density, 1022) < math.inf
+    assert big.ratio == unit.ratio
 
 
 def test_weyl_norms_equal_numpy_on_ordinary_input(rng):
@@ -802,10 +813,16 @@ def _char_densities_reference(d):
     wp2, wm2 = frobenius_sq(d.w_plus), frobenius_sq(d.w_minus)
     euler, sig = wp2 + wm2 + Fraction(float(d.s)) ** 2 / 24, wp2 - wm2
     ratio = Fraction(3, 2) * euler / sig if sig != 0 else None
-    try:
-        return float(euler) / (8.0 * math.pi**2), float(sig) / (12.0 * math.pi**2), ratio
-    except OverflowError:
-        return None
+
+    def density(q, c):
+        # float(q) / c, with q scaled by 2^-e first where float(q) would overflow
+        e = max(0, abs(q.numerator).bit_length() - q.denominator.bit_length())
+        try:
+            return math.ldexp(float(q / 2**e) / c, e)
+        except OverflowError:
+            return math.inf if q > 0 else -math.inf
+
+    return density(euler, 8.0 * math.pi**2), density(sig, 12.0 * math.pi**2), ratio
 
 
 def test_char_densities_equal_fraction_reference(rng):
@@ -822,10 +839,6 @@ def test_char_densities_equal_fraction_reference(rng):
         d = curvops.Decomposition(s=s, w_plus=wp, w_minus=wm, ric_block=np.zeros((3, 3)),
                                   spectrum_plus=np.zeros(3), spectrum_minus=np.zeros(3))
         want = _char_densities_reference(d)
-        if want is None:
-            with pytest.raises(DensityOverflowError):
-                char_densities(d)
-            continue
         cd = char_densities(d)
         assert cd.ratio == want[2]
         assert (cd.euler_density, cd.signature_density) == want[:2]

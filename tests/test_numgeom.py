@@ -140,7 +140,7 @@ def test_smallest_usable_step():
 
 def test_roundoff_bound_past_float_range_refused():
     # a tiny constant metric: the operator stays finite, its roundoff bound does not
-    chart = MetricChart(domain=((-1.0, 1.0),) * 4, suggested_step=0.01, depends_on=(),
+    chart = MetricChart(domain=((-1.0, 1.0),) * 4, depends_on=(),
                         metric_at=lambda x: np.broadcast_to(
                             1e-303 * np.eye(4), np.shape(x)[:-1] + (4, 4)))
     assert curvature_at(chart, [0.0] * 4, step=1e-8).error_estimate < np.inf
@@ -156,8 +156,7 @@ def _degenerate_metric(x):
     return g
 
 
-DEGENERATE = MetricChart(domain=((-1.0, 1.0),) * 4, metric_at=_degenerate_metric,
-                         suggested_step=0.01)
+DEGENERATE = MetricChart(domain=((-1.0, 1.0),) * 4, metric_at=_degenerate_metric)
 
 
 def test_singular_metric_detected():
@@ -175,8 +174,7 @@ def test_singular_metric_detected_inside_batch():
 
 
 def test_metric_must_be_stacked():
-    chart = MetricChart(domain=((-1.0, 1.0),) * 4, metric_at=lambda x: np.eye(4),
-                        suggested_step=0.01)
+    chart = MetricChart(domain=((-1.0, 1.0),) * 4, metric_at=lambda x: np.eye(4))
     with pytest.raises(SingularMetricError, match="must map"):
         curvature_at(chart, [0.0, 0.0, 0.0, 0.0])
 
@@ -278,6 +276,41 @@ def test_convergence_flat_no_slope():
     assert all(e <= 1e-12 for e in study.errors)
     assert study.slope is None
     assert study.to_dict()["slope"] == "NotApplicable"
+
+
+def test_convergence_study_runs_in_blocks():
+    # 40 steps at one point: the stencil points of at most BLOCK of them per
+    # metric_at call, where the study used to evaluate all 40 in one call
+    counted = []
+
+    def metric_at(x):
+        counted.append(np.size(x) // 4)
+        return np.broadcast_to(np.eye(4), np.shape(x)[:-1] + (4, 4))
+
+    chart = MetricChart(domain=((-1.0, 1.0),) * 4, metric_at=metric_at)
+    study = convergence_study(chart, [0.0] * 4, [0.02 * 0.9**k for k in range(40)])
+    assert len(study.errors) == 40
+    assert max(counted) <= numgeom.BLOCK * 2 * 113
+    assert sum(counted) == 40 * 2 * 113
+
+
+def test_study_and_curvature_share_their_checks():
+    chart = chart_for("flatChart")
+    with pytest.raises(OutsideDomainError, match="4 coordinates"):
+        convergence_study(chart, [0.0, 0.0, 0.0], [0.02, 0.01, 0.005])
+    for steps in ([0.02, 0.01, -0.005], [0.02, 0.01, 0.0], [math.inf, 0.02, 0.01],
+                  [math.nan, 0.02, 0.01]):
+        bad = next(h for h in steps if not 0.0 < h < math.inf)
+        message = f"^step {bad!r} is not finite and positive$"
+        with pytest.raises(StepTooLargeError, match=message):
+            convergence_study(chart, [0.0] * 4, steps)
+        with pytest.raises(StepTooLargeError, match=message):
+            curvature_at(chart, [0.0] * 4, step=bad)
+
+
+def test_default_step():
+    pc = curvature_at(chart_for("flatChart"), [0.0] * 4)
+    assert pc.step_used == numgeom.DEFAULT_STEP / 2.0
 
 
 def test_convergence_near_boundary_rejected():
