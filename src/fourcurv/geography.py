@@ -118,9 +118,10 @@ def _cuts(chi: int) -> list[int]:
 
     Only the parity and c1sq change inside a run: 8 chi > 15 |tau| holds
     exactly for |tau| <= (8 chi - 1)//15, chi >= 3 tau for tau <= chi//3,
-    chi == 3 tau at most at tau = chi//3, and chi >= |tau| all along."""
+    chi == 3 tau only at tau = chi/3 if an integer, and chi >= |tau| all along."""
     e, b = (8 * chi - 1) // 15, chi // 3
-    return sorted({c for c in (-chi, -e, b, b + 1, e + 1, chi + 1) if -chi <= c <= chi + 1})
+    starts = (-chi, -e, b + 1, e + 1, chi + 1) + ((b,) if 3 * b == chi else ())
+    return sorted({c for c in starts if -chi <= c <= chi + 1})
 
 
 def scan_csv(chi_max: int) -> str:

@@ -169,8 +169,9 @@ def test_singular_metric_detected_inside_batch():
     points = [[0.5, 0.0, 0.0, 0.0], [0.015, 0.1, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0]]
     with pytest.raises(SingularMetricError, match=r"\[-0\.005000000000000001, 0\.1, 0\.0, 0\.0\]"):
         curvature_at(DEGENERATE, points, step=0.01)
-    # the same points away from the degeneracy evaluate as one batch
-    assert len(curvature_at(DEGENERATE, [[0.5, 0.0, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0]])) == 2
+    # the same points away from the degeneracy evaluate as one batch, at the default step
+    pcs = curvature_at(DEGENERATE, [[0.5, 0.0, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0]])
+    assert [pc.step_used for pc in pcs] == [numgeom.DEFAULT_STEP / 2.0] * 2
 
 
 def test_metric_must_be_stacked():
@@ -306,11 +307,6 @@ def test_study_and_curvature_share_their_checks():
             convergence_study(chart, [0.0] * 4, steps)
         with pytest.raises(StepTooLargeError, match=message):
             curvature_at(chart, [0.0] * 4, step=bad)
-
-
-def test_default_step():
-    pc = curvature_at(chart_for("flatChart"), [0.0] * 4)
-    assert pc.step_used == numgeom.DEFAULT_STEP / 2.0
 
 
 def test_convergence_near_boundary_rejected():
