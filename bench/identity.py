@@ -45,7 +45,12 @@ the first line where it differs.  The corpus covers:
   (one past the ``--steps`` maximum), ``model sphere4`` at r = 1.2e-154 and
   2e-154 and operator files holding 2e307 I (SD/ASD) and 3e307 I
   (coordinate), whose traces or scalar curvature overflow, and a ``geo
-  --csv`` file with a short row.
+  --csv`` file with a short row; then the single-answer requests ``page
+  --verify --radii 1``, ``page --negcurv``, ``page --integrate --nodes 16``
+  and ``page --verify --radii 4096``, and ``decompose`` and ``certify`` on
+  three SD/ASD operator files whose Weyl halves hold entries of 1e308 to
+  1.5e308 (off the diagonal, on it, and with a top eigenvalue past the
+  float range).
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -339,6 +344,17 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
         reqs += [["decompose", "-i", path], ["certify", "-i", path]]
     (inputs / "short-row.csv").write_text("chi,tau\n3,1\n7\n")
     reqs.append(["geo", "--csv", str(inputs / "short-row.csv")])
+    reqs += [["page", "--verify", "--radii", "1"], ["page", "--negcurv"],
+             ["page", "--integrate", "--nodes", "16"], ["page", "--verify", "--radii", "4096"]]
+    weyl = {"offdiagonal": {(0, 1): 1e308, (1, 0): 1e308, (3, 4): 1e308, (4, 3): 1e308},
+            "diagonal": {(0, 0): 1.5e308, (1, 1): -1.5e308, (3, 3): 1.5e308, (4, 4): -1.5e308},
+            "spectrum": {(0, 0): 1e308, (0, 1): 1.5e308, (1, 0): 1.5e308, (1, 1): -1e308}}
+    for name, entries in weyl.items():
+        M = np.zeros((6, 6))
+        for index, value in entries.items():
+            M[index] = value
+        path = _operator_file(inputs / f"weyl-overflow-{name}.json", M, "sd-asd")
+        reqs += [["decompose", "-i", path], ["certify", "-i", path]]
     return reqs
 
 

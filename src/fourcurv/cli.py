@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integrate", action="store_true", help="integrate chi and tau")
     p.add_argument("--radii", type=_int_option("--radii", 1, MAX_RADII), default=32,
                    help=f"Einstein-check radii, 1 to {MAX_RADII} (default 32)")
-    p.add_argument("--nodes", type=_int_option("--nodes", hi=MAX_NODES), default=48,
+    p.add_argument("--nodes", type=_int_option("--nodes", 16, MAX_NODES), default=48,
                    help=f"quadrature nodes, 16 to {MAX_NODES} (default 48)")
     add_format(p)
     p.set_defaults(func=_cmd_page)

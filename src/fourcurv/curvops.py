@@ -51,6 +51,7 @@ STRUCTURAL_TOL = 1e-9
 # flag: times max(1, |s|).
 CLASSIFY_TOL = 1e-7
 _SQRT6 = math.sqrt(6.0)
+_EYE3 = np.eye(3)
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -93,12 +94,14 @@ _TERM_SIGN = np.array([_PAIR_SIGNS[p][:, None] * _PAIR_SIGNS[q] for p, q in _TER
 
 
 def _block_transform(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate-basis 6x6 -> (A, B, C) blocks of the SD/ASD-basis matrix.
+    """Coordinate-basis matrices ``(..., 6, 6)`` -> (A, B, C) blocks of the
+    SD/ASD-basis matrices.
 
     Uses the index arithmetic of the sqrt(2)-normalized eigenframe directly,
     so the transform is exact on dyadic inputs (only adds and halving).
     """
-    mm, mj, jm, jj = M.take(_TERM_INDEX) * _TERM_SIGN
+    terms = np.take(M.reshape(M.shape[:-2] + (36,)), _TERM_INDEX, axis=-1) * _TERM_SIGN
+    mm, mj, jm, jj = (terms[..., t, :, :] for t in range(4))
     A = 0.5 * ((mm + jj) + (mj + jm))
     C = 0.5 * ((mm + jj) - (mj + jm))
     B = 0.5 * ((mm - jj) - (mj - jm))
@@ -114,21 +117,35 @@ def _block_assemble(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _sd_block(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The SD/ASD-basis matrix [[A, B], [B^T, C]] of three blocks, as a new array."""
-    S = np.empty((6, 6))
-    S[:3, :3], S[:3, 3:], S[3:, :3], S[3:, 3:] = A, B, B.T, C
+    """The SD/ASD-basis matrices [[A, B], [B^T, C]] of three stacks of blocks
+    ``(..., 3, 3)``, as a new array."""
+    S = np.empty(np.shape(A)[:-2] + (6, 6))
+    S[..., :3, :3], S[..., :3, 3:], S[..., 3:, :3], S[..., 3:, 3:] = A, B, B.swapaxes(-1, -2), C
     return S
 
 
 def _sd_asd_matrix(M: np.ndarray, basis: str) -> np.ndarray:
-    """The operator as [[A, B], [B^T, C]] in the SD/ASD frame.
+    """The operators ``M`` of shape ``(..., 6, 6)`` as [[A, B], [B^T, C]] in the
+    SD/ASD frame.
 
     Of an SD/ASD-basis input the upper off-diagonal block B is the one used.
     """
     if basis == SD_ASD:
-        return _sd_block(M[:3, :3], M[:3, 3:], M[3:, 3:])
-    with np.errstate(over="ignore"):  # the caller refuses what overflows
-        return _sd_block(*_block_transform(M))
+        return _sd_block(M[..., :3, :3], M[..., :3, 3:], M[..., 3:, 3:])
+    return _sd_block(*_block_transform(M))
+
+
+def _traces(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(tr A - tr C, 2 (tr A + tr C))`` of SD/ASD matrices ``(..., 6, 6)``:
+    the first-Bianchi defect, signed, and the scalar curvature s."""
+    diagonal = S.diagonal(axis1=-2, axis2=-1)  # as np.trace sums it
+    trace_a, trace_c = diagonal[..., :3].sum(axis=-1), diagonal[..., 3:].sum(axis=-1)
+    return trace_a - trace_c, 2.0 * (trace_a + trace_c)
+
+
+def _symmetry_defect(M: np.ndarray) -> np.ndarray:
+    """``max|R - R^T|`` of matrices ``(..., 6, 6)``."""
+    return np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -177,17 +194,55 @@ def not_finite_error(M: np.ndarray) -> NotAdmissibleError:
         "not finite (NaN or Infinity)")
 
 
+def check_admissible(M: np.ndarray, basis: str = COORDINATE, err=0.0) -> np.ndarray:
+    """The SD/ASD matrices of the operator matrices ``M``, shape ``(..., 6, 6)``
+    in ``basis``, once each is admissible with its error bound ``err`` (one, or
+    one per matrix).
+
+    Admissible: every entry is finite (also in the SD/ASD frame), as are the
+    diagonal-block traces and the scalar curvature ``2 (tr A + tr C)``, and the
+    symmetry defect ``max|R - R^T|`` and the first-Bianchi defect ``tr A - tr C``
+    (the SD and ASD diagonal blocks) both lie within ``max(STRUCTURAL_TOL, 10
+    err) * max(1, max|R|)``: absolute up to unit entries and relative beyond.
+    The first matrix that is not is refused, by the first of these tests it
+    fails, in one line and without numpy warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        S = _sd_asd_matrix(M, basis)
+        bianchi, s = _traces(S)
+        size = np.abs(M).max(axis=(-2, -1))  # NaN where an entry is
+        tol = np.fmax(STRUCTURAL_TOL, 10.0 * err) * np.maximum(1.0, size)
+        sym = _symmetry_defect(M)
+        tests = (np.isfinite(size), np.isfinite(S).all(axis=(-2, -1)), np.isfinite(s),
+                 sym <= tol, np.abs(bianchi) <= tol)
+    passed = tests[0] & tests[1] & tests[2] & tests[3] & tests[4]
+    if passed.all():
+        return S
+    k = np.unravel_index(np.argmin(passed), passed.shape)  # the first refused matrix
+    finite, framed, traced, symmetric, _ = (bool(t[k]) for t in tests)
+    tol, sym, bianchi = float(tol[k]), float(sym[k]), float(bianchi[k])
+    if not finite:
+        raise not_finite_error(M[k])
+    if not framed:
+        raise NotAdmissibleError(
+            f"operator entries up to {size[k]:.3e} overflow in the SD/ASD frame")
+    if not traced:
+        raise NotAdmissibleError(
+            f"operator entries up to {size[k]:.3e} overflow in the traces "
+            "or the scalar curvature")
+    if not symmetric:
+        raise NotSymmetricError(
+            f"symmetry defect {sym:.3e} exceeds tolerance {tol:.1e}", defect=sym)
+    raise BianchiViolationError(
+        f"Bianchi trace defect {bianchi:.3e} exceeds tolerance {tol:.1e}", defect=abs(bianchi))
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureOperator:
     """Symmetric 6x6 curvature operator with a basis convention tag and an
     absolute bound ``err`` on the error of its entries (0 for exact input).
 
-    Construction validates admissibility: every entry must be finite (also
-    in the SD/ASD frame), as must the diagonal-block traces and the scalar
-    curvature ``2 (tr A + tr C)``, and the symmetry defect ``max|R - R^T|``
-    and the first-Bianchi defect ``tr A - tr C`` (the SD and ASD diagonal
-    blocks) must both lie within ``max(STRUCTURAL_TOL, 10 err) * max(1,
-    max|R|)``: absolute up to unit entries and relative beyond.
+    Construction validates admissibility with :func:`check_admissible`.
     """
 
     matrix: np.ndarray
@@ -200,31 +255,7 @@ class CurvatureOperator:
             raise ValueError("curvature operator must be a 6x6 matrix")
         if self.basis not in (COORDINATE, SD_ASD):
             raise ValueError(f"unknown basis tag {self.basis!r}")
-        if not np.isfinite(M).all():
-            raise not_finite_error(M)
-        S = _sd_asd_matrix(M, self.basis)
-        if not np.isfinite(S).all():
-            raise NotAdmissibleError(
-                f"operator entries up to {np.abs(M).max():.3e} overflow in the SD/ASD frame")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, without warnings
-            trace_a, trace_c = np.trace(S[:3, :3]), np.trace(S[3:, 3:])
-            s, bianchi = 2.0 * (trace_a + trace_c), float(trace_a - trace_c)
-        if not np.isfinite(s):
-            raise NotAdmissibleError(
-                f"operator entries up to {np.abs(M).max():.3e} overflow in the traces "
-                "or the scalar curvature")
-        tol = max(STRUCTURAL_TOL, 10.0 * self.err) * max(1.0, float(np.abs(M).max()))
-        sym_defect = float(np.abs(M - M.T).max())
-        if not sym_defect <= tol:
-            raise NotSymmetricError(
-                f"symmetry defect {sym_defect:.3e} exceeds tolerance {tol:.1e}",
-                defect=sym_defect,
-            )
-        if not abs(bianchi) <= tol:
-            raise BianchiViolationError(
-                f"Bianchi trace defect {bianchi:.3e} exceeds tolerance {tol:.1e}",
-                defect=abs(bianchi),
-            )
+        S = check_admissible(M, self.basis, self.err)
         object.__setattr__(self, "matrix", _readonly(M))
         S.setflags(write=False)
         object.__setattr__(self, "_sd_asd", S)  # computed once, read-only
@@ -243,11 +274,10 @@ class CurvatureOperator:
         return np.array(self._sd_asd)
 
     def symmetry_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.T).max())
+        return float(_symmetry_defect(self.matrix))
 
     def bianchi_defect(self) -> float:
-        A, _, C = self.blocks()
-        return float(abs(np.trace(A) - np.trace(C)))
+        return float(abs(_traces(self._sd_asd)[0]))
 
     def to_dict(self) -> dict:
         return {"basis": self.basis, "matrix": self.matrix.tolist()}
@@ -339,29 +369,43 @@ class Decomposition:
         }
 
 
+def _split(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arithmetic of :func:`decompose` over leading axes: ``(s, W,
+    spectra)`` of SD/ASD matrices ``S`` of shape ``(..., 6, 6)``.
+
+    ``s`` is the scalar curvature, twice the sum of the two diagonal-block
+    traces; ``W[..., 0, :, :]`` and ``W[..., 1, :, :]`` are the Weyl halves, the
+    SD and ASD diagonal blocks less ``(s/12) I``; ``spectra`` holds their
+    ascending eigenvalues, from one batched ``eigvalsh`` of their symmetric
+    parts ``W/2 + W^T/2``, which do not overflow where W does not.
+    """
+    _, s = _traces(S)
+    W = np.stack((S[..., :3, :3], S[..., 3:, 3:]), axis=-3)
+    W = W - (s / 12.0)[..., None, None, None] * _EYE3
+    return s, W, np.linalg.eigvalsh(0.5 * W + 0.5 * W.swapaxes(-1, -2))
+
+
+def _decomposition(S, s, W, spectra, err) -> Decomposition:
+    """The :class:`Decomposition` of one SD/ASD matrix from its :func:`_split`."""
+    return Decomposition(s=float(s), w_plus=W[0], w_minus=W[1], ric_block=S[:3, 3:],
+                         spectrum_plus=spectra[0], spectrum_minus=spectra[1], err=float(err))
+
+
+def decompositions(S: np.ndarray, err) -> list[Decomposition]:
+    """The :class:`Decomposition` of each SD/ASD matrix ``S[k]`` of a stack
+    ``(n, 6, 6)`` with error bound ``err[k]``, from one :func:`_split`."""
+    return list(map(_decomposition, S, *_split(S), err))
+
+
 def decompose(op: CurvatureOperator) -> Decomposition:
     """Split an admissible curvature operator into its irreducible blocks.
 
     The SD diagonal block equals ``w_plus + (s/12) I``, the ASD diagonal
     block equals ``w_minus + (s/12) I`` and the off-diagonal block is the
-    traceless-Ricci part.  The scalar curvature is twice the sum of the two
-    diagonal-block traces.  All arithmetic is exact basis bookkeeping, so
-    exactly-representable model operators decompose exactly.
+    traceless-Ricci part (:func:`_split`).  All arithmetic is exact basis
+    bookkeeping, so exactly-representable model operators decompose exactly.
     """
-    A, B, C = op.blocks()
-    s = 2.0 * (np.trace(A) + np.trace(C))
-    W = np.stack((A, C)) - (s / 12.0) * np.eye(3)  # the Weyl halves W+, W-
-    # one batched call; eigvalsh returns ascending order for symmetric input
-    spectra = np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2)))
-    return Decomposition(
-        s=float(s),
-        w_plus=W[0],
-        w_minus=W[1],
-        ric_block=B,
-        spectrum_plus=spectra[0],
-        spectrum_minus=spectra[1],
-        err=op.err,
-    )
+    return _decomposition(op._sd_asd, *_split(op._sd_asd), op.err)
 
 
 def recompose(d: Decomposition, basis: str = COORDINATE) -> CurvatureOperator:

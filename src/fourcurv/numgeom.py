@@ -23,6 +23,12 @@ takes the metric of the point with those offsets zeroed, which is the same
 value bit for bit.  All arithmetic is elementwise or per matrix, so a
 point's result does not depend on the block it is computed in.
 
+A stack of points gives a :class:`CurvatureStack`: the operators, error
+bounds, Ricci tensors, residuals and steps stay stacked arrays, each block's
+operators are checked at once by :func:`curvops.check_admissible`, the
+same rule a :class:`CurvatureOperator` applies to its one matrix, and a
+:class:`PointCurvature` is built only for an item that is read.
+
 Also provides Gauss-Legendre quadrature for the 1-D orbit integrals of
 cohomogeneity-one metrics.
 """
@@ -31,13 +37,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .curvops import COORDINATE, PAIRS, CurvatureOperator, _readonly, not_finite_error
+from .curvops import (COORDINATE, PAIRS, CurvatureOperator, _readonly, check_admissible,
+                      not_finite_error)
 from .errors import (
     BadIntervalError,
     NotAdmissibleError,
@@ -102,7 +110,9 @@ class MetricChart:
 
 @dataclass(frozen=True, eq=False)
 class PointCurvature:
-    """Frame curvature data at a chart point."""
+    """Frame curvature data at a chart point: the operator, which carries the
+    error bound as its ``err``, the frame Ricci tensor, the Einstein residual
+    and the finite-difference step the operator was taken at."""
 
     operator: CurvatureOperator
     ricci: np.ndarray
@@ -122,6 +132,39 @@ class PointCurvature:
             "stepUsed": self.step_used,
             "errorEstimate": self.error_estimate,
         }
+
+
+@dataclass(frozen=True, eq=False)
+class CurvatureStack(Sequence):
+    """The frame curvature at n points, as arrays with a leading axis of n: the
+    coordinate-basis ``operators`` and their ``sd_asd`` matrices ``(n, 6, 6)``,
+    which :func:`curvops.check_admissible` has passed with the error bounds
+    ``err``, the frame ``ricci`` tensors ``(n, 4, 4)``, and ``einstein_residual``
+    and ``step_used``, shape ``(n,)``.
+
+    Item k is the :class:`PointCurvature` of point k, built when it is read; a
+    slice is the stack of its points.
+    """
+
+    operators: np.ndarray
+    sd_asd: np.ndarray
+    err: np.ndarray
+    ricci: np.ndarray
+    einstein_residual: np.ndarray
+    step_used: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.err)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return CurvatureStack(*(getattr(self, f.name)[k] for f in fields(self)))
+        return PointCurvature(
+            operator=CurvatureOperator(self.operators[k], basis=COORDINATE, err=float(self.err[k])),
+            ricci=self.ricci[k],
+            einstein_residual=float(self.einstein_residual[k]),
+            step_used=float(self.step_used[k]),
+        )
 
 
 @functools.lru_cache(maxsize=16)
@@ -282,31 +325,29 @@ def curvature_at(chart: MetricChart, points, step=None):
 
     ``points`` is one point, shape ``(4,)``, which gives one
     :class:`PointCurvature`, or a stack of shape ``(n, 4)``, which gives a
-    list of n.  ``step`` is one step for all points or one per point
-    (default ``DEFAULT_STEP``).  Evaluates the 4th-order stencil at steps
-    ``h`` and ``h/2`` and emits the ``h/2`` result; ``error_estimate`` bounds
-    its error by the Richardson difference of the pair (with a safety factor
-    of two), the roundoff of the metric values amplified by the stencil and
-    the frame, and a machine-noise floor; the operator carries it as its
-    ``err``.  The points and steps are checked as :func:`_blocks` says.
+    :class:`CurvatureStack` of n.  ``step`` is one step for all points or one
+    per point (default ``DEFAULT_STEP``).  Evaluates the 4th-order stencil at
+    steps ``h`` and ``h/2`` and emits the ``h/2`` result; ``error_estimate``
+    bounds its error by the Richardson difference of the pair (with a safety
+    factor of two), the roundoff of the metric values amplified by the stencil
+    and the frame, and a machine-noise floor; the operator carries it as its
+    ``err``.  The points and steps are checked as :func:`_blocks` says, and the
+    operators of each block at once by :func:`curvops.check_admissible`, which
+    refuses the first inadmissible one as its own constructor would.
     """
-    out = []
+    parts = []
     for hb, ops, ric, roundoff in _blocks(chart, points, step):
         op_h, op, ric = ops[:, 0], ops[:, 1], ric[:, 1]
         scale = np.maximum(1.0, np.abs(op).max(axis=(1, 2)))
         err = 2.0 * np.abs(op_h - op).max(axis=(1, 2)) / 15.0 + roundoff[:, 1] + 1e-13 * scale
+        sd_asd = check_admissible(op, COORDINATE, err)
         s = np.trace(ric, axis1=1, axis2=2)
         residual = (np.abs(ric - (s / 4.0)[:, None, None] * np.eye(4)).max(axis=(1, 2))
                     / np.maximum(1.0, np.abs(s)))
-        out.extend(
-            PointCurvature(
-                operator=CurvatureOperator(op[k], basis=COORDINATE, err=float(err[k])),
-                ricci=ric[k],
-                einstein_residual=float(residual[k]),
-                step_used=float(hb[k] / 2.0),
-            )
-            for k in range(len(hb)))
-    return out[0] if np.ndim(points) == 1 else out
+        parts.append((op, sd_asd, err, ric, residual, hb / 2.0))
+    empty = [np.empty((0, *shape)) for shape in ((6, 6), (6, 6), (), (4, 4), (), ())]
+    stack = CurvatureStack(*(np.concatenate(arrays) for arrays in zip(empty, *parts)))
+    return stack[0] if np.ndim(points) == 1 else stack
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,11 @@ where the shape parameter k in (0, 1) is the unique root of
 Transcription of these functions is NOT trusted: it is certified a
 posteriori by the Einstein-residual oracle (:func:`verify_einstein`), which
 detects any error in the profile functions at far-above-tolerance levels.
+
+Each answer evaluates one sweep of orbits with :func:`orbit_curvature` and
+reads the arrays of the :class:`numgeom.CurvatureStack` it returns: the
+decomposition of a whole sweep is one :func:`curvops.decompositions`, and
+per-orbit objects are built only for the public functions that take them.
 """
 
 from __future__ import annotations
@@ -185,7 +190,8 @@ def chebyshev_radii(n: int) -> list[float]:
 
 def orbit_curvature(m: CohomOneMetric, radii):
     """Frame curvature of the orbits through the given radii, one point per
-    orbit: a single radius gives one PointCurvature, a sequence a list."""
+    orbit: a single radius gives one PointCurvature, a sequence a
+    :class:`numgeom.CurvatureStack`."""
     r = np.asarray(radii, dtype=float)
     step = np.minimum(ORBIT_STEP, 0.4 * np.minimum(r, math.pi - r))
     # th = pi/2 keeps clear of the Euler-angle degeneracy at th in {0, pi}
@@ -219,11 +225,9 @@ def verify_einstein(m: CohomOneMetric, radii: Sequence[float]) -> EinsteinCheck:
     cosmological constant, whose relative spread across radii must stay
     small for a genuinely Einstein profile.
     """
-    residuals = []
-    lambdas = []
-    for pc in orbit_curvature(m, radii):
-        residuals.append(pc.einstein_residual)
-        lambdas.append(float(np.trace(pc.ricci)) / 4.0)
+    stack = orbit_curvature(m, radii)
+    residuals = stack.einstein_residual.tolist()
+    lambdas = np.trace(stack.ricci, axis1=1, axis2=2) / 4.0
     lam = float(np.mean(lambdas))
     spread = float(np.max(lambdas) - np.min(lambdas)) / max(1.0, abs(lam))
     return EinsteinCheck(
@@ -255,8 +259,10 @@ def certify_negative_curvature(m: CohomOneMetric,
                                radii: Sequence[float] | None = None) -> NegativeCurvatureReport:
     """Certified minimum of sectional curvature over a radial sweep.
 
-    Applies the exact Einstein eigenvalue range orbit by orbit and returns
-    the global minimum with a witnessing 2-plane.  Orbits whose minimum lies
+    Takes each orbit's minimum from :func:`secsign.einstein_min_sec` over the
+    whole sweep and returns the global minimum with the witnessing 2-plane of
+    :func:`secsign.einstein_extreme_witnesses` on that orbit, which gives the
+    same minimum bit for bit.  Orbits whose minimum lies
     within their own error estimate of the smallest one tie, since roundoff
     alone orders them (the mirror orbits r and pi - r are isometric): the
     report takes ``min_sec``, the radius and the witness from the smallest
@@ -266,23 +272,19 @@ def certify_negative_curvature(m: CohomOneMetric,
     """
     if radii is None:
         radii = chebyshev_radii(64)
-    orbits = []
-    defect_lo, defect_hi = math.inf, -math.inf
-    for r, pc in zip(radii, orbit_curvature(m, radii)):
-        d = curvops.decompose(pc.operator)
-        report = curvops.gl_defect(d)
-        defect_lo = min(defect_lo, report.defect)
-        defect_hi = max(defect_hi, report.defect)
-        min_w, _ = secsign.einstein_extreme_witnesses(pc.operator, d)
-        orbits.append((float(r), min_w, pc.error_estimate))
-    lowest = min(w.sec_value for _, w, _ in orbits)
-    radius, witness, _ = min((o for o in orbits if o[1].sec_value - lowest <= o[2]),
-                             key=lambda o: o[0])
+    stack = orbit_curvature(m, radii)
+    ds = curvops.decompositions(stack.sd_asd, stack.err)
+    defects = [curvops.gl_defect(d).defect for d in ds]
+    sec = secsign.einstein_min_sec(stack.sd_asd, ds)
+    tied = np.flatnonzero(sec - sec.min() <= stack.err)
+    k = tied[np.argmin(np.asarray(radii, dtype=float)[tied])]
+    op = stack[k].operator
+    witness, _ = secsign.einstein_extreme_witnesses(op, curvops.decompose(op))
     return NegativeCurvatureReport(
         min_sec=witness.sec_value,
-        witness_radius=radius,
+        witness_radius=float(radii[k]),
         witness=witness,
-        gl_defect_range=(defect_lo, defect_hi),
+        gl_defect_range=(min(defects), max(defects)),
     )
 
 
@@ -303,12 +305,14 @@ class CharNumbers:
 
 
 def _char_integrals(m: CohomOneMetric, nodes: int) -> tuple[float, float]:
+    """``(chi, tau)`` by the orbit quadrature at ``nodes`` nodes, with the
+    densities of one decomposed sweep of the nodes' orbits."""
     eps = 1e-3 * math.pi
     interval = (eps, math.pi - eps)
     radii = numgeom.quadrature_nodes(interval, nodes)
+    stack = orbit_curvature(m, radii)
     densities = {}
-    for r, pc in zip(radii, orbit_curvature(m, radii)):
-        d = curvops.decompose(pc.operator)
+    for r, d in zip(radii, curvops.decompositions(stack.sd_asd, stack.err)):
         cd = curvops.char_densities(d)
         densities[r] = (cd.euler_density, cd.signature_density)
     chi = numgeom.orbit_quadrature(

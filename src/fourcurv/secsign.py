@@ -127,6 +127,16 @@ def sec_of_plane(op: CurvatureOperator, X, Y) -> float:
     return float(omega @ M @ omega) / gram
 
 
+def _q(A, B, C, psi_plus, psi_minus):
+    """q of unit vectors ``psi_plus``, ``psi_minus`` of shape ``(..., 3)`` on SD/ASD
+    blocks ``(..., 3, 3)``, taken as views of their 6x6 matrices: ``u A u + v C v
+    + 2 u B v``."""
+    u, v = psi_plus[..., None, :], psi_minus[..., None, :]
+    vt = np.swapaxes(v, -1, -2)
+    q = u @ A @ np.swapaxes(u, -1, -2) + v @ C @ vt + 2.0 * u @ B @ vt
+    return q[..., 0, 0]
+
+
 def q_form(op: CurvatureOperator, psi_plus, psi_minus) -> float:
     """Evaluate q(psi+, psi-) = <psi+ + psi-, R(psi+ + psi-)>.
 
@@ -138,9 +148,7 @@ def q_form(op: CurvatureOperator, psi_plus, psi_minus) -> float:
     for name, v in (("psi_plus", psi_plus), ("psi_minus", psi_minus)):
         if abs(float(v @ v) - 1.0) > UNIT_TOL:
             raise NotUnitError(f"{name} must be a unit vector")
-    A, B, C = op.blocks()
-    return float(psi_plus @ A @ psi_plus + psi_minus @ C @ psi_minus
-                 + 2.0 * psi_plus @ B @ psi_minus)
+    return float(_q(*op.blocks(), psi_plus, psi_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +366,15 @@ def _verdict(q_max_lower, q_max_upper, q_min_lower, q_min_upper, tol) -> Verdict
     return Verdict.INCONCLUSIVE
 
 
+def _extreme_vectors(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, v)``, each ``(..., 2, 3)``: the bottom and top eigenvectors of the SD
+    and ASD Weyl halves ``W`` ``(..., 2, 3, 3)`` of Einstein operators, which span
+    their (min, max) planes, from one ``eigh``, signed as it returns them."""
+    _, vec = np.linalg.eigh(W)
+    ends = np.swapaxes(vec[..., [0, 2]], -1, -2)  # [..., half, end, :]
+    return ends[..., 0, :, :], ends[..., 1, :, :]
+
+
 def einstein_extreme_witnesses(op: CurvatureOperator,
                                d: Decomposition) -> tuple[PlaneWitness, PlaneWitness]:
     """(min, max) sectional-curvature witnesses of an Einstein operator.
@@ -368,13 +385,24 @@ def einstein_extreme_witnesses(op: CurvatureOperator,
     ``op`` itself.
     """
     d.require_einstein()
-    _, vec_p = np.linalg.eigh(d.w_plus)
-    _, vec_m = np.linalg.eigh(d.w_minus)
-    lo_u, lo_v = _canonical(vec_p[:, 0], vec_m[:, 0])
-    hi_u, hi_v = _canonical(vec_p[:, 2], vec_m[:, 2])
+    u, v = _extreme_vectors(np.stack((d.w_plus, d.w_minus)))
+    lo_u, lo_v = _canonical(u[0], v[0])
+    hi_u, hi_v = _canonical(u[1], v[1])
     min_w = PlaneWitness(lo_u, lo_v, q_value=q_form(op, lo_u, lo_v))
     max_w = PlaneWitness(hi_u, hi_v, q_value=q_form(op, hi_u, hi_v))
     return min_w, max_w
+
+
+def einstein_min_sec(S: np.ndarray, ds: list[Decomposition]) -> np.ndarray:
+    """The sectional curvature of the min plane of :func:`einstein_extreme_witnesses`
+    for each Einstein operator of a stack, bit for bit, from one ``eigh``: ``S``
+    holds their SD/ASD matrices ``(n, 6, 6)`` and ``ds`` their decompositions."""
+    for d in ds:
+        d.require_einstein()
+    u, v = _extreme_vectors(np.array([(d.w_plus, d.w_minus) for d in ds]).reshape(-1, 2, 3, 3))
+    # every product in q keeps its bits when u and v both change sign, so the
+    # sign that _canonical fixes can stay as eigh returns it
+    return _q(S[:, :3, :3], S[:, :3, 3:], S[:, 3:, 3:], u[:, 0], v[:, 0]) / 2.0
 
 
 def sign_flag(bounds: tuple[float, float, float, float], tol: float,

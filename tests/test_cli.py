@@ -339,6 +339,18 @@ def test_size_option_past_maximum_refused_while_parsing(capsys, monkeypatch,
     assert err == f"error: argument {option} must be at most {limit}\n"
 
 
+@pytest.mark.parametrize("nodes", ["8", "15"])
+def test_page_nodes_below_16_refused_while_parsing(capsys, monkeypatch, nodes):
+    # --nodes 8 ran 96 orbits, then said "orbit quadrature needs at least 16 nodes"
+    from fourcurv import cli
+
+    monkeypatch.setattr(cli, "_cmd_page", lambda args: pytest.fail("handler ran"))
+    code, out, err = run_cli(capsys, "page", "--verify", "--negcurv", "--integrate",
+                             "--nodes", nodes)
+    assert (code, out) == (1, "")
+    assert err == "error: argument --nodes must be at least 16\n"
+
+
 @pytest.mark.parametrize("command, mode, option", _SIZE_OPTIONS)
 def test_size_option_past_digit_limit_exit_1(capsys, command, mode, option):
     argv = [command] + ([mode] if mode else []) + [option, "1" + "0" * 5000]

@@ -89,6 +89,22 @@ def _operator_files(rng):
     for basis, scale in (("sd-asd", 2e307), ("coordinate", 3e307)):  # s overflows
         yield f"overflow-s-{basis}", json.dumps(
             {"basis": basis, "matrix": (scale * np.eye(6)).tolist()}).encode()
+    for name, M in _weyl_overflow_matrices():
+        yield name, json.dumps({"basis": "sd-asd", "matrix": M.tolist()}).encode()
+
+
+def _weyl_overflow_matrices():
+    """(name, matrix) of admissible SD/ASD operators whose Weyl halves W overflowed
+    in W + W^T before eigvalsh: a numpy warning, then ``Infinity`` bounds or
+    ``Eigenvalues did not converge``."""
+    M = np.zeros((6, 6))
+    M[0, 1] = M[1, 0] = M[3, 4] = M[4, 3] = 1e308
+    yield "weyl-overflow-offdiagonal", M
+    M = np.diag([1.5e308, -1.5e308, 0.0, 1.5e308, -1.5e308, 0.0])
+    yield "weyl-overflow-diagonal", M
+    M = np.zeros((6, 6))  # and the top eigenvalue, sqrt(3.25) 1e308, leaves the float range
+    M[0, 0], M[0, 1], M[1, 0], M[1, 1] = 1e308, 1.5e308, 1.5e308, -1e308
+    yield "weyl-overflow-spectrum", M
 
 
 def _option_argvs(rng, op):

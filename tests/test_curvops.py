@@ -127,6 +127,59 @@ def test_relative_bianchi_defect_refused_at_any_scale():
         CurvatureOperator(M)
 
 
+def _inadmissible(basis):
+    """(name, matrix) refused by each admissibility test in turn."""
+    M = np.eye(6)
+    M[2, 2] = np.nan
+    yield "not-finite", M
+    if basis == COORDINATE:  # e1^e2 + e3^e4 overflows in the SD/ASD frame
+        yield "frame-overflow", np.diag([1.7e308, 0, 0, 0, 0, 1.7e308])
+    yield "trace-overflow", (2e307 if basis == SD_ASD else 3e307) * np.eye(6)
+    M = np.eye(6)
+    M[0, 1] = 1e-3
+    yield "asymmetric", M
+    if basis == SD_ASD:
+        yield "bianchi", np.diag([2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("basis", [COORDINATE, SD_ASD])
+def test_stack_refused_as_its_first_inadmissible_operator(rng, basis):
+    good = [random_admissible_operator(rng, basis=basis).matrix for _ in range(5)]
+    bad = dict(_inadmissible(basis))
+    for name, M in bad.items():
+        with pytest.raises(FourcurvError) as alone:
+            CurvatureOperator(M, basis=basis)
+        for k in (0, 2, 5):
+            stack = np.stack(good[:k] + [M] + good[k:])
+            with pytest.raises(type(alone.value)) as stacked:
+                curvops.check_admissible(stack, basis, np.zeros(len(stack)))
+            assert str(stacked.value) == str(alone.value), name
+            assert _bits(stacked.value.defect) == _bits(alone.value.defect)
+            # of two inadmissible operators the first is named, whatever its test
+            for other in bad.values():
+                stack = np.stack(good[:k] + [M, other] + good[k:])
+                with pytest.raises(type(alone.value)) as stacked:
+                    curvops.check_admissible(stack, basis)
+                assert str(stacked.value) == str(alone.value)
+    S = curvops.check_admissible(np.stack(good), basis)
+    assert all(_bits(s) == _bits(CurvatureOperator(M, basis=basis).in_sd_asd_basis())
+               for s, M in zip(S, good))
+
+
+@pytest.mark.parametrize("entries, top", [
+    ({(0, 1): 1e308, (1, 0): 1e308, (3, 4): 1e308, (4, 3): 1e308}, 1e308),
+    ({(0, 0): 1.5e308, (1, 1): -1.5e308, (3, 3): 1.5e308, (4, 4): -1.5e308}, 1.5e308),
+    ({(0, 0): 1e308, (0, 1): 1.5e308, (1, 0): 1.5e308, (1, 1): -1e308}, math.inf)])
+def test_weyl_halves_near_the_float_range_decompose(entries, top):
+    # W + W^T overflowed: a numpy warning, then NaN spectra or a failed eigvalsh
+    M = np.zeros((6, 6))
+    for index, value in entries.items():
+        M[index] = value
+    d = decompose(CurvatureOperator(M, basis=SD_ASD))
+    assert d.spectrum_plus.tolist() == [-top, 0.0, top]
+    assert d.s == 0.0
+
+
 def test_basis_conversion_round_trip(rng):
     for _ in range(50):
         op = random_admissible_operator(rng, basis=COORDINATE)

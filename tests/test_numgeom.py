@@ -87,7 +87,7 @@ def test_error_estimate_is_the_operator_err(rng):
               for lo, hi in (np.array(c.domain).T for c in charts)]
     m = page_metric()
     pcs = [pc for c, x in zip(charts, points) for pc in curvature_at(c, x)]
-    pcs += orbit_curvature(m, chebyshev_radii(8)) + [orbit_curvature(m, 1.0)]
+    pcs += [*orbit_curvature(m, chebyshev_radii(8)), orbit_curvature(m, 1.0)]
     for pc in pcs:
         assert pc.error_estimate == pc.operator.err
         assert pc.to_dict()["errorEstimate"] == pc.operator.err
@@ -197,7 +197,7 @@ def test_batched_curvature_bitwise_equals_single(rng):
     points = np.array(interior_points(chart, rng, 37))
     steps = rng.uniform(0.005, 0.02, len(points))
     batch = curvature_at(chart, points, step=steps)
-    assert isinstance(batch, list) and len(batch) == len(points)
+    assert isinstance(batch, numgeom.CurvatureStack) and len(batch) == len(points)
     for size in (1, 5, 16, 23):
         for lo in range(0, len(points), size):
             part = curvature_at(chart, points[lo:lo + size], step=steps[lo:lo + size])
@@ -261,7 +261,8 @@ def test_declared_stencil_bitwise_equals_full_stencil(name, rng):
 
 
 def test_empty_batch():
-    assert curvature_at(chart_for("flatChart"), np.empty((0, 4))) == []
+    batch = curvature_at(chart_for("flatChart"), np.empty((0, 4)))
+    assert isinstance(batch, numgeom.CurvatureStack) and list(batch) == []
 
 
 def test_convergence_slope_fourth_order():

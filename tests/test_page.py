@@ -132,6 +132,55 @@ def test_orbit_curvature_batch_bitwise_equals_single():
                for a, b in zip(tail, batch[13:]))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+_EPS = 1e-3 * math.pi
+_SWEEPS = {"radii-64": lambda: chebyshev_radii(64),
+           "nodes-24": lambda: numgeom.quadrature_nodes((_EPS, math.pi - _EPS), 24),
+           "nodes-48": lambda: numgeom.quadrature_nodes((_EPS, math.pi - _EPS), 48)}
+
+
+@pytest.mark.parametrize("sweep", sorted(_SWEEPS))
+def test_stacked_sweep_bitwise_equals_per_orbit_public_path(sweep):
+    # the radii of `page --radii 64` and of `page --nodes 24`, whose integral
+    # also takes 48 nodes: each stacked value against its orbit's own objects
+    m = page_metric()
+    radii = _SWEEPS[sweep]()
+    stack = orbit_curvature(m, radii)
+    ds = curvops.decompositions(stack.sd_asd, stack.err)
+    sec = secsign.einstein_min_sec(stack.sd_asd, ds)
+    assert len(stack) == len(ds) == len(sec) == len(radii)
+    for k, d in enumerate(ds):
+        op = curvops.CurvatureOperator(stack.operators[k], err=float(stack.err[k]))
+        ref = curvops.decompose(op)
+        assert _bits(stack.sd_asd[k]) == _bits(op.in_sd_asd_basis())
+        for name in ("s", "w_plus", "w_minus", "ric_block", "spectrum_plus",
+                     "spectrum_minus", "err"):
+            assert _bits(getattr(d, name)) == _bits(getattr(ref, name)), name
+        assert curvops.gl_defect(d) == curvops.gl_defect(ref)
+        assert curvops.char_densities(d) == curvops.char_densities(ref)
+        min_w, _ = secsign.einstein_extreme_witnesses(op, ref)
+        assert _bits(sec[k]) == _bits(min_w.sec_value)
+    # the winner's witness is einstein_extreme_witnesses' own, on its orbit alone
+    report = certify_negative_curvature(m, radii)
+    k = list(radii).index(report.witness_radius)
+    op = curvops.CurvatureOperator(stack.operators[k], err=float(stack.err[k]))
+    min_w, _ = secsign.einstein_extreme_witnesses(op, curvops.decompose(op))
+    assert report.witness.to_dict() == min_w.to_dict()
+    assert _bits(report.min_sec) == _bits(sec[k]) and sec[k] - sec.min() <= stack.err[k]
+    lo, hi = report.gl_defect_range
+    defects = [curvops.gl_defect(d).defect for d in ds]
+    assert (lo, hi) == (min(defects), max(defects))
+    # the Einstein check reads the same arrays as its orbits' PointCurvatures
+    check = verify_einstein(m, radii)
+    lambdas = [float(np.trace(pc.ricci)) / 4.0 for pc in stack]
+    assert check.residuals == tuple(pc.einstein_residual for pc in stack)
+    assert _bits(check.lambda_) == _bits(np.mean(lambdas))
+    assert check.lambda_spread == (max(lambdas) - min(lambdas)) / max(1.0, abs(check.lambda_))
+
+
 def test_error_estimate_covers_metric_roundoff():
     # moving every metric value by one ulp, up or down at random, must move
     # the emitted operator by no more than the reported error estimate
