@@ -50,7 +50,8 @@ the first line where it differs.  The corpus covers:
   and ``page --verify --radii 4096``, and ``decompose`` and ``certify`` on
   three SD/ASD operator files whose Weyl halves hold entries of 1e308 to
   1.5e308 (off the diagonal, on it, and with a top eigenvalue past the
-  float range).
+  float range); last, ``model`` and ``chart`` with a ``--param`` key given
+  twice.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -355,6 +356,10 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
             M[index] = value
         path = _operator_file(inputs / f"weyl-overflow-{name}.json", M, "sd-asd")
         reqs += [["decompose", "-i", path], ["certify", "-i", path]]
+    reqs += [["model", "sphere4", "--param", "r=1", "--param", "r=2"],
+             ["model", "surfaceProduct", "--param", "a=1", "--param", "b=2", "--param", "a=1"],
+             ["chart", "sphereProductChart", "--param", "a=1", "--param", " a=2",
+              "--point", "1,0,1,0"]]
     return reqs
 
 

@@ -33,14 +33,15 @@ SECONDS = 25
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def export(commit: str, dest: Path) -> None:
-    """The tree of ``commit`` in ``dest``, byte-compiled."""
+def export(commit: str, dest: Path, compiled: bool = True) -> None:
+    """The tree of ``commit`` in ``dest``, byte-compiled unless ``compiled`` is false."""
     dest.mkdir()
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                   cwd=dest, check=True)
+    if compiled:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=dest, check=True)
 
 
 def run(tree: Path, workload: str, seed: int) -> dict:

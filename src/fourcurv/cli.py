@@ -17,9 +17,9 @@ Exit codes: 0 success; 1 input or validation error; 2 numerical failure or
 an Inconclusive certification.  Reports go to stdout, diagnostics to stderr.
 
 At module level this imports only the standard library and the numpy-free
-modules (``errors``, ``geography``, ``jsonio``, ``names``), so ``geo``,
-``scan``, help and argument errors never load numpy.  Each numerical handler
-imports what it uses when it runs, and calls through the module attribute.
+modules ``errors``, ``jsonio`` and ``names``, so help and argument errors load
+neither numpy nor ``geography``.  Each handler imports what it uses when it
+runs, and calls through the module attribute.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, geography, jsonio
-from .errors import FourcurvError, NonConvergentError, NotEinsteinError
+from . import __version__, jsonio
+from .errors import FourcurvError, NonConvergentError, NotEinsteinError, _digit_limit
 from .names import chart_names, model_names
 
 EXIT_OK = 0
@@ -49,8 +49,10 @@ def _parse_params(pairs: list[str] | None) -> dict[str, float]:
         if "=" not in item:
             raise ValueError(f"--param expects k=v, got {item!r}")
         key, _, value = item.partition("=")
+        if (key := key.strip()) in params:
+            raise ValueError(f"--param {key!r}: the key is given more than once")
         try:
-            params[key.strip()] = float(value)
+            params[key] = float(value)
         except ValueError:
             raise ValueError(f"--param {item!r}: the value is not a number") from None
     return params
@@ -74,7 +76,7 @@ def _int_option(option: str, lo: int | None = None, hi: int | None = None):
         except ValueError as exc:
             # argparse exits 2 on a ValueError; a FourcurvError passes through to main
             if "Exceeds the limit" in str(exc):  # the interpreter's digit-limit error
-                raise FourcurvError(geography._digit_limit(f"argument {option} has")) from None
+                raise FourcurvError(_digit_limit(f"argument {option} has")) from None
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if lo is not None and value < lo:
             raise FourcurvError(f"argument {option} must be at least {lo}")
@@ -189,6 +191,8 @@ def _cmd_page(args) -> int:
 
 
 def _cmd_geo(args) -> int:
+    from . import geography
+
     if args.csv:
         text = jsonio.read_text(args.csv)
         try:
@@ -206,11 +210,13 @@ def _cmd_geo(args) -> int:
     try:
         _print_report(out, args.format == "human")
     except ValueError:  # chi and tau were read under the digit limit; c1sq can pass it
-        raise ValueError(geography._digit_limit("c1sq = 2 chi + 3 tau has")) from None
+        raise ValueError(_digit_limit("c1sq = 2 chi + 3 tau has")) from None
     return EXIT_OK
 
 
 def _cmd_scan(args) -> int:
+    from . import geography
+
     sys.stdout.write(geography.scan_csv(args.chi_max))
     return EXIT_OK
 

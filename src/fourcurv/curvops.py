@@ -25,9 +25,8 @@ unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +60,7 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # one table, through its array columns _SD_I, _SD_J, _SD_SIGN.
 _SD_PAIRS = ((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0))
 _SD_I, _SD_J, _SD_SIGN = (np.array(col) for col in zip(*_SD_PAIRS))
+_set = object.__setattr__  # how a Record's __init__ sets its slots
 
 
 class CoverClass(str, Enum):
@@ -237,28 +237,43 @@ def check_admissible(M: np.ndarray, basis: str = COORDINATE, err=0.0) -> np.ndar
         f"Bianchi trace defect {bianchi:.3e} exceeds tolerance {tol:.1e}", defect=abs(bianchi))
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureOperator:
+class Record:
+    """Base of the records that hold arrays, validate their input or are a sequence:
+    ``__init__`` sets each slot once, then it is read-only; records compare by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle: the (None, slots) of object.__getstate__
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class CurvatureOperator(Record):
     """Symmetric 6x6 curvature operator with a basis convention tag and an
     absolute bound ``err`` on the error of its entries (0 for exact input).
 
     Construction validates admissibility with :func:`check_admissible`.
     """
 
-    matrix: np.ndarray
-    basis: str = COORDINATE
-    err: float = 0.0
+    __slots__ = ("matrix", "basis", "err", "_sd_asd")
 
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix: np.ndarray, basis: str = COORDINATE, err: float = 0.0):
+        M = np.asarray(matrix, dtype=float)
         if M.shape != (6, 6):
             raise ValueError("curvature operator must be a 6x6 matrix")
-        if self.basis not in (COORDINATE, SD_ASD):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
-        S = check_admissible(M, self.basis, self.err)
-        object.__setattr__(self, "matrix", _readonly(M))
+        if basis not in (COORDINATE, SD_ASD):
+            raise ValueError(f"unknown basis tag {basis!r}")
+        S = check_admissible(M, basis, err)
         S.setflags(write=False)
-        object.__setattr__(self, "_sd_asd", S)  # computed once, read-only
+        _set(self, "matrix", _readonly(M))
+        _set(self, "basis", basis)
+        _set(self, "err", err)
+        _set(self, "_sd_asd", S)  # computed once, read-only
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (A, B, C) blocks of the operator in the SD/ASD frame (read-only)."""
@@ -289,28 +304,27 @@ class CurvatureOperator:
         return cls(np.asarray(data["matrix"], dtype=float), basis=data.get("basis", COORDINATE))
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(Record):
     """Block decomposition of a curvature operator.
 
     ``s`` is the scalar curvature, ``w_plus``/``w_minus`` the traceless
     Weyl halves acting on the SD/ASD frames, ``ric_block`` the off-diagonal
     traceless-Ricci block, and the spectra are sorted ascending.  ``err``,
     the operator's error bound, widens :meth:`is_einstein`; it is not
-    serialized.
+    serialized.  The arrays are read-only copies.
     """
 
-    s: float
-    w_plus: np.ndarray
-    w_minus: np.ndarray
-    ric_block: np.ndarray
-    spectrum_plus: np.ndarray
-    spectrum_minus: np.ndarray
-    err: float = 0.0
+    __slots__ = ("s", "w_plus", "w_minus", "ric_block", "spectrum_plus", "spectrum_minus", "err")
 
-    def __post_init__(self):
-        for name in ("w_plus", "w_minus", "ric_block", "spectrum_plus", "spectrum_minus"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+    def __init__(self, s: float, w_plus: np.ndarray, w_minus: np.ndarray, ric_block: np.ndarray,
+                 spectrum_plus: np.ndarray, spectrum_minus: np.ndarray, err: float = 0.0):
+        _set(self, "s", s)
+        _set(self, "w_plus", _readonly(w_plus))
+        _set(self, "w_minus", _readonly(w_minus))
+        _set(self, "ric_block", _readonly(ric_block))
+        _set(self, "spectrum_plus", _readonly(spectrum_plus))
+        _set(self, "spectrum_minus", _readonly(spectrum_minus))
+        _set(self, "err", err)
 
     @property
     def einstein_constant(self) -> float:
@@ -431,8 +445,7 @@ def recompose(d: Decomposition, basis: str = COORDINATE) -> CurvatureOperator:
 # The Gursky-LeBrun defect and the saturation classifier
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GLReport:
+class GLReport(NamedTuple):
     """Saturation report for the bound |s|/sqrt(6) >= |W+| + |W-|."""
 
     defect: float
@@ -545,25 +558,33 @@ def classify_equality(d: Decomposition, curvature_sign: CurvatureSign) -> CoverC
 # Characteristic densities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharDensities:
+class CharDensities(NamedTuple):
     """Euler and signature integrands of an Einstein operator.
 
     ``ratio`` is the Euler-to-signature quotient as an exact rational
     (computed from the exact rational values of the float inputs), or None
-    when the signature density vanishes.
+    when the signature density vanishes.  It is formed when read, from the
+    densities' exact numerators over ``24 * 4^K`` and ``4^K`` for an integer K.
     """
 
     euler_density: float
     signature_density: float
-    ratio: Fraction | None
+    euler_numerator: int
+    signature_numerator: int
+
+    @property
+    def ratio(self) -> Fraction | None:
+        from fractions import Fraction  # not loaded by the Page quadrature, which reads no ratio
+
+        n, m = self.euler_numerator, self.signature_numerator
+        return Fraction(n, 16 * m) if m else None
 
     def to_dict(self) -> dict:
-        ratio = None if self.ratio is None else f"{self.ratio.numerator}/{self.ratio.denominator}"
+        ratio = self.ratio
         return {
             "eulerDensity": self.euler_density,
             "signatureDensity": self.signature_density,
-            "ratio": ratio,
+            "ratio": None if ratio is None else f"{ratio.numerator}/{ratio.denominator}",
         }
 
 
@@ -604,15 +625,11 @@ def char_densities(d: Decomposition) -> CharDensities:
     K, wp2, wm2, s2 = _exact_squares(d)
     euler_num = 24 * (wp2 + wm2) + s2  # over 24 * 4^K
     sig_num = wp2 - wm2  # over 4^K
-    return CharDensities(
-        euler_density=_density(euler_num, 24 << 2 * K, 8.0 * math.pi**2),
-        signature_density=_density(sig_num, 1 << 2 * K, 12.0 * math.pi**2),
-        ratio=Fraction(euler_num, 16 * sig_num) if sig_num else None,
-    )
+    return CharDensities(_density(euler_num, 24 << 2 * K, 8.0 * math.pi**2),
+                         _density(sig_num, 1 << 2 * K, 12.0 * math.pi**2), euler_num, sig_num)
 
 
-@dataclass(frozen=True)
-class KahlerSignatureCheck:
+class KahlerSignatureCheck(NamedTuple):
     density: float
     non_negative: bool
 
@@ -631,5 +648,6 @@ def kahler_signature_check(d: Decomposition) -> KahlerSignatureCheck:
         sigma1, sigma2, _ = d._kahler_sigmas()
         raise NotKahlerError(f"[A | B] is not rank one: sigma2/sigma1 = {sigma2 / sigma1:.6g}")
     K, wp2, wm2, s2 = _exact_squares(d)
+    p, q = CLASSIFY_TOL.as_integer_ratio()  # exactly, as integers: wp2 - wm2 >= -(p/q) s2
     return KahlerSignatureCheck(_density(wp2 - wm2, 1 << 2 * K),
-                                non_negative=wp2 - wm2 >= -Fraction(CLASSIFY_TOL) * s2)
+                                non_negative=(wp2 - wm2) * q >= -p * s2)

@@ -4,6 +4,14 @@ Validation failures carry the offending defect magnitude where one exists,
 so callers (and the CLI) can report how far an input is from admissible.
 """
 
+import sys
+
+
+def _digit_limit(what: str) -> str:
+    # the interpreter refuses longer int <-> str conversions, which take quadratic time
+    return (f"{what} more than {sys.get_int_max_str_digits()} digits, the limit of "
+            "sys.get_int_max_str_digits()")
+
 
 class FourcurvError(Exception):
     """Base class for all fourcurv errors."""

@@ -17,9 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
+
+from .errors import _digit_limit
 
 EINSTEIN_SLOPE = Fraction(15, 8)
 
@@ -72,8 +73,7 @@ def report(p: GeoPoint) -> GeoReport:
     ))
 
 
-@dataclass(frozen=True)
-class LatticeObstruction:
+class LatticeObstruction(NamedTuple):
     """Outcome of intersecting chi = 2 + tau with chi = (15/8) tau."""
 
     tau: Fraction
@@ -104,12 +104,6 @@ def self_dual_lattice_obstruction() -> LatticeObstruction:
 
 
 _CSV_BOOL = ("false", "true")
-
-
-def _digit_limit(what: str) -> str:
-    # the interpreter refuses longer int <-> str conversions, which take quadratic time
-    return (f"{what} more than {sys.get_int_max_str_digits()} digits, the limit of "
-            "sys.get_int_max_str_digits()")
 
 
 def _cuts(chi: int) -> list[int]:

@@ -14,7 +14,7 @@ import math
 import numbers
 from pathlib import Path
 
-from .geography import _digit_limit
+from .errors import _digit_limit
 from .names import BASIS_LABELS, COORDINATE, SD_ASD
 
 CONVENTION = {

@@ -22,12 +22,11 @@ hyperbolic 4-spaces are not Kahler at any r: their A = +-(1/r^2) I has rank 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from . import curvops, numgeom, secsign
+from . import curvops, secsign
 from .curvops import COORDINATE, CoverClass, CurvatureOperator, CurvatureSign, Decomposition
 from .errors import BadParameterError, UnknownChartError
 from .errors import UnknownModelError
@@ -35,8 +34,7 @@ from .names import CHART_DEFAULTS, MODEL_DEFAULTS
 from .names import chart_names, model_names  # noqa: F401 (re-exported)
 
 
-@dataclass(frozen=True)
-class ModelFlags:
+class ModelFlags(NamedTuple):
     einstein: bool
     kahler: bool
     sec_sign: CurvatureSign
@@ -49,8 +47,7 @@ class ModelFlags:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     name: str
     parameters: dict
     operator: CurvatureOperator
@@ -195,6 +192,8 @@ def _hyperbolic_half_space_metric(x: np.ndarray) -> np.ndarray:
 
 def chart_for(name: str, parameters: Mapping[str, float] | None = None) -> numgeom.MetricChart:
     """An analytic chart whose exact frame curvature is a catalog operator."""
+    from . import numgeom  # not loaded by the catalog commands
+
     params = _parameters("chart", CHART_DEFAULTS, UnknownChartError, name, parameters)
     if name == "flatChart":
         return numgeom.MetricChart(

@@ -38,14 +38,14 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .curvops import (COORDINATE, PAIRS, CurvatureOperator, _readonly, check_admissible,
-                      not_finite_error)
+from .curvops import (COORDINATE, PAIRS, CurvatureOperator, Record, _readonly, _set,
+                      check_admissible, not_finite_error)
 from .errors import (
     BadIntervalError,
     NotAdmissibleError,
@@ -108,16 +108,19 @@ class MetricChart:
         return np.minimum(x - lo, hi - x).min(axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class PointCurvature:
+class PointCurvature(Record):
     """Frame curvature data at a chart point: the operator, which carries the
     error bound as its ``err``, the frame Ricci tensor, the Einstein residual
     and the finite-difference step the operator was taken at."""
 
-    operator: CurvatureOperator
-    ricci: np.ndarray
-    einstein_residual: float
-    step_used: float
+    __slots__ = ("operator", "ricci", "einstein_residual", "step_used")
+
+    def __init__(self, operator: CurvatureOperator, ricci: np.ndarray,
+                 einstein_residual: float, step_used: float):
+        _set(self, "operator", operator)
+        _set(self, "ricci", ricci)
+        _set(self, "einstein_residual", einstein_residual)
+        _set(self, "step_used", step_used)
 
     @property
     def error_estimate(self) -> float:
@@ -134,8 +137,7 @@ class PointCurvature:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureStack(Sequence):
+class CurvatureStack(Record, Sequence):
     """The frame curvature at n points, as arrays with a leading axis of n: the
     coordinate-basis ``operators`` and their ``sd_asd`` matrices ``(n, 6, 6)``,
     which :func:`curvops.check_admissible` has passed with the error bounds
@@ -146,25 +148,23 @@ class CurvatureStack(Sequence):
     slice is the stack of its points.
     """
 
-    operators: np.ndarray
-    sd_asd: np.ndarray
-    err: np.ndarray
-    ricci: np.ndarray
-    einstein_residual: np.ndarray
-    step_used: np.ndarray
+    __slots__ = ("operators", "sd_asd", "err", "ricci", "einstein_residual", "step_used")
+
+    def __init__(self, operators: np.ndarray, sd_asd: np.ndarray, err: np.ndarray,
+                 ricci: np.ndarray, einstein_residual: np.ndarray, step_used: np.ndarray):
+        arrays = (operators, sd_asd, err, ricci, einstein_residual, step_used)
+        for name, value in zip(self.__slots__, arrays):
+            _set(self, name, value)
 
     def __len__(self) -> int:
         return len(self.err)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return CurvatureStack(*(getattr(self, f.name)[k] for f in fields(self)))
-        return PointCurvature(
-            operator=CurvatureOperator(self.operators[k], basis=COORDINATE, err=float(self.err[k])),
-            ricci=self.ricci[k],
-            einstein_residual=float(self.einstein_residual[k]),
-            step_used=float(self.step_used[k]),
-        )
+            return CurvatureStack(*(getattr(self, name)[k] for name in self.__slots__))
+        op = CurvatureOperator(self.operators[k], basis=COORDINATE, err=float(self.err[k]))
+        return PointCurvature(op, self.ricci[k], float(self.einstein_residual[k]),
+                              float(self.step_used[k]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -350,8 +350,7 @@ def curvature_at(chart: MetricChart, points, step=None):
     return stack[0] if np.ndim(points) == 1 else stack
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
+class ConvergenceStudy(NamedTuple):
     steps: tuple[float, ...]
     errors: tuple[float, ...]
     slope: float | None  # None when errors sit at machine noise

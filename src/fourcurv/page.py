@@ -40,14 +40,12 @@ per-orbit objects are built only for the public functions that take them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import curvops, numgeom, secsign
 from .errors import NonConvergentError
-from .secsign import PlaneWitness
 
 PAGE_LAMBDA = 3.0
 ENDPOINT_DELTA = 1e-5  # radial distance from each end sampled by endpoint_data
@@ -74,8 +72,7 @@ def page_shape_parameter() -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class EndpointData:
+class EndpointData(NamedTuple):
     """Numeric smooth-closure data at one end of the radial interval."""
 
     v_limit: float
@@ -85,8 +82,7 @@ class EndpointData:
         return {"vLimit": self.v_limit, "wSlopeProper": self.w_slope_proper}
 
 
-@dataclass(frozen=True, eq=False)
-class CohomOneMetric:
+class CohomOneMetric(NamedTuple):
     """A cohomogeneity-one metric through its radial profile functions of the
     angle r in (0, pi).
 
@@ -199,8 +195,7 @@ def orbit_curvature(m: CohomOneMetric, radii):
     return numgeom.curvature_at(m.chart, points, step=step)
 
 
-@dataclass(frozen=True)
-class EinsteinCheck:
+class EinsteinCheck(NamedTuple):
     max_residual: float
     lambda_: float
     lambda_spread: float
@@ -239,11 +234,10 @@ def verify_einstein(m: CohomOneMetric, radii: Sequence[float]) -> EinsteinCheck:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class NegativeCurvatureReport:
+class NegativeCurvatureReport(NamedTuple):
     min_sec: float
     witness_radius: float
-    witness: PlaneWitness
+    witness: secsign.PlaneWitness
     gl_defect_range: tuple[float, float]
 
     def to_dict(self) -> dict:
@@ -288,8 +282,7 @@ def certify_negative_curvature(m: CohomOneMetric,
     )
 
 
-@dataclass(frozen=True)
-class CharNumbers:
+class CharNumbers(NamedTuple):
     chi: float
     tau: float
     nodes: int

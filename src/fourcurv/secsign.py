@@ -27,8 +27,8 @@ together with the q of its witness plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,10 @@ from .curvops import (
     CurvatureOperator,
     CurvatureSign,
     Decomposition,
+    Record,
     _exponent,
     _ldexp,
+    _set,
     _unit_scaled,
     decompose,
 )
@@ -55,13 +57,15 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneWitness:
+class PlaneWitness(Record):
     """A 2-plane given by unit vectors in the SD/ASD eigenframes."""
 
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-    q_value: float
+    __slots__ = ("psi_plus", "psi_minus", "q_value")
+
+    def __init__(self, psi_plus: np.ndarray, psi_minus: np.ndarray, q_value: float):
+        _set(self, "psi_plus", psi_plus)
+        _set(self, "psi_minus", psi_minus)
+        _set(self, "q_value", q_value)
 
     @property
     def sec_value(self) -> float:
@@ -76,8 +80,7 @@ class PlaneWitness:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class SecSignCertificate:
+class SecSignCertificate(NamedTuple):
     """Certified bounds for the extremes of q over the witness manifold."""
 
     q_max_lower: float

@@ -6,7 +6,7 @@ nesting, byte-order marks, UTF-16 and stray bytes, truncation, integers past
 the float range and past the interpreter's digit limit, NaN and infinite
 literals, scales that leave the float range), mangled CSV batch files, and
 option values that are empty, not numbers, not finite, negative, too large
-or past the digit limit.  Whatever the input, ``fourcurv``
+or past the digit limit, and repeated ``--param`` keys.  Whatever the input, ``fourcurv``
 
 - exits 0, 1 or 2;
 - prints no ``Traceback`` and no ``Warning`` on stderr, and raises no warning;
@@ -118,6 +118,7 @@ def _option_argvs(rng, op):
             yield ["model", name, f"--param={key}={value}"]
         yield ["model", name, "--param", "zz=1"]
         yield ["model", name, "--param", "=1"]
+        yield ["model", name, "--param", f"{key}=1", "--param", f"{key}=2"]
     for r in ("1.2e-154", "2e-154"):  # 1/r^2 passes; the traces or s = 12/r^2 overflow
         yield ["model", "sphere4", f"--param=r={r}"]
     for name in ("flatChart", "sphereProductChart", "hyperbolic4HalfSpace"):
@@ -231,6 +232,9 @@ def test_refusals_name_the_file_or_option(tmp_path):
     for argv, named in ((["decompose", "-i", str(operator)], str(operator)),
                         (["geo", "--csv", str(points)], str(points)),
                         (["model", "sphere4", "--param", "r="], "--param 'r='"),
+                        (["model", "sphere4", "--param", "r=1", "--param", " r=2"], "--param 'r'"),
+                        (["chart", "sphereProductChart", "--param", "a=1", "--param", "a=1"],
+                         "--param 'a'"),
                         (["chart", "flatChart", "--point", "1,x,1,1"], "--point '1,x,1,1'")):
         code, out, err, caught = _run(argv)
         assert _broken(argv, code, out, err, caught) is None

@@ -4,9 +4,12 @@ The import checks run ``python -X importtime -m fourcurv ...`` in a fresh
 interpreter, which names on stderr every module the command imported.
 """
 
+import dataclasses
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -63,13 +66,57 @@ def test_geography_help_and_errors_start_without_numpy(tmp_path, argv, returncod
     assert "numpy" not in modules
 
 
+# what the exact geography commands load, and no numerical command needs
+GEOGRAPHY_ONLY = {"fourcurv.geography", "csv", "fractions", "decimal"}
+# what only a finite-difference chart or the Page metric needs
+CHART_ONLY = {"fourcurv.numgeom", "numpy.polynomial"}
+
+
 def test_certify_loads_no_chart_or_page_module(tmp_path):
     identity = [[float(i == j) for j in range(6)] for i in range(6)]
     (tmp_path / "op.json").write_text(json.dumps({"basis": "coordinate", "matrix": identity}),
                                       encoding="utf-8")
     modules = imported_by(["-m", "fourcurv", "certify", "-i", "op.json"], tmp_path)
     assert "fourcurv.secsign" in modules
-    assert not {"fourcurv.page", "fourcurv.numgeom", "fourcurv.models"} & modules
+    assert not {"fourcurv.page", "fourcurv.models"} & modules
+    assert not (CHART_ONLY | GEOGRAPHY_ONLY) & modules
+
+
+@pytest.mark.parametrize("args", [
+    ["-m", "fourcurv", "model", "sphere4"],
+    # the imports of the benchmark's certify set-up
+    ["-c", "from fourcurv import cli, curvops, jsonio, models, secsign"],
+], ids=lambda v: " ".join(v))
+def test_catalog_loads_no_chart_module(tmp_path, args):
+    modules = imported_by(args, tmp_path)
+    assert "fourcurv.models" in modules
+    assert not (CHART_ONLY | GEOGRAPHY_ONLY) & modules
+
+
+@pytest.mark.parametrize("args", [
+    ["-m", "fourcurv", "page", "--verify", "--negcurv", "--integrate", "--radii", "2",
+     "--nodes", "16"],
+    # the benchmark's page-pipeline set-up
+    ["-c", "from fourcurv import cli, page; cli.build_parser(); page.page_metric()"],
+], ids=lambda v: " ".join(v[:4]))
+def test_page_loads_no_geography(tmp_path, args):
+    modules = imported_by(args, tmp_path)
+    assert "fourcurv.page" in modules
+    assert not GEOGRAPHY_ONLY & modules
+
+
+def test_metric_chart_is_the_only_dataclass():
+    # records are NamedTuples or slotted classes, whose creation runs no generated code
+    for info in pkgutil.iter_modules(fourcurv.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"fourcurv.{info.name}")
+    records = {f"{cls.__module__}.{cls.__qualname__}"
+               for module in list(sys.modules.values())
+               if module.__name__.startswith("fourcurv.")
+               for cls in vars(module).values()
+               if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+               and cls.__module__.startswith("fourcurv")}
+    assert records == {"fourcurv.numgeom.MetricChart"}
 
 
 def test_geo_scan_setup_imports_no_numpy(tmp_path):
