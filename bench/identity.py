@@ -50,8 +50,9 @@ the first line where it differs.  The corpus covers:
   and ``page --verify --radii 4096``, and ``decompose`` and ``certify`` on
   three SD/ASD operator files whose Weyl halves hold entries of 1e308 to
   1.5e308 (off the diagonal, on it, and with a top eigenvalue past the
-  float range); last, ``model`` and ``chart`` with a ``--param`` key given
-  twice.
+  float range); then ``model`` and ``chart`` with a ``--param`` key given
+  twice; last, ``chart flatChart`` at ``--step 1e308`` and a study at steps
+  1e308, 1e307 and 1e306, whose twice-step overflows.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -360,6 +361,8 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
              ["model", "surfaceProduct", "--param", "a=1", "--param", "b=2", "--param", "a=1"],
              ["chart", "sphereProductChart", "--param", "a=1", "--param", " a=2",
               "--point", "1,0,1,0"]]
+    reqs += [["chart", "flatChart", "--point", "1,1,1,1", "--step", "1e308"],
+             ["chart", "flatChart", "--study", "--steps", "1e308,1e307,1e306"]]
     return reqs
 
 

@@ -506,7 +506,7 @@ def _gl_terms(d: Decomposition) -> tuple[float, tuple[float, float, float], floa
         size += norm
     terms.append(-2.0 * _SQRT6 * sigma)
     tau = CLASSIFY_TOL * size + 30.0 * _ldexp(d.err, e)
-    return s, tuple(terms), tau, _ldexp(math.hypot(*d.ric_block.ravel().tolist()), e)
+    return s, tuple(terms), tau, _ldexp(_norm(d.ric_block), e)
 
 
 def gl_defect(d: Decomposition) -> GLReport:

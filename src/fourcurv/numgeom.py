@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .curvops import (COORDINATE, PAIRS, CurvatureOperator, Record, _readonly, _set,
                       check_admissible, not_finite_error)
@@ -144,8 +143,7 @@ class CurvatureStack(Record, Sequence):
     ``err``, the frame ``ricci`` tensors ``(n, 4, 4)``, and ``einstein_residual``
     and ``step_used``, shape ``(n,)``.
 
-    Item k is the :class:`PointCurvature` of point k, built when it is read; a
-    slice is the stack of its points.
+    Item k is the :class:`PointCurvature` of point k, built when it is read.
     """
 
     __slots__ = ("operators", "sd_asd", "err", "ricci", "einstein_residual", "step_used")
@@ -159,9 +157,7 @@ class CurvatureStack(Record, Sequence):
     def __len__(self) -> int:
         return len(self.err)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return CurvatureStack(*(getattr(self, name)[k] for name in self.__slots__))
+    def __getitem__(self, k: int) -> PointCurvature:
         op = CurvatureOperator(self.operators[k], basis=COORDINATE, err=float(self.err[k]))
         return PointCurvature(op, self.ricci[k], float(self.einstein_residual[k]),
                               float(self.step_used[k]))
@@ -311,7 +307,7 @@ def _blocks(chart: MetricChart, points, step):
         raise StepTooLargeError(
             f"step {float(h[tiny][0])!r} is too small: (step/2)^2 is below the smallest "
             "normal float")
-    short = margin < 2.0 * h
+    short = 0.5 * margin < h  # margin < 2 h; halving is exact, doubling a huge h overflows
     if short.any():
         raise StepTooLargeError(
             f"margin {margin[short][0]:.3e} is below the 2*step stencil requirement")
@@ -390,6 +386,8 @@ def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> Conv
 @functools.lru_cache(maxsize=8)
 def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only (shared)."""
+    from numpy.polynomial.legendre import leggauss  # loaded only by the commands that integrate
+
     xs, ws = leggauss(nodes)
     return _readonly(xs), _readonly(ws)
 

@@ -304,14 +304,12 @@ def _char_integrals(m: CohomOneMetric, nodes: int) -> tuple[float, float]:
     interval = (eps, math.pi - eps)
     radii = numgeom.quadrature_nodes(interval, nodes)
     stack = orbit_curvature(m, radii)
-    densities = {}
-    for r, d in zip(radii, curvops.decompositions(stack.sd_asd, stack.err)):
-        cd = curvops.char_densities(d)
-        densities[r] = (cd.euler_density, cd.signature_density)
+    densities = dict(zip(radii, map(curvops.char_densities,
+                                    curvops.decompositions(stack.sd_asd, stack.err))))
     chi = numgeom.orbit_quadrature(
-        lambda r: densities[r][0], m.orbit_volume, interval, nodes)
+        lambda r: densities[r].euler_density, m.orbit_volume, interval, nodes)
     tau = numgeom.orbit_quadrature(
-        lambda r: densities[r][1], m.orbit_volume, interval, nodes)
+        lambda r: densities[r].signature_density, m.orbit_volume, interval, nodes)
     return chi, tau
 
 

@@ -41,6 +41,7 @@ from .curvops import (
     Record,
     _exponent,
     _ldexp,
+    _norm,
     _set,
     _unit_scaled,
     decompose,
@@ -338,7 +339,7 @@ def certify_sec_sign(op: CurvatureOperator, *,
     e = _exponent(S.ravel().tolist())
     sides = np.ldexp(S, -e) * _SIDES  # R and -R, scaled
     if tolerance is None:
-        tol = 1e-8 * max(_ldexp(1.0, -e), float(np.linalg.norm(sides[0])))
+        tol = 1e-8 * max(_ldexp(1.0, -e), _norm(sides[0]))
     else:
         tol = _ldexp(tolerance, -e)
     sp, sm = d.spectrum_plus, d.spectrum_minus

@@ -36,8 +36,8 @@ TOKENS = ["true", "false", "null", '"1"', "[0.0]", "[]", "{}", "NaN", "Infinity"
           "1e400", "-1e400", "1e-400", "5e-324", "1.7976931348623157e308", "-0.0", "1" + "0" * 400,
           HUGE, "-" + HUGE, "0x10", "01", ".5", "1.", "+1", "--1", "", "[" * 50_000]
 # option values
-NUMBERS = ["", " ", "nan", "inf", "-inf", "0", "-0", "-1", "1e-320", "1e-200", "1e200", "1e400",
-           HUGE, "abc", "0x10", "1_0", "1,2"]
+NUMBERS = ["", " ", "nan", "inf", "-inf", "0", "-0", "-1", "1e-320", "1e-200", "1e200", "1e308",
+           "1e400", HUGE, "abc", "0x10", "1_0", "1,2"]
 COUNTS = ["", "-1", "0", "1", "3", "16", "x", "2.5", "nan", "4097", "1001", HUGE, "-" + HUGE]
 
 

@@ -188,7 +188,7 @@ def test_every_row_goes_through_report(monkeypatch):
     calls = []
 
     def counting(p):
-        calls.append((p.chi, p.tau))
+        calls.append(tuple(p))
         return report(p)
 
     monkeypatch.setattr(geography, "report", counting)

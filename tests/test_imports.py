@@ -93,16 +93,32 @@ def test_catalog_loads_no_chart_module(tmp_path, args):
     assert not (CHART_ONLY | GEOGRAPHY_ONLY) & modules
 
 
+# the benchmark's page-pipeline set-up
+PAGE_SETUP = ["-c", "from fourcurv import cli, page; cli.build_parser(); page.page_metric()"]
+
+
 @pytest.mark.parametrize("args", [
     ["-m", "fourcurv", "page", "--verify", "--negcurv", "--integrate", "--radii", "2",
      "--nodes", "16"],
-    # the benchmark's page-pipeline set-up
-    ["-c", "from fourcurv import cli, page; cli.build_parser(); page.page_metric()"],
+    PAGE_SETUP,
 ], ids=lambda v: " ".join(v[:4]))
 def test_page_loads_no_geography(tmp_path, args):
     modules = imported_by(args, tmp_path)
     assert "fourcurv.page" in modules
     assert not GEOGRAPHY_ONLY & modules
+
+
+@pytest.mark.parametrize("args, integrates", [
+    (["-m", "fourcurv", "chart", "flatChart", "--point", "1,1,1,1"], False),
+    (["-m", "fourcurv", "page", "--verify", "--radii", "2"], False),
+    (["-m", "fourcurv", "page", "--negcurv", "--radii", "2"], False),
+    (PAGE_SETUP, False),
+    (["-m", "fourcurv", "page", "--integrate", "--nodes", "16"], True),
+], ids=lambda v: " ".join(v[:5]) if isinstance(v, list) else str(v))
+def test_only_the_quadrature_loads_numpy_polynomial(tmp_path, args, integrates):
+    modules = imported_by(args, tmp_path)
+    assert "fourcurv.numgeom" in modules
+    assert ("numpy.polynomial" in modules) is integrates
 
 
 def test_metric_chart_is_the_only_dataclass():

@@ -198,10 +198,11 @@ def test_batched_curvature_bitwise_equals_single(rng):
     steps = rng.uniform(0.005, 0.02, len(points))
     batch = curvature_at(chart, points, step=steps)
     assert isinstance(batch, numgeom.CurvatureStack) and len(batch) == len(points)
+    items = list(batch)  # a stack is indexed by point
     for size in (1, 5, 16, 23):
         for lo in range(0, len(points), size):
             part = curvature_at(chart, points[lo:lo + size], step=steps[lo:lo + size])
-            for pc, ref in zip(part, batch[lo:lo + size]):
+            for pc, ref in zip(part, items[lo:lo + size]):
                 assert np.array_equal(pc.operator.matrix, ref.operator.matrix)
                 assert np.array_equal(pc.ricci, ref.ricci)
                 assert pc.error_estimate == ref.error_estimate

@@ -120,7 +120,7 @@ def test_orbit_curvature_batch_bitwise_equals_single():
     # a point's operator does not depend on the block it is computed in
     m = page_metric()
     radii = chebyshev_radii(20)
-    batch = orbit_curvature(m, radii)
+    batch = list(orbit_curvature(m, radii))  # a stack is indexed by point
     assert len(batch) == 20
     for r, pc in zip(radii[::3], batch[::3]):
         alone = orbit_curvature(m, r)
