@@ -175,9 +175,9 @@ def _unit_scaled(v) -> np.ndarray:
 
 
 def _norm(a: np.ndarray) -> float:
-    """Frobenius norm of a, taken on a scaled by a power of two so that the
-    squares cannot overflow; equal to ``np.linalg.norm(a)`` wherever that
-    does not overflow or underflow."""
+    """Frobenius norm of a, the one matrix norm of the package: taken on a
+    scaled by a power of two so that the squares cannot overflow, it equals
+    ``sqrt(sum a^2)`` wherever that does not overflow or underflow."""
     e = _exponent(a.ravel().tolist())
     v = np.ldexp(a.ravel(), -e)
     return _ldexp(math.sqrt(float(v.dot(v))), e)
