@@ -165,7 +165,7 @@ def _ldexp(x: float, n: int) -> float:
 def _exponent(entries: list[float]) -> int:
     """The e with ``2**(e-1) <= max|x| < 2**e`` over the entries, 0 when all are
     zero; from a list, which is cheaper than a numpy reduction."""
-    return math.frexp(max(max(entries, default=0.0), -min(entries, default=0.0)))[1]
+    return math.frexp(max(max(entries), -min(entries)) if entries else 0.0)[1]
 
 
 def _unit_scaled(v) -> np.ndarray:
@@ -178,9 +178,10 @@ def _norm(a: np.ndarray) -> float:
     """Frobenius norm of a, the one matrix norm of the package: taken on a
     scaled by a power of two so that the squares cannot overflow, it equals
     ``sqrt(sum a^2)`` wherever that does not overflow or underflow."""
-    e = _exponent(a.ravel().tolist())
-    v = np.ldexp(a.ravel(), -e)
-    return _ldexp(math.sqrt(float(v.dot(v))), e)
+    v = a.ravel()
+    e = _exponent(v.tolist())
+    v = np.ldexp(v, -e)
+    return _ldexp(math.sqrt(v.dot(v)), e)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,7 @@ class GeoReport(NamedTuple):
 
 
 def report(p: tuple[int, int]) -> GeoReport:
-    """All geography flags of an integer (chi, tau) pair, exactly: a
-    :class:`GeoPoint` or a plain tuple of two ints."""
+    """All geography flags of an integer (chi, tau) pair, exactly."""
     chi, tau = p
     return tuple.__new__(GeoReport, (
         chi >= abs(tau),            # gromov_luck
