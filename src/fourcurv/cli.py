@@ -47,7 +47,7 @@ def _parse_params(pairs: list[str] | None) -> dict[str, float]:
     params: dict[str, float] = {}
     for item in pairs or []:
         if "=" not in item:
-            raise ValueError(f"--param expects k=v, got {item!r}")
+            raise ValueError(f"--param {item!r}: expected K=V")
         key, _, value = item.partition("=")
         if (key := key.strip()) in params:
             raise ValueError(f"--param {key!r}: the key is given more than once")
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_geo)
 
     p = sub.add_parser("scan", help="CSV table of geography flags")
-    p.add_argument("--chi-max", type=_int_option("--chi-max", hi=MAX_CHI), required=True,
+    p.add_argument("--chi-max", type=_int_option("--chi-max", 0, MAX_CHI), required=True,
                    help=f"largest chi, 0 to {MAX_CHI}")
     p.set_defaults(func=_cmd_scan)
 

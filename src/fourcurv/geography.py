@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -26,6 +27,12 @@ EINSTEIN_SLOPE = Fraction(15, 8)
 
 CSV_HEADER = ("chi,tau,gromov_luck,einstein_nonpos_strict,bmy,"
               "bmy_equality,c1sq,both_orientations_complex")
+
+# every CSV row under CSV_HEADER, keyed by its flags (gromov_luck,
+# einstein_nonpos_strict, bmy, bmy_equality, both_orientations_complex):
+# ``_ROWS[flags] % (chi, tau, c1sq)``
+_ROWS = {flags: "%%d,%%s,%s,%s,%s,%s,%%s,%s\n" % tuple(("false", "true")[f] for f in flags)
+         for flags in itertools.product((False, True), repeat=5)}
 
 
 class GeoPoint(NamedTuple("GeoPoint", [("chi", int), ("tau", int)])):
@@ -101,9 +108,6 @@ def self_dual_lattice_obstruction() -> LatticeObstruction:
     return LatticeObstruction(tau=tau, chi=chi, integral=tau.denominator == 1)
 
 
-_CSV_BOOL = ("false", "true")
-
-
 def _cuts(chi: int) -> list[int]:
     """The sorted taus of -chi..chi where a run of constant flags starts, then
     chi + 1: run i is ``range(cuts[i], cuts[i + 1])``.
@@ -123,27 +127,26 @@ def scan_csv(chi_max: int) -> str:
     Each run of :func:`_cuts` takes its flags from ``report`` of its first
     point, and its parities and c1sq step from its first two (of a one-row
     run, its point and the next, which is not printed), then formats its
-    rows with one ``%`` over a template of two rows (even and odd).
+    rows with one ``%`` over a two-row template (even and odd) made from
+    the run's two rows of ``_ROWS``.
     """
     if chi_max < 0:
         raise ValueError("chi_max must be non-negative")
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     writelines = out.writelines
-    b = _CSV_BOOL
     for chi in range(chi_max + 1):
         cuts = _cuts(chi)
         for lo, hi in zip(cuts, cuts[1:]):
             gl, ens, bmy, bmy_eq, c1sq, both = report((chi, lo))
-            row = f"{chi},%d,{b[gl]},{b[ens]},{b[bmy]},{b[bmy_eq]},%d,"
-            first = row + b[both] + "\n"
+            first = _ROWS[gl, ens, bmy, bmy_eq, both] % (chi, "%d", "%d")
             n = hi - lo
             *_, c1sq_next, both_next = report((chi, lo + 1))
             step = c1sq_next - c1sq
             args = [0] * (2 * n)  # tau and c1sq of each row, in turn
             args[::2] = range(lo, hi)
             args[1::2] = range(c1sq, c1sq + n * step, step)
-            pair = first + row + b[both_next] + "\n"
+            pair = first + _ROWS[gl, ens, bmy, bmy_eq, both_next] % (chi, "%d", "%d")
             # writelines makes one write per row, as a per-row formatter does: the buffer
             # grows through the same sizes, and a process that makes many scans keeps
             # its peak RSS (writing whole runs raised the geo-scan benchmark's by 9%)
@@ -162,7 +165,6 @@ def points_csv(text: str) -> str:
     reader = csv.reader(io.StringIO(text))
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
-    b = _CSV_BOOL
     header = True  # until the first non-blank row
     for row in reader:
         if not row:
@@ -183,7 +185,7 @@ def points_csv(text: str) -> str:
                              f"got {row[0]!r}, {row[1]!r}") from None
         gl, ens, bmy, bmy_eq, c1sq, both = report((chi, tau))
         try:
-            out.write(f"{chi},{tau},{b[gl]},{b[ens]},{b[bmy]},{b[bmy_eq]},{c1sq},{b[both]}\n")
+            out.write(_ROWS[gl, ens, bmy, bmy_eq, both] % (chi, tau, c1sq))
         except ValueError:  # chi and tau were read under the limit; c1sq can pass it
             raise ValueError(f"line {reader.line_num}: "
                              + _digit_limit("c1sq = 2 chi + 3 tau has")) from None

@@ -84,27 +84,26 @@ def _inverse_square(r: float) -> float:
     return inv
 
 
-def _operator_matrix(name: str, params: dict) -> np.ndarray:
+def _operator_matrix(name: str, params: dict) -> tuple[np.ndarray, str]:
+    """The matrix of catalog model ``name`` and its basis tag."""
     if name == "flat":
-        return np.zeros((6, 6))
+        return np.zeros((6, 6)), COORDINATE
     if name in ("sphere4", "hyperbolic4"):
         inv = _inverse_square(params["r"])
-        return np.eye(6) * (inv if name == "sphere4" else -inv)
+        return np.eye(6) * (inv if name == "sphere4" else -inv), COORDINATE
     if name == "surfaceProduct":
         a, b = params["a"], params["b"]
-        return np.diag([a, 0.0, 0.0, 0.0, 0.0, b])
-    if name in ("fubiniStudy", "bergman"):
-        s = params["s"]
-        if name == "fubiniStudy" and s <= 0:
-            raise BadParameterError("fubiniStudy requires s > 0")
-        if name == "bergman" and s >= 0:
-            raise BadParameterError("bergman requires s < 0")
-        if not math.isfinite(s):
-            raise BadParameterError(f"parameter 's' must be finite, got {s!r}")
-        # SD/ASD basis: A = s/12 + W+, C = s/12, Kahler spectrum pattern
-        A = np.diag([0.0, 0.0, s / 4.0]) if s > 0 else np.diag([s / 4.0, 0.0, 0.0])
-        return curvops._sd_block(A, np.zeros((3, 3)), (s / 12.0) * np.eye(3))
-    raise UnknownModelError(f"unknown model {name!r}")
+        return np.diag([a, 0.0, 0.0, 0.0, 0.0, b]), COORDINATE
+    s = params["s"]  # fubiniStudy or bergman
+    if name == "fubiniStudy" and s <= 0:
+        raise BadParameterError("fubiniStudy requires s > 0")
+    if name == "bergman" and s >= 0:
+        raise BadParameterError("bergman requires s < 0")
+    if not math.isfinite(s):
+        raise BadParameterError(f"parameter 's' must be finite, got {s!r}")
+    # SD/ASD basis: A = s/12 + W+, C = s/12, Kahler spectrum pattern
+    A = np.diag([0.0, 0.0, s / 4.0]) if s > 0 else np.diag([s / 4.0, 0.0, 0.0])
+    return curvops._sd_block(A, np.zeros((3, 3)), (s / 12.0) * np.eye(3)), curvops.SD_ASD
 
 
 def _sec_sign_flag(op: CurvatureOperator, d: Decomposition) -> CurvatureSign:
@@ -149,8 +148,7 @@ def catalog(name: str, parameters: Mapping[str, float] | None = None) -> ModelSp
     take the documented defaults.
     """
     params = _parameters("model", MODEL_DEFAULTS, UnknownModelError, name, parameters)
-    basis = curvops.SD_ASD if name in ("fubiniStudy", "bergman") else COORDINATE
-    op = CurvatureOperator(_operator_matrix(name, params), basis=basis)
+    op = CurvatureOperator(*_operator_matrix(name, params))
     d = curvops.decompose(op)
     flags = ModelFlags(einstein=d.is_einstein(), kahler=d.is_kahler(),
                        sec_sign=_sec_sign_flag(op, d))

@@ -370,13 +370,17 @@ def _verdict(q_max_lower, q_max_upper, q_min_lower, q_min_upper, tol) -> Verdict
     return Verdict.INCONCLUSIVE
 
 
-def _extreme_vectors(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(u, v)``, each ``(..., 2, 3)``: the bottom and top eigenvectors of the SD
-    and ASD Weyl halves ``W`` ``(..., 2, 3, 3)`` of Einstein operators, which span
-    their (min, max) planes, from one ``eigh``, signed as it returns them."""
+def _einstein_planes(S: np.ndarray, W: np.ndarray):
+    """``(u, v, q)`` of a stack of Einstein operators: ``S`` holds their SD/ASD
+    matrices ``(n, 6, 6)``, ``W`` their Weyl halves ``(n, 2, 3, 3)``.  ``u`` and
+    ``v``, each ``(n, 2, 3)``, are the bottom and top eigenvectors of the SD and
+    ASD halves from one ``eigh``, which span the (min, max) planes, signed as it
+    returns them; ``q`` ``(n, 2)`` is the q of both planes on ``S``."""
     _, vec = np.linalg.eigh(W)
-    ends = np.swapaxes(vec[..., [0, 2]], -1, -2)  # [..., half, end, :]
-    return ends[..., 0, :, :], ends[..., 1, :, :]
+    ends = np.swapaxes(vec[..., [0, 2]], -1, -2)  # [n, half, end, :]
+    u, v = ends[:, 0], ends[:, 1]
+    S = S[:, None]
+    return u, v, _q(S[..., :3, :3], S[..., :3, 3:], S[..., 3:, 3:], u, v)
 
 
 def einstein_extreme_witnesses(op: CurvatureOperator,
@@ -389,24 +393,22 @@ def einstein_extreme_witnesses(op: CurvatureOperator,
     ``op`` itself.
     """
     d.require_einstein()
-    u, v = _extreme_vectors(np.stack((d.w_plus, d.w_minus)))
-    lo_u, lo_v = _canonical(u[0], v[0])
-    hi_u, hi_v = _canonical(u[1], v[1])
-    min_w = PlaneWitness(lo_u, lo_v, q_value=q_form(op, lo_u, lo_v))
-    max_w = PlaneWitness(hi_u, hi_v, q_value=q_form(op, hi_u, hi_v))
-    return min_w, max_w
+    u, v, q = _einstein_planes(op.in_sd_asd_basis()[None],
+                               np.stack((d.w_plus, d.w_minus))[None])
+    # every product in q keeps its bits when u and v both change sign, so the
+    # sign that _canonical fixes can come after q
+    return tuple(PlaneWitness(*_canonical(u[0, k], v[0, k]), q_value=float(q[0, k]))
+                 for k in (0, 1))
 
 
 def einstein_min_sec(S: np.ndarray, ds: list[Decomposition]) -> np.ndarray:
     """The sectional curvature of the min plane of :func:`einstein_extreme_witnesses`
-    for each Einstein operator of a stack, bit for bit, from one ``eigh``: ``S``
-    holds their SD/ASD matrices ``(n, 6, 6)`` and ``ds`` their decompositions."""
+    for each Einstein operator of a stack, bit for bit: ``S`` holds their SD/ASD
+    matrices ``(n, 6, 6)`` and ``ds`` their decompositions."""
     for d in ds:
         d.require_einstein()
-    u, v = _extreme_vectors(np.array([(d.w_plus, d.w_minus) for d in ds]).reshape(-1, 2, 3, 3))
-    # every product in q keeps its bits when u and v both change sign, so the
-    # sign that _canonical fixes can stay as eigh returns it
-    return _q(S[:, :3, :3], S[:, :3, 3:], S[:, 3:, 3:], u[:, 0], v[:, 0]) / 2.0
+    W = np.array([(d.w_plus, d.w_minus) for d in ds]).reshape(-1, 2, 3, 3)
+    return _einstein_planes(S, W)[2][:, 0] / 2.0
 
 
 def sign_flag(bounds: tuple[float, float, float, float], tol: float,

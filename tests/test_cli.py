@@ -1,6 +1,7 @@
 """CLI behavior: output shape, exit codes, and byte-level determinism."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -237,6 +238,9 @@ _BAD_FILES = [
        f"parameter 's' must be finite, got {value}")
       for name, value in (("fubiniStudy", "inf"), ("bergman", "-inf"), ("fubiniStudy", "nan"),
                           ("bergman", "nan"))],
+    (["page"], None, "page needs at least one of --verify, --negcurv, --integrate"),
+    *[(argv, None, "geo needs --chi and --tau (or --csv batch input)")
+      for argv in (["geo"], ["geo", "--chi", "3"])],
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_refused_input_exit_1_one_line(tmp_path, capsys, argv, text, message):
     # before, these printed a traceback or a numpy warning, exited 0 with a verdict,
@@ -351,6 +355,16 @@ def test_page_nodes_below_16_refused_while_parsing(capsys, monkeypatch, nodes):
     assert err == "error: argument --nodes must be at least 16\n"
 
 
+def test_scan_negative_chi_max_refused_while_parsing(capsys, monkeypatch):
+    # exited 1 with "chi_max must be non-negative", from scan_csv after parsing
+    from fourcurv import cli
+
+    monkeypatch.setattr(cli, "_cmd_scan", lambda args: pytest.fail("handler ran"))
+    code, out, err = run_cli(capsys, "scan", "--chi-max", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --chi-max must be at least 0\n"
+
+
 @pytest.mark.parametrize("command, mode, option", _SIZE_OPTIONS)
 def test_size_option_past_digit_limit_exit_1(capsys, command, mode, option):
     argv = [command] + ([mode] if mode else []) + [option, "1" + "0" * 5000]
@@ -370,6 +384,20 @@ def test_page_byte_identical(capsys):
     assert data["einstein"]["maxResidual"] <= 1e-6
     assert data["negativeCurvature"]["minSec"] < 0.0
     assert data["charNumbers"]["chi"] == pytest.approx(4.0, abs=1e-3)
+
+
+def test_page_integrate_nonconvergent_exit_2(capsys, monkeypatch):
+    # doubling the nodes moves chi by 1e-2, past the 1e-3 the quadrature accepts
+    from fourcurv import page
+    from fourcurv.errors import NonConvergentError
+
+    integrals = {16: (4.0, 0.0), 32: (4.01, 0.0)}
+    monkeypatch.setattr(page, "_char_integrals", lambda m, nodes: integrals[nodes])
+    with pytest.raises(NonConvergentError, match="node doubling moved the integrals by"):
+        page.integrate_char_numbers(page.page_metric(), nodes=16)
+    code, out, err = run_cli(capsys, "page", "--integrate", "--nodes", "16")
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: node doubling moved the integrals by 1.000e-02 (> 1e-3)\n"
 
 
 def test_chart_study(capsys):
@@ -479,6 +507,9 @@ def test_geo_csv_batch(tmp_path, capsys):
     lines = out.strip().split("\n")
     assert lines[1].startswith("3,1,true")
     assert lines[2].split(",")[3] == "false"  # 15,8 fails the strict bound
+    # blank rows are skipped, before the header too
+    src.write_text("\nchi,tau\n3,1\n\n15,8\n\n", encoding="utf-8")
+    assert run_cli(capsys, "geo", "--csv", str(src)) == (code, out, "")
     # the batch and the scan write rows alike
     src.write_text("".join(f"{c},{t}\n" for c in range(4) for t in range(-c, c + 1)),
                    encoding="utf-8")
@@ -618,11 +649,12 @@ def test_unknown_flag_rejected(capsys):
 
 
 def test_json_float_format_round_trip():
-    payload = {"x": 0.1, "y": 12.0, "z": [1e-17, -0.0]}
+    payload = {"x": 0.1, "y": 12.0, "z": [1e-17, -0.0], "w": [math.nan, math.inf, -math.inf]}
     text = jsonio.dumps(payload)
     back = json.loads(text)
     assert back["x"] == 0.1
     assert back["z"][0] == 1e-17
+    assert back["w"] == ["NaN", "Infinity", "-Infinity"]
 
 
 def test_wire_format_field_names(tmp_path, capsys):

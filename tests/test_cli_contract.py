@@ -232,6 +232,7 @@ def test_refusals_name_the_file_or_option(tmp_path):
     for argv, named in ((["decompose", "-i", str(operator)], str(operator)),
                         (["geo", "--csv", str(points)], str(points)),
                         (["model", "sphere4", "--param", "r="], "--param 'r='"),
+                        (["model", "sphere4", "--param", "r"], "--param 'r'"),
                         (["model", "sphere4", "--param", "r=1", "--param", " r=2"], "--param 'r'"),
                         (["chart", "sphereProductChart", "--param", "a=1", "--param", "a=1"],
                          "--param 'a'"),

@@ -242,6 +242,15 @@ def test_from_dict_needs_matrix():
         CurvatureOperator.from_dict({"basis": SD_ASD})
 
 
+@pytest.mark.parametrize("matrix, basis, message", [
+    (np.eye(5), COORDINATE, "curvature operator must be a 6x6 matrix"),
+    (np.eye(6), "polar", "unknown basis tag 'polar'"),
+], ids=["shape", "basis"])
+def test_operator_needs_6x6_matrix_and_known_basis(matrix, basis, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CurvatureOperator(matrix, basis=basis)
+
+
 def test_decompose_hyperbolic_plane_product():
     d = catalog("surfaceProduct", {"a": -1.0, "b": -1.0}).decomposition
     assert d.s == -4.0
