@@ -28,9 +28,8 @@ EINSTEIN_SLOPE = Fraction(15, 8)
 CSV_HEADER = ("chi,tau,gromov_luck,einstein_nonpos_strict,bmy,"
               "bmy_equality,c1sq,both_orientations_complex")
 
-# every CSV row under CSV_HEADER, keyed by its flags (gromov_luck,
-# einstein_nonpos_strict, bmy, bmy_equality, both_orientations_complex):
-# ``_ROWS[flags] % (chi, tau, c1sq)``
+# the CSV row of each (gromov_luck, einstein_nonpos_strict, bmy, bmy_equality,
+# both_orientations_complex): ``_ROWS[flags] % (chi, tau, c1sq)``
 _ROWS = {flags: "%%d,%%s,%s,%s,%s,%s,%%s,%s\n" % tuple(("false", "true")[f] for f in flags)
          for flags in itertools.product((False, True), repeat=5)}
 
@@ -127,8 +126,7 @@ def scan_csv(chi_max: int) -> str:
     Each run of :func:`_cuts` takes its flags from ``report`` of its first
     point, and its parities and c1sq step from its first two (of a one-row
     run, its point and the next, which is not printed), then formats its
-    rows with one ``%`` over a two-row template (even and odd) made from
-    the run's two rows of ``_ROWS``.
+    rows with one ``%`` over a template of its two ``_ROWS`` (even and odd).
     """
     if chi_max < 0:
         raise ValueError("chi_max must be non-negative")

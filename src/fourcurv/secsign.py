@@ -371,14 +371,12 @@ def _verdict(q_max_lower, q_max_upper, q_min_lower, q_min_upper, tol) -> Verdict
 
 
 def _einstein_planes(S: np.ndarray, W: np.ndarray):
-    """``(u, v, q)`` of a stack of Einstein operators: ``S`` holds their SD/ASD
-    matrices ``(n, 6, 6)``, ``W`` their Weyl halves ``(n, 2, 3, 3)``.  ``u`` and
-    ``v``, each ``(n, 2, 3)``, are the bottom and top eigenvectors of the SD and
-    ASD halves from one ``eigh``, which span the (min, max) planes, signed as it
-    returns them; ``q`` ``(n, 2)`` is the q of both planes on ``S``."""
+    """``(u, v, q)`` of Einstein operators with SD/ASD matrices ``S`` ``(n, 6, 6)``
+    and Weyl halves ``W`` ``(n, 2, 3, 3)``: ``u``, ``v`` ``(n, 2, 3)`` are the bottom
+    and top eigenvectors of the SD and ASD halves, from one ``eigh`` and signed as it
+    returns them, which span the (min, max) planes; ``q`` ``(n, 2)`` is their q on S."""
     _, vec = np.linalg.eigh(W)
-    ends = np.swapaxes(vec[..., [0, 2]], -1, -2)  # [n, half, end, :]
-    u, v = ends[:, 0], ends[:, 1]
+    u, v = np.moveaxis(vec[..., [0, 2]], (1, 3), (0, 2))  # [half][n, end, :]
     S = S[:, None]
     return u, v, _q(S[..., :3, :3], S[..., :3, 3:], S[..., 3:, 3:], u, v)
 
