@@ -13,12 +13,20 @@ each one compiles fourcurv's sources as a fresh checkout does.  The commands
 
 then run as ``python -X importtime -m fourcurv ...``, RUNS times per command
 and side, with the side that goes first alternating from run to run.  For
-each command and side the tool prints the median and quartiles of the wall
-time of a process and of its fourcurv import time: the summed self time of
-fourcurv's modules and of the modules only they import, those imported while
-a fourcurv module was importing that a plain ``import numpy`` does not import
-(numpy is every numerical command's fixed cost, and a module both import is
-charged to whichever imports it first).
+each command and side the tool prints the median and quartiles of three
+times of a process:
+
+- its wall time;
+- its fourcurv import time: the summed self time of fourcurv's modules and of
+  the modules only they import, those imported while a fourcurv module was
+  importing that a plain ``import numpy`` does not import (numpy is every
+  numerical command's fixed cost, and a module both import is charged to
+  whichever imports it first);
+- the time from the first byte of its report on stdout, a pipe, to its exit:
+  the end of the command's writing, its flushes and the interpreter's
+  teardown, if it runs one.  The report reaches the pipe as it is written
+  where ``PYTHONUNBUFFERED`` is set, and at the first flush that overflows or
+  ends the buffer where it is not; the children inherit the variable.
 """
 
 from __future__ import annotations
@@ -82,17 +90,28 @@ def fourcurv_import_us(importtime: str, shared: set[str]) -> int:
 
 
 def run(tree: Path, workdir: Path, argv: tuple[str, ...], shared: set[str]):
-    """(wall seconds, fourcurv import seconds) of one fresh process."""
+    """(wall seconds, fourcurv import seconds, seconds from the first stdout byte to
+    the exit) of one fresh process."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "fourcurv", *argv],
-                          cwd=workdir, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
-    wall = time.perf_counter() - start
+    # stderr, the import times, goes to a file: a full stderr pipe would stall
+    # the child before its first stdout byte
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-X", "importtime", "-m", "fourcurv", *argv],
+                                cwd=workdir, env=env, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE, stderr=err)
+        with proc.stdout:
+            proc.stdout.read(1)
+            first = time.perf_counter()
+            proc.stdout.read()
+        proc.wait()
+        end = time.perf_counter()
+        err.seek(0)
+        stderr = err.read().decode()
     if proc.returncode != 0:
         sys.exit(f"startup: fourcurv {' '.join(argv)} in {tree} exited {proc.returncode}\n"
-                 f"{proc.stderr[-2000:]}")
-    return wall, fourcurv_import_us(proc.stderr, shared) / 1e6
+                 f"{stderr[-2000:]}")
+    return end - start, fourcurv_import_us(stderr, shared) / 1e6, end - first
 
 
 def quartiles(values: list[float]) -> str:
@@ -123,8 +142,9 @@ def main(argv=None) -> int:
     for command in COMMANDS:
         print(f"fourcurv {' '.join(command)}")
         for side in ids:
-            wall, imports = zip(*times[command, side])
-            print(f"  {side}  wall {quartiles(wall)}  fourcurv imports {quartiles(imports)}")
+            wall, imports, tail = zip(*times[command, side])
+            print(f"  {side}  wall {quartiles(wall)}  fourcurv imports {quartiles(imports)}"
+                  f"  first byte to exit {quartiles(tail)}")
     return 0
 
 

@@ -16,6 +16,14 @@ Subcommands:
 Exit codes: 0 success; 1 input or validation error; 2 numerical failure or
 an Inconclusive certification.  Reports go to stdout, diagnostics to stderr.
 
+``main`` returns the exit code and is what in-process callers use.  A process
+(``python -m fourcurv`` or the ``fourcurv`` script) enters through ``run``,
+which flushes stdout and stderr after ``main`` and then ends the process with
+``os._exit``: the interpreter's teardown, mostly the unloading of numpy, adds
+nothing to the time from the written report to the exit.  So every command
+closes each file it opens before ``main`` returns; ``run`` flushes only the
+standard streams.
+
 At module level this imports only the standard library and the numpy-free
 modules ``errors``, ``jsonio`` and ``names``, so help and argument errors load
 neither numpy nor ``geography``.  Each handler imports what it uses when it
@@ -25,7 +33,9 @@ runs, and calls through the module attribute.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from typing import NoReturn
 
 from . import __version__, jsonio
 from .errors import FourcurvError, NonConvergentError, NotEinsteinError, _digit_limit
@@ -303,5 +313,28 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
+def run() -> NoReturn:
+    """Run ``main`` on the process's arguments and end the process with its exit
+    code, skipping the interpreter's teardown.
+
+    argparse's ``--help``, ``--version`` and usage errors keep their exit code.
+    A report that cannot be flushed to stdout (a full disk) exits 1 with one
+    line, unless ``main`` had already exited 1 with its own line; the flush is
+    not tried again at exit.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse exits with an int
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_INPUT:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_INPUT
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_admissible_operator
+import fourcurv
 from fourcurv import jsonio
 from fourcurv.cli import main
 from fourcurv.errors import FourcurvError
@@ -677,20 +681,22 @@ def test_wire_format_field_names(tmp_path, capsys):
             "bothOrientationsComplexPossible"} <= set(geo)
 
 
-def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import fourcurv
+def fourcurv_process(*argv, unbuffered="1", cwd=None, stdout=subprocess.PIPE):
+    """A finished ``python -m fourcurv`` child, with ``PYTHONUNBUFFERED`` unset when
+    ``unbuffered`` is None; its stderr, and its stdout unless redirected, as text."""
     # the child imports the same package as this process, installed or not
     src = str(Path(fourcurv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "fourcurv", "geo",
-                           "--chi", "3", "--tau", "1"],
-                          capture_output=True, text=True, env=env)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.run([sys.executable, "-m", "fourcurv", *argv], env=env, cwd=cwd,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_module_entry_point():
+    proc = fourcurv_process("geo", "--chi", "3", "--tau", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bmyEquality"] is True
 
@@ -698,17 +704,63 @@ def test_module_entry_point():
 @pytest.mark.parametrize("name,s", [("fubiniStudy", "1e200"), ("bergman", "-1e200")])
 def test_kahler_model_at_large_scale(name, s):
     # s^2 overflowed in the Kahler test, which then said false with a numpy warning
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import fourcurv
-    src = str(Path(fourcurv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "fourcurv", "model", name, "--param", f"s={s}"],
-                          capture_output=True, text=True, env=env)
+    proc = fourcurv_process("model", name, "--param", f"s={s}")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["flags"]["kahler"] is True
+
+
+# the process entry flushes and exits itself: with stdout buffered or not, it
+# must end with what the in-process main writes and returns
+STDOUT_MODES = pytest.mark.parametrize("unbuffered", [None, "1"],
+                                       ids=["buffered", "unbuffered"])
+
+
+@STDOUT_MODES
+@pytest.mark.parametrize("argv, code", [
+    (["geo", "--chi", "3", "--tau", "1"], 0),
+    (["certify", "-i", "missing.json"], 1),
+    (["model", "nosuch"], 2),  # an argparse usage error
+], ids=["ok", "input-error", "usage-error"])
+def test_process_exit_matches_main(tmp_path, monkeypatch, capsys, unbuffered, argv, code):
+    monkeypatch.chdir(tmp_path)
+    try:
+        want = main(argv)
+    except SystemExit as exc:
+        want = exc.code
+    out, err = capsys.readouterr()
+    proc = fourcurv_process(*argv, unbuffered=unbuffered, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (want, out, err)
+    assert want == code
+    if code == 1:
+        assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def scan_1000():
+    from fourcurv import geography
+
+    return geography.scan_csv(1000)
+
+
+@STDOUT_MODES
+def test_process_scan_through_a_pipe(scan_1000, unbuffered):
+    # 40 MB: the report reaches the pipe in many writes before the exit
+    proc = fourcurv_process("scan", "--chi-max", "1000", unbuffered=unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == scan_1000
+
+
+@STDOUT_MODES
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["geo", "--chi", "3", "--tau", "1"],  # fits the buffer: the final flush fails
+    ["scan", "--chi-max", "100"],  # past the buffer: a write in main fails
+], ids=["final-flush", "write"])
+def test_process_refuses_a_full_disk(unbuffered, argv):
+    # buffered, the interpreter's exit flush used to fail with "Exception ignored
+    # in: <stdout>", a second line, and exit 120
+    with open("/dev/full", "w") as full:
+        proc = fourcurv_process(*argv, unbuffered=unbuffered, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
