@@ -52,7 +52,10 @@ the first line where it differs.  The corpus covers:
   1.5e308 (off the diagonal, on it, and with a top eigenvalue past the
   float range); then ``model`` and ``chart`` with a ``--param`` key given
   twice; last, ``chart flatChart`` at ``--step 1e308`` and a study at steps
-  1e308, 1e307 and 1e306, whose twice-step overflows.
+  1e308, 1e307 and 1e306, whose twice-step overflows; last, ``decompose`` and
+  ``certify`` on operator files that reach each branch of the JSON writer:
+  integer entries (Einstein, and with an integer Ricci block), entries at
+  1e16 and at 2^60, -0.0 entries and subnormal entries.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -363,6 +366,18 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
               "--point", "1,0,1,0"]]
     reqs += [["chart", "flatChart", "--point", "1,1,1,1", "--step", "1e308"],
              ["chart", "flatChart", "--study", "--steps", "1e308,1e307,1e306"]]
+    # each branch of the JSON writer: integer values below 1e16 (n.0), at it
+    # and past 2^53 (17 digits or an exponent), -0.0 and subnormal entries;
+    # sigma-zero at 2^1000 above gives the "Infinity" densities
+    ricci = sigma_zero.copy()
+    ricci[0, 3] = ricci[3, 0] = 2.0
+    writer = {"integers": 3.0 * sigma_zero, "ricci-integers": ricci,
+              "1e16": 2.5e15 * sigma_zero, "2^60": np.ldexp(sigma_zero, 60),
+              "negative-zero": np.where(sigma_zero == 0.0, -0.0, sigma_zero),
+              "subnormal": np.ldexp(sigma_zero, -1070)}
+    for name, M in writer.items():
+        path = _operator_file(inputs / f"writer-{name}.json", M, "sd-asd")
+        reqs += [["decompose", "-i", path], ["certify", "-i", path]]
     return reqs
 
 

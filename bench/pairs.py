@@ -1,7 +1,8 @@
 """Alternating before/after benchmark pairs of two commits, written as one JSON file.
 
     python3 bench/pairs.py BASE HEAD --workloads geo-scan certify-generic \
-        --seeds 301 302 303 --out BENCH_7.json
+        --seeds 301 302 303 --out BENCH_7.json \
+        [--traced certify-generic --traced-seeds 311 312 313]
 
 Each commit is exported with ``git archive`` into a temporary directory and
 byte-compiled there (``compileall``), so neither side pays for compiling its
@@ -14,6 +15,11 @@ The output records, per workload and side, the median and quartiles of each
 end-to-end metric; every pair's values and the number of pairs each side won
 (ties count for neither); ``correct`` and ``failed`` of every run; and the
 machine facts and both commit ids.  The benchmark itself is only called.
+
+A per-layer time from one traced run moves 10-20% with the machine, so
+``--traced`` workloads also get one alternated pair of ``--trace 1`` runs per
+``--traced-seeds`` seed, after their untraced pairs; their entry's ``traced``
+records each run's per-layer metrics and, per side, each metric's median.
 """
 
 from __future__ import annotations
@@ -44,18 +50,34 @@ def export(commit: str, dest: Path, compiled: bool = True) -> None:
                        cwd=dest, check=True)
 
 
-def run(tree: Path, workload: str, seed: int) -> dict:
-    """One untraced perfbench run: its last stdout line, a JSON object."""
+def run(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One perfbench run: ``correct``, ``failed``, ``attempted`` and the metrics,
+    the end-to-end ones untraced and all per-layer ones traced."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"pairs: {workload} seed {seed} in {tree} exited {proc.returncode}\n"
                  f"{proc.stderr}")
     out = json.loads(proc.stdout.strip().splitlines()[-1])
+    names = out["metrics"] if trace else METRICS
     return {"correct": out["correct"], "failed": out["failed"], "attempted": out["attempted"],
-            **{m: out["metrics"][m]["value"] for m in METRICS}}
+            **{m: out["metrics"][m]["value"] for m in names}}
+
+
+def alternated(trees: dict, workload: str, seeds: list[int], trace: int = 0) -> list[dict]:
+    """One run per side and seed; the side that goes first alternates."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(trees[side], workload, seed, trace)
+            print(f"# {workload} seed {seed} trace {trace} {side}: " + " ".join(
+                f"{m}={pair[side][m]:.6g}" for m in METRICS if m in pair[side]), file=sys.stderr)
+        pairs.append(pair)
+    return pairs
 
 
 def summary(values: list[float]) -> dict:
@@ -82,9 +104,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--traced", nargs="+", default=[], metavar="WORKLOAD",
+                        help="workloads of --workloads that also get traced pairs")
+    parser.add_argument("--traced-seeds", nargs="+", type=int, default=[])
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
+    if not set(args.traced) <= set(args.workloads) or bool(args.traced) != bool(args.traced_seeds):
+        parser.error("--traced names workloads of --workloads, and needs --traced-seeds")
     ids = {"base": rev_parse(args.base), "head": rev_parse(args.head)}
 
     result = {"commits": ids, "machine": machine(), "seconds": SECONDS, "workloads": {}}
@@ -93,15 +120,7 @@ def main(argv=None) -> int:
         for side, commit in ids.items():
             export(commit, trees[side])
         for workload in args.workloads:
-            pairs = []
-            for i, seed in enumerate(args.seeds):
-                order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run(trees[side], workload, seed)
-                    print(f"# {workload} seed {seed} {side}: " + " ".join(
-                        f"{m}={pair[side][m]:.6g}" for m in METRICS), file=sys.stderr)
-                pairs.append(pair)
+            pairs = alternated(trees, workload, args.seeds)
             entry = {"pairs": pairs}
             for m in METRICS:
                 entry[m] = {side: summary([p[side][m] for p in pairs]) for side in ids}
@@ -109,6 +128,11 @@ def main(argv=None) -> int:
                 entry[m]["base_wins"] = sum(p["base"][m] < p["head"][m] for p in pairs)
             entry["all_correct"] = all(p[s]["correct"] and p[s]["failed"] == 0
                                        for p in pairs for s in ids)
+            if workload in args.traced:
+                traced = alternated(trees, workload, args.traced_seeds, trace=1)
+                entry["traced"] = {"pairs": traced, "median": {
+                    side: {m: statistics.median(p[side][m] for p in traced)
+                           for m in traced[0][side] if m != "correct"} for side in ids}}
             result["workloads"][workload] = entry
             # written after every workload, so an interrupted run keeps what it measured
             args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -33,6 +33,7 @@ runs, and calls through the module attribute.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from typing import NoReturn
@@ -321,7 +322,16 @@ def run() -> NoReturn:
     A report that cannot be flushed to stdout (a full disk) exits 1 with one
     line, unless ``main`` had already exited 1 with its own line; the flush is
     not tried again at exit.
+
+    Under ``PYTHONUNBUFFERED`` stdout's binary layer is the raw file, whose
+    short writes the text layer drops: a reader closing the pipe part-way would
+    cut the report short without an error.  So stdout is given a buffer, as it
+    has without the variable, and each write reaches the file whole or raises.
     """
+    raw = getattr(sys.stdout, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw), sys.stdout.encoding,
+                                      sys.stdout.errors, line_buffering=raw.isatty())
     try:
         code = main()
     except SystemExit as exc:  # argparse exits with an int

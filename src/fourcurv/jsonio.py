@@ -10,7 +10,6 @@ curvature normalization, so downstream consumers never have to guess.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from pathlib import Path
 
@@ -25,59 +24,78 @@ CONVENTION = {
 }
 
 
+# what json.dumps(text) returns for a str, without the rest of a json.dumps call
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _format_float(x: float) -> str:
-    if math.isnan(x):
+    """17 significant digits; an integer value below 1e16 as ``n.0``; NaN and the
+    infinities as the strings ``"NaN"``, ``"Infinity"`` and ``"-Infinity"``."""
+    s = format(x, ".17g")
+    if "." in s or "e" in s:  # 17 digits round-trip, so a bare digit string is an integer
+        return s
+    if s[-1] == "n":
         return '"NaN"'
-    if math.isinf(x):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return format(x, ".17g")
+    if s[-1] == "f":
+        return '"-Infinity"' if s[0] == "-" else '"Infinity"'
+    return s + ".0" if -1e16 < x < 1e16 else s
 
 
-def _emit(obj, out: list):
+def _encode(obj) -> str:
+    """The JSON text of ``obj``, dispatched on its exact type; a list of floats
+    only is written with one join."""
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is dict:
+        return _encode_dict(obj)
+    if kind is list or kind is tuple:
+        for value in obj:
+            if type(value) is not float:
+                return _encode_list(obj)
+        return "[" + ", ".join(map(_format_float, obj)) + "]"
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(value, out)
-        out.append("]")
-    elif isinstance(obj, numbers.Integral):  # numpy integers
-        out.append(str(int(obj)))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        return _encode_dict(obj)
+    if isinstance(obj, (list, tuple)):
+        return _encode_list(obj)
+    if isinstance(obj, numbers.Integral):  # numpy integers
+        return str(int(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _encode_dict(obj) -> str:
+    return "{" + ", ".join([_quote(key if type(key) is str else str(key)) + ": " + _encode(value)
+                            for key, value in obj.items()]) + "}"
+
+
+def _encode_list(obj) -> str:
+    return "[" + ", ".join(map(_encode, obj)) + "]"
+
+
+# the last member of every report without a convention of its own, encoded once
+_CONVENTION_MEMBER = '"convention": ' + _encode(CONVENTION) + "}\n"
 
 
 def dumps(report: dict) -> str:
     """Serialize a report dict deterministically, appending a newline."""
-    payload = dict(report)
-    if "convention" not in payload:
-        payload["convention"] = CONVENTION
-    out: list[str] = []
-    _emit(payload, out)
-    return "".join(out) + "\n"
+    text = _encode(report)
+    if "convention" in report:
+        return text + "\n"
+    return text[:-1] + (", " if len(report) else "") + _CONVENTION_MEMBER
 
 
 def _operator_problem(data) -> str | None:

@@ -681,9 +681,9 @@ def test_wire_format_field_names(tmp_path, capsys):
             "bothOrientationsComplexPossible"} <= set(geo)
 
 
-def fourcurv_process(*argv, unbuffered="1", cwd=None, stdout=subprocess.PIPE):
-    """A finished ``python -m fourcurv`` child, with ``PYTHONUNBUFFERED`` unset when
-    ``unbuffered`` is None; its stderr, and its stdout unless redirected, as text."""
+def fourcurv_env(unbuffered="1"):
+    """The environment of a ``python -m fourcurv`` child, with ``PYTHONUNBUFFERED``
+    unset when ``unbuffered`` is None."""
     # the child imports the same package as this process, installed or not
     src = str(Path(fourcurv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -691,8 +691,14 @@ def fourcurv_process(*argv, unbuffered="1", cwd=None, stdout=subprocess.PIPE):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered is not None:
         env["PYTHONUNBUFFERED"] = unbuffered
-    return subprocess.run([sys.executable, "-m", "fourcurv", *argv], env=env, cwd=cwd,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+    return env
+
+
+def fourcurv_process(*argv, unbuffered="1", cwd=None, stdout=subprocess.PIPE):
+    """A finished ``python -m fourcurv`` child (see ``fourcurv_env``); its stderr,
+    and its stdout unless redirected, as text."""
+    return subprocess.run([sys.executable, "-m", "fourcurv", *argv], env=fourcurv_env(unbuffered),
+                          cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 def test_module_entry_point():
@@ -752,11 +758,26 @@ def test_process_scan_through_a_pipe(scan_1000, unbuffered):
 
 
 @STDOUT_MODES
+def test_process_refuses_a_pipe_closed_early(unbuffered):
+    # unbuffered, the text layer dropped the count of a short write: the report
+    # was cut short with exit 0 and no message
+    child = subprocess.Popen([sys.executable, "-m", "fourcurv", "scan", "--chi-max", "300"],
+                             env=fourcurv_env(unbuffered), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE)
+    assert len(child.stdout.read(10)) == 10  # of 3.5 MB, far past the pipe's buffer
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(), err) == (1, b"error: [Errno 32] Broken pipe\n")
+
+
+@STDOUT_MODES
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [
     ["geo", "--chi", "3", "--tau", "1"],  # fits the buffer: the final flush fails
     ["scan", "--chi-max", "100"],  # past the buffer: a write in main fails
-], ids=["final-flush", "write"])
+    ["--help"],  # argparse swallows a failed write of its own
+], ids=["final-flush", "write", "help"])
 def test_process_refuses_a_full_disk(unbuffered, argv):
     # buffered, the interpreter's exit flush used to fail with "Exception ignored
     # in: <stdout>", a second line, and exit 120
