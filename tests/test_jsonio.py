@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import assemble_einstein, random_admissible_operator
+from conftest import assemble_einstein, random_admissible_operator, random_einstein_operator
 from fourcurv import jsonio
 from fourcurv.cli import main
 from fourcurv.names import MODEL_DEFAULTS
@@ -99,10 +99,7 @@ def _requests(tmp_path):
     for k in range(4):
         files.append(random_admissible_operator(rng, 10.0 ** rng.uniform(-3, 3),
                                                 basis=("sd-asd", "coordinate")[k % 2]))
-        w = rng.standard_normal((2, 3, 3))
-        w = 0.5 * (w + w.transpose(0, 2, 1))
-        w -= np.trace(w, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)
-        files.append(assemble_einstein(rng.uniform(-30, 30), w[0], w[1]))
+        files.append(random_einstein_operator(rng, 10.0 ** rng.uniform(-3, 3)))
     files.append(assemble_einstein(-12.0, np.diag([-3.0, 1.0, 2.0]), np.zeros((3, 3))))
     for i, op in enumerate(files):
         path = _write_operator(tmp_path / f"op{i}.json", op)
