@@ -55,7 +55,9 @@ the first line where it differs.  The corpus covers:
   1e308, 1e307 and 1e306, whose twice-step overflows; last, ``decompose`` and
   ``certify`` on operator files that reach each branch of the JSON writer:
   integer entries (Einstein, and with an integer Ricci block), entries at
-  1e16 and at 2^60, -0.0 entries and subnormal entries.
+  1e16 and at 2^60, -0.0 entries and subnormal entries; last, ``chart
+  sphereProductChart`` at ``b=1`` and ``a`` = 1e-250, 1e-220, 1e-200 and
+  1e-180, the curvatures whose stencil sums once failed to cancel.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -378,6 +380,8 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
     for name, M in writer.items():
         path = _operator_file(inputs / f"writer-{name}.json", M, "sd-asd")
         reqs += [["decompose", "-i", path], ["certify", "-i", path]]
+    reqs += [["chart", "sphereProductChart", "--param", f"a={a}", "--param", "b=1",
+              "--point", "1,0,1,0"] for a in ("1e-250", "1e-220", "1e-200", "1e-180")]
     return reqs
 
 

@@ -423,6 +423,17 @@ def decompose(op: CurvatureOperator) -> Decomposition:
     return _decomposition(op._sd_asd, *_split(op._sd_asd), op.err)
 
 
+# _WEDGE[a] maps e_b to e_a^e_b in the PAIRS basis: e_i^e_j = E_p = -e_j^e_i, p = (i, j)
+_WEDGE = np.array([[[float((a, b) == p) - float((b, a) == p) for b in range(4)] for p in PAIRS]
+                   for a in range(4)])
+
+
+def frame_ricci(op: CurvatureOperator) -> np.ndarray:
+    """The frame Ricci tensor ``Ric_bc = sum_a <R(e_a^e_b), e_a^e_c> = sum_a N_a^T M N_a``,
+    M the coordinate-basis matrix and N_a = _WEDGE[a]: trace s, and 3 I for the identity."""
+    return (_WEDGE.swapaxes(1, 2) @ op.in_coordinate_basis() @ _WEDGE).sum(axis=0)
+
+
 def recompose(d: Decomposition, basis: str = COORDINATE) -> CurvatureOperator:
     """Rebuild the curvature operator from a decomposition.
 

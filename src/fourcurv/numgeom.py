@@ -10,6 +10,8 @@ coordinate orientation) and packed into the 6x6 operator convention of
 :mod:`fourcurv.curvops`.  Each evaluation is done at steps h and h/2; the
 emitted operator is the h/2 evaluation and the error estimate comes from the
 Richardson comparison of the pair plus the roundoff the stencil amplifies.
+Only these two need finite differences, so they are all this module computes:
+a point's Ricci tensor, s and Einstein residual come from :mod:`curvops`.
 
 Both :func:`curvature_at` and :func:`convergence_study` (one point at a list
 of steps) go through ``_blocks``, which checks the points and steps once and
@@ -24,9 +26,9 @@ value bit for bit.  All arithmetic is elementwise or per matrix, so a
 point's result does not depend on the block it is computed in.
 
 A stack of points gives a :class:`CurvatureStack`: the operators, error
-bounds, Ricci tensors, residuals and steps stay stacked arrays, each block's
-operators are checked at once by :func:`curvops.check_admissible`, the
-same rule a :class:`CurvatureOperator` applies to its one matrix, and a
+bounds and steps stay stacked arrays, each block's operators are checked at
+once by :func:`curvops.check_admissible`, the same rule a
+:class:`CurvatureOperator` applies to its one matrix, and a
 :class:`PointCurvature` is built only for an item that is read.
 
 Also provides Gauss-Legendre quadrature for the 1-D orbit integrals of
@@ -44,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curvops import (COORDINATE, PAIRS, CurvatureOperator, Record, _readonly, _set,
-                      check_admissible, not_finite_error)
+                      check_admissible, decompose, frame_ricci, not_finite_error)
 from .errors import (
     BadIntervalError,
     NotAdmissibleError,
@@ -56,11 +58,8 @@ from .errors import (
 BLOCK = 16  # points per metric_at call: 16 x 2 steps x 113 stencil points
 DEFAULT_STEP = 0.01  # the step of curvature_at when none is given
 
-# 4th-order central stencils
+# offsets of the 4th-order central stencils (see _difference)
 _OFF1 = (-2, -1, 1, 2)
-_C1 = (1.0, -8.0, 8.0, -1.0)     # first derivative, / (12 h)
-_C2 = (-1.0, 16.0, 16.0, -1.0)   # second derivative at _OFF1, centre -30, / (12 h^2)
-_CC = tuple(cm * cn for cm in _C1 for cn in _C1)  # mixed second derivative, / (144 h^2)
 _MIXED = tuple(itertools.combinations(range(4), 2))
 # stencil offsets in units of the step: the centre, 4 points on each axis,
 # then 16 points on each coordinate plane
@@ -109,16 +108,13 @@ class MetricChart:
 
 class PointCurvature(Record):
     """Frame curvature data at a chart point: the operator, which carries the
-    error bound as its ``err``, the frame Ricci tensor, the Einstein residual
-    and the finite-difference step the operator was taken at."""
+    error bound as its ``err``, and the finite-difference step it was taken
+    at.  Its report adds the operator's Ricci tensor and Einstein residual."""
 
-    __slots__ = ("operator", "ricci", "einstein_residual", "step_used")
+    __slots__ = ("operator", "step_used")
 
-    def __init__(self, operator: CurvatureOperator, ricci: np.ndarray,
-                 einstein_residual: float, step_used: float):
+    def __init__(self, operator: CurvatureOperator, step_used: float):
         _set(self, "operator", operator)
-        _set(self, "ricci", ricci)
-        _set(self, "einstein_residual", einstein_residual)
         _set(self, "step_used", step_used)
 
     @property
@@ -129,8 +125,8 @@ class PointCurvature(Record):
     def to_dict(self) -> dict:
         return {
             "operator": self.operator.to_dict(),
-            "ricci": np.asarray(self.ricci).tolist(),
-            "einsteinResidual": self.einstein_residual,
+            "ricci": frame_ricci(self.operator).tolist(),
+            "einsteinResidual": decompose(self.operator).einstein_residual(),
             "stepUsed": self.step_used,
             "errorEstimate": self.error_estimate,
         }
@@ -140,18 +136,16 @@ class CurvatureStack(Record, Sequence):
     """The frame curvature at n points, as arrays with a leading axis of n: the
     coordinate-basis ``operators`` and their ``sd_asd`` matrices ``(n, 6, 6)``,
     which :func:`curvops.check_admissible` has passed with the error bounds
-    ``err``, the frame ``ricci`` tensors ``(n, 4, 4)``, and ``einstein_residual``
-    and ``step_used``, shape ``(n,)``.
+    ``err``, and ``step_used``, shape ``(n,)``.
 
     Item k is the :class:`PointCurvature` of point k, built when it is read.
     """
 
-    __slots__ = ("operators", "sd_asd", "err", "ricci", "einstein_residual", "step_used")
+    __slots__ = ("operators", "sd_asd", "err", "step_used")
 
     def __init__(self, operators: np.ndarray, sd_asd: np.ndarray, err: np.ndarray,
-                 ricci: np.ndarray, einstein_residual: np.ndarray, step_used: np.ndarray):
-        arrays = (operators, sd_asd, err, ricci, einstein_residual, step_used)
-        for name, value in zip(self.__slots__, arrays):
+                 step_used: np.ndarray):
+        for name, value in zip(self.__slots__, (operators, sd_asd, err, step_used)):
             _set(self, name, value)
 
     def __len__(self) -> int:
@@ -159,8 +153,7 @@ class CurvatureStack(Record, Sequence):
 
     def __getitem__(self, k: int) -> PointCurvature:
         op = CurvatureOperator(self.operators[k], basis=COORDINATE, err=float(self.err[k]))
-        return PointCurvature(op, self.ricci[k], float(self.einstein_residual[k]),
-                              float(self.step_used[k]))
+        return PointCurvature(op, float(self.step_used[k]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -201,20 +194,28 @@ def _stencil_metrics(chart: MetricChart, x: np.ndarray, H: np.ndarray):
         raise
 
 
+def _difference(f: np.ndarray) -> np.ndarray:
+    """12 h times the first derivative, ``8 (f[+1] - f[-1]) + (f[-2] - f[+2])``, of
+    values ``f[..., offset, i, j]`` at _OFF1: constant data cancel exactly."""
+    return 8.0 * (f[..., 2, :, :] - f[..., 1, :, :]) + (f[..., 0, :, :] - f[..., 3, :, :])
+
+
 def _metric_derivatives(G: np.ndarray, h: np.ndarray):
     """g, dg[..., m, i, j] = d_m g_ij and d2g[..., m, n, i, j] from the
-    stencil values G[..., p, i, j] at steps h[...]."""
+    stencil values G[..., p, i, j] at steps h[...], each stencil pairing its
+    values of equal coefficient first, so that constant data cancel exactly."""
     g = G[..., 0, :, :]
     axis = G[..., 1:17, :, :].reshape(G.shape[:-3] + (4, 4, 4, 4))  # [m, offset]
-    plane = G[..., 17:, :, :].reshape(G.shape[:-3] + (6, 16, 4, 4))  # [(m, n), offsets]
+    plane = G[..., 17:, :, :].reshape(G.shape[:-3] + (6, 4, 4, 4, 4))  # [(m, n), om, on]
     h = h[..., None, None, None]
-    dg = sum(c * axis[..., k, :, :] for k, c in enumerate(_C1)) / (12.0 * h)
+    dg = _difference(axis) / (12.0 * h)
     d2g = np.empty(g.shape[:-2] + (4, 4, 4, 4))
     diag = np.arange(4)
-    d2g[..., diag, diag, :, :] = sum(
-        (c * axis[..., k, :, :] for k, c in enumerate(_C2)), -30.0 * g[..., None, :, :]
+    d2g[..., diag, diag, :, :] = (
+        16.0 * (axis[..., 1, :, :] + axis[..., 2, :, :])
+        - (axis[..., 0, :, :] + axis[..., 3, :, :]) - 30.0 * g[..., None, :, :]
     ) / (12.0 * h * h)
-    mixed = sum(c * plane[..., k, :, :] for k, c in enumerate(_CC)) / (144.0 * h * h)
+    mixed = _difference(_difference(plane)) / (144.0 * h * h)  # along n, then along m
     m, n = np.array(_MIXED).T
     d2g[..., m, n, :, :] = mixed
     d2g[..., n, m, :, :] = mixed
@@ -222,8 +223,8 @@ def _metric_derivatives(G: np.ndarray, h: np.ndarray):
 
 
 def _frame_curvature(g, dg, d2g, L, h):
-    """(operator [..., 6, 6], frame Ricci [..., 4, 4], roundoff [...]) from
-    the metric 2-jet at steps h[...], with L the Cholesky factor of g.
+    """(operator [..., 6, 6], roundoff [...]) from the metric 2-jet at steps
+    h[...], with L the Cholesky factor of g.
 
     Tensors are stacks of 4x4 matrices, so every contraction is a stacked
     matmul: dg[m] = d_m g, d2g[m, n] = d_m d_n g.
@@ -231,8 +232,7 @@ def _frame_curvature(g, dg, d2g, L, h):
     # Gram-Schmidt frame on coordinate vectors = inverse-transpose Cholesky;
     # det F = 1/sqrt(det g) > 0, so coordinate orientation is preserved.
     F = np.swapaxes(np.linalg.inv(L), -1, -2)
-    Ft = np.swapaxes(F, -1, -2)
-    ginv = (F @ Ft)[..., None, :, :]
+    ginv = (F @ np.swapaxes(F, -1, -2))[..., None, :, :]
     # dgS[i][l, j] = d_i g_lj + d_j g_li - d_l g_ij, and Gam[i][k, j] = Gam^k_ij
     dgS = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
     Gam = 0.5 * (ginv @ dgS)
@@ -245,7 +245,6 @@ def _frame_curvature(g, dg, d2g, L, h):
     #   = d_m Gam^r_ns - d_n Gam^r_ms + Gam^r_ml Gam^l_ns - Gam^r_nl Gam^l_ms
     K = dGam + Gam[..., :, None, :, :] @ Gam[..., None, :, :, :]
     R = K - np.swapaxes(K, -4, -3)
-    Ric = np.einsum("...mnms->...sn", R)
     # op[p, q] = R_abcd F_ra F_sb F_mc F_nd summed, (a, b) and (c, d) the pairs
     # p and q: with P[(r, s), p] = F_r,a F_s,b it is P^T R_(rs),(mn) P
     Rl = (g[..., None, None, :, :] @ R).reshape(g.shape[:-2] + (16, 16))
@@ -264,28 +263,28 @@ def _frame_curvature(g, dg, d2g, L, h):
     amp = (M[..., i, l] * cj * ck + M[..., j, k] * ci * cl
            + M[..., i, k] * cj * cl + M[..., j, l] * ci * ck)
     roundoff = (8.0 / 3.0) * _METRIC_ULPS * amp.max(axis=(-2, -1)) / (h * h)
-    return op, Ft @ Ric @ F, roundoff
+    return op, roundoff
 
 
 def _operators(chart: MetricChart, x: np.ndarray, h: np.ndarray):
-    """Operators [b, t], frame Ricci [b, t] and roundoff [b, t] at the points
-    x[b] for the steps (h[b], h[b]/2), t = 0, 1."""
+    """Operators [b, t] and roundoff [b, t] at the points x[b] for the steps
+    (h[b], h[b]/2), t = 0, 1."""
     H = np.stack((h, h / 2.0), axis=-1)
     G, L = _stencil_metrics(chart, x, H)
     # metric entries near the float range can overflow the differences and
     # the frame contraction: what overflows is refused, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        ops, ric, roundoff = _frame_curvature(*_metric_derivatives(G, H), L[..., 0, :, :], H)
+        ops, roundoff = _frame_curvature(*_metric_derivatives(G, H), L[..., 0, :, :], H)
     finite = np.isfinite(ops).all(axis=(-2, -1))
     if not finite.all():
         raise not_finite_error(ops[~finite][0])
-    if not (np.isfinite(ric).all() and np.isfinite(roundoff).all()):
-        raise NotAdmissibleError("frame Ricci curvature or roundoff bound not finite")
-    return ops, ric, roundoff
+    if not np.isfinite(roundoff).all():
+        raise NotAdmissibleError("roundoff bound not finite")
+    return ops, roundoff
 
 
 def _blocks(chart: MetricChart, points, step):
-    """``(h, ops, ric, roundoff)`` of :func:`_operators` per block of at most
+    """``(h, ops, roundoff)`` of :func:`_operators` per block of at most
     ``BLOCK`` of the points, shape ``(4,)`` or ``(n, 4)``, once all are checked:
     each inside the chart, each step finite and positive with (step/2)^2, the
     stencil's divisor, a normal float, and each margin at least ``2 * step``."""
@@ -332,16 +331,12 @@ def curvature_at(chart: MetricChart, points, step=None):
     refuses the first inadmissible one as its own constructor would.
     """
     parts = []
-    for hb, ops, ric, roundoff in _blocks(chart, points, step):
-        op_h, op, ric = ops[:, 0], ops[:, 1], ric[:, 1]
+    for hb, ops, roundoff in _blocks(chart, points, step):
+        op_h, op = ops[:, 0], ops[:, 1]
         scale = np.maximum(1.0, np.abs(op).max(axis=(1, 2)))
         err = 2.0 * np.abs(op_h - op).max(axis=(1, 2)) / 15.0 + roundoff[:, 1] + 1e-13 * scale
-        sd_asd = check_admissible(op, COORDINATE, err)
-        s = np.trace(ric, axis1=1, axis2=2)
-        residual = (np.abs(ric - (s / 4.0)[:, None, None] * np.eye(4)).max(axis=(1, 2))
-                    / np.maximum(1.0, np.abs(s)))
-        parts.append((op, sd_asd, err, ric, residual, hb / 2.0))
-    empty = [np.empty((0, *shape)) for shape in ((6, 6), (6, 6), (), (4, 4), (), ())]
+        parts.append((op, check_admissible(op, COORDINATE, err), err, hb / 2.0))
+    empty = [np.empty((0, *shape)) for shape in ((6, 6), (6, 6), (), ())]
     stack = CurvatureStack(*(np.concatenate(arrays) for arrays in zip(empty, *parts)))
     return stack[0] if np.ndim(points) == 1 else stack
 
@@ -373,7 +368,7 @@ def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> Conv
     if len(steps) < 3 or any(s2 >= s1 for s1, s2 in zip(steps, steps[1:])):
         raise BadIntervalError("need at least 3 strictly decreasing steps")
     xs = np.tile(np.asarray(point, dtype=float), (len(steps), 1))
-    ops = np.concatenate([ops for _, ops, _, _ in _blocks(chart, xs, np.array(steps))])
+    ops = np.concatenate([ops for _, ops, _ in _blocks(chart, xs, np.array(steps))])
     reference = (16.0 * ops[-1, 1] - ops[-1, 0]) / 15.0
     errors = [float(np.abs(op - reference).max()) for op in ops[:, 0]]
     slope = None

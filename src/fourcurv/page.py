@@ -216,17 +216,18 @@ def verify_einstein(m: CohomOneMetric, radii: Sequence[float]) -> EinsteinCheck:
     """Einstein residual of the metric at the given radii.
 
     Samples one point per orbit (the metric is orbit-homogeneous), returns
-    the worst residual max|Ric - (s/4) g| / max(1, |s|) and the fitted
-    cosmological constant, whose relative spread across radii must stay
+    the worst residual of the orbits' decompositions and the fitted
+    cosmological constant s/4, whose relative spread across radii must stay
     small for a genuinely Einstein profile.
     """
     stack = orbit_curvature(m, radii)
-    residuals = stack.einstein_residual.tolist()
-    lambdas = np.trace(stack.ricci, axis1=1, axis2=2) / 4.0
+    ds = curvops.decompositions(stack.sd_asd, stack.err)
+    residuals = [d.einstein_residual() for d in ds]
+    lambdas = [d.einstein_constant for d in ds]
     lam = float(np.mean(lambdas))
-    spread = float(np.max(lambdas) - np.min(lambdas)) / max(1.0, abs(lam))
+    spread = (max(lambdas) - min(lambdas)) / max(1.0, abs(lam))
     return EinsteinCheck(
-        max_residual=float(np.max(residuals)),
+        max_residual=max(residuals),
         lambda_=lam,
         lambda_spread=spread,
         radii=tuple(float(r) for r in radii),

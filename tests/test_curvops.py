@@ -286,6 +286,39 @@ def test_decompose_block_structure(rng):
                                       rel=1e-14)
 
 
+def _frame_ricci_reference(op):
+    """Ric_bc = sum_a R_abac, with R_ijkl = M[p, q] for the pairs p = (i, j) and
+    q = (k, l) of the coordinate-basis matrix M, filled antisymmetrically in
+    (i, j) and in (k, l)."""
+    M = op.in_coordinate_basis()
+    R = np.zeros((4, 4, 4, 4))
+    for p, (i, j) in enumerate(curvops.PAIRS):
+        for q, (k, l) in enumerate(curvops.PAIRS):
+            R[i, j, k, l] = R[j, i, l, k] = M[p, q]
+            R[j, i, k, l] = R[i, j, l, k] = -M[p, q]
+    return np.einsum("abac->bc", R)
+
+
+def test_frame_ricci_matches_tensor_contraction(rng):
+    ops = [random_admissible_operator(rng, scale, basis)
+           for basis in (SD_ASD, COORDINATE) for scale in (1e-3, 1.0, 1e3) for _ in range(10)]
+    ops += [random_einstein_operator(rng) for _ in range(10)]
+    ops += [catalog(name, {"s": s}).operator for name, s in (("fubiniStudy", 7.0),
+                                                               ("bergman", -0.3))]
+    exact = {"identity": (CurvatureOperator(np.eye(6)), 3.0 * np.eye(4)),
+             "fubiniStudy": (catalog("fubiniStudy").operator, 6.0 * np.eye(4)),
+             "surfaceProduct": (catalog("surfaceProduct", {"a": 2.0, "b": -0.5}).operator,
+                                np.diag([2.0, 2.0, -0.5, -0.5]))}
+    for op, ric in exact.values():
+        assert np.array_equal(curvops.frame_ricci(op), ric)
+    for op in ops + [op for op, _ in exact.values()]:
+        ric, ref = curvops.frame_ricci(op), _frame_ricci_reference(op)
+        size = max(1.0, float(np.abs(op.matrix).max()))
+        assert np.abs(ric - ref).max() <= 1e-14 * size
+        assert np.abs(ric - ric.T).max() <= 1e-14 * size
+        assert np.trace(ric) == pytest.approx(decompose(op).s, rel=1e-14, abs=1e-14 * size)
+
+
 def test_recompose_round_trip_trivial():
     zero = decompose(CurvatureOperator(np.zeros((6, 6))))
     assert np.array_equal(recompose(zero).matrix, np.zeros((6, 6)))

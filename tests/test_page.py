@@ -1,8 +1,8 @@
 """Page-metric pipeline tests.
 
 The closed-form profile functions are never trusted directly: the Einstein
-residual computed by the finite-difference engine is the oracle that
-certifies the transcription, and a deliberate perturbation check confirms
+residual of the decomposition of each finite-difference operator is the
+oracle that certifies the transcription, and a deliberate perturbation check confirms
 the oracle has the sensitivity to catch transcription errors.
 """
 
@@ -125,7 +125,7 @@ def test_orbit_curvature_batch_bitwise_equals_single():
     for r, pc in zip(radii[::3], batch[::3]):
         alone = orbit_curvature(m, r)
         assert np.array_equal(alone.operator.matrix, pc.operator.matrix)
-        assert np.array_equal(alone.ricci, pc.ricci)
+        assert alone.to_dict() == pc.to_dict()
         assert alone.error_estimate == pc.error_estimate
     tail = orbit_curvature(m, radii[13:])
     assert all(np.array_equal(a.operator.matrix, b.operator.matrix)
@@ -173,10 +173,12 @@ def test_stacked_sweep_bitwise_equals_per_orbit_public_path(sweep):
     lo, hi = report.gl_defect_range
     defects = [curvops.gl_defect(d).defect for d in ds]
     assert (lo, hi) == (min(defects), max(defects))
-    # the Einstein check reads the same arrays as its orbits' PointCurvatures
+    # the Einstein check reads the decompositions of the same sweep, which are
+    # those of its orbits' PointCurvatures
     check = verify_einstein(m, radii)
-    lambdas = [float(np.trace(pc.ricci)) / 4.0 for pc in stack]
-    assert check.residuals == tuple(pc.einstein_residual for pc in stack)
+    lambdas = [d.einstein_constant for d in ds]
+    assert check.residuals == tuple(d.einstein_residual() for d in ds)
+    assert check.residuals == tuple(pc.to_dict()["einsteinResidual"] for pc in stack)
     assert _bits(check.lambda_) == _bits(np.mean(lambdas))
     assert check.lambda_spread == (max(lambdas) - min(lambdas)) / max(1.0, abs(check.lambda_))
 

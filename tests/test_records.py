@@ -38,7 +38,7 @@ RECORDS = [
     ("KahlerSignatureCheck",
      lambda: curvops.kahler_signature_check(models.catalog("fubiniStudy").decomposition),
      "density", ["density", "nonNegative"], False),
-    ("PointCurvature", lambda: _stack()[0], "ricci",
+    ("PointCurvature", lambda: _stack()[0], "operator",
      ["operator", "ricci", "einsteinResidual", "stepUsed", "errorEstimate"], True),
     ("CurvatureStack", _stack, "operators", None, True),
     ("ConvergenceStudy", lambda: numgeom.convergence_study(
