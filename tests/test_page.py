@@ -2,8 +2,8 @@
 
 The closed-form profile functions are never trusted directly: the Einstein
 residual of the decomposition of each finite-difference operator is the
-oracle that certifies the transcription, and a deliberate perturbation check confirms
-the oracle has the sensitivity to catch transcription errors.
+oracle that certifies the transcription, and a deliberate perturbation
+check confirms the oracle has the sensitivity to catch transcription errors.
 """
 
 import dataclasses
