@@ -5,7 +5,8 @@
 Both commits are exported with ``pairs.export``.  One seeded corpus of
 ``fourcurv`` requests is then run in process in each tree, and every request
 whose exit code, stdout or stderr differs between the two is printed, with
-the first line where it differs.  The corpus covers:
+the first line where it differs; then how many differ of each kind of request,
+by command and input (:func:`kind`).  The corpus covers:
 
 - ``decompose`` and ``certify`` on generic, Einstein and dyadic operators, in
   both bases, at scales from 1e-100 to 1e100, and on operators that reach
@@ -68,8 +69,10 @@ stderr reads ``<tree>``.  Exits 1 when any request differs.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -398,6 +401,18 @@ def _first_difference(a: str, b: str) -> str:
     return f"lengths {len(a)} and {len(b)}"
 
 
+def kind(request: list[str]) -> tuple[str, str]:
+    """``(command, input kind)`` of a request: the stem of its ``-i`` or ``--csv``
+    file without its basis and its scale, seed or index, else the model or
+    chart it names, else nothing."""
+    command, *args = request or [""]
+    for flag in ("-i", "--csv"):
+        if flag in args[:-1]:
+            stem = Path(args[args.index(flag) + 1]).stem
+            return command, re.sub(r"-(sd-asd|coordinate)(?=-|$)|-(2\^)?-?\d+(?=-|$)", "", stem)
+    return command, args[0] if args and not args[0].startswith("-") else ""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="the parent commit")
@@ -414,17 +429,20 @@ def main(argv=None) -> int:
         for side, commit in ids.items():
             export(commit, tmp / side)
             results[side] = run(tmp / side, tmp / "corpus.json", tmp / f"{side}.jsonl")
-    differ = 0
+    kinds = collections.Counter()
     for req, base, head in zip(requests, results["base"], results["head"]):
         if base == head:
             continue
-        differ += 1
+        kinds[kind(req)] += 1
         print(f"fourcurv {' '.join(req)[:160]}")
         for part in ("code", "stdout", "stderr"):
             if base[part] != head[part]:
                 what = (f"{base[part]} -> {head[part]}" if part == "code"
                         else _first_difference(base[part], head[part]))
                 print(f"  {part}: {what}")
+    for (command, what), n in sorted(kinds.items()):
+        print(f"{n:5d} differ: {command} {what}".rstrip())
+    differ = sum(kinds.values())
     print(f"{len(requests)} requests, {differ} differ "
           f"(base {ids['base'][:12]}, head {ids['head'][:12]}, seed {args.seed})")
     return 1 if differ else 0

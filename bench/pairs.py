@@ -2,11 +2,14 @@
 
     python3 bench/pairs.py BASE HEAD --workloads geo-scan certify-generic \
         --seeds 301 302 303 --out BENCH_7.json \
-        [--traced certify-generic --traced-seeds 311 312 313]
+        [--traced certify-generic --traced-seeds 311 312 313] [--uncompiled]
 
 Each commit is exported with ``git archive`` into a temporary directory and
 byte-compiled there (``compileall``), so neither side pays for compiling its
-sources during a run even where ``PYTHONDONTWRITEBYTECODE`` is set.  For every
+sources during a run even where ``PYTHONDONTWRITEBYTECODE`` is set.  With
+``--uncompiled`` the trees are not byte-compiled and every run has
+``PYTHONDONTWRITEBYTECODE=1``, as in ``bench/startup.py``: each fresh
+interpreter compiles the sources it imports, as in a new checkout.  For every
 workload and seed the two sides then run ``perfbench/run.py --trace 0`` one
 after the other, and the side that goes first alternates from pair to pair,
 so a drift in the machine's speed does not favour either side.
@@ -107,6 +110,8 @@ def main(argv=None) -> int:
     parser.add_argument("--traced", nargs="+", default=[], metavar="WORKLOAD",
                         help="workloads of --workloads that also get traced pairs")
     parser.add_argument("--traced-seeds", nargs="+", type=int, default=[])
+    parser.add_argument("--uncompiled", action="store_true",
+                        help="compile nothing ahead: every interpreter compiles what it imports")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
@@ -114,11 +119,14 @@ def main(argv=None) -> int:
         parser.error("--traced names workloads of --workloads, and needs --traced-seeds")
     ids = {"base": rev_parse(args.base), "head": rev_parse(args.head)}
 
-    result = {"commits": ids, "machine": machine(), "seconds": SECONDS, "workloads": {}}
+    if args.uncompiled:
+        os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # inherited by every run
+    result = {"commits": ids, "machine": machine(), "seconds": SECONDS,
+              "compiled": not args.uncompiled, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ids}
         for side, commit in ids.items():
-            export(commit, trees[side])
+            export(commit, trees[side], compiled=not args.uncompiled)
         for workload in args.workloads:
             pairs = alternated(trees, workload, args.seeds)
             entry = {"pairs": pairs}

@@ -13,7 +13,7 @@ no instruction, such as docstrings, are not statements here.
 Tests that run fourcurv in a subprocess (``python -m fourcurv``, ``python -X
 importtime``) are not traced, so what only they run is listed too.  Some of
 the listed lines are safety code that no test input reaches, and they stay:
-``numgeom.py:196``, ``jsonio.py:74`` and ``secsign.py:191, 208``.
+``numgeom.py:194``, ``jsonio.py:74`` and ``secsign.py:192, 209``.
 """
 
 from __future__ import annotations

@@ -384,20 +384,28 @@ class Decomposition(Record):
         }
 
 
-def _split(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arithmetic of :func:`decompose` over leading axes: ``(s, W,
-    spectra)`` of SD/ASD matrices ``S`` of shape ``(..., 6, 6)``.
+def _weyl(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s, W, halves)`` of SD/ASD matrices ``S`` of shape ``(..., 6, 6)``.
 
     ``s`` is the scalar curvature, twice the sum of the two diagonal-block
     traces; ``W[..., 0, :, :]`` and ``W[..., 1, :, :]`` are the Weyl halves, the
-    SD and ASD diagonal blocks less ``(s/12) I``; ``spectra`` holds their
-    ascending eigenvalues, from one batched ``eigvalsh`` of their symmetric
+    SD and ASD diagonal blocks less ``(s/12) I``; ``halves`` are their symmetric
     parts ``W/2 + W^T/2``, which do not overflow where W does not.
     """
     _, s = _traces(S)
-    W = np.stack((S[..., :3, :3], S[..., 3:, 3:]), axis=-3)
+    W = np.concatenate((S[..., None, :3, :3], S[..., None, 3:, 3:]), axis=-3)
     W = W - (s / 12.0)[..., None, None, None] * _EYE3
-    return s, W, np.linalg.eigvalsh(0.5 * W + 0.5 * W.swapaxes(-1, -2))
+    return s, W, 0.5 * W + 0.5 * W.swapaxes(-1, -2)
+
+
+def _split(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arithmetic of :func:`decompose` over leading axes: ``(s, W,
+    spectra)`` of SD/ASD matrices ``S`` of shape ``(..., 6, 6)``, with ``s``
+    and ``W`` of :func:`_weyl` and ``spectra`` the ascending eigenvalues of
+    the Weyl halves, from one batched ``eigvalsh`` of their symmetric parts.
+    """
+    s, W, halves = _weyl(S)
+    return s, W, np.linalg.eigvalsh(halves)
 
 
 def _decomposition(S, s, W, spectra, err) -> Decomposition:

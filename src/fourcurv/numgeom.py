@@ -362,17 +362,19 @@ def convergence_study(chart: MetricChart, point, steps: Sequence[float]) -> Conv
     ``(h, h/2)`` are computed in the same blocks.  The reference is the
     Richardson extrapolation of the finest pair ``(h_min, h_min/2)``; the
     fitted log-log slope should sit near the stencil order (4) and is
-    reported as None when every error is at machine-noise level.
+    reported as None when every error is within its roundoff bound: that of
+    its operator at step h, from :func:`_blocks`, plus that of the reference.
     """
     steps = [float(s) for s in steps]
     if len(steps) < 3 or any(s2 >= s1 for s1, s2 in zip(steps, steps[1:])):
         raise BadIntervalError("need at least 3 strictly decreasing steps")
     xs = np.tile(np.asarray(point, dtype=float), (len(steps), 1))
-    ops = np.concatenate([ops for _, ops, _ in _blocks(chart, xs, np.array(steps))])
+    _, ops, roundoff = (np.concatenate(parts) for parts in zip(*_blocks(chart, xs, np.array(steps))))
     reference = (16.0 * ops[-1, 1] - ops[-1, 0]) / 15.0
     errors = [float(np.abs(op - reference).max()) for op in ops[:, 0]]
+    noise = roundoff[:, 0] + (16.0 * roundoff[-1, 1] + roundoff[-1, 0]) / 15.0
     slope = None
-    if max(errors) > 1e-12 * max(1.0, float(np.abs(reference).max())):
+    if (np.array(errors) > noise).any():
         fit = np.polyfit(np.log(steps), np.log(np.maximum(errors, 1e-300)), 1)
         slope = float(fit[0])
     return ConvergenceStudy(steps=tuple(steps), errors=tuple(errors), slope=slope)

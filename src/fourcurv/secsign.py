@@ -20,8 +20,9 @@ two quadratic forms on R^6 is convex (Brickman 1961), so the dual is exact
 
 Every t gives a rigorous bound by weak duality, and the top eigenvectors at
 the optimal t contain a plane that attains it.  :func:`certify_sec_sign`
-minimizes this convex function of one variable and reports the dual bound
-together with the q of its witness plane.
+minimizes this convex function of one variable, or for an Einstein operator
+takes its minimizer in closed form, and reports the dual bound together with
+the q of its witness plane.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .curvops import (
     _norm,
     _set,
     _unit_scaled,
+    _weyl,
     decompose,
 )
 from .errors import DegeneratePlaneError, NotUnitError
@@ -319,22 +321,49 @@ def _dual_maxima(sides: np.ndarray, t: list[float]):
     return [(max(upper[i], best[i][0]), best[i][0], np.array(best[i][1])) for i in range(n)]
 
 
+def _einstein_maxima(sides: np.ndarray, ric: float):
+    """``(upper, q, z)`` of :func:`_dual_maxima` for the normalized R and -R in
+    ``sides`` when the Ricci block B of R has norm ``ric <= _GAP_TOL / 4``.
+
+    Were B zero, ``lam_max(R + tH) = max(lam_max(A) + t, lam_max(C) - t)``
+    would be least at the Einstein optimum ``t0``, at ``2 (s/12 + (nu+_max +
+    nu-_max)/2)``; B moves it by at most ``|B|_2 <= ric`` (Weyl's inequality),
+    so ``upper`` is that plus ``2 ric``.  The witness is the plane of the top
+    eigenvectors of the two Weyl halves (of -R: the bottom ones of R), from
+    one ``eigh``, whose q is within ``2 ric`` of the same value: the gap is at
+    most ``4 ric <= _GAP_TOL``, the dual's own stopping rule.
+    """
+    s, _, halves = _weyl(sides[0])
+    w, u, v = _extreme_eigh(halves[None])
+    (p, m), s = w[0].tolist(), float(s)
+    u, v, rows = u[0].tolist(), v[0].tolist(), sides.tolist()
+    maxima = []
+    for k, sign in enumerate((1.0, -1.0)):  # R at the top eigenvalues, -R at the bottom ones
+        end = 2 - 2 * k
+        upper = 2.0 * (sign * (s / 12.0 + (p[end] + m[end]) / 2.0)) + 2.0 * ric
+        q, z = _plane(rows[k], u[1 - k] + v[1 - k])
+        maxima.append((max(upper, q), q, np.array(z)))
+    return maxima
+
+
 def certify_sec_sign(op: CurvatureOperator, *,
                      tolerance: float | None = None) -> SecSignCertificate:
     """Certify the global sign of sectional curvature of an operator.
 
     One method for every operator (``ThorpeDual``).  R is first scaled by a
     power of two to ``1/2 <= max|R| < 1``, which is exact, so nothing
-    overflows and the bounds scale with R.  The max side minimizes
-    ``lam_max(R + tH)`` from the Einstein optimum ``t0 = (nu-_max -
-    nu+_max)/2`` of the Weyl spectra; the min side is the max side of -R.
+    overflows and the bounds scale with R.  An Einstein input, one whose
+    scaled Ricci block B has ``|B|_F <= _GAP_TOL / 4``, gets the dual at its
+    closed-form minimizer ``t0 = (nu-_max - nu+_max)/2`` of the Weyl spectra,
+    with the bounds widened by ``2 |B|_F`` (:func:`_einstein_maxima`).  Every
+    other input runs the search: the max side minimizes ``lam_max(R + tH)``
+    from that same t0, and the min side is the max side of -R.
     ``qMaxUpper`` and ``qMinLower`` are dual bounds, ``qMaxLower`` and
     ``qMinUpper`` the q of the witness planes; they agree to about
     ``1e-14 max|R|``.  The verdict compares them with ``tolerance`` (default
     ``1e-8 max(1, |R|_F)``, taken on the scaled R so it cannot overflow):
     ``Inconclusive`` means only that a certified interval straddles it.
     """
-    d = decompose(op)
     S = op.in_sd_asd_basis()
     e = _exponent(S.ravel().tolist())
     sides = np.ldexp(S, -e) * _SIDES  # R and -R, scaled
@@ -342,10 +371,15 @@ def certify_sec_sign(op: CurvatureOperator, *,
         tol = 1e-8 * max(_ldexp(1.0, -e), _norm(sides[0]))
     else:
         tol = _ldexp(tolerance, -e)
-    sp, sm = d.spectrum_plus, d.spectrum_minus
-    t0 = (_ldexp(0.5 * (sm[2] - sp[2]), -e), _ldexp(0.5 * (sp[0] - sm[0]), -e))
-    t0 = [t if math.isfinite(t) else 0.0 for t in t0]
-    (max_upper, max_q, max_z), (neg_upper, neg_q, min_z) = _dual_maxima(sides, t0)
+    ric = _norm(sides[0, :3, 3:])
+    if ric <= _GAP_TOL / 4.0:
+        maxima = _einstein_maxima(sides, ric)
+    else:
+        d = decompose(op)
+        sp, sm = d.spectrum_plus, d.spectrum_minus
+        t0 = (_ldexp(0.5 * (sm[2] - sp[2]), -e), _ldexp(0.5 * (sp[0] - sm[0]), -e))
+        maxima = _dual_maxima(sides, [t if math.isfinite(t) else 0.0 for t in t0])
+    (max_upper, max_q, max_z), (neg_upper, neg_q, min_z) = maxima
     # the min side ran on -R; subtracting from 0.0 turns -0.0 into 0.0
     bounds = (max_q, max_upper, 0.0 - neg_upper, 0.0 - neg_q)
     q_max_lower, q_max_upper, q_min_lower, q_min_upper = (_ldexp(b, e) for b in bounds)
@@ -370,13 +404,21 @@ def _verdict(q_max_lower, q_max_upper, q_min_lower, q_min_upper, tol) -> Verdict
     return Verdict.INCONCLUSIVE
 
 
+def _extreme_eigh(W: np.ndarray):
+    """``(w, u, v)`` of Weyl halves ``W`` ``(n, 2, 3, 3)`` from one ``eigh``: ``w``
+    ``(n, 2, 3)`` their ascending eigenvalues, and ``u``, ``v`` ``(n, 2, 3)`` the
+    bottom and top eigenvectors of the SD and ASD halves, signed as it returns
+    them, which span the (min, max) planes of an Einstein operator."""
+    w, vec = np.linalg.eigh(W)
+    u, v = vec[..., [0, 2]].transpose(1, 0, 3, 2)  # [half][n, end, :]
+    return w, u, v
+
+
 def _einstein_planes(S: np.ndarray, W: np.ndarray):
     """``(u, v, q)`` of Einstein operators with SD/ASD matrices ``S`` ``(n, 6, 6)``
-    and Weyl halves ``W`` ``(n, 2, 3, 3)``: ``u``, ``v`` ``(n, 2, 3)`` are the bottom
-    and top eigenvectors of the SD and ASD halves, from one ``eigh`` and signed as it
-    returns them, which span the (min, max) planes; ``q`` ``(n, 2)`` is their q on S."""
-    _, vec = np.linalg.eigh(W)
-    u, v = np.moveaxis(vec[..., [0, 2]], (1, 3), (0, 2))  # [half][n, end, :]
+    and Weyl halves ``W`` ``(n, 2, 3, 3)``: ``u``, ``v`` of :func:`_extreme_eigh`
+    and ``q`` ``(n, 2)`` the q of their (min, max) planes on S."""
+    _, u, v = _extreme_eigh(W)
     S = S[:, None]
     return u, v, _q(S[..., :3, :3], S[..., :3, 3:], S[..., 3:, 3:], u, v)
 

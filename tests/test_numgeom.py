@@ -305,6 +305,20 @@ def test_convergence_flat_no_slope():
     assert study.to_dict()["slope"] == "NotApplicable"
 
 
+def test_convergence_no_slope_at_roundoff():
+    # hyperbolic space at its chart's centre: the errors, 3.6e-10 to 1.0e-9,
+    # rise as the step shrinks and lie below the stencil's roundoff bound, so
+    # a fitted slope (-0.70) would describe noise
+    chart = chart_for("hyperbolic4HalfSpace")
+    point = [0.5 * (lo + hi) for lo, hi in chart.domain]
+    steps = [0.02, 0.01, 0.005]
+    study = convergence_study(chart, point, steps)
+    assert max(study.errors) <= 1e-9 and study.errors[2] > study.errors[0]
+    assert study.slope is None
+    err = curvature_at(chart, point, step=steps[-1]).error_estimate
+    assert max(study.errors) < err
+
+
 def test_convergence_study_runs_in_blocks():
     # 40 steps at one point: the stencil points of at most BLOCK of them per
     # metric_at call, where the study used to evaluate all 40 in one call

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     _sphere_max_batch,
+    assemble_einstein,
     random_admissible_operator,
     random_einstein_operator,
     witness_two_form,
@@ -18,6 +19,8 @@ from fourcurv.curvops import (
     PAIRS,
     SD_ASD,
     CurvatureOperator,
+    _exponent,
+    _split,
     decompose,
 )
 from fourcurv.errors import DegeneratePlaneError, NotEinsteinError, NotUnitError
@@ -470,6 +473,123 @@ def test_certify_scaling_by_powers_of_two(rng):
                 assert list(_bounds(scaled)) == want
             else:
                 assert list(_bounds(scaled)) == pytest.approx(want, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the Einstein branch: the dual at its closed-form minimizer
+# ---------------------------------------------------------------------------
+
+def _dyadic_einstein(rng):
+    # integer eighths, as certify-einstein's dyadic inputs: every step is exact
+    halves = []
+    for _ in range(2):
+        W = rng.integers(-32, 33, (3, 3)) / 8.0
+        W = np.triu(W) + np.triu(W, 1).T
+        W[2, 2] = -W[0, 0] - W[1, 1]
+        halves.append(W)
+    s = 12.0 * float(rng.choice([-1, 1]) * rng.integers(1, 41)) / 8.0
+    return assemble_einstein(s, *halves, basis=("coordinate", SD_ASD)[int(rng.integers(2))])
+
+
+def _searched_from_t0(sides, ric):
+    """The dual search in place of the Einstein branch, from the branch's own
+    optimum t0 of the scaled operator."""
+    _, _, (sp, sm) = _split(sides[0])
+    return secsign._dual_maxima(sides, [0.5 * (sm[2] - sp[2]), 0.5 * (sp[0] - sm[0])])
+
+
+def _no_branch(sides, ric):
+    raise AssertionError("the Einstein branch was taken")
+
+
+def test_einstein_branch_matches_the_search_from_t0(monkeypatch):
+    # the same verdict, and bounds within _GAP_TOL at the operator's scale 2^e
+    # (at most 0.09 of it on these operators)
+    rng = np.random.default_rng(27)
+    ops = [make(rng) for make in (random_einstein_operator, _dyadic_einstein) for _ in range(25)]
+    ops += [catalog(name).operator for name in ("sphere4", "fubiniStudy", "hyperbolic4",
+                                                "bergman", "flat")]
+    ops += [CurvatureOperator(np.zeros((6, 6))), CurvatureOperator(np.eye(6))]
+    branch, taken = secsign._einstein_maxima, []
+    monkeypatch.setattr(secsign, "_einstein_maxima",
+                        lambda sides, ric: taken.append(ric) or branch(sides, ric))
+    for op in ops:
+        for k in (-1000, -500, 0, 500, 1000):
+            scaled = CurvatureOperator(np.ldexp(op.matrix, k), basis=op.basis)
+            e = _exponent(scaled.in_sd_asd_basis().ravel().tolist())
+            cert = certify_sec_sign(scaled)
+            with monkeypatch.context() as m:
+                m.setattr(secsign, "_einstein_maxima", _searched_from_t0)
+                searched = certify_sec_sign(scaled)
+            assert cert.verdict is searched.verdict
+            gap = max(abs(a - b) for a, b in zip(_bounds(cert), _bounds(searched)))
+            assert gap <= math.ldexp(secsign._GAP_TOL, e)
+            for w, q in ((cert.max_witness, cert.q_max_lower), (cert.min_witness, cert.q_min_upper)):
+                assert w.q_value == q
+                assert q_form(scaled, w.psi_plus, w.psi_minus) == pytest.approx(
+                    q, rel=0.0, abs=math.ldexp(secsign._GAP_TOL, e))
+    assert len(taken) == 5 * len(ops)
+
+
+@pytest.mark.parametrize("W_plus, W_minus, q_range", [
+    (np.diag([-2.0, 1.0, 1.0]), np.diag([-1.0, -1.0, 2.0]), (-1.0, 5.0)),  # doubled top, bottom
+    (np.diag([-1.0, -1.0, 2.0]), np.diag([-1.0, -1.0, 2.0]), (0.0, 6.0)),  # Fubini-Study pattern
+    (np.zeros((3, 3)), np.zeros((3, 3)), (2.0, 2.0)),  # sphere4
+])
+def test_einstein_branch_exact_on_doubled_eigenvalues(W_plus, W_minus, q_range):
+    # s = 12: q = 2 + nu+ + nu- at the extreme eigenvalues, exactly
+    cert = certify_sec_sign(assemble_einstein(12.0, W_plus, W_minus))
+    lo, hi = q_range
+    assert _bounds(cert) == (hi, hi, lo, lo)
+
+
+def test_einstein_branch_zero_and_identity():
+    for M, q in ((np.zeros((6, 6)), 0.0), (np.eye(6), 2.0), (-np.eye(6), -2.0)):
+        cert = certify_sec_sign(CurvatureOperator(M))
+        assert _bounds(cert) == (q, q, q, q)
+        assert cert.to_dict()["method"] == "ThorpeDual"
+
+
+def _ricci_coupled(size):
+    """``(op, u, v)``: W+ = diag(1, 1/2, -3/2), W- = diag(-1, 1/2, 1/2), s = 3, so
+    max|R| = 5/4 scales by 1/2, and a Ricci block ``size (u v^T)`` that couples
+    the top SD eigenvector u to the top ASD eigenvector v that the max witness
+    of the operator does not hold: q(u, v) = 2 + 2 size."""
+    def build(B):
+        M = np.zeros((6, 6))
+        M[:3, :3] = np.diag([1.25, 0.75, -1.25])
+        M[3:, 3:] = np.diag([-0.75, 0.75, 0.75])
+        M[:3, 3:], M[3:, :3] = B, B.T
+        return CurvatureOperator(M, basis=SD_ASD)
+
+    u = np.array([1.0, 0.0, 0.0])
+    picked = certify_sec_sign(build(np.zeros((3, 3)))).max_witness.psi_minus
+    v = np.cross(u, picked)  # the unit vector of the doubled top eigenspace beside it
+    return build(size * np.outer(u, v)), u, v
+
+
+def test_einstein_branch_widens_by_the_ricci_block():
+    # |B| = 2^-48 is 2^-49 on the scaled operator, within the gate 1e-14/4: the
+    # witness misses the coupling, but q_form finds the plane (u, v) above the
+    # closed-form value 2, so only the widening by 2|B| keeps the bound
+    op, u, v = _ricci_coupled(2.0**-48)
+    cert = certify_sec_sign(op)
+    q = q_form(op, u, v)
+    assert q == 2.0 + 2.0**-47 > 2.0
+    assert cert.q_max_lower == 2.0
+    assert q <= cert.q_max_upper
+    assert cert.q_max_upper - cert.q_max_lower <= 2.0 * secsign._GAP_TOL
+
+
+def test_einstein_branch_gate(monkeypatch):
+    # 2^-49 on the scaled operator takes the branch; 2^-48, just above the gate,
+    # runs the search as every non-Einstein input does
+    inside, above = _ricci_coupled(2.0**-48)[0], _ricci_coupled(2.0**-47)[0]
+    monkeypatch.setattr(secsign, "_einstein_maxima", _no_branch)
+    with pytest.raises(AssertionError, match="Einstein branch"):
+        certify_sec_sign(inside)
+    cert = certify_sec_sign(above)
+    assert cert.q_max_lower <= 2.0 + 2.0**-46 <= cert.q_max_upper
 
 
 # ---------------------------------------------------------------------------
