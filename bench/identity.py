@@ -58,7 +58,11 @@ by command and input (:func:`kind`).  The corpus covers:
   integer entries (Einstein, and with an integer Ricci block), entries at
   1e16 and at 2^60, -0.0 entries and subnormal entries; last, ``chart
   sphereProductChart`` at ``b=1`` and ``a`` = 1e-250, 1e-220, 1e-200 and
-  1e-180, the curvatures whose stencil sums once failed to cancel.
+  1e-180, the curvatures whose stencil sums once failed to cancel; last,
+  ``geo --csv`` on a file with a 200,000-digit chi (past csv's field size
+  limit), on one with a 5,000-character field that is not an integer, and on
+  a seeded 20,000-row file shaped like the geo-scan benchmark's (chi in
+  [0, 4000), tau in [-chi - 3, chi + 3]), drawn from its own stream.
 
 Each request runs as ``fourcurv.cli.main(argv)`` with ``COLUMNS=80`` and
 stdout and stderr captured; the warnings registry is reset per request, so
@@ -385,6 +389,15 @@ def corpus(seed: int, inputs: Path) -> list[list[str]]:
         reqs += [["decompose", "-i", path], ["certify", "-i", path]]
     reqs += [["chart", "sphereProductChart", "--param", f"a={a}", "--param", "b=1",
               "--point", "1,0,1,0"] for a in ("1e-250", "1e-220", "1e-200", "1e-180")]
+    (inputs / "field-limit.csv").write_text("chi,tau\n3,1\n" + "1" * 200_000 + ",1\n")
+    (inputs / "long-non-integer.csv").write_text("chi,tau\n3,1\n" + "x" * 5000 + ",1\n")
+    geo_rng = np.random.default_rng([seed, 3])
+    chi = geo_rng.integers(0, 4000, 20_000)
+    tau = geo_rng.integers(-chi - 3, chi + 4)
+    (inputs / "geo-scan.csv").write_text(
+        "chi,tau\n" + "".join(f"{c},{t}\n" for c, t in zip(chi.tolist(), tau.tolist())))
+    reqs += [["geo", "--csv", str(inputs / f"{name}.csv")]
+             for name in ("field-limit", "long-non-integer", "geo-scan")]
     return reqs
 
 

@@ -39,7 +39,8 @@ import sys
 from typing import NoReturn
 
 from . import __version__, jsonio
-from .errors import FourcurvError, NonConvergentError, NotEinsteinError, _digit_limit
+from .errors import (FourcurvError, NonConvergentError, NotEinsteinError, _digit_limit,
+                     _past_digit_limit)
 from .names import chart_names, model_names
 
 EXIT_OK = 0
@@ -86,7 +87,7 @@ def _int_option(option: str, lo: int | None = None, hi: int | None = None):
             value = int(text)
         except ValueError as exc:
             # argparse exits 2 on a ValueError; a FourcurvError passes through to main
-            if "Exceeds the limit" in str(exc):  # the interpreter's digit-limit error
+            if _past_digit_limit(exc):
                 raise FourcurvError(_digit_limit(f"argument {option} has")) from None
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if lo is not None and value < lo:

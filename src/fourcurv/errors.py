@@ -13,6 +13,12 @@ def _digit_limit(what: str) -> str:
             "sys.get_int_max_str_digits()")
 
 
+def _past_digit_limit(exc: ValueError) -> bool:
+    """Whether ``int(text)`` raised ``exc`` for the interpreter's digit limit, not
+    for a text that is no integer (whose message quotes the text)."""
+    return str(exc).startswith("Exceeds the limit")
+
+
 class FourcurvError(Exception):
     """Base class for all fourcurv errors."""
 

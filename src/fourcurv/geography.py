@@ -17,11 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import _digit_limit
+from .errors import _digit_limit, _past_digit_limit
 
 EINSTEIN_SLOPE = Fraction(15, 8)
 
@@ -29,7 +28,7 @@ CSV_HEADER = ("chi,tau,gromov_luck,einstein_nonpos_strict,bmy,"
               "bmy_equality,c1sq,both_orientations_complex")
 
 # the CSV row of each (gromov_luck, einstein_nonpos_strict, bmy, bmy_equality,
-# both_orientations_complex): ``_ROWS[flags] % (chi, tau, c1sq)``
+# both_orientations_complex), the flags of ``_flags``: ``_ROWS[flags] % (chi, tau, c1sq)``
 _ROWS = {flags: "%%d,%%s,%s,%s,%s,%s,%%s,%s\n" % tuple(("false", "true")[f] for f in flags)
          for flags in itertools.product((False, True), repeat=5)}
 
@@ -64,17 +63,21 @@ class GeoReport(NamedTuple):
         }
 
 
+def _flags(chi: int, tau: int) -> tuple[tuple[bool, bool, bool, bool, bool], int]:
+    """The flags of an integer (chi, tau) pair, exactly, as their ``_ROWS`` key, and
+    c1sq: the one computation of them, for ``report`` and both CSV writers."""
+    a = abs(tau)
+    return (chi >= a,                   # gromov_luck
+            8 * chi > 15 * a,           # einstein_nonpos_strict
+            chi >= 3 * tau,             # bmy
+            chi == 3 * tau,             # bmy_equality
+            tau % 2 == 0), 2 * chi + 3 * tau  # both_orientations_complex_possible; c1sq
+
+
 def report(p: tuple[int, int]) -> GeoReport:
     """All geography flags of an integer (chi, tau) pair, exactly."""
-    chi, tau = p
-    return tuple.__new__(GeoReport, (
-        chi >= abs(tau),            # gromov_luck
-        8 * chi > 15 * abs(tau),    # einstein_nonpos_strict
-        chi >= 3 * tau,             # bmy
-        chi == 3 * tau,             # bmy_equality
-        2 * chi + 3 * tau,          # c1sq
-        tau % 2 == 0,               # both_orientations_complex_possible
-    ))
+    (gl, ens, bmy, bmy_eq, both), c1sq = _flags(*p)
+    return tuple.__new__(GeoReport, (gl, ens, bmy, bmy_eq, c1sq, both))
 
 
 class LatticeObstruction(NamedTuple):
@@ -158,33 +161,39 @@ def points_csv(text: str) -> str:
     Blank rows are skipped, and so is a header: the first non-blank row if
     its first field is ``chi``.  Any other row with fewer than two fields,
     a non-integer field or an integer past ``sys.get_int_max_str_digits()``
-    (also in c1sq) raises ``ValueError`` naming its line.
+    (also in c1sq), and a text that csv cannot read (a field past its field
+    size limit), raises ``ValueError`` naming its line.  Each row is
+    ``_ROWS[flags] % (chi, tau, c1sq)`` of :func:`_flags`.
     """
     reader = csv.reader(io.StringIO(text))
     out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
+    write = out.write
+    write(CSV_HEADER + "\n")
     header = True  # until the first non-blank row
-    for row in reader:
-        if not row:
-            continue
-        if header:
-            header = False
-            if row[0].strip().lower() == "chi":
+    try:
+        for row in reader:
+            if not row:
                 continue
-        if len(row) < 2:
-            raise ValueError(f"line {reader.line_num}: expected chi,tau, found one field")
-        try:
-            chi, tau = int(row[0]), int(row[1])
-        except ValueError:
-            where = f"line {reader.line_num}: "
-            if max(len(row[0]), len(row[1])) > sys.get_int_max_str_digits():
-                raise ValueError(where + _digit_limit("chi or tau has")) from None
-            raise ValueError(f"{where}chi and tau must be integers, "
-                             f"got {row[0]!r}, {row[1]!r}") from None
-        gl, ens, bmy, bmy_eq, c1sq, both = report((chi, tau))
-        try:
-            out.write(_ROWS[gl, ens, bmy, bmy_eq, both] % (chi, tau, c1sq))
-        except ValueError:  # chi and tau were read under the limit; c1sq can pass it
-            raise ValueError(f"line {reader.line_num}: "
-                             + _digit_limit("c1sq = 2 chi + 3 tau has")) from None
+            if header:
+                header = False
+                if row[0].strip().lower() == "chi":
+                    continue
+            if len(row) < 2:
+                raise ValueError(f"line {reader.line_num}: expected chi,tau, found one field")
+            try:
+                chi, tau = int(row[0]), int(row[1])
+            except ValueError as exc:
+                where = f"line {reader.line_num}: "
+                if _past_digit_limit(exc):
+                    raise ValueError(where + _digit_limit("chi or tau has")) from None
+                raise ValueError(f"{where}chi and tau must be integers, "
+                                 f"got {row[0]!r}, {row[1]!r}") from None
+            flags, c1sq = _flags(chi, tau)
+            try:
+                write(_ROWS[flags] % (chi, tau, c1sq))
+            except ValueError:  # chi and tau were read under the limit; c1sq can pass it
+                raise ValueError(f"line {reader.line_num}: "
+                                 + _digit_limit("c1sq = 2 chi + 3 tau has")) from None
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out.getvalue()

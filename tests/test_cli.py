@@ -551,6 +551,12 @@ def test_geo_csv_byte_order_mark(tmp_path, capsys, text):
 @pytest.mark.parametrize("text, message", [
     ("chi,tau\n3,1\n7\n", "line 3: expected chi,tau"),
     ("chi,tau\n3,1\n15,8\n4,x\n", "line 4: chi and tau must be integers"),
+    # a field past csv's field size limit, which the reader itself refuses
+    pytest.param("chi,tau\n3,1\n" + "1" * 200_000 + ",1\n",
+                 "line 3: field larger than field limit", id="field-limit"),
+    # longer than the digit limit, but no integer: not a digit-limit refusal
+    pytest.param("chi,tau\n3,1\n" + "x" * 5000 + ",1\n",
+                 "line 3: chi and tau must be integers", id="long-non-integer"),
 ])
 def test_geo_csv_bad_row_exit_1(tmp_path, capsys, text, message):
     src = tmp_path / "points.csv"

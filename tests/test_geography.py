@@ -185,14 +185,35 @@ def test_every_row_goes_through_report(monkeypatch):
     for n in (0, 1, 7, 40):
         want = _csv_reference(_scan_pairs(n), negated)
         assert scan_csv(n) == want != _csv_reference(_scan_pairs(n))
-    calls = []
-
-    def counting(p):
-        calls.append(tuple(p))
-        return report(p)
-
-    monkeypatch.setattr(geography, "report", counting)
+    monkeypatch.undo()
     pairs = _boundary_pairs(5)[:200]
-    calls.clear()
-    rows = points_csv("chi,tau\n" + "".join(f"{c},{t}\n" for c, t in pairs)).splitlines()[1:]
+    text = "chi,tau\n\n" + "".join(f"{c},{t}\n" + "\n" * (i % 3 == 0)
+                                   for i, (c, t) in enumerate(pairs))
+    want_points = _csv_reference(pairs, negated)
+    want_scans = {n: _csv_reference(_scan_pairs(n), negated) for n in (0, 1, 7, 40)}
+    want_reports = [negated(p) for p in pairs]
+    # points_csv takes each data row from one _flags call, in order, and none for
+    # the header or blank rows
+    flags, calls = geography._flags, []
+
+    def counting(chi, tau):
+        calls.append((chi, tau))
+        return flags(chi, tau)
+
+    monkeypatch.setattr(geography, "_flags", counting)
+    monkeypatch.setattr(geography, "report", None)  # and builds no GeoReport
+    rows = points_csv(text).splitlines()[1:]
     assert calls == pairs and len(rows) == len(pairs)
+
+    # _flags is the one computation of the flags: points_csv, report and the scan
+    # (through report) all follow it
+    monkeypatch.undo()
+
+    def negated_flags(chi, tau):
+        key, c1sq = flags(chi, tau)
+        return tuple(not f for f in key), -c1sq
+
+    monkeypatch.setattr(geography, "_flags", negated_flags)
+    assert points_csv(text) == want_points
+    assert all(scan_csv(n) == want for n, want in want_scans.items())
+    assert [report(p) for p in pairs] == want_reports
