@@ -557,6 +557,9 @@ def test_geo_csv_byte_order_mark(tmp_path, capsys, text):
     # longer than the digit limit, but no integer: not a digit-limit refusal
     pytest.param("chi,tau\n3,1\n" + "x" * 5000 + ",1\n",
                  "line 3: chi and tau must be integers", id="long-non-integer"),
+    # a field that quotes the interpreter's digit-limit message is still no integer
+    pytest.param("chi,tau\n3,1\nExceeds the limit,1\n",
+                 "line 3: chi and tau must be integers", id="limit-text"),
 ])
 def test_geo_csv_bad_row_exit_1(tmp_path, capsys, text, message):
     src = tmp_path / "points.csv"
