@@ -16,7 +16,9 @@ Subcommands:
 Exit codes: 0 success; 1 input or validation error; 2 numerical failure or
 an Inconclusive certification.  Reports go to stdout, diagnostics to stderr.
 
-``main`` returns the exit code and is what in-process callers use.  A process
+``main`` returns the exit code and is what in-process callers use.  It gives
+arguments only to the subcommand its first argument names, whose parsing and
+texts are those of the whole parser (:func:`build_parser`).  A process
 (``python -m fourcurv`` or the ``fourcurv`` script) enters through ``run``,
 which flushes stdout and stderr after ``main`` and then ends the process with
 ``os._exit``: the interpreter's teardown, mostly the unloading of numpy, adds
@@ -233,39 +235,34 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fourcurv",
-        description="Numerical curvature algebra of oriented Einstein 4-manifolds.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", dest="format", action="store_const", const="json",
+                   default="json", help="emit JSON (default)")
+    p.add_argument("--format", choices=("json", "human"), default="json")
 
-    def add_format(p):
-        p.add_argument("--json", dest="format", action="store_const", const="json",
-                       default="json", help="emit JSON (default)")
-        p.add_argument("--format", choices=("json", "human"), default="json")
 
-    p = sub.add_parser("decompose",
-                       help="decompose an operator into s, Weyl halves and Ricci block")
+def _decompose_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-i", "--input", required=True, help="operator JSON file")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("certify", help="certify the sign of sectional curvature")
+
+def _certify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-i", "--input", required=True, help="operator JSON file")
     p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="verdict tolerance on q (default 1e-8 max(1, |R|_F))")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("model", help="emit a catalog model operator")
+
+def _model_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=model_names())
     p.add_argument("--param", action="append", metavar="K=V")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_model)
 
-    p = sub.add_parser("chart", help="finite-difference curvature of an analytic chart")
+
+def _chart_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=chart_names())
     p.add_argument("--param", action="append", metavar="K=V")
     p.add_argument("--point", help="x1,x2,x3,x4")
@@ -273,10 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--study", action="store_true", help="run a step-refinement study")
     p.add_argument("--steps", default="0.02,0.01,0.005",
                    help="comma-separated steps for --study")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_chart)
 
-    p = sub.add_parser("page", help="Page metric verification pipeline")
+
+def _page_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verify", action="store_true", help="Einstein residual check")
     p.add_argument("--negcurv", action="store_true", help="negative-curvature certificate")
     p.add_argument("--integrate", action="store_true", help="integrate chi and tau")
@@ -284,26 +282,59 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"Einstein-check radii, 1 to {MAX_RADII} (default 32)")
     p.add_argument("--nodes", type=_int_option("--nodes", 16, MAX_NODES), default=48,
                    help=f"quadrature nodes, 16 to {MAX_NODES} (default 48)")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_page)
 
-    p = sub.add_parser("geo", help="exact geography flags of a (chi, tau) pair")
+
+def _geo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chi", type=_int_option("--chi"))
     p.add_argument("--tau", type=_int_option("--tau"))
     p.add_argument("--csv", help="batch mode: CSV file with chi,tau rows")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_geo)
 
-    p = sub.add_parser("scan", help="CSV table of geography flags")
+
+def _scan_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chi-max", type=_int_option("--chi-max", 0, MAX_CHI), required=True,
                    help=f"largest chi, 0 to {MAX_CHI}")
     p.set_defaults(func=_cmd_scan)
 
+
+# (name, help, the function that adds its arguments), in the order of the help text
+_COMMANDS = (
+    ("decompose", "decompose an operator into s, Weyl halves and Ricci block",
+     _decompose_arguments),
+    ("certify", "certify the sign of sectional curvature", _certify_arguments),
+    ("model", "emit a catalog model operator", _model_arguments),
+    ("chart", "finite-difference curvature of an analytic chart", _chart_arguments),
+    ("page", "Page metric verification pipeline", _page_arguments),
+    ("geo", "exact geography flags of a (chi, tau) pair", _geo_arguments),
+    ("scan", "CSV table of geography flags", _scan_arguments),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when ``command`` names one, a parser
+    in which only that subcommand has its arguments: it parses that command's
+    arguments and writes its texts as the whole parser does."""
+    parser = argparse.ArgumentParser(
+        prog="fourcurv",
+        description="Numerical curvature algebra of oriented Einstein 4-manifolds.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    whole = all(command != name for name, _, _ in _COMMANDS)
+    for name, text, add_arguments in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        if whole or name == command:
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -155,6 +155,11 @@ def scan_csv(chi_max: int) -> str:
     return out.getvalue()
 
 
+def _shown(field: str, n: int = 20) -> str:
+    """``repr`` of a field's first ``n`` characters, marked ``...`` when cut."""
+    return repr(field[:n]) + "..." * (len(field) > n)
+
+
 def points_csv(text: str) -> str:
     """Flags of each ``chi,tau`` row of a CSV text, as the scan's CSV table.
 
@@ -162,7 +167,8 @@ def points_csv(text: str) -> str:
     its first field is ``chi``.  Any other row with fewer than two fields,
     a non-integer field or an integer past ``sys.get_int_max_str_digits()``
     (also in c1sq), and a text that csv cannot read (a field past its field
-    size limit), raises ``ValueError`` naming its line.  Each row is
+    size limit), raises ``ValueError`` naming its line, with at most the first
+    20 characters of each field of a non-integer row.  Each row is
     ``_ROWS[flags] % (chi, tau, c1sq)`` of :func:`_flags`.
     """
     reader = csv.reader(io.StringIO(text))
@@ -187,7 +193,7 @@ def points_csv(text: str) -> str:
                 if _past_digit_limit(exc):
                     raise ValueError(where + _digit_limit("chi or tau has")) from None
                 raise ValueError(f"{where}chi and tau must be integers, "
-                                 f"got {row[0]!r}, {row[1]!r}") from None
+                                 f"got {_shown(row[0])}, {_shown(row[1])}") from None
             flags, c1sq = _flags(chi, tau)
             try:
                 write(_ROWS[flags] % (chi, tau, c1sq))

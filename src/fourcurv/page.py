@@ -31,8 +31,22 @@ Transcription of these functions is NOT trusted: it is certified a
 posteriori by the Einstein-residual oracle (:func:`verify_einstein`), which
 detects any error in the profile functions at far-above-tolerance levels.
 
-Each answer evaluates one sweep of orbits with :func:`orbit_curvature` and
-reads the arrays of the :class:`numgeom.CurvatureStack` it returns: the
+Two evaluators give the curvature of the orbit through a radius, in the
+frame e1 = u dr, e2 = v s1, e3 = v s2, e4 = w s3, at the chart point
+(r, pi/2, 0, 0):
+
+- :func:`orbit_curvature`, finite differences of the coordinate chart
+  (:mod:`numgeom`).  Only :func:`verify_einstein` uses it: it is the
+  independent oracle that certifies the transcription of u, v and w.
+- :func:`orbit_operators`, the closed form of the curvature of the
+  SU(2)-invariant ansatz (Page, Phys. Lett. B 79 (1978) 235; Eguchi, Gilkey
+  and Hanson, Phys. Rep. 66 (1980) 213) in u, u', v, v', v'', w, w' and w'',
+  read from the profiles' radial 2-jets (:class:`Jet`).
+  :func:`certify_negative_curvature` and :func:`integrate_char_numbers` use
+  it, and :meth:`CohomOneMetric.endpoint_data` reads the exact limits at
+  the bolts from the same jets.
+
+Each answer evaluates one sweep of orbits and reads its stacked arrays: the
 decomposition of a whole sweep is one :func:`curvops.decompositions`, and
 per-orbit objects are built only for the public functions that take them.
 """
@@ -40,6 +54,7 @@ per-orbit objects are built only for the public functions that take them.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,9 +63,13 @@ from . import curvops, numgeom, secsign
 from .errors import NonConvergentError
 
 PAGE_LAMBDA = 3.0
-ENDPOINT_DELTA = 1e-5  # radial distance from each end sampled by endpoint_data
 RADIAL_MARGIN = 0.02  # fraction of the radial interval a Chebyshev sweep skips at each end
 ORBIT_STEP = 0.004  # the finite-difference step of an orbit point away from the ends
+# roundoff of a closed-form operator entry, in units of the sum of its terms' sizes:
+# each term is a product of at most 6 jet values formed in at most 5 roundings, and an
+# entry adds at most 3 terms, so 64 eps covers the formulas' own roundings with a
+# relative error of up to 9 ulps in each jet value (6 * 9 + 5 + 2 = 61)
+FORMULA_ULPS = 64.0 * np.finfo(float).eps
 # coefficients of the shape-parameter quartic, highest degree first
 PAGE_SHAPE_QUARTIC = (1.0, 4.0, -6.0, 12.0, -3.0)
 
@@ -70,6 +89,91 @@ def page_shape_parameter() -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class Jet:
+    """A radial 2-jet ``(f, f', f'')`` in forward mode (Griewank and Walther,
+    *Evaluating Derivatives*, 2nd ed., ch. 13), so that the profile functions
+    run as written: ``+ - * /`` with numbers, arrays or jets, integer powers,
+    and numpy's ``sqrt``, ``sin`` and ``cos``.  A number is a constant jet."""
+
+    __slots__ = ("f", "d1", "d2")
+
+    def __init__(self, f, d1=0.0, d2=0.0):
+        self.f, self.d1, self.d2 = f, d1, d2
+
+    def __iter__(self):
+        return iter((self.f, self.d1, self.d2))
+
+    def __add__(self, other):
+        o = _lift(other)
+        return Jet(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.f, -self.d1, -self.d2)
+
+    def __sub__(self, other):
+        return self + -_lift(other)
+
+    def __rsub__(self, other):
+        return _lift(other) + -self
+
+    def __mul__(self, other):
+        o = _lift(other)
+        return Jet(self.f * o.f, self.d1 * o.f + self.f * o.d1,
+                   self.d2 * o.f + 2.0 * self.d1 * o.d1 + self.f * o.d2)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _lift(other)
+        q = self.f / o.f
+        q1 = (self.d1 - q * o.d1) / o.f
+        return Jet(q, q1, (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.f)
+
+    def __rtruediv__(self, other):
+        return _lift(other) / self
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return 1.0 / self ** -n
+        out = Jet(1.0)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def sqrt(self):
+        s = np.sqrt(self.f)
+        s1 = self.d1 / (2.0 * s)
+        return Jet(s, s1, (self.d2 - 2.0 * s1 * s1) / (2.0 * s))
+
+    def sin(self):
+        s, c = np.sin(self.f), np.cos(self.f)
+        return Jet(s, c * self.d1, c * self.d2 - s * self.d1 * self.d1)
+
+    def cos(self):
+        s, c = np.sin(self.f), np.cos(self.f)
+        return Jet(c, -s * self.d1, -s * self.d2 - c * self.d1 * self.d1)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # numpy hands over its ufuncs on a jet, and its binary operators with a jet
+        op = _JET_UFUNCS.get(ufunc.__name__)
+        if method != "__call__" or kwargs or op is None:
+            return NotImplemented
+        return op(*map(_lift, inputs))
+
+
+def _lift(x) -> Jet:
+    return x if isinstance(x, Jet) else Jet(x)
+
+
+_JET_UFUNCS = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mul,
+               "true_divide": operator.truediv, "negative": operator.neg,
+               "sqrt": Jet.sqrt, "sin": Jet.sin, "cos": Jet.cos}
 
 
 class EndpointData(NamedTuple):
@@ -118,18 +222,17 @@ class CohomOneMetric(NamedTuple):
             depends_on=(0, 1),
         )
 
+    def jets(self, radii) -> tuple[Jet, Jet, Jet]:
+        """The radial 2-jets of u, v and w at the radii."""
+        r = Jet(np.asarray(radii, dtype=float), 1.0)
+        return _lift(self.u(r)), _lift(self.v(r)), _lift(self.w(r))
+
     def endpoint_data(self) -> tuple[EndpointData, EndpointData]:
-        """v and the proper slope of w at distance ENDPOINT_DELTA inside each end."""
-        delta = ENDPOINT_DELTA
-        out = []
-        for r0, sign in ((0.0, 1.0), (math.pi, -1.0)):
-            r = r0 + sign * delta
-            proper = abs(self.u(r0 + sign * delta / 2.0)) * delta
-            out.append(EndpointData(
-                v_limit=float(self.v(r)),
-                w_slope_proper=float(self.w(r) / proper),
-            ))
-        return out[0], out[1]
+        """v and the proper slope of w, w' / u toward the interior, at each end."""
+        u, v, w = self.jets([0.0, math.pi])
+        u, v, w1 = np.broadcast_arrays(u.f, v.f, w.d1)
+        return (EndpointData(v_limit=float(v[0]), w_slope_proper=float(w1[0] / u[0])),
+                EndpointData(v_limit=float(v[1]), w_slope_proper=float(-w1[1] / u[1])))
 
     def orbit_volume(self, r: float) -> float:
         """Riemannian volume of the orbit at radius r (psi period 4*pi)."""
@@ -193,6 +296,50 @@ def orbit_curvature(m: CohomOneMetric, radii):
     # th = pi/2 keeps clear of the Euler-angle degeneracy at th in {0, pi}
     points = np.stack(np.broadcast_arrays(r, np.pi / 2.0, 0.0, 0.0), axis=-1)
     return numgeom.curvature_at(m.chart, points, step=step)
+
+
+def orbit_operators(m: CohomOneMetric, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(M, S, err)``: the closed-form curvature operators ``M`` ``(n, 6, 6)`` of
+    the orbits through the n radii, in the coordinate basis of the frame e1 = u dr,
+    e2 = v s1, e3 = v s2, e4 = w s3, their SD/ASD matrices ``S`` from
+    :func:`curvops.check_admissible` and their roundoff bounds ``err``.
+
+    With the 2-jets of u, v and w, the nonzero entries in the basis (e1^e2,
+    e1^e3, e1^e4, e2^e3, e2^e4, e3^e4) are
+
+        a = -(u v'' - u' v') / (u^3 v)              at (12,12) and (13,13)
+        b = -(u w'' - u' w') / (u^3 w)              at (14,14)
+        c = 1/v^2 - 3 w^2 / (4 v^4) - v'^2 / (u^2 v^2)  at (23,23)
+        d = w^2 / (4 v^4) - v' w' / (u^2 v w)       at (24,24) and (34,34)
+        e = -(v w' - w v') / (2 u v^3)              (12,34) = e, (13,24) = -e,
+                                                    (14,23) = -2e
+
+    placed symmetrically.  ``err`` is ``FORMULA_ULPS`` times the largest sum of
+    the sizes of an entry's terms.
+    """
+    shape = np.shape(radii)
+    (u0, u1, _), (v0, v1, v2), (w0, w1, w2) = m.jets(radii)
+    uu, vv = u0 * u0, v0 * v0
+    terms = (
+        (-v2 / (uu * v0), u1 * v1 / (uu * u0 * v0)),
+        (-w2 / (uu * w0), u1 * w1 / (uu * u0 * w0)),
+        (1.0 / vv, -0.75 * (w0 / vv) ** 2, -(v1 / (u0 * v0)) ** 2),
+        (0.25 * (w0 / vv) ** 2, -v1 * w1 / (uu * v0 * w0)),
+        (-w1 / (u0 * vv), w0 * v1 / (u0 * vv * v0)),  # 2e
+    )
+    a, b, c, d, e2 = (np.broadcast_to(sum(t), shape) for t in terms)
+    e = 0.5 * e2
+    M = np.zeros(shape + (6, 6))
+    M[..., 0, 0] = M[..., 1, 1] = a
+    M[..., 2, 2] = b
+    M[..., 3, 3] = c
+    M[..., 4, 4] = M[..., 5, 5] = d
+    M[..., 0, 5] = M[..., 5, 0] = e
+    M[..., 1, 4] = M[..., 4, 1] = -e
+    M[..., 2, 3] = M[..., 3, 2] = -e2
+    err = FORMULA_ULPS * np.broadcast_to(np.max([sum(map(np.abs, t)) for t in terms], axis=0),
+                                         shape)
+    return M, curvops.check_admissible(M, curvops.COORDINATE, err), err
 
 
 class EinsteinCheck(NamedTuple):
@@ -267,13 +414,13 @@ def certify_negative_curvature(m: CohomOneMetric,
     """
     if radii is None:
         radii = chebyshev_radii(64)
-    stack = orbit_curvature(m, radii)
-    ds = curvops.decompositions(stack.sd_asd, stack.err)
+    M, S, err = orbit_operators(m, radii)
+    ds = curvops.decompositions(S, err)
     defects = [curvops.gl_defect(d).defect for d in ds]
-    sec = secsign.einstein_min_sec(stack.sd_asd, ds)
-    tied = np.flatnonzero(sec - sec.min() <= stack.err)
+    sec = secsign.einstein_min_sec(S, ds)
+    tied = np.flatnonzero(sec - sec.min() <= err)
     k = tied[np.argmin(np.asarray(radii, dtype=float)[tied])]
-    op = stack[k].operator
+    op = curvops.CurvatureOperator(M[k], err=float(err[k]))
     witness, _ = secsign.einstein_extreme_witnesses(op, curvops.decompose(op))
     return NegativeCurvatureReport(
         min_sec=witness.sec_value,
@@ -299,14 +446,12 @@ class CharNumbers(NamedTuple):
 
 
 def _char_integrals(m: CohomOneMetric, nodes: int) -> tuple[float, float]:
-    """``(chi, tau)`` by the orbit quadrature at ``nodes`` nodes, with the
-    densities of one decomposed sweep of the nodes' orbits."""
-    eps = 1e-3 * math.pi
-    interval = (eps, math.pi - eps)
+    """``(chi, tau)`` by the orbit quadrature on (0, pi) at ``nodes`` nodes, with
+    the densities of one decomposed closed-form sweep of the nodes' orbits."""
+    interval = (0.0, math.pi)
     radii = numgeom.quadrature_nodes(interval, nodes)
-    stack = orbit_curvature(m, radii)
-    densities = dict(zip(radii, map(curvops.char_densities,
-                                    curvops.decompositions(stack.sd_asd, stack.err))))
+    _, S, err = orbit_operators(m, radii)
+    densities = dict(zip(radii, map(curvops.char_densities, curvops.decompositions(S, err))))
     chi = numgeom.orbit_quadrature(
         lambda r: densities[r].euler_density, m.orbit_volume, interval, nodes)
     tau = numgeom.orbit_quadrature(
@@ -318,7 +463,7 @@ def integrate_char_numbers(m: CohomOneMetric, nodes: int = 48) -> CharNumbers:
     """Euler characteristic and signature by orbit quadrature.
 
     Integrates the pointwise characteristic densities against the orbit
-    volume 16 pi^2 u v^2 w over the end-clamped radial interval, at the
+    volume 16 pi^2 u v^2 w over the whole radial interval, at the
     requested node count and at twice that count; raises
     :class:`NonConvergentError` when doubling moves either result by more
     than 1e-3.

@@ -571,6 +571,17 @@ def test_geo_csv_bad_row_exit_1(tmp_path, capsys, text, message):
     assert err.startswith(f"error: {src}: {message}") and len(err.strip().splitlines()) == 1
 
 
+def test_geo_csv_non_integer_fields_are_cut(tmp_path, capsys, monkeypatch):
+    # each field of a non-integer row is echoed by its first 20 characters only
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text("chi,tau\n3,1\n" + "x" * 5000 + ",1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "geo", "--csv", "p.csv")
+    assert (code, out) == (1, "")
+    assert err == ("error: p.csv: line 3: chi and tau must be integers, got "
+                   "'xxxxxxxxxxxxxxxxxxxx'..., '1'\n")
+    assert len(err) < 200
+
+
 def test_geo_csv_later_chi_row_is_not_a_header(tmp_path, capsys):
     # only the first non-blank row can be a header; a later one is a bad row
     src = tmp_path / "points.csv"
@@ -668,6 +679,56 @@ def test_parser_choices_are_the_catalog_names():
     for command, names in (("model", models.model_names()), ("chart", models.chart_names())):
         name_arg = next(a for a in commands[command]._actions if a.dest == "name")
         assert tuple(name_arg.choices) == names
+
+
+_ONE_COMMAND_ARGV = [
+    *([name, "-h"] for name in ("decompose", "certify", "model", "chart", "page", "geo", "scan")),
+    ["decompose"], ["certify", "-i", "x.json", "--tolerance", "abc"], ["model", "nosuch"],
+    ["chart", "flatChart", "--step", "x"], ["page", "--nodes", "abc"], ["page", "--bogus"],
+    ["geo", "--chi"], ["scan"], ["scan", "--chi-max", "3", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_COMMAND_ARGV, ids=" ".join)
+def test_parser_of_one_command_writes_the_whole_parsers_texts(capsys, monkeypatch, argv):
+    # main gives arguments to the named subcommand only; its help, usage and
+    # errors are the whole parser's, byte for byte
+    from fourcurv import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for parser in (cli.build_parser(), cli.build_parser(argv[0])):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        texts.append((capsys.readouterr(), exit_info.value.code))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("argv", [["page", "--negcurv", "--radii", "5", "--format", "human"],
+                                  ["geo", "--chi", "3", "--tau", "1"], ["scan", "--chi-max", "2"],
+                                  ["chart", "flatChart", "--study", "--param", "a=1"]],
+                         ids=" ".join)
+def test_parser_of_one_command_parses_as_the_whole(argv):
+    from fourcurv import cli
+
+    assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(
+        cli.build_parser().parse_args(argv))
+
+
+def test_main_builds_the_named_command_only(capsys, monkeypatch):
+    from fourcurv import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build(command))
+    for argv in (["scan", "--chi-max", "1"], ["-h"], ["nosuch"], []):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert built == ["scan", "-h", "nosuch", None]
 
 
 def test_unknown_flag_rejected(capsys):

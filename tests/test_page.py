@@ -4,9 +4,13 @@ The closed-form profile functions are never trusted directly: the Einstein
 residual of the decomposition of each finite-difference operator is the
 oracle that certifies the transcription, and a deliberate perturbation
 check confirms the oracle has the sensitivity to catch transcription errors.
+The closed-form orbit curvature that ``--negcurv`` and ``--integrate`` read is
+checked against the same finite differences, the round sphere and the
+Fubini-Study metric of the catalog.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -15,13 +19,16 @@ import pytest
 from fourcurv import curvops, numgeom, secsign
 from fourcurv.models import catalog
 from fourcurv.page import (
+    FORMULA_ULPS,
     CohomOneMetric,
+    Jet,
     ORBIT_STEP,
     PAGE_SHAPE_QUARTIC,
     certify_negative_curvature,
     chebyshev_radii,
     integrate_char_numbers,
     orbit_curvature,
+    orbit_operators,
     page_metric,
     page_shape_parameter,
     sphere_ansatz,
@@ -67,9 +74,12 @@ def test_perturbed_profile_detected():
 def test_endpoint_closure():
     m = page_metric()
     lower, upper = m.endpoint_data()
+    k2 = page_shape_parameter() ** 2
+    W = 3.0 + 6.0 * k2 - k2 * k2
     for end in (lower, upper):
         assert end.v_limit > 0.4  # bolt 2-sphere keeps finite size
-        assert end.w_slope_proper == pytest.approx(0.5, abs=1e-4)
+        assert end.v_limit == pytest.approx(math.sqrt((1 + k2) * (1 - k2) / W), rel=1e-15)
+        assert end.w_slope_proper == pytest.approx(0.5, abs=1e-15)
     s = sphere_ansatz()
     lo, hi = s.endpoint_data()
     assert lo.w_slope_proper == pytest.approx(0.5, abs=1e-4)
@@ -136,10 +146,9 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-_EPS = 1e-3 * math.pi
 _SWEEPS = {"radii-64": lambda: chebyshev_radii(64),
-           "nodes-24": lambda: numgeom.quadrature_nodes((_EPS, math.pi - _EPS), 24),
-           "nodes-48": lambda: numgeom.quadrature_nodes((_EPS, math.pi - _EPS), 48)}
+           "nodes-24": lambda: numgeom.quadrature_nodes((0.0, math.pi), 24),
+           "nodes-48": lambda: numgeom.quadrature_nodes((0.0, math.pi), 48)}
 
 
 @pytest.mark.parametrize("sweep", sorted(_SWEEPS))
@@ -148,14 +157,14 @@ def test_stacked_sweep_bitwise_equals_per_orbit_public_path(sweep):
     # also takes 48 nodes: each stacked value against its orbit's own objects
     m = page_metric()
     radii = _SWEEPS[sweep]()
-    stack = orbit_curvature(m, radii)
-    ds = curvops.decompositions(stack.sd_asd, stack.err)
-    sec = secsign.einstein_min_sec(stack.sd_asd, ds)
-    assert len(stack) == len(ds) == len(sec) == len(radii)
+    M, S, err = orbit_operators(m, radii)
+    ds = curvops.decompositions(S, err)
+    sec = secsign.einstein_min_sec(S, ds)
+    assert len(M) == len(ds) == len(sec) == len(radii)
     for k, d in enumerate(ds):
-        op = curvops.CurvatureOperator(stack.operators[k], err=float(stack.err[k]))
+        op = curvops.CurvatureOperator(M[k], err=float(err[k]))
         ref = curvops.decompose(op)
-        assert _bits(stack.sd_asd[k]) == _bits(op.in_sd_asd_basis())
+        assert _bits(S[k]) == _bits(op.in_sd_asd_basis())
         for name in ("s", "w_plus", "w_minus", "ric_block", "spectrum_plus",
                      "spectrum_minus", "err"):
             assert _bits(getattr(d, name)) == _bits(getattr(ref, name)), name
@@ -166,21 +175,125 @@ def test_stacked_sweep_bitwise_equals_per_orbit_public_path(sweep):
     # the winner's witness is einstein_extreme_witnesses' own, on its orbit alone
     report = certify_negative_curvature(m, radii)
     k = list(radii).index(report.witness_radius)
-    op = curvops.CurvatureOperator(stack.operators[k], err=float(stack.err[k]))
+    op = curvops.CurvatureOperator(M[k], err=float(err[k]))
     min_w, _ = secsign.einstein_extreme_witnesses(op, curvops.decompose(op))
     assert report.witness.to_dict() == min_w.to_dict()
-    assert _bits(report.min_sec) == _bits(sec[k]) and sec[k] - sec.min() <= stack.err[k]
+    assert _bits(report.min_sec) == _bits(sec[k]) and sec[k] - sec.min() <= err[k]
     lo, hi = report.gl_defect_range
     defects = [curvops.gl_defect(d).defect for d in ds]
     assert (lo, hi) == (min(defects), max(defects))
-    # the Einstein check reads the decompositions of the same sweep, which are
-    # those of its orbits' PointCurvatures
+    # the Einstein check reads the decompositions of one finite-difference
+    # sweep, which are those of its orbits' PointCurvatures
+    stack = orbit_curvature(m, radii)
+    ds = curvops.decompositions(stack.sd_asd, stack.err)
     check = verify_einstein(m, radii)
     lambdas = [d.einstein_constant for d in ds]
     assert check.residuals == tuple(d.einstein_residual() for d in ds)
     assert check.residuals == tuple(pc.to_dict()["einsteinResidual"] for pc in stack)
     assert _bits(check.lambda_) == _bits(np.mean(lambdas))
     assert check.lambda_spread == (max(lambdas) - min(lambdas)) / max(1.0, abs(check.lambda_))
+
+
+_ORACLE_SWEEPS = {"radii-64": lambda: chebyshev_radii(64),
+                  **{f"nodes-{n}": functools.partial(numgeom.quadrature_nodes, (0.0, math.pi), n)
+                     for n in (24, 48, 96)}}
+
+
+@pytest.mark.parametrize("sweep", sorted(_ORACLE_SWEEPS))
+def test_closed_form_agrees_with_finite_differences(sweep):
+    # every default --negcurv radius and every quadrature node of --nodes 24
+    # and 48 (which also take 48 and 96): the two evaluators agree entry by
+    # entry within the finite-difference error bound
+    m = page_metric()
+    radii = _ORACLE_SWEEPS[sweep]()
+    M, _, err = orbit_operators(m, radii)
+    stack = orbit_curvature(m, radii)
+    gap = np.abs(M - stack.operators).max(axis=(1, 2))
+    assert (gap <= stack.err + err).all()
+    assert (err < 1e-12).all()
+
+
+def test_closed_form_sphere_is_identity():
+    # the unit round 4-sphere has the identity operator, up to each orbit's bound,
+    # also at orbits next to the poles where the terms grow like 1/r^2
+    radii = [1e-6, 1e-3, *chebyshev_radii(16), math.pi - 1e-3]
+    M, _, err = orbit_operators(sphere_ansatz(), radii)
+    assert (np.abs(M - np.eye(6)).max(axis=(1, 2)) <= err).all()
+    assert err[len(radii) // 2] < 1e-12
+
+
+def test_closed_form_fubini_study_matches_catalog_up_to_orientation():
+    # CP^2 with u = 1, v = sin r / 2, w = sin r cos r / 2 on (0, pi/2): the frame's
+    # orientation is opposite to the complex one, so W+ and W- trade places
+    def v(r):
+        return np.sin(r) / 2.0
+
+    def w(r):
+        return np.sin(r) * np.cos(r) / 2.0
+
+    fs = CohomOneMetric(u=lambda r: 1.0, v=v, w=w, metadata={})
+    ref = curvops.decompose(catalog("fubiniStudy").operator)
+    radii = np.linspace(0.05, math.pi / 2 - 0.05, 9)
+    M, S, err = orbit_operators(fs, radii)
+    for d in curvops.decompositions(S, err):
+        tol = 4 * d.err
+        assert d.s == pytest.approx(ref.s, abs=tol)
+        assert np.abs(d.spectrum_minus - ref.spectrum_plus).max() <= tol
+        assert np.abs(d.spectrum_plus - ref.spectrum_minus).max() <= tol
+        assert np.abs(d.ric_block).max() <= tol
+    sec = secsign.einstein_min_sec(S, curvops.decompositions(S, err))
+    assert sec == pytest.approx(np.ones_like(sec), abs=1e-12)
+
+
+def test_closed_form_error_covers_jet_roundoff():
+    # moving every jet value by one ulp, up or down at random, must move each
+    # operator by no more than its reported bound
+    m = page_metric()
+    radii = np.array(chebyshev_radii(16) + [1e-4, math.pi - 1e-4])
+    clean, _, err = orbit_operators(m, radii)
+    rng = np.random.default_rng(7)
+
+    def shaken(profile):
+        def f(r):
+            jet = profile(r)
+            return Jet(*(np.where(rng.integers(0, 2, np.shape(x)).astype(bool),
+                                  np.nextafter(x, np.inf), np.nextafter(x, -np.inf))
+                         for x in np.broadcast_arrays(*jet)))
+        return f
+
+    crooked = CohomOneMetric(u=shaken(m.u), v=shaken(m.v), w=shaken(m.w), metadata={})
+    for trial in range(3):
+        M, _, _ = orbit_operators(crooked, radii)
+        shift = np.abs(M - clean).max(axis=(1, 2))
+        assert (0.0 < shift).all() and (shift <= err).all()
+
+
+def test_jet_derivatives():
+    # a composition of every operation against its derivatives written out
+    r = np.array([0.3, 1.1, 2.9])
+    x = Jet(r, 1.0)
+    f = np.float64(2.0) * np.sqrt(3.0 + np.cos(x)) / x ** 2 - np.ones(3) * np.sin(x) ** 3
+    g, g1, g2 = 3.0 + np.cos(r), -np.sin(r), -np.cos(r)
+    q, q1, q2 = np.sqrt(g), g1 / (2 * np.sqrt(g)), g2 / (2 * np.sqrt(g)) - g1**2 / (4 * g**1.5)
+    p, p1, p2 = r**-2, -2 * r**-3, 6 * r**-4
+    s, c = np.sin(r), np.cos(r)
+    want = (2 * q * p - s**3,
+            2 * (q1 * p + q * p1) - 3 * s**2 * c,
+            2 * (q2 * p + 2 * q1 * p1 + q * p2) - (6 * s * c**2 - 3 * s**3))
+    for got, ref in zip(f, want):
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+    assert tuple(1.0 - Jet(2.0, 1.0)) == (-1.0, -1.0, -0.0)
+
+
+def test_closed_form_char_numbers():
+    # chi = 4 and tau = 0 at every node count of the page benchmark and its doubling
+    m = page_metric()
+    for nodes in (24, 48):
+        numbers = integrate_char_numbers(m, nodes=nodes)
+        assert abs(numbers.chi - 4.0) <= 1e-12 and abs(numbers.tau) <= 1e-12
+        assert numbers.doubling_delta <= 1e-12
+    numbers = integrate_char_numbers(sphere_ansatz(), nodes=24)
+    assert abs(numbers.chi - 2.0) <= 1e-12 and abs(numbers.tau) <= 1e-12
 
 
 def test_error_estimate_covers_metric_roundoff():
@@ -212,7 +325,8 @@ def test_page_negative_curvature():
     report = certify_negative_curvature(m, chebyshev_radii(32))
     assert report.min_sec < -0.1
     w = report.witness
-    op = orbit_curvature(m, report.witness_radius).operator
+    M, _, err = orbit_operators(m, [report.witness_radius])
+    op = curvops.CurvatureOperator(M[0], err=float(err[0]))
     assert secsign.q_form(op, w.psi_plus, w.psi_minus) == pytest.approx(w.q_value,
                                                                         abs=1e-12)
     # defect field is reported, never asserted on sign
