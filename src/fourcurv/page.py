@@ -68,7 +68,9 @@ ORBIT_STEP = 0.004  # the finite-difference step of an orbit point away from the
 # roundoff of a closed-form operator entry, in units of the sum of its terms' sizes:
 # each term is a product of at most 6 jet values formed in at most 5 roundings, and an
 # entry adds at most 3 terms, so 64 eps covers the formulas' own roundings with a
-# relative error of up to 9 ulps in each jet value (6 * 9 + 5 + 2 = 61)
+# relative error of up to 9 ulps in each jet value (6 * 9 + 5 + 2 = 61).  A jet value
+# near a zero of the profile's derivative can be further off relative to itself, which
+# this budget does not bound; the tests check the total.
 FORMULA_ULPS = 64.0 * np.finfo(float).eps
 # coefficients of the shape-parameter quartic, highest degree first
 PAGE_SHAPE_QUARTIC = (1.0, 4.0, -6.0, 12.0, -3.0)
