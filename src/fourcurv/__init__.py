@@ -14,8 +14,8 @@ Submodules:
     cli        command-line interface
 
 The names in ``__all__`` are imported from their submodule on first use
-(PEP 562), so ``import fourcurv`` loads no submodule and the geography
-commands run without numpy.
+(PEP 562), so ``import fourcurv`` loads no submodule and the geography and
+Page commands run without numpy.
 """
 
 import importlib

@@ -9,12 +9,12 @@ Subcommands:
     chart       finite-difference curvature of an analytic chart, or a
                 step-refinement convergence study
     page        the Page-metric pipeline: Einstein verification, negative
-                curvature certification, characteristic-number quadrature
+                curvature certification, characteristic numbers as bolt terms
     geo         exact geography flags of one (chi, tau) pair or a CSV batch
     scan        CSV table of geography flags over a lattice triangle
 
-Exit codes: 0 success; 1 input or validation error; 2 numerical failure or
-an Inconclusive certification.  Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 success; 1 input or validation error; 2 an Inconclusive
+certification.  Reports go to stdout, diagnostics to stderr.
 
 ``main`` returns the exit code and is what in-process callers use.  It gives
 arguments only to the subcommand its first argument names, whose parsing and
@@ -41,8 +41,7 @@ import sys
 from typing import NoReturn
 
 from . import __version__, jsonio
-from .errors import (FourcurvError, NonConvergentError, NotEinsteinError, _digit_limit,
-                     _past_digit_limit)
+from .errors import FourcurvError, NotEinsteinError, _digit_limit, _past_digit_limit
 from .names import chart_names, model_names
 
 EXIT_OK = 0
@@ -196,7 +195,7 @@ def _cmd_page(args) -> int:
         report = page.certify_negative_curvature(m)
         out["negativeCurvature"] = report.to_dict()
     if args.integrate:
-        numbers = page.integrate_char_numbers(m, nodes=args.nodes)
+        numbers = page.integrate_char_numbers(m)
         out["charNumbers"] = numbers.to_dict()
     if len(out) == 2:
         raise ValueError("page needs at least one of --verify, --negcurv, --integrate")
@@ -281,7 +280,7 @@ def _page_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radii", type=_int_option("--radii", 1, MAX_RADII), default=32,
                    help=f"Einstein-check radii, 1 to {MAX_RADII} (default 32)")
     p.add_argument("--nodes", type=_int_option("--nodes", 16, MAX_NODES), default=48,
-                   help=f"quadrature nodes, 16 to {MAX_NODES} (default 48)")
+                   help=f"accepted, 16 to {MAX_NODES}, and unused: chi and tau are bolt terms")
     _add_format(p)
     p.set_defaults(func=_cmd_page)
 
@@ -338,9 +337,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except NonConvergentError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (FourcurvError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

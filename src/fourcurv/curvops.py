@@ -39,16 +39,11 @@ from .errors import (
     NotKahlerError,
     NotSymmetricError,
 )
-from .names import COORDINATE, SD_ASD
+from .names import CLASSIFY_TOL, COORDINATE, SD_ASD
 
 # Tolerance for symmetry / first-Bianchi / block-trace validation, relative
 # to max(1, max|R|) for operators.
 STRUCTURAL_TOL = 1e-9
-# Relative tolerance of the spectral tests.  Saturation and the cover's Ricci
-# bound: times |s| + |W+| + |W-|, with no floor (see _gl_terms); the Kahler rank
-# test: times sigma1; the Einstein test and the Einstein operators' catalog sign
-# flag: times max(1, |s|).
-CLASSIFY_TOL = 1e-7
 _SQRT6 = math.sqrt(6.0)
 _EYE3 = np.eye(3)
 
@@ -412,12 +407,6 @@ def _decomposition(S, s, W, spectra, err) -> Decomposition:
     """The :class:`Decomposition` of one SD/ASD matrix from its :func:`_split`."""
     return Decomposition(s=float(s), w_plus=W[0], w_minus=W[1], ric_block=S[:3, 3:],
                          spectrum_plus=spectra[0], spectrum_minus=spectra[1], err=float(err))
-
-
-def decompositions(S: np.ndarray, err) -> list[Decomposition]:
-    """The :class:`Decomposition` of each SD/ASD matrix ``S[k]`` of a stack
-    ``(n, 6, 6)`` with error bound ``err[k]``, from one :func:`_split`."""
-    return list(map(_decomposition, S, *_split(S), err))
 
 
 def decompose(op: CurvatureOperator) -> Decomposition:

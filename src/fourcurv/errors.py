@@ -94,7 +94,3 @@ class StepTooLargeError(FourcurvError):
 
 class BadIntervalError(FourcurvError):
     pass
-
-
-class NonConvergentError(FourcurvError):
-    """Quadrature failed its node-doubling stability check."""

@@ -98,6 +98,13 @@ def dumps(report: dict) -> str:
     return text[:-1] + (", " if len(report) else "") + _CONVENTION_MEMBER
 
 
+def witness_dict(psi_plus: list[float], psi_minus: list[float], q_value: float) -> dict:
+    """The report of a witness plane: its unit vectors in the SD/ASD frames, its q
+    and its sectional curvature q/2."""
+    return {"psiPlus": psi_plus, "psiMinus": psi_minus, "qValue": q_value,
+            "secValue": q_value / 2.0}
+
+
 def _operator_problem(data) -> str | None:
     """Why ``data`` is not an object with a ``matrix`` of 6 arrays of 6 numbers (no
     booleans, no integers beyond the float range) and an optional ``basis`` tag,

@@ -401,11 +401,6 @@ def _legendre(interval: tuple[float, float], nodes: int):
     return mid + half * xs, ws, half
 
 
-def quadrature_nodes(interval: tuple[float, float], nodes: int) -> np.ndarray:
-    """The points at which :func:`orbit_quadrature` evaluates its integrand."""
-    return _legendre(interval, nodes)[0]
-
-
 def orbit_quadrature(f: Callable[[float], float], weight: Callable[[float], float],
                      interval: tuple[float, float], nodes: int) -> float:
     """Gauss-Legendre value of the weighted 1-D integral of f over interval."""

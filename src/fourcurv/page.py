@@ -27,40 +27,29 @@ where the shape parameter k in (0, 1) is the unique root of
 
     k^4 + 4 k^3 - 6 k^2 + 12 k - 3 = 0.
 
-Transcription of these functions is NOT trusted: it is certified a
-posteriori by the Einstein-residual oracle (:func:`verify_einstein`), which
-detects any error in the profile functions at far-above-tolerance levels.
-
-Two evaluators give the curvature of the orbit through a radius, in the
-frame e1 = u dr, e2 = v s1, e3 = v s2, e4 = w s3, at the chart point
-(r, pi/2, 0, 0):
-
-- :func:`orbit_curvature`, finite differences of the coordinate chart
-  (:mod:`numgeom`).  Only :func:`verify_einstein` uses it: it is the
-  independent oracle that certifies the transcription of u, v and w.
-- :func:`orbit_operators`, the closed form of the curvature of the
-  SU(2)-invariant ansatz (Page, Phys. Lett. B 79 (1978) 235; Eguchi, Gilkey
-  and Hanson, Phys. Rep. 66 (1980) 213) in u, u', v, v', v'', w, w' and w'',
-  read from the profiles' radial 2-jets (:class:`Jet`).
-  :func:`certify_negative_curvature` and :func:`integrate_char_numbers` use
-  it, and :meth:`CohomOneMetric.endpoint_data` reads the exact limits at
-  the bolts from the same jets.
-
-Each answer evaluates one sweep of orbits and reads its stacked arrays: the
-decomposition of a whole sweep is one :func:`curvops.decompositions`, and
-per-orbit objects are built only for the public functions that take them.
+Every answer reads the closed-form curvature of the SU(2)-invariant ansatz
+(Page, Phys. Lett. B 79 (1978) 235; Eguchi, Gilkey and Hanson, Phys. Rep. 66
+(1980) 213), one orbit at a time on floats, from the radial 2-jets of the
+profiles (:class:`Jet`).  An orbit's SD/ASD blocks are diagonal
+(:func:`orbit_spectra`; Derdzinski, Compositio Math. 49 (1983) 405), and chi
+and tau are bolt terms of the transgression forms (:func:`transgression`;
+Chern, Ann. Math. 45 (1944) 747).  The closed form computes the curvature of
+the metric that u, v and w define, so a mistranscribed profile shows as an
+Einstein residual (:func:`verify_einstein`).  Its entries a to e
+(:func:`orbit_entries`) are checked in the tests against finite differences
+of the coordinate chart (:func:`orbit_curvature`), which alone load numpy.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import sys
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from . import curvops, numgeom, secsign
-from .errors import NonConvergentError
+from .errors import NotEinsteinError
+from .jsonio import witness_dict
+from .names import CLASSIFY_TOL
 
 PAGE_LAMBDA = 3.0
 RADIAL_MARGIN = 0.02  # fraction of the radial interval a Chebyshev sweep skips at each end
@@ -71,9 +60,10 @@ ORBIT_STEP = 0.004  # the finite-difference step of an orbit point away from the
 # relative error of up to 9 ulps in each jet value (6 * 9 + 5 + 2 = 61).  A jet value
 # near a zero of the profile's derivative can be further off relative to itself, which
 # this budget does not bound; the tests check the total.
-FORMULA_ULPS = 64.0 * np.finfo(float).eps
+FORMULA_ULPS = 64.0 * sys.float_info.epsilon
 # coefficients of the shape-parameter quartic, highest degree first
 PAGE_SHAPE_QUARTIC = (1.0, 4.0, -6.0, 12.0, -3.0)
+_SQRT6 = math.sqrt(6.0)
 
 
 def page_shape_parameter() -> float:
@@ -93,11 +83,27 @@ def page_shape_parameter() -> float:
     return 0.5 * (lo + hi)
 
 
+def _elementary(name: str, x):
+    """The function ``name`` (sqrt, sin or cos) of a jet, of a float by math, and
+    of anything else (an array, a long double) by numpy, imported on first use."""
+    if isinstance(x, Jet):
+        return getattr(x, name)()
+    if isinstance(x, (float, int)):
+        return getattr(math, name)(x)
+    import numpy as np
+
+    return getattr(np, name)(x)
+
+
+_sqrt, _sin, _cos = (partial(_elementary, name) for name in ("sqrt", "sin", "cos"))
+
+
 class Jet:
     """A radial 2-jet ``(f, f', f'')`` in forward mode (Griewank and Walther,
     *Evaluating Derivatives*, 2nd ed., ch. 13), so that the profile functions
-    run as written: ``+ - * /`` with numbers, arrays or jets, integer powers,
-    and numpy's ``sqrt``, ``sin`` and ``cos``.  A number is a constant jet."""
+    run as written: ``+ - * /`` with numbers or jets, and :func:`_sqrt`,
+    :func:`_sin` and :func:`_cos`.  A number is a constant jet.
+    The parts are floats, or arrays, on which numpy does the work."""
 
     __slots__ = ("f", "d1", "d2")
 
@@ -138,44 +144,22 @@ class Jet:
     def __rtruediv__(self, other):
         return _lift(other) / self
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return 1.0 / self ** -n
-        out = Jet(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def sqrt(self):
-        s = np.sqrt(self.f)
+        s = _sqrt(self.f)
         s1 = self.d1 / (2.0 * s)
         return Jet(s, s1, (self.d2 - 2.0 * s1 * s1) / (2.0 * s))
 
     def sin(self):
-        s, c = np.sin(self.f), np.cos(self.f)
+        s, c = _sin(self.f), _cos(self.f)
         return Jet(s, c * self.d1, c * self.d2 - s * self.d1 * self.d1)
 
     def cos(self):
-        s, c = np.sin(self.f), np.cos(self.f)
+        s, c = _sin(self.f), _cos(self.f)
         return Jet(c, -s * self.d1, -s * self.d2 - c * self.d1 * self.d1)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        # numpy hands over its ufuncs on a jet, and its binary operators with a jet
-        op = _JET_UFUNCS.get(ufunc.__name__)
-        if method != "__call__" or kwargs or op is None:
-            return NotImplemented
-        return op(*map(_lift, inputs))
 
 
 def _lift(x) -> Jet:
     return x if isinstance(x, Jet) else Jet(x)
-
-
-_JET_UFUNCS = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mul,
-               "true_divide": operator.truediv, "negative": operator.neg,
-               "sqrt": Jet.sqrt, "sin": Jet.sin, "cos": Jet.cos}
 
 
 class EndpointData(NamedTuple):
@@ -192,8 +176,9 @@ class CohomOneMetric(NamedTuple):
     """A cohomogeneity-one metric through its radial profile functions of the
     angle r in (0, pi).
 
-    The profiles are elementwise: each maps a radius or an array of radii to
-    values of the same shape, so the chart evaluates stacks of points.
+    The profiles are elementwise: each maps a radius, a jet of radii or an
+    array of radii to values of the same kind, so the chart evaluates stacks
+    of points.
     """
 
     u: Callable[[float], float]
@@ -202,7 +187,12 @@ class CohomOneMetric(NamedTuple):
     metadata: dict
 
     @property
-    def chart(self) -> numgeom.MetricChart:
+    def chart(self):
+        """The coordinate chart at (r, th, ph, psi), for finite differences."""
+        import numpy as np
+
+        from . import numgeom
+
         u, v, w = self.u, self.v, self.w
 
         def metric_at(x: np.ndarray) -> np.ndarray:
@@ -224,21 +214,18 @@ class CohomOneMetric(NamedTuple):
             depends_on=(0, 1),
         )
 
-    def jets(self, radii) -> tuple[Jet, Jet, Jet]:
-        """The radial 2-jets of u, v and w at the radii."""
-        r = Jet(np.asarray(radii, dtype=float), 1.0)
-        return _lift(self.u(r)), _lift(self.v(r)), _lift(self.w(r))
+    def jets(self, r) -> tuple[Jet, Jet, Jet]:
+        """The radial 2-jets of u, v and w at the radius r."""
+        x = Jet(r, 1.0)
+        return _lift(self.u(x)), _lift(self.v(x)), _lift(self.w(x))
 
     def endpoint_data(self) -> tuple[EndpointData, EndpointData]:
         """v and the proper slope of w, w' / u toward the interior, at each end."""
-        u, v, w = self.jets([0.0, math.pi])
-        u, v, w1 = np.broadcast_arrays(u.f, v.f, w.d1)
-        return (EndpointData(v_limit=float(v[0]), w_slope_proper=float(w1[0] / u[0])),
-                EndpointData(v_limit=float(v[1]), w_slope_proper=float(-w1[1] / u[1])))
-
-    def orbit_volume(self, r: float) -> float:
-        """Riemannian volume of the orbit at radius r (psi period 4*pi)."""
-        return 16.0 * math.pi**2 * self.u(r) * self.v(r) ** 2 * self.w(r)
+        ends = []
+        for r, inward in ((0.0, 1.0), (math.pi, -1.0)):
+            (u, _, _), (v, _, _), (_, w1, _) = self.jets(r)
+            ends.append(EndpointData(v_limit=v, w_slope_proper=inward * w1 / u))
+        return tuple(ends)
 
 
 def page_metric() -> CohomOneMetric:
@@ -250,21 +237,21 @@ def page_metric() -> CohomOneMetric:
     sqT = math.sqrt(T)
 
     def q_of(r):
-        x = -np.cos(r)
+        x = -_cos(r)
         return 1.0 - k2 * x * x
 
     def U_of(r):
-        x = -np.cos(r)
+        x = -_cos(r)
         return 3.0 - k2 - k2 * (1.0 + k2) * x * x
 
     def u(r):
-        return np.sqrt(T * q_of(r) / U_of(r))
+        return _sqrt(T * q_of(r) / U_of(r))
 
     def v(r):
-        return np.sqrt(T * q_of(r) / W)
+        return _sqrt(T * q_of(r) / W)
 
     def w(r):
-        return (2.0 * k * sqT / W) * np.sin(r) * np.sqrt(U_of(r) / q_of(r))
+        return (2.0 * k * sqT / W) * _sin(r) * _sqrt(U_of(r) / q_of(r))
 
     return CohomOneMetric(u=u, v=v, w=w, metadata={"lambda": PAGE_LAMBDA, "shapeParameter": k})
 
@@ -276,7 +263,7 @@ def sphere_ansatz() -> CohomOneMetric:
         return 1.0
 
     def v(r):
-        return np.sin(r) / 2.0
+        return _sin(r) / 2.0
 
     return CohomOneMetric(u=u, v=v, w=v, metadata={"lambda": 3.0})
 
@@ -290,9 +277,14 @@ def chebyshev_radii(n: int) -> list[float]:
 
 
 def orbit_curvature(m: CohomOneMetric, radii):
-    """Frame curvature of the orbits through the given radii, one point per
-    orbit: a single radius gives one PointCurvature, a sequence a
-    :class:`numgeom.CurvatureStack`."""
+    """Frame curvature of the orbits through the given radii by finite
+    differences of the chart, one point per orbit: a single radius gives one
+    PointCurvature, a sequence a :class:`numgeom.CurvatureStack`.  The
+    tests' oracle of the closed form."""
+    import numpy as np
+
+    from . import numgeom
+
     r = np.asarray(radii, dtype=float)
     step = np.minimum(ORBIT_STEP, 0.4 * np.minimum(r, math.pi - r))
     # th = pi/2 keeps clear of the Euler-angle degeneracy at th in {0, pi}
@@ -300,11 +292,10 @@ def orbit_curvature(m: CohomOneMetric, radii):
     return numgeom.curvature_at(m.chart, points, step=step)
 
 
-def orbit_operators(m: CohomOneMetric, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(M, S, err)``: the closed-form curvature operators ``M`` ``(n, 6, 6)`` of
-    the orbits through the n radii, in the coordinate basis of the frame e1 = u dr,
-    e2 = v s1, e3 = v s2, e4 = w s3, their SD/ASD matrices ``S`` from
-    :func:`curvops.check_admissible` and their roundoff bounds ``err``.
+def orbit_entries(m: CohomOneMetric, r: float) -> tuple[tuple[float, ...], float]:
+    """``((a, b, c, d, e), err)``: the closed-form curvature operator of the orbit
+    through the radius r, in the coordinate basis of the frame e1 = u dr,
+    e2 = v s1, e3 = v s2, e4 = w s3, and its roundoff bound.
 
     With the 2-jets of u, v and w, the nonzero entries in the basis (e1^e2,
     e1^e3, e1^e4, e2^e3, e2^e4, e3^e4) are
@@ -319,29 +310,76 @@ def orbit_operators(m: CohomOneMetric, radii) -> tuple[np.ndarray, np.ndarray, n
     placed symmetrically.  ``err`` is ``FORMULA_ULPS`` times the largest sum of
     the sizes of an entry's terms.
     """
-    shape = np.shape(radii)
-    (u0, u1, _), (v0, v1, v2), (w0, w1, w2) = m.jets(radii)
+    (u0, u1, _), (v0, v1, v2), (w0, w1, w2) = m.jets(r)
     uu, vv = u0 * u0, v0 * v0
+    y, z = w0 / vv, v1 / (u0 * v0)
     terms = (
         (-v2 / (uu * v0), u1 * v1 / (uu * u0 * v0)),
         (-w2 / (uu * w0), u1 * w1 / (uu * u0 * w0)),
-        (1.0 / vv, -0.75 * (w0 / vv) ** 2, -(v1 / (u0 * v0)) ** 2),
-        (0.25 * (w0 / vv) ** 2, -v1 * w1 / (uu * v0 * w0)),
+        (1.0 / vv, -0.75 * (y * y), -(z * z)),
+        (0.25 * (y * y), -v1 * w1 / (uu * v0 * w0)),
         (-w1 / (u0 * vv), w0 * v1 / (u0 * vv * v0)),  # 2e
     )
-    a, b, c, d, e2 = (np.broadcast_to(sum(t), shape) for t in terms)
-    e = 0.5 * e2
-    M = np.zeros(shape + (6, 6))
-    M[..., 0, 0] = M[..., 1, 1] = a
-    M[..., 2, 2] = b
-    M[..., 3, 3] = c
-    M[..., 4, 4] = M[..., 5, 5] = d
-    M[..., 0, 5] = M[..., 5, 0] = e
-    M[..., 1, 4] = M[..., 4, 1] = -e
-    M[..., 2, 3] = M[..., 3, 2] = -e2
-    err = FORMULA_ULPS * np.broadcast_to(np.max([sum(map(np.abs, t)) for t in terms], axis=0),
-                                         shape)
-    return M, curvops.check_admissible(M, curvops.COORDINATE, err), err
+    a, b, c, d, e2 = map(sum, terms)
+    err = FORMULA_ULPS * max(sum(map(abs, t)) for t in terms)
+    return (a, b, c, d, 0.5 * e2), err
+
+
+class OrbitSpectra(NamedTuple):
+    """The SD/ASD blocks of an orbit's closed-form operator, which are diagonal:
+    ``A = diag(p, p, p3)``, ``B = diag(beta, beta, beta3)`` and ``C = diag(m, m,
+    m3)`` with, in the entries a to e of :func:`orbit_entries`,
+
+        p = (a + d)/2 + e,  p3 = (b + c)/2 - 2e,  beta = (a - d)/2,
+        m = (a + d)/2 - e,  m3 = (b + c)/2 + 2e,  beta3 = (b - c)/2;
+
+    s = 4 (a + d) + 2 (b + c), and ``err``, the entries' roundoff bound.  The
+    Weyl halves are ``W+ = diag(alpha, alpha, -2 alpha)`` and ``W- = diag(gamma,
+    gamma, -2 gamma)``, and the Ricci block is B.
+    """
+
+    A: tuple[float, float, float]
+    B: tuple[float, float, float]
+    C: tuple[float, float, float]
+    s: float
+    err: float
+
+    @property
+    def alpha(self) -> float:
+        return self.A[0] - self.s / 12.0
+
+    @property
+    def gamma(self) -> float:
+        return self.C[0] - self.s / 12.0
+
+    @property
+    def residual(self) -> float:  # the Einstein residual |B| / max(1, |s|)
+        return math.hypot(self.B[0], self.B[1], self.B[2]) / max(1.0, abs(self.s))
+
+    @property
+    def defect(self) -> float:  # |s|/sqrt(6) - (|W+| + |W-|), and |W+| = sqrt(6) |alpha|
+        return abs(self.s) / _SQRT6 - _SQRT6 * (abs(self.alpha) + abs(self.gamma))
+
+    def min_plane(self) -> tuple[int, int, float]:
+        """``(i, j, q)`` of an Einstein orbit: ``e_i`` of a least eigenvalue of W+,
+        the first on a tie, ``e_j`` of W-, and ``q = A_ii + C_jj + 2 B_ij``, twice the
+        least sectional curvature, of their plane; or :class:`NotEinsteinError`
+        unless the residual is within ``max(CLASSIFY_TOL, 20 err)``."""
+        if not (r := self.residual) <= max(CLASSIFY_TOL, 20.0 * self.err):
+            raise NotEinsteinError(f"needs an Einstein operator; residual {r:.3e}", residual=r)
+        i = 0 if self.alpha <= 0.0 else 2
+        j = 0 if self.gamma <= 0.0 else 2
+        return i, j, self.A[i] + self.C[j] + (2.0 * self.B[i] if i == j else 0.0)
+
+
+def orbit_spectra(m: CohomOneMetric, r: float) -> OrbitSpectra:
+    """The :class:`OrbitSpectra` of the orbit through the radius r."""
+    (a, b, c, d, e), err = orbit_entries(m, r)
+    ad, bc = a + d, b + c
+    p, pm, p3, m3 = 0.5 * ad + e, 0.5 * ad - e, 0.5 * bc - 2.0 * e, 0.5 * bc + 2.0 * e
+    beta, beta3 = 0.5 * (a - d), 0.5 * (b - c)
+    return OrbitSpectra((p, p, p3), (beta, beta, beta3), (pm, pm, m3),
+                        4.0 * ad + 2.0 * bc, err)
 
 
 class EinsteinCheck(NamedTuple):
@@ -364,16 +402,15 @@ class EinsteinCheck(NamedTuple):
 def verify_einstein(m: CohomOneMetric, radii: Sequence[float]) -> EinsteinCheck:
     """Einstein residual of the metric at the given radii.
 
-    Samples one point per orbit (the metric is orbit-homogeneous), returns
-    the worst residual of the orbits' decompositions and the fitted
-    cosmological constant s/4, whose relative spread across radii must stay
-    small for a genuinely Einstein profile.
+    Reads one closed-form orbit per radius (the metric is orbit-homogeneous)
+    and returns the worst Einstein residual and the fitted cosmological
+    constant s/4, whose relative spread across radii must stay small for a
+    genuinely Einstein profile.
     """
-    stack = orbit_curvature(m, radii)
-    ds = curvops.decompositions(stack.sd_asd, stack.err)
-    residuals = [d.einstein_residual() for d in ds]
-    lambdas = [d.einstein_constant for d in ds]
-    lam = float(np.mean(lambdas))
+    orbits = [orbit_spectra(m, r) for r in radii]
+    residuals = [o.residual for o in orbits]
+    lambdas = [o.s / 4.0 for o in orbits]
+    lam = math.fsum(lambdas) / len(lambdas)
     spread = (max(lambdas) - min(lambdas)) / max(1.0, abs(lam))
     return EinsteinCheck(
         max_residual=max(residuals),
@@ -387,14 +424,14 @@ def verify_einstein(m: CohomOneMetric, radii: Sequence[float]) -> EinsteinCheck:
 class NegativeCurvatureReport(NamedTuple):
     min_sec: float
     witness_radius: float
-    witness: secsign.PlaneWitness
+    witness: dict  # the witness plane's report, jsonio.witness_dict
     gl_defect_range: tuple[float, float]
 
     def to_dict(self) -> dict:
         return {
             "minSec": self.min_sec,
             "witnessRadius": self.witness_radius,
-            "witness": self.witness.to_dict(),
+            "witness": self.witness,
             "glDefectRange": list(self.gl_defect_range),
         }
 
@@ -403,11 +440,10 @@ def certify_negative_curvature(m: CohomOneMetric,
                                radii: Sequence[float] | None = None) -> NegativeCurvatureReport:
     """Certified minimum of sectional curvature over a radial sweep.
 
-    Takes each orbit's minimum from :func:`secsign.einstein_min_sec` over the
-    whole sweep and returns the global minimum with the witnessing 2-plane of
-    :func:`secsign.einstein_extreme_witnesses` on that orbit, which gives the
-    same minimum bit for bit.  Orbits whose minimum lies
-    within their own error estimate of the smallest one tie, since roundoff
+    Each orbit's least sectional curvature is that of its
+    :meth:`OrbitSpectra.min_plane`, which refuses an orbit that is not
+    Einstein within its own roundoff bound.  Orbits whose minimum lies
+    within their own error bound of the smallest one tie, since roundoff
     alone orders them (the mirror orbits r and pi - r are isometric): the
     report takes ``min_sec``, the radius and the witness from the smallest
     tied radius.  The saturation defect of the pointwise Weyl bound is
@@ -416,18 +452,18 @@ def certify_negative_curvature(m: CohomOneMetric,
     """
     if radii is None:
         radii = chebyshev_radii(64)
-    M, S, err = orbit_operators(m, radii)
-    ds = curvops.decompositions(S, err)
-    defects = [curvops.gl_defect(d).defect for d in ds]
-    sec = secsign.einstein_min_sec(S, ds)
-    tied = np.flatnonzero(sec - sec.min() <= err)
-    k = tied[np.argmin(np.asarray(radii, dtype=float)[tied])]
-    op = curvops.CurvatureOperator(M[k], err=float(err[k]))
-    witness, _ = secsign.einstein_extreme_witnesses(op, curvops.decompose(op))
+    orbits = [orbit_spectra(m, r) for r in radii]
+    planes = [o.min_plane() for o in orbits]
+    least = min(q for _, _, q in planes) / 2.0
+    _, k = min((r, k) for k, (r, o, (_, _, q)) in enumerate(zip(radii, orbits, planes))
+               if q / 2.0 - least <= o.err)
+    i, j, q = planes[k]
+    defects = [o.defect for o in orbits]
     return NegativeCurvatureReport(
-        min_sec=witness.sec_value,
+        min_sec=q / 2.0,
         witness_radius=float(radii[k]),
-        witness=witness,
+        witness=witness_dict([float(n == i) for n in range(3)], [float(n == j) for n in range(3)],
+                             q),
         gl_defect_range=(min(defects), max(defects)),
     )
 
@@ -435,45 +471,31 @@ def certify_negative_curvature(m: CohomOneMetric,
 class CharNumbers(NamedTuple):
     chi: float
     tau: float
-    nodes: int
-    doubling_delta: float
 
     def to_dict(self) -> dict:
-        return {
-            "chi": self.chi,
-            "tau": self.tau,
-            "nodes": self.nodes,
-            "doublingDelta": self.doubling_delta,
-        }
+        return {"chi": self.chi, "tau": self.tau}
 
 
-def _char_integrals(m: CohomOneMetric, nodes: int) -> tuple[float, float]:
-    """``(chi, tau)`` by the orbit quadrature on (0, pi) at ``nodes`` nodes, with
-    the densities of one decomposed closed-form sweep of the nodes' orbits."""
-    interval = (0.0, math.pi)
-    radii = numgeom.quadrature_nodes(interval, nodes)
-    _, S, err = orbit_operators(m, radii)
-    densities = dict(zip(radii, map(curvops.char_densities, curvops.decompositions(S, err))))
-    chi = numgeom.orbit_quadrature(
-        lambda r: densities[r].euler_density, m.orbit_volume, interval, nodes)
-    tau = numgeom.orbit_quadrature(
-        lambda r: densities[r].signature_density, m.orbit_volume, interval, nodes)
-    return chi, tau
+def transgression(m: CohomOneMetric, r: float) -> tuple[float, float]:
+    """``(Phi_chi, Phi_tau)`` at the radius r: with P = v'/u, Q = w'/u and x = w/v,
+
+        Phi_chi = Q (-2 + 3 x^2 / 2 + 2 P^2) - x^3 P
+        Phi_tau = x^2 - x^4 / 2 - (Q - x P)^2,
+
+    whose radial derivatives are ``u v^2 w`` times ``|A|^2 + |C|^2 - 2 |B|^2`` (8 pi^2
+    times the Euler density) and ``|A|^2 - |C|^2`` (12 pi^2 times the signature
+    density) in the blocks of :class:`OrbitSpectra`."""
+    (u, _, _), (v, v1, _), (w, w1, _) = m.jets(r)
+    P, Q, x = v1 / u, w1 / u, w / v
+    xx, y = x * x, Q - x * P
+    return Q * (-2.0 + 1.5 * xx + 2.0 * P * P) - xx * x * P, xx - 0.5 * xx * xx - y * y
 
 
-def integrate_char_numbers(m: CohomOneMetric, nodes: int = 48) -> CharNumbers:
-    """Euler characteristic and signature by orbit quadrature.
-
-    Integrates the pointwise characteristic densities against the orbit
-    volume 16 pi^2 u v^2 w over the whole radial interval, at the
-    requested node count and at twice that count; raises
-    :class:`NonConvergentError` when doubling moves either result by more
-    than 1e-3.
-    """
-    chi1, tau1 = _char_integrals(m, nodes)
-    chi2, tau2 = _char_integrals(m, 2 * nodes)
-    delta = max(abs(chi2 - chi1), abs(tau2 - tau1))
-    if delta > 1e-3:
-        raise NonConvergentError(
-            f"node doubling moved the integrals by {delta:.3e} (> 1e-3)")
-    return CharNumbers(chi=chi2, tau=tau2, nodes=2 * nodes, doubling_delta=delta)
+def integrate_char_numbers(m: CohomOneMetric) -> CharNumbers:
+    """Euler characteristic and signature, the integrals of the densities against
+    the orbit volume 16 pi^2 u v^2 w, as the bolt terms ``chi = 2 [Phi_chi]`` and
+    ``tau = (4/3) [Phi_tau]`` of the :func:`transgression` forms over (0, pi).  At
+    a bolt w = 0 and v' = 0, so ``Phi_chi = -2 Q`` and ``Phi_tau = -Q^2``.  At a
+    nut (v = w = 0, as on the round sphere) x = 0/0 raises ZeroDivisionError."""
+    (chi0, tau0), (chi1, tau1) = transgression(m, 0.0), transgression(m, math.pi)
+    return CharNumbers(chi=2.0 * (chi1 - chi0), tau=4.0 * (tau1 - tau0) / 3.0)

@@ -49,6 +49,7 @@ from .curvops import (
     decompose,
 )
 from .errors import DegeneratePlaneError, NotUnitError
+from .jsonio import witness_dict
 
 UNIT_TOL = 1e-9
 
@@ -75,12 +76,8 @@ class PlaneWitness(Record):
         return self.q_value / 2.0
 
     def to_dict(self) -> dict:
-        return {
-            "psiPlus": np.asarray(self.psi_plus).tolist(),
-            "psiMinus": np.asarray(self.psi_minus).tolist(),
-            "qValue": self.q_value,
-            "secValue": self.sec_value,
-        }
+        return witness_dict(np.asarray(self.psi_plus).tolist(),
+                            np.asarray(self.psi_minus).tolist(), self.q_value)
 
 
 class SecSignCertificate(NamedTuple):
@@ -414,15 +411,6 @@ def _extreme_eigh(W: np.ndarray):
     return w, u, v
 
 
-def _einstein_planes(S: np.ndarray, W: np.ndarray):
-    """``(u, v, q)`` of Einstein operators with SD/ASD matrices ``S`` ``(n, 6, 6)``
-    and Weyl halves ``W`` ``(n, 2, 3, 3)``: ``u``, ``v`` of :func:`_extreme_eigh`
-    and ``q`` ``(n, 2)`` the q of their (min, max) planes on S."""
-    _, u, v = _extreme_eigh(W)
-    S = S[:, None]
-    return u, v, _q(S[..., :3, :3], S[..., :3, 3:], S[..., 3:, 3:], u, v)
-
-
 def einstein_extreme_witnesses(op: CurvatureOperator,
                                d: Decomposition) -> tuple[PlaneWitness, PlaneWitness]:
     """(min, max) sectional-curvature witnesses of an Einstein operator.
@@ -433,22 +421,13 @@ def einstein_extreme_witnesses(op: CurvatureOperator,
     ``op`` itself.
     """
     d.require_einstein()
-    u, v, q = _einstein_planes(op.in_sd_asd_basis()[None],
-                               np.stack((d.w_plus, d.w_minus))[None])
+    _, u, v = _extreme_eigh(np.stack((d.w_plus, d.w_minus))[None])
+    S = op.in_sd_asd_basis()[None, None]
+    q = _q(S[..., :3, :3], S[..., :3, 3:], S[..., 3:, 3:], u, v)
     # every product in q keeps its bits when u and v both change sign, so the
     # sign that _canonical fixes can come after q
     return tuple(PlaneWitness(*_canonical(u[0, k], v[0, k]), q_value=float(q[0, k]))
                  for k in (0, 1))
-
-
-def einstein_min_sec(S: np.ndarray, ds: list[Decomposition]) -> np.ndarray:
-    """The sectional curvature of the min plane of :func:`einstein_extreme_witnesses`
-    for each Einstein operator of a stack, bit for bit: ``S`` holds their SD/ASD
-    matrices ``(n, 6, 6)`` and ``ds`` their decompositions."""
-    for d in ds:
-        d.require_einstein()
-    W = np.array([(d.w_plus, d.w_minus) for d in ds]).reshape(-1, 2, 3, 3)
-    return _einstein_planes(S, W)[2][:, 0] / 2.0
 
 
 def sign_flag(bounds: tuple[float, float, float, float], tol: float,

@@ -271,7 +271,7 @@ def test_criterion_08_page_pipeline():
     neg = page.certify_negative_curvature(m)
     ok &= neg.min_sec < 0.0
 
-    numbers = page.integrate_char_numbers(m, nodes=48)
+    numbers = page.integrate_char_numbers(m)
     ok &= abs(numbers.chi - 4.0) <= 1e-2
     ok &= abs(numbers.tau - 0.0) <= 1e-2
     elapsed = time.perf_counter() - crit.t0

@@ -110,15 +110,28 @@ def test_page_loads_no_geography(tmp_path, args):
 
 @pytest.mark.parametrize("args, integrates", [
     (["-m", "fourcurv", "chart", "flatChart", "--point", "1,1,1,1"], False),
-    (["-m", "fourcurv", "page", "--verify", "--radii", "2"], False),
-    (["-m", "fourcurv", "page", "--negcurv", "--radii", "2"], False),
-    (PAGE_SETUP, False),
-    (["-m", "fourcurv", "page", "--integrate", "--nodes", "16"], True),
 ], ids=lambda v: " ".join(v[:5]) if isinstance(v, list) else str(v))
 def test_only_the_quadrature_loads_numpy_polynomial(tmp_path, args, integrates):
     modules = imported_by(args, tmp_path)
     assert "fourcurv.numgeom" in modules
     assert ("numpy.polynomial" in modules) is integrates
+
+
+# what the Page commands do without: the finite-difference chart is the tests' oracle
+NOT_PAGE = {"numpy", "fourcurv.curvops", "fourcurv.secsign", "fourcurv.numgeom"}
+
+
+@pytest.mark.parametrize("args", [
+    ["-m", "fourcurv", "page", "--verify", "--radii", "2"],
+    ["-m", "fourcurv", "page", "--negcurv", "--radii", "2"],
+    PAGE_SETUP,
+    ["-m", "fourcurv", "page", "--integrate", "--nodes", "16"],
+    ["-m", "fourcurv", "page", "--verify", "--negcurv", "--integrate"],
+], ids=["verify", "negcurv", "setup", "integrate", "all"])
+def test_page_loads_no_numpy(tmp_path, args):
+    modules = imported_by(args, tmp_path)
+    assert "fourcurv.page" in modules
+    assert not NOT_PAGE & modules
 
 
 def test_metric_chart_is_the_only_dataclass():

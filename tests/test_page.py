@@ -1,20 +1,22 @@
 """Page-metric pipeline tests.
 
-The closed-form profile functions are never trusted directly: the Einstein
-residual of the decomposition of each finite-difference operator is the
-oracle that certifies the transcription, and a deliberate perturbation
-check confirms the oracle has the sensitivity to catch transcription errors.
-The closed-form orbit curvature that ``--negcurv`` and ``--integrate`` read is
-checked against the same finite differences, the round sphere and the
-Fubini-Study metric of the catalog.
+The closed-form profile functions are never trusted directly: the closed
+form computes the curvature of the metric the profiles define, so a
+mistranscribed profile shows as an Einstein residual, and a deliberate
+perturbation check confirms the residual has the sensitivity to catch it.
+The closed-form entries themselves are checked against finite differences of
+the coordinate chart, the round sphere and the Fubini-Study metric of the
+catalog; the diagonal spectra that the answers read are checked against
+``decompose`` of the assembled 6x6 operator (:func:`_operator`), and the bolt
+terms of chi and tau against their integrands and an orbit quadrature.
 """
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from fourcurv import curvops, numgeom, secsign
 from fourcurv.models import catalog
@@ -24,16 +26,61 @@ from fourcurv.page import (
     Jet,
     ORBIT_STEP,
     PAGE_SHAPE_QUARTIC,
+    _cos,
+    _lift,
+    _sin,
+    _sqrt,
     certify_negative_curvature,
     chebyshev_radii,
     integrate_char_numbers,
     orbit_curvature,
-    orbit_operators,
+    orbit_entries,
+    orbit_spectra,
     page_metric,
     page_shape_parameter,
     sphere_ansatz,
+    transgression,
     verify_einstein,
 )
+
+
+def _operator(m, r) -> curvops.CurvatureOperator:
+    """The closed-form operator of the orbit through r, assembled from its
+    :func:`orbit_entries` in the coordinate basis, with their bound as err."""
+    (a, b, c, d, e), err = orbit_entries(m, r)
+    M = np.zeros((6, 6))
+    M[0, 0] = M[1, 1] = a
+    M[2, 2] = b
+    M[3, 3] = c
+    M[4, 4] = M[5, 5] = d
+    M[0, 5] = M[5, 0] = e
+    M[1, 4] = M[4, 1] = -e
+    M[2, 3] = M[3, 2] = -2.0 * e
+    return curvops.CurvatureOperator(M, err=err)
+
+
+def _nodes(n: int) -> list[float]:
+    """The n Gauss-Legendre nodes on (0, pi), as numgeom.orbit_quadrature takes them."""
+    return (0.5 * math.pi + 0.5 * math.pi * leggauss(n)[0]).tolist()
+
+
+def _fubini_study() -> CohomOneMetric:
+    # CP^2 with u = 1, v = sin r / 2, w = sin r cos r / 2 on (0, pi/2): the frame's
+    # orientation is opposite to the complex one, so W+ and W- trade places
+    def v(r):
+        return _sin(r) / 2.0
+
+    def w(r):
+        return _sin(r) * _cos(r) / 2.0
+
+    return CohomOneMetric(u=lambda r: 1.0, v=v, w=w, metadata={})
+
+
+def _crooked() -> CohomOneMetric:
+    # the Page profiles with v off by 1%: not Einstein
+    base = page_metric()
+    return CohomOneMetric(u=base.u, v=lambda r: 1.01 * base.v(r), w=base.w,
+                          metadata=base.metadata)
 
 
 def test_shape_parameter_root():
@@ -60,15 +107,10 @@ def test_sphere_ansatz_cross_check():
 
 
 def test_perturbed_profile_detected():
-    base = page_metric()
-    crooked = CohomOneMetric(
-        u=base.u,
-        v=lambda r: 1.01 * base.v(r),
-        w=base.w,
-        metadata=base.metadata,
-    )
-    check = verify_einstein(crooked, [1.0, math.pi / 2, 2.0])
+    check = verify_einstein(_crooked(), [1.0, math.pi / 2, 2.0])
     assert check.max_residual > 1e-3
+    with pytest.raises(curvops.NotEinsteinError, match="needs an Einstein operator"):
+        certify_negative_curvature(_crooked(), [1.0])
 
 
 def test_endpoint_closure():
@@ -114,9 +156,8 @@ def test_orbit_homogeneity():
     m = page_metric()
     r = 1.3
     base = curvops.decompose(orbit_curvature(m, r).operator)
-    from fourcurv.numgeom import curvature_at
     for point in ([r, 1.1, 0.7, 2.0], [r, 2.0, -1.5, -3.0]):
-        pc = curvature_at(m.chart, point, step=0.004)
+        pc = numgeom.curvature_at(m.chart, point, step=0.004)
         d = curvops.decompose(pc.operator)
         tol = 100 * max(pc.error_estimate, 1e-12)
         assert d.s == pytest.approx(base.s, abs=tol)
@@ -142,158 +183,245 @@ def test_orbit_curvature_batch_bitwise_equals_single():
                for a, b in zip(tail, batch[13:]))
 
 
-def _bits(a):
-    return np.asarray(a, dtype=float).tobytes()
+def _spectrum(x: float) -> list[float]:
+    """The ascending spectrum of diag(x, x, -2x)."""
+    return sorted([x, x, -2.0 * x])
+
+
+def _assert_spectra_match(o, op: curvops.CurvatureOperator) -> curvops.Decomposition:
+    """s, the Weyl spectra, the residual and the defect of an OrbitSpectra within
+    its err of those of decompose of the same orbit's assembled operator."""
+    d = curvops.decompose(op)
+    tol = o.err
+    assert abs(o.s - d.s) <= tol
+    assert np.abs(_spectrum(o.alpha) - d.spectrum_plus).max() <= tol
+    assert np.abs(_spectrum(o.gamma) - d.spectrum_minus).max() <= tol
+    assert abs(o.residual - d.einstein_residual()) <= tol
+    assert abs(o.defect - curvops.gl_defect(d).defect) <= tol
+    return d
 
 
 _SWEEPS = {"radii-64": lambda: chebyshev_radii(64),
-           "nodes-24": lambda: numgeom.quadrature_nodes((0.0, math.pi), 24),
-           "nodes-48": lambda: numgeom.quadrature_nodes((0.0, math.pi), 48)}
+           "nodes-24": lambda: _nodes(24),
+           "nodes-48": lambda: _nodes(48)}
 
 
 @pytest.mark.parametrize("sweep", sorted(_SWEEPS))
 def test_stacked_sweep_bitwise_equals_per_orbit_public_path(sweep):
-    # the radii of `page --radii 64` and of `page --nodes 24`, whose integral
-    # also takes 48 nodes: each stacked value against its orbit's own objects
+    # the radii of `page --radii 64` and Gauss-Legendre nodes: each orbit's
+    # diagonal spectra against decompose of its assembled operator, its min plane
+    # against einstein_extreme_witnesses, and the public answers against the orbits
     m = page_metric()
     radii = _SWEEPS[sweep]()
-    M, S, err = orbit_operators(m, radii)
-    ds = curvops.decompositions(S, err)
-    sec = secsign.einstein_min_sec(S, ds)
-    assert len(M) == len(ds) == len(sec) == len(radii)
-    for k, d in enumerate(ds):
-        op = curvops.CurvatureOperator(M[k], err=float(err[k]))
-        ref = curvops.decompose(op)
-        assert _bits(S[k]) == _bits(op.in_sd_asd_basis())
-        for name in ("s", "w_plus", "w_minus", "ric_block", "spectrum_plus",
-                     "spectrum_minus", "err"):
-            assert _bits(getattr(d, name)) == _bits(getattr(ref, name)), name
-        assert curvops.gl_defect(d) == curvops.gl_defect(ref)
-        assert curvops.char_densities(d) == curvops.char_densities(ref)
-        min_w, _ = secsign.einstein_extreme_witnesses(op, ref)
-        assert _bits(sec[k]) == _bits(min_w.sec_value)
-    # the winner's witness is einstein_extreme_witnesses' own, on its orbit alone
+    orbits = [orbit_spectra(m, r) for r in radii]
+    sec = []
+    for r, o in zip(radii, orbits):
+        op = _operator(m, r)
+        d = _assert_spectra_match(o, op)
+        min_w, _ = secsign.einstein_extreme_witnesses(op, d)
+        i, j, q = o.min_plane()
+        assert (i, j) == (0, 0)  # alpha, gamma < 0: the doubled eigenvalue is the least
+        assert abs(q - min_w.q_value) <= o.err
+        assert q == secsign.q_form(op, np.eye(3)[i], np.eye(3)[j])
+        sec.append(q / 2.0)
     report = certify_negative_curvature(m, radii)
     k = list(radii).index(report.witness_radius)
-    op = curvops.CurvatureOperator(M[k], err=float(err[k]))
-    min_w, _ = secsign.einstein_extreme_witnesses(op, curvops.decompose(op))
-    assert report.witness.to_dict() == min_w.to_dict()
-    assert _bits(report.min_sec) == _bits(sec[k]) and sec[k] - sec.min() <= err[k]
-    lo, hi = report.gl_defect_range
-    defects = [curvops.gl_defect(d).defect for d in ds]
-    assert (lo, hi) == (min(defects), max(defects))
-    # the Einstein check reads the decompositions of one finite-difference
-    # sweep, which are those of its orbits' PointCurvatures
-    stack = orbit_curvature(m, radii)
-    ds = curvops.decompositions(stack.sd_asd, stack.err)
+    assert report.min_sec == report.witness["secValue"] == sec[k]
+    assert sec[k] - min(sec) <= orbits[k].err
+    assert all(x - min(sec) > o.err for r, x, o in zip(radii, sec, orbits)
+               if r < report.witness_radius)
+    assert report.witness == {"psiPlus": [1.0, 0.0, 0.0], "psiMinus": [1.0, 0.0, 0.0],
+                              "qValue": 2.0 * sec[k], "secValue": sec[k]}
+    defects = [o.defect for o in orbits]
+    assert report.gl_defect_range == (min(defects), max(defects))
     check = verify_einstein(m, radii)
-    lambdas = [d.einstein_constant for d in ds]
-    assert check.residuals == tuple(d.einstein_residual() for d in ds)
-    assert check.residuals == tuple(pc.to_dict()["einsteinResidual"] for pc in stack)
-    assert _bits(check.lambda_) == _bits(np.mean(lambdas))
-    assert check.lambda_spread == (max(lambdas) - min(lambdas)) / max(1.0, abs(check.lambda_))
+    assert check.residuals == tuple(o.residual for o in orbits)
+    assert check.lambda_ == math.fsum(o.s / 4.0 for o in orbits) / len(orbits)
+
+
+def test_spectra_of_a_non_einstein_profile_match_decompose():
+    # beta and beta3 are roundoff on the Page orbits; here they are not
+    m = _crooked()
+    for r in chebyshev_radii(16):
+        o = orbit_spectra(m, r)
+        _, beta3 = o.B[1:]
+        assert abs(beta3) > 1e-3 and o.residual > 1e-3
+        _assert_spectra_match(o, _operator(m, r))
+
+
+def test_sphere_spectra_are_those_of_the_identity():
+    for r in [1e-3, *chebyshev_radii(16), math.pi - 1e-3]:
+        o = orbit_spectra(sphere_ansatz(), r)
+        assert abs(o.s - 12.0) <= 12 * o.err
+        assert abs(o.alpha) <= 2 * o.err and abs(o.gamma) <= 2 * o.err
+        assert o.residual <= o.err
 
 
 _ORACLE_SWEEPS = {"radii-64": lambda: chebyshev_radii(64),
-                  **{f"nodes-{n}": functools.partial(numgeom.quadrature_nodes, (0.0, math.pi), n)
-                     for n in (24, 48, 96)}}
+                  **{f"nodes-{n}": (lambda n=n: _nodes(n)) for n in (24, 48, 96)}}
 
 
 @pytest.mark.parametrize("sweep", sorted(_ORACLE_SWEEPS))
 def test_closed_form_agrees_with_finite_differences(sweep):
-    # every default --negcurv radius and every quadrature node of --nodes 24
-    # and 48 (which also take 48 and 96): the two evaluators agree entry by
-    # entry within the finite-difference error bound
+    # every default --negcurv radius and Gauss-Legendre nodes: the two evaluators
+    # agree entry by entry within the finite-difference error bound
     m = page_metric()
     radii = _ORACLE_SWEEPS[sweep]()
-    M, _, err = orbit_operators(m, radii)
     stack = orbit_curvature(m, radii)
-    gap = np.abs(M - stack.operators).max(axis=(1, 2))
-    assert (gap <= stack.err + err).all()
-    assert (err < 1e-12).all()
+    for k, r in enumerate(radii):
+        op = _operator(m, r)
+        assert np.abs(op.matrix - stack.operators[k]).max() <= stack.err[k] + op.err
+        assert op.err < 1e-12
+
+
+def test_closed_form_residual_and_lambda_agree_with_finite_differences():
+    # the Einstein check on the closed form against the decompositions of the
+    # finite-difference operators of the same orbits, within their error bound
+    m = page_metric()
+    radii = chebyshev_radii(64)
+    check = verify_einstein(m, radii)
+    stack = orbit_curvature(m, radii)
+    for pc, residual in zip(stack, check.residuals):
+        d = curvops.decompose(pc.operator)
+        assert abs(residual - d.einstein_residual()) <= pc.error_estimate
+        assert abs(d.einstein_constant - check.lambda_) <= pc.error_estimate
+    assert abs(check.lambda_ - 3.0) <= 4 * FORMULA_ULPS
 
 
 def test_closed_form_sphere_is_identity():
     # the unit round 4-sphere has the identity operator, up to each orbit's bound,
     # also at orbits next to the poles where the terms grow like 1/r^2
     radii = [1e-6, 1e-3, *chebyshev_radii(16), math.pi - 1e-3]
-    M, _, err = orbit_operators(sphere_ansatz(), radii)
-    assert (np.abs(M - np.eye(6)).max(axis=(1, 2)) <= err).all()
-    assert err[len(radii) // 2] < 1e-12
+    ops = [_operator(sphere_ansatz(), r) for r in radii]
+    assert all(np.abs(op.matrix - np.eye(6)).max() <= op.err for op in ops)
+    assert ops[len(radii) // 2].err < 1e-12
 
 
 def test_closed_form_fubini_study_matches_catalog_up_to_orientation():
-    # CP^2 with u = 1, v = sin r / 2, w = sin r cos r / 2 on (0, pi/2): the frame's
-    # orientation is opposite to the complex one, so W+ and W- trade places
-    def v(r):
-        return np.sin(r) / 2.0
-
-    def w(r):
-        return np.sin(r) * np.cos(r) / 2.0
-
-    fs = CohomOneMetric(u=lambda r: 1.0, v=v, w=w, metadata={})
+    fs = _fubini_study()
     ref = curvops.decompose(catalog("fubiniStudy").operator)
-    radii = np.linspace(0.05, math.pi / 2 - 0.05, 9)
-    M, S, err = orbit_operators(fs, radii)
-    for d in curvops.decompositions(S, err):
-        tol = 4 * d.err
-        assert d.s == pytest.approx(ref.s, abs=tol)
-        assert np.abs(d.spectrum_minus - ref.spectrum_plus).max() <= tol
-        assert np.abs(d.spectrum_plus - ref.spectrum_minus).max() <= tol
-        assert np.abs(d.ric_block).max() <= tol
-    sec = secsign.einstein_min_sec(S, curvops.decompositions(S, err))
-    assert sec == pytest.approx(np.ones_like(sec), abs=1e-12)
+    for r in np.linspace(0.05, math.pi / 2 - 0.05, 9):
+        o = orbit_spectra(fs, r)
+        tol = 4 * o.err
+        assert o.s == pytest.approx(ref.s, abs=tol)
+        assert np.abs(_spectrum(o.gamma) - ref.spectrum_plus).max() <= tol
+        assert np.abs(_spectrum(o.alpha) - ref.spectrum_minus).max() <= tol
+        assert o.residual <= tol
+        assert o.min_plane()[2] / 2.0 == pytest.approx(1.0, abs=1e-12)
+        _assert_spectra_match(o, _operator(fs, r))
+
+
+def _shaken(profile, rng):
+    """``profile`` with every part of its jet moved by one ulp, up or down at random."""
+    def f(r):
+        return Jet(*(math.nextafter(x, math.inf if rng.integers(2) else -math.inf)
+                     for x in _lift(profile(r))))
+    return f
 
 
 def test_closed_form_error_covers_jet_roundoff():
     # moving every jet value by one ulp, up or down at random, must move each
-    # operator by no more than its reported bound
+    # operator by no more than its reported bound, and leave the witness in place
     m = page_metric()
-    radii = np.array(chebyshev_radii(16) + [1e-4, math.pi - 1e-4])
-    clean, _, err = orbit_operators(m, radii)
+    radii = chebyshev_radii(16) + [1e-4, math.pi - 1e-4]
+    clean = [orbit_entries(m, r) for r in radii]
+    report = certify_negative_curvature(m)
     rng = np.random.default_rng(7)
-
-    def shaken(profile):
-        def f(r):
-            jet = profile(r)
-            return Jet(*(np.where(rng.integers(0, 2, np.shape(x)).astype(bool),
-                                  np.nextafter(x, np.inf), np.nextafter(x, -np.inf))
-                         for x in np.broadcast_arrays(*jet)))
-        return f
-
-    crooked = CohomOneMetric(u=shaken(m.u), v=shaken(m.v), w=shaken(m.w), metadata={})
     for trial in range(3):
-        M, _, _ = orbit_operators(crooked, radii)
-        shift = np.abs(M - clean).max(axis=(1, 2))
-        assert (0.0 < shift).all() and (shift <= err).all()
+        crooked = CohomOneMetric(u=_shaken(m.u, rng), v=_shaken(m.v, rng),
+                                 w=_shaken(m.w, rng), metadata={})
+        for r, (entries, err) in zip(radii, clean):
+            shift = max(abs(x - y) for x, y in zip(orbit_entries(crooked, r)[0], entries))
+            assert 0.0 < shift <= err
+        shaken = certify_negative_curvature(crooked)
+        assert shaken.witness["psiPlus"] == report.witness["psiPlus"]
+        assert shaken.witness["psiMinus"] == report.witness["psiMinus"]
+        assert shaken.witness_radius == report.witness_radius
+        assert abs(shaken.min_sec - report.min_sec) <= 1e-13
 
 
 def test_jet_derivatives():
-    # a composition of every operation against its derivatives written out
-    r = np.array([0.3, 1.1, 2.9])
-    x = Jet(r, 1.0)
-    f = np.float64(2.0) * np.sqrt(3.0 + np.cos(x)) / x ** 2 - np.ones(3) * np.sin(x) ** 3
-    g, g1, g2 = 3.0 + np.cos(r), -np.sin(r), -np.cos(r)
-    q, q1, q2 = np.sqrt(g), g1 / (2 * np.sqrt(g)), g2 / (2 * np.sqrt(g)) - g1**2 / (4 * g**1.5)
-    p, p1, p2 = r**-2, -2 * r**-3, 6 * r**-4
-    s, c = np.sin(r), np.cos(r)
-    want = (2 * q * p - s**3,
-            2 * (q1 * p + q * p1) - 3 * s**2 * c,
-            2 * (q2 * p + 2 * q1 * p1 + q * p2) - (6 * s * c**2 - 3 * s**3))
-    for got, ref in zip(f, want):
-        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+    # a composition of every operation against its derivatives written out, on a
+    # float, on an array and on long doubles
+    for r in (0.3, np.array([0.3, 1.1, 2.9]), np.array([0.3, 1.1, 2.9], dtype=np.longdouble)):
+        x = Jet(r, 1.0)
+        sx = _sin(x)
+        f = 2.0 * _sqrt(3.0 + _cos(x)) / (x * x) - 1.0 * sx * sx * sx
+        g, g1, g2 = 3.0 + np.cos(r), -np.sin(r), -np.cos(r)
+        q, q1, q2 = np.sqrt(g), g1 / (2 * np.sqrt(g)), g2 / (2 * np.sqrt(g)) - g1**2 / (4 * g**1.5)
+        p, p1, p2 = r**-2, -2 * r**-3, 6 * r**-4
+        s, c = np.sin(r), np.cos(r)
+        want = (2 * q * p - s**3,
+                2 * (q1 * p + q * p1) - 3 * s**2 * c,
+                2 * (q2 * p + 2 * q1 * p1 + q * p2) - (6 * s * c**2 - 3 * s**3))
+        for got, ref in zip(f, want):
+            assert np.asarray(got).dtype == np.asarray(ref).dtype
+            assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
     assert tuple(1.0 - Jet(2.0, 1.0)) == (-1.0, -1.0, -0.0)
+    assert type(_sqrt(2.0)) is float and type(_sin(np.float64(1.0))) is float
 
 
 def test_closed_form_char_numbers():
-    # chi = 4 and tau = 0 at every node count of the page benchmark and its doubling
+    # chi = 4 and tau = 0 from the bolt terms alone: Phi_chi = -2 Q, Phi_tau = -Q^2
+    numbers = integrate_char_numbers(page_metric())
+    assert abs(numbers.chi - 4.0) <= 8 * FORMULA_ULPS and abs(numbers.tau) <= 8 * FORMULA_ULPS
+    lower, upper = page_metric().endpoint_data()
+    for r, end in ((0.0, lower), (math.pi, upper)):
+        phi_chi, phi_tau = transgression(page_metric(), r)
+        q = end.w_slope_proper if r == 0.0 else -end.w_slope_proper
+        assert abs(phi_chi + 2.0 * q) <= FORMULA_ULPS and abs(phi_tau + q * q) <= FORMULA_ULPS
+    # the Fubini-Study ansatz on (0, pi/2) ends at a nut and a bolt: its limit at the
+    # nut gives (3, -1), the orientation opposite to the complex one
+    fs = _fubini_study()
+    (chi0, tau0), (chi1, tau1) = transgression(fs, 1e-8), transgression(fs, math.pi / 2)
+    assert 2.0 * (chi1 - chi0) == pytest.approx(3.0, abs=1e-12)
+    assert 4.0 * (tau1 - tau0) / 3.0 == pytest.approx(-1.0, abs=1e-12)
+
+
+def _integrands(m, r) -> tuple[float, float]:
+    """``u v^2 w (|A|^2 + |C|^2 - 2 |B|^2, |A|^2 - |C|^2)`` of the orbit through r."""
+    o = orbit_spectra(m, r)
+    A2, B2, C2 = (sum(x * x for x in block) for block in (o.A, o.B, o.C))
+    vol = m.u(r) * m.v(r) ** 2 * m.w(r)
+    return vol * (A2 + C2 - 2.0 * B2), vol * (A2 - C2)
+
+
+@pytest.mark.parametrize("metric", [page_metric, _crooked, sphere_ansatz, _fubini_study])
+def test_transgression_derivatives_are_the_integrands(metric):
+    # a 4th-order central difference of Phi against the closed-form integrands, at the
+    # default radii (inside (0, pi/2) for Fubini-Study), also off Einstein metrics
+    m, h = metric(), 1e-3
+    radii = chebyshev_radii(64)
+    if metric is _fubini_study:
+        radii = [r / 2.0 for r in radii]
+    for r in radii:
+        phi = [transgression(m, r + k * h) for k in (-2, -1, 1, 2)]
+        for n, density in enumerate(_integrands(m, r)):
+            f = [p[n] for p in phi]
+            derivative = (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h)
+            assert derivative == pytest.approx(density, abs=1e-9)
+
+
+def _bolt_limits(m, eps: float) -> tuple[float, float]:
+    (chi0, tau0), (chi1, tau1) = transgression(m, eps), transgression(m, math.pi - eps)
+    return 2.0 * (chi1 - chi0), 4.0 * (tau1 - tau0) / 3.0
+
+
+def test_bolt_terms_match_the_orbit_quadrature():
+    # Gauss-Legendre on the closed-form densities against the bolt terms
     m = page_metric()
-    for nodes in (24, 48):
-        numbers = integrate_char_numbers(m, nodes=nodes)
-        assert abs(numbers.chi - 4.0) <= 1e-12 and abs(numbers.tau) <= 1e-12
-        assert numbers.doubling_delta <= 1e-12
-    numbers = integrate_char_numbers(sphere_ansatz(), nodes=24)
-    assert abs(numbers.chi - 2.0) <= 1e-12 and abs(numbers.tau) <= 1e-12
+    numbers = integrate_char_numbers(m)
+    densities = {r: curvops.char_densities(curvops.decompose(_operator(m, r)))
+                 for r in _nodes(48)}
+
+    def volume(r):
+        return 16.0 * math.pi ** 2 * m.u(r) * m.v(r) ** 2 * m.w(r)
+
+    chi = numgeom.orbit_quadrature(lambda r: densities[r].euler_density, volume,
+                                   (0.0, math.pi), 48)
+    tau = numgeom.orbit_quadrature(lambda r: densities[r].signature_density, volume,
+                                   (0.0, math.pi), 48)
+    assert abs(chi - numbers.chi) <= 1e-12 and abs(tau - numbers.tau) <= 1e-12
 
 
 def test_error_estimate_covers_metric_roundoff():
@@ -325,10 +453,9 @@ def test_page_negative_curvature():
     report = certify_negative_curvature(m, chebyshev_radii(32))
     assert report.min_sec < -0.1
     w = report.witness
-    M, _, err = orbit_operators(m, [report.witness_radius])
-    op = curvops.CurvatureOperator(M[0], err=float(err[0]))
-    assert secsign.q_form(op, w.psi_plus, w.psi_minus) == pytest.approx(w.q_value,
-                                                                        abs=1e-12)
+    op = _operator(m, report.witness_radius)
+    assert secsign.q_form(op, w["psiPlus"], w["psiMinus"]) == pytest.approx(w["qValue"],
+                                                                           abs=1e-12)
     # defect field is reported, never asserted on sign
     lo, hi = report.gl_defect_range
     assert lo <= hi
@@ -342,7 +469,7 @@ def test_witness_radius_of_mirror_orbits_is_the_smaller(r):
     for radii in ([r, math.pi - r], [math.pi - r, r]):
         report = certify_negative_curvature(m, radii)
         assert report.witness_radius == r
-        assert report.min_sec == report.witness.sec_value == alone.min_sec
+        assert report.min_sec == report.witness["secValue"] == alone.min_sec
 
 
 def test_sphere_ansatz_constant_curvature():
@@ -357,12 +484,17 @@ def test_direct_operator_input_hyperbolic_product():
 
 
 def test_sphere_char_numbers():
-    numbers = integrate_char_numbers(sphere_ansatz(), nodes=24)
-    assert numbers.chi == pytest.approx(2.0, abs=1e-3)
-    assert numbers.tau == pytest.approx(0.0, abs=1e-3)
+    # both ends of the sphere are nuts, where x = w/v is 0/0: the bolt terms divide
+    # by zero there, and their limit gives (2, 0)
+    with pytest.raises(ZeroDivisionError):
+        integrate_char_numbers(sphere_ansatz())
+    for eps in (1e-4, 1e-8):
+        chi, tau = _bolt_limits(sphere_ansatz(), eps)
+        assert chi == pytest.approx(2.0, abs=1e-12)
+        assert tau == pytest.approx(0.0, abs=1e-12)
 
 
 def test_page_char_numbers_light():
-    numbers = integrate_char_numbers(page_metric(), nodes=24)
-    assert numbers.chi == pytest.approx(4.0, abs=1e-2)
-    assert numbers.tau == pytest.approx(0.0, abs=1e-2)
+    numbers = integrate_char_numbers(page_metric())
+    assert numbers.chi == pytest.approx(4.0, abs=1e-12)
+    assert numbers.tau == pytest.approx(0.0, abs=1e-12)

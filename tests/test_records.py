@@ -62,8 +62,8 @@ RECORDS = [
      ["maxResidual", "lambda", "lambdaSpread", "radii", "residuals"], False),
     ("NegativeCurvatureReport", lambda: page.certify_negative_curvature(*_page_orbits()),
      "min_sec", ["minSec", "witnessRadius", "witness", "glDefectRange"], False),
-    ("CharNumbers", lambda: page.integrate_char_numbers(page.page_metric(), nodes=16), "chi",
-     ["chi", "tau", "nodes", "doublingDelta"], False),
+    ("CharNumbers", lambda: page.integrate_char_numbers(page.page_metric()), "chi",
+     ["chi", "tau"], False),
     ("LatticeObstruction", geography.self_dual_lattice_obstruction, "tau",
      ["applicable", "tauValue", "chiValue", "integral"], False),
     ("GeoReport", lambda: geography.report(geography.GeoPoint(3, 1)), "c1sq",
