@@ -9,8 +9,6 @@ curvature normalization, so downstream consumers never have to guess.
 
 from __future__ import annotations
 
-import json
-import numbers
 from pathlib import Path
 
 from .errors import _digit_limit
@@ -24,8 +22,12 @@ CONVENTION = {
 }
 
 
-# what json.dumps(text) returns for a str, without the rest of a json.dumps call
-_quote = json.encoder.encode_basestring_ascii
+# what json.dumps(text) returns for a str, without the rest of a json.dumps call: the
+# accelerator's function, which json.encoder itself uses, so a report loads no json
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the accelerator
+    from json.encoder import py_encode_basestring_ascii as _quote
 
 
 def _format_float(x: float) -> str:
@@ -72,6 +74,8 @@ def _encode(obj) -> str:
         return _encode_dict(obj)
     if isinstance(obj, (list, tuple)):
         return _encode_list(obj)
+    import numbers
+
     if isinstance(obj, numbers.Integral):  # numpy integers
         return str(int(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -147,6 +151,8 @@ def load_operator(path: str | Path) -> CurvatureOperator:
     (:func:`_operator_problem`) are refused in one line each; admissibility
     failures propagate as fourcurv errors.
     """
+    import json
+
     from .curvops import CurvatureOperator  # numpy: not loaded by the geography commands
 
     text = read_text(path)

@@ -29,8 +29,9 @@ where the shape parameter k in (0, 1) is the unique root of
 
 Every answer reads the closed-form curvature of the SU(2)-invariant ansatz
 (Page, Phys. Lett. B 79 (1978) 235; Eguchi, Gilkey and Hanson, Phys. Rep. 66
-(1980) 213), one orbit at a time on floats, from the radial 2-jets of the
-profiles (:class:`Jet`).  An orbit's SD/ASD blocks are diagonal
+(1980) 213) on floats, from the radial 2-jets of the profiles (:class:`Jet`),
+which a sweep of orbits evaluates in one pass, one list entry per radius.  An
+orbit's SD/ASD blocks are diagonal
 (:func:`orbit_spectra`; Derdzinski, Compositio Math. 49 (1983) 405), and chi
 and tau are bolt terms of the transgression forms (:func:`transgression`;
 Chern, Ann. Math. 45 (1944) 747).  The closed form computes the curvature of
@@ -84,12 +85,13 @@ def page_shape_parameter() -> float:
 
 
 def _elementary(name: str, x):
-    """The function ``name`` (sqrt, sin or cos) of a jet, of a float by math, and
-    of anything else (an array, a long double) by numpy, imported on first use."""
-    if isinstance(x, Jet):
-        return getattr(x, name)()
+    """The function ``name`` (sqrt, sin or cos) of a float by math, of a jet by the
+    jet's own method, and of anything else (an array) by numpy, imported on first
+    use."""
     if isinstance(x, (float, int)):
         return getattr(math, name)(x)
+    if hasattr(x, name):
+        return getattr(x, name)()
     import numpy as np
 
     return getattr(np, name)(x)
@@ -99,67 +101,65 @@ _sqrt, _sin, _cos = (partial(_elementary, name) for name in ("sqrt", "sin", "cos
 
 
 class Jet:
-    """A radial 2-jet ``(f, f', f'')`` in forward mode (Griewank and Walther,
-    *Evaluating Derivatives*, 2nd ed., ch. 13), so that the profile functions
-    run as written: ``+ - * /`` with numbers or jets, and :func:`_sqrt`,
-    :func:`_sin` and :func:`_cos`.  A number is a constant jet.
-    The parts are floats, or arrays, on which numpy does the work."""
+    """The radial 2-jets of a sweep of radii in forward mode (Griewank and
+    Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): ``points`` is a list with
+    one ``(f, f', f'')`` per radius, so the profile functions run once per sweep,
+    as written: ``+ - * /`` with numbers or jets, and :func:`_sqrt`, :func:`_sin`
+    and :func:`_cos`.  A number is a constant jet.  Each point goes through the
+    float operations of a jet of one radius, the zero derivatives of a constant
+    included, so a sweep gives the bits of its orbits taken one at a time."""
 
-    __slots__ = ("f", "d1", "d2")
+    __slots__ = ("points",)
 
-    def __init__(self, f, d1=0.0, d2=0.0):
-        self.f, self.d1, self.d2 = f, d1, d2
+    def __init__(self, points: list[tuple[float, float, float]]):
+        self.points = points
 
     def __iter__(self):
-        return iter((self.f, self.d1, self.d2))
+        return iter(self.points)
+
+    def lift(self, x) -> Jet:
+        """``x`` as a jet of this sweep: a number is a constant, with zero derivatives."""
+        return x if isinstance(x, Jet) else Jet([(x, 0.0, 0.0)] * len(self.points))
 
     def __add__(self, other):
-        o = _lift(other)
-        return Jet(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
+        return Jet([(a + d, b + e, c + h)
+                    for (a, b, c), (d, e, h) in zip(self.points, self.lift(other).points)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.f, -self.d1, -self.d2)
+        return Jet([(-a, -b, -c) for a, b, c in self.points])
 
     def __sub__(self, other):
-        return self + -_lift(other)
+        return self + -self.lift(other)
 
-    def __rsub__(self, other):
-        return _lift(other) + -self
+    def __rsub__(self, other):  # a number minus a jet: lift(other) + -self in one pass
+        return Jet([(other + -a, 0.0 + -b, 0.0 + -c) for a, b, c in self.points])
 
     def __mul__(self, other):
-        o = _lift(other)
-        return Jet(self.f * o.f, self.d1 * o.f + self.f * o.d1,
-                   self.d2 * o.f + 2.0 * self.d1 * o.d1 + self.f * o.d2)
+        return Jet([(a * d, b * d + a * e, c * d + 2.0 * b * e + a * h)
+                    for (a, b, c), (d, e, h) in zip(self.points, self.lift(other).points)])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _lift(other)
-        q = self.f / o.f
-        q1 = (self.d1 - q * o.d1) / o.f
-        return Jet(q, q1, (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.f)
+        return Jet([(q := a / d, q1 := (b - q * e) / d, (c - 2.0 * q1 * e - q * h) / d)
+                    for (a, b, c), (d, e, h) in zip(self.points, self.lift(other).points)])
 
     def __rtruediv__(self, other):
-        return _lift(other) / self
+        return self.lift(other) / self
 
     def sqrt(self):
-        s = _sqrt(self.f)
-        s1 = self.d1 / (2.0 * s)
-        return Jet(s, s1, (self.d2 - 2.0 * s1 * s1) / (2.0 * s))
+        return Jet([(s := math.sqrt(a), s1 := b / (2.0 * s), (c - 2.0 * s1 * s1) / (2.0 * s))
+                    for a, b, c in self.points])
 
     def sin(self):
-        s, c = _sin(self.f), _cos(self.f)
-        return Jet(s, c * self.d1, c * self.d2 - s * self.d1 * self.d1)
+        return Jet([(s := math.sin(a), (k := math.cos(a)) * b, k * c - s * b * b)
+                    for a, b, c in self.points])
 
     def cos(self):
-        s, c = _sin(self.f), _cos(self.f)
-        return Jet(c, -s * self.d1, -s * self.d2 - c * self.d1 * self.d1)
-
-
-def _lift(x) -> Jet:
-    return x if isinstance(x, Jet) else Jet(x)
+        return Jet([(k := math.cos(a), -(s := math.sin(a)) * b, -s * c - k * b * b)
+                    for a, b, c in self.points])
 
 
 class EndpointData(NamedTuple):
@@ -214,18 +214,19 @@ class CohomOneMetric(NamedTuple):
             depends_on=(0, 1),
         )
 
-    def jets(self, r) -> tuple[Jet, Jet, Jet]:
-        """The radial 2-jets of u, v and w at the radius r."""
-        x = Jet(r, 1.0)
-        return _lift(self.u(x)), _lift(self.v(x)), _lift(self.w(x))
+    def jets(self, radii: Sequence[float]) -> tuple[Jet, Jet, Jet]:
+        """The radial 2-jets of u, v and w at the radii, in one pass of the profiles;
+        a sweep needs at least one radius."""
+        x = Jet([(float(r), 1.0, 0.0) for r in radii])
+        if not x.points:
+            raise ValueError("a sweep needs at least one radius")
+        return x.lift(self.u(x)), x.lift(self.v(x)), x.lift(self.w(x))
 
     def endpoint_data(self) -> tuple[EndpointData, EndpointData]:
         """v and the proper slope of w, w' / u toward the interior, at each end."""
-        ends = []
-        for r, inward in ((0.0, 1.0), (math.pi, -1.0)):
-            (u, _, _), (v, _, _), (_, w1, _) = self.jets(r)
-            ends.append(EndpointData(v_limit=v, w_slope_proper=inward * w1 / u))
-        return tuple(ends)
+        return tuple(EndpointData(v_limit=v, w_slope_proper=inward * w1 / u)
+                     for inward, (u, _, _), (v, _, _), (_, w1, _)
+                     in zip((1.0, -1.0), *self.jets((0.0, math.pi))))
 
 
 def page_metric() -> CohomOneMetric:
@@ -292,9 +293,10 @@ def orbit_curvature(m: CohomOneMetric, radii):
     return numgeom.curvature_at(m.chart, points, step=step)
 
 
-def orbit_entries(m: CohomOneMetric, r: float) -> tuple[tuple[float, ...], float]:
-    """``((a, b, c, d, e), err)``: the closed-form curvature operator of the orbit
-    through the radius r, in the coordinate basis of the frame e1 = u dr,
+def orbit_entries(m: CohomOneMetric,
+                  radii: Sequence[float]) -> list[tuple[tuple[float, ...], float]]:
+    """``((a, b, c, d, e), err)`` of each radius: the closed-form curvature operator
+    of the orbit through it, in the coordinate basis of the frame e1 = u dr,
     e2 = v s1, e3 = v s2, e4 = w s3, and its roundoff bound.
 
     With the 2-jets of u, v and w, the nonzero entries in the basis (e1^e2,
@@ -308,9 +310,15 @@ def orbit_entries(m: CohomOneMetric, r: float) -> tuple[tuple[float, ...], float
                                                     (14,23) = -2e
 
     placed symmetrically.  ``err`` is ``FORMULA_ULPS`` times the largest sum of
-    the sizes of an entry's terms.
+    the sizes of an entry's terms.  One pass of the profiles gives the jets of the
+    sweep; the entries are formed orbit by orbit.
     """
-    (u0, u1, _), (v0, v1, v2), (w0, w1, w2) = m.jets(r)
+    return [*map(_entries, *m.jets(radii))]
+
+
+def _entries(*points) -> tuple[tuple[float, ...], float]:
+    """:func:`orbit_entries` of one orbit, from its points of the jets of u, v and w."""
+    (u0, u1, _), (v0, v1, v2), (w0, w1, w2) = points
     uu, vv = u0 * u0, v0 * v0
     y, z = w0 / vv, v1 / (u0 * v0)
     terms = (
@@ -372,9 +380,13 @@ class OrbitSpectra(NamedTuple):
         return i, j, self.A[i] + self.C[j] + (2.0 * self.B[i] if i == j else 0.0)
 
 
-def orbit_spectra(m: CohomOneMetric, r: float) -> OrbitSpectra:
-    """The :class:`OrbitSpectra` of the orbit through the radius r."""
-    (a, b, c, d, e), err = orbit_entries(m, r)
+def orbit_spectra(m: CohomOneMetric, radii: Sequence[float]) -> list[OrbitSpectra]:
+    """The :class:`OrbitSpectra` of the orbit through each radius."""
+    return [_spectra(entries, err) for entries, err in orbit_entries(m, radii)]
+
+
+def _spectra(entries: tuple[float, ...], err: float) -> OrbitSpectra:
+    a, b, c, d, e = entries
     ad, bc = a + d, b + c
     p, pm, p3, m3 = 0.5 * ad + e, 0.5 * ad - e, 0.5 * bc - 2.0 * e, 0.5 * bc + 2.0 * e
     beta, beta3 = 0.5 * (a - d), 0.5 * (b - c)
@@ -402,12 +414,12 @@ class EinsteinCheck(NamedTuple):
 def verify_einstein(m: CohomOneMetric, radii: Sequence[float]) -> EinsteinCheck:
     """Einstein residual of the metric at the given radii.
 
-    Reads one closed-form orbit per radius (the metric is orbit-homogeneous)
-    and returns the worst Einstein residual and the fitted cosmological
-    constant s/4, whose relative spread across radii must stay small for a
-    genuinely Einstein profile.
+    Reads one closed-form orbit per radius (the metric is orbit-homogeneous),
+    all from one :func:`orbit_spectra` pass, and returns the worst Einstein
+    residual and the fitted cosmological constant s/4, whose relative spread
+    across radii must stay small for a genuinely Einstein profile.
     """
-    orbits = [orbit_spectra(m, r) for r in radii]
+    orbits = orbit_spectra(m, radii)
     residuals = [o.residual for o in orbits]
     lambdas = [o.s / 4.0 for o in orbits]
     lam = math.fsum(lambdas) / len(lambdas)
@@ -452,7 +464,7 @@ def certify_negative_curvature(m: CohomOneMetric,
     """
     if radii is None:
         radii = chebyshev_radii(64)
-    orbits = [orbit_spectra(m, r) for r in radii]
+    orbits = orbit_spectra(m, radii)
     planes = [o.min_plane() for o in orbits]
     least = min(q for _, _, q in planes) / 2.0
     _, k = min((r, k) for k, (r, o, (_, _, q)) in enumerate(zip(radii, orbits, planes))
@@ -476,8 +488,8 @@ class CharNumbers(NamedTuple):
         return {"chi": self.chi, "tau": self.tau}
 
 
-def transgression(m: CohomOneMetric, r: float) -> tuple[float, float]:
-    """``(Phi_chi, Phi_tau)`` at the radius r: with P = v'/u, Q = w'/u and x = w/v,
+def transgression(m: CohomOneMetric, radii: Sequence[float]) -> list[tuple[float, float]]:
+    """``(Phi_chi, Phi_tau)`` at each radius: with P = v'/u, Q = w'/u and x = w/v,
 
         Phi_chi = Q (-2 + 3 x^2 / 2 + 2 P^2) - x^3 P
         Phi_tau = x^2 - x^4 / 2 - (Q - x P)^2,
@@ -485,7 +497,11 @@ def transgression(m: CohomOneMetric, r: float) -> tuple[float, float]:
     whose radial derivatives are ``u v^2 w`` times ``|A|^2 + |C|^2 - 2 |B|^2`` (8 pi^2
     times the Euler density) and ``|A|^2 - |C|^2`` (12 pi^2 times the signature
     density) in the blocks of :class:`OrbitSpectra`."""
-    (u, _, _), (v, v1, _), (w, w1, _) = m.jets(r)
+    return [*map(_phi, *m.jets(radii))]
+
+
+def _phi(*points) -> tuple[float, float]:
+    (u, _, _), (v, v1, _), (w, w1, _) = points
     P, Q, x = v1 / u, w1 / u, w / v
     xx, y = x * x, Q - x * P
     return Q * (-2.0 + 1.5 * xx + 2.0 * P * P) - xx * x * P, xx - 0.5 * xx * xx - y * y
@@ -497,5 +513,5 @@ def integrate_char_numbers(m: CohomOneMetric) -> CharNumbers:
     ``tau = (4/3) [Phi_tau]`` of the :func:`transgression` forms over (0, pi).  At
     a bolt w = 0 and v' = 0, so ``Phi_chi = -2 Q`` and ``Phi_tau = -Q^2``.  At a
     nut (v = w = 0, as on the round sphere) x = 0/0 raises ZeroDivisionError."""
-    (chi0, tau0), (chi1, tau1) = transgression(m, 0.0), transgression(m, math.pi)
+    (chi0, tau0), (chi1, tau1) = transgression(m, (0.0, math.pi))
     return CharNumbers(chi=2.0 * (chi1 - chi0), tau=4.0 * (tau1 - tau0) / 3.0)

@@ -1,7 +1,9 @@
 """Each command imports only what it uses, and the lazy package keeps its API.
 
 The import checks run ``python -X importtime -m fourcurv ...`` in a fresh
-interpreter, which names on stderr every module the command imported.
+interpreter, which names on stderr every module the command imported; the
+module starts one such child per distinct command line, in one working
+directory, and every check of that command line reads it.
 """
 
 import dataclasses
@@ -51,6 +53,25 @@ def imported_by(args: list[str], cwd: Path, returncode: int = 0) -> set[str]:
             if line.startswith("import time:")}
 
 
+@pytest.fixture(scope="module")
+def imported(tmp_path_factory):
+    """``imported(args, returncode=0)``: :func:`imported_by` of ``args`` in a directory
+    holding ``points.csv`` and ``op.json``, from one child per distinct ``args``."""
+    cwd = tmp_path_factory.mktemp("children")
+    (cwd / "points.csv").write_text("chi,tau\n3,1\n15,8\n", encoding="utf-8")
+    identity = [[float(i == j) for j in range(6)] for i in range(6)]
+    (cwd / "op.json").write_text(json.dumps({"basis": "coordinate", "matrix": identity}),
+                                 encoding="utf-8")
+    children: dict[tuple[str, ...], set[str]] = {}
+
+    def run(args: list[str], returncode: int = 0) -> set[str]:
+        if tuple(args) not in children:
+            children[tuple(args)] = imported_by(args, cwd, returncode)
+        return children[tuple(args)]
+
+    return run
+
+
 @pytest.mark.parametrize("argv, returncode", [
     (["geo", "--chi", "3", "--tau", "1"], 0),
     (["scan", "--chi-max", "5"], 0),
@@ -59,9 +80,8 @@ def imported_by(args: list[str], cwd: Path, returncode: int = 0) -> set[str]:
     (["--version"], 0),
     (["model", "nosuch"], 2),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-def test_geography_help_and_errors_start_without_numpy(tmp_path, argv, returncode):
-    (tmp_path / "points.csv").write_text("chi,tau\n3,1\n15,8\n", encoding="utf-8")
-    modules = imported_by(["-m", "fourcurv", *argv], tmp_path, returncode)
+def test_geography_help_and_errors_start_without_numpy(imported, argv, returncode):
+    modules = imported(["-m", "fourcurv", *argv], returncode)
     assert "fourcurv.cli" in modules
     assert "numpy" not in modules
 
@@ -72,11 +92,11 @@ GEOGRAPHY_ONLY = {"fourcurv.geography", "csv", "fractions", "decimal"}
 CHART_ONLY = {"fourcurv.numgeom", "numpy.polynomial"}
 
 
-def test_certify_loads_no_chart_or_page_module(tmp_path):
-    identity = [[float(i == j) for j in range(6)] for i in range(6)]
-    (tmp_path / "op.json").write_text(json.dumps({"basis": "coordinate", "matrix": identity}),
-                                      encoding="utf-8")
-    modules = imported_by(["-m", "fourcurv", "certify", "-i", "op.json"], tmp_path)
+CERTIFY = ["-m", "fourcurv", "certify", "-i", "op.json"]
+
+
+def test_certify_loads_no_chart_or_page_module(imported):
+    modules = imported(CERTIFY)
     assert "fourcurv.secsign" in modules
     assert not {"fourcurv.page", "fourcurv.models"} & modules
     assert not (CHART_ONLY | GEOGRAPHY_ONLY) & modules
@@ -87,8 +107,8 @@ def test_certify_loads_no_chart_or_page_module(tmp_path):
     # the imports of the benchmark's certify set-up
     ["-c", "from fourcurv import cli, curvops, jsonio, models, secsign"],
 ], ids=lambda v: " ".join(v))
-def test_catalog_loads_no_chart_module(tmp_path, args):
-    modules = imported_by(args, tmp_path)
+def test_catalog_loads_no_chart_module(imported, args):
+    modules = imported(args)
     assert "fourcurv.models" in modules
     assert not (CHART_ONLY | GEOGRAPHY_ONLY) & modules
 
@@ -97,13 +117,13 @@ def test_catalog_loads_no_chart_module(tmp_path, args):
 PAGE_SETUP = ["-c", "from fourcurv import cli, page; cli.build_parser(); page.page_metric()"]
 
 
-@pytest.mark.parametrize("args", [
-    ["-m", "fourcurv", "page", "--verify", "--negcurv", "--integrate", "--radii", "2",
-     "--nodes", "16"],
-    PAGE_SETUP,
-], ids=lambda v: " ".join(v[:4]))
-def test_page_loads_no_geography(tmp_path, args):
-    modules = imported_by(args, tmp_path)
+PAGE_ALL_FLAGS = ["-m", "fourcurv", "page", "--verify", "--negcurv", "--integrate", "--radii",
+                  "2", "--nodes", "16"]
+
+
+@pytest.mark.parametrize("args", [PAGE_ALL_FLAGS, PAGE_SETUP], ids=lambda v: " ".join(v[:4]))
+def test_page_loads_no_geography(imported, args):
+    modules = imported(args)
     assert "fourcurv.page" in modules
     assert not GEOGRAPHY_ONLY & modules
 
@@ -111,9 +131,9 @@ def test_page_loads_no_geography(tmp_path, args):
 @pytest.mark.parametrize("args", [
     ["-m", "fourcurv", "chart", "flatChart", "--point", "1,1,1,1"],
 ], ids=lambda v: " ".join(v[:5]))
-def test_only_the_quadrature_loads_numpy_polynomial(tmp_path, args):
+def test_only_the_quadrature_loads_numpy_polynomial(imported, args):
     # the chart loads numgeom, whose quadrature alone imports numpy.polynomial
-    modules = imported_by(args, tmp_path)
+    modules = imported(args)
     assert "fourcurv.numgeom" in modules
     assert "numpy.polynomial" not in modules
 
@@ -122,17 +142,40 @@ def test_only_the_quadrature_loads_numpy_polynomial(tmp_path, args):
 NOT_PAGE = {"numpy", "fourcurv.curvops", "fourcurv.secsign", "fourcurv.numgeom"}
 
 
-@pytest.mark.parametrize("args", [
-    ["-m", "fourcurv", "page", "--verify", "--radii", "2"],
-    ["-m", "fourcurv", "page", "--negcurv", "--radii", "2"],
-    PAGE_SETUP,
-    ["-m", "fourcurv", "page", "--integrate", "--nodes", "16"],
-    ["-m", "fourcurv", "page", "--verify", "--negcurv", "--integrate"],
-], ids=["verify", "negcurv", "setup", "integrate", "all"])
-def test_page_loads_no_numpy(tmp_path, args):
-    modules = imported_by(args, tmp_path)
+PAGE_CASES = {
+    "verify": ["-m", "fourcurv", "page", "--verify", "--radii", "2"],
+    "negcurv": ["-m", "fourcurv", "page", "--negcurv", "--radii", "2"],
+    "setup": PAGE_SETUP,
+    "integrate": ["-m", "fourcurv", "page", "--integrate", "--nodes", "16"],
+    "all": ["-m", "fourcurv", "page", "--verify", "--negcurv", "--integrate"],
+}
+
+
+@pytest.mark.parametrize("case", list(PAGE_CASES))
+def test_page_loads_no_numpy(imported, case):
+    modules = imported(PAGE_CASES[case])
     assert "fourcurv.page" in modules
     assert not NOT_PAGE & modules
+
+
+# what only reading an operator file needs: a report is written without them
+JSON_ONLY = {"json", "json.decoder", "json.encoder", "json.scanner"}
+GEO = ["-m", "fourcurv", "geo", "--chi", "3", "--tau", "1"]
+SCAN = ["-m", "fourcurv", "scan", "--chi-max", "5"]
+
+
+@pytest.mark.parametrize("case", [*PAGE_CASES, "all-flags", "geo", "scan"])
+def test_reports_load_no_json(imported, case):
+    # the page commands also do without numbers; geo and scan load it with fractions
+    args = {**PAGE_CASES, "all-flags": PAGE_ALL_FLAGS, "geo": GEO, "scan": SCAN}[case]
+    modules = imported(args)
+    assert not JSON_ONLY & modules
+    if case in PAGE_CASES or case == "all-flags":
+        assert "numbers" not in modules
+
+
+def test_certify_reads_its_operator_with_json(imported):
+    assert "json" in imported(CERTIFY)
 
 
 def test_metric_chart_is_the_only_dataclass():
@@ -149,9 +192,9 @@ def test_metric_chart_is_the_only_dataclass():
     assert records == {"fourcurv.numgeom.MetricChart"}
 
 
-def test_geo_scan_setup_imports_no_numpy(tmp_path):
+def test_geo_scan_setup_imports_no_numpy(imported):
     # the imports of the benchmark's geo-scan set-up
-    modules = imported_by(["-c", "from fourcurv import cli, geography"], tmp_path)
+    modules = imported(["-c", "from fourcurv import cli, geography"])
     assert {"fourcurv.cli", "fourcurv.geography"} <= modules
     assert "numpy" not in modules
 

@@ -13,11 +13,13 @@ terms of chi and tau against their integrands and an orbit quadrature.
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+import jet_reference
 from fourcurv import curvops, numgeom, secsign
 from fourcurv.models import catalog
 from fourcurv.page import (
@@ -27,7 +29,6 @@ from fourcurv.page import (
     ORBIT_STEP,
     PAGE_SHAPE_QUARTIC,
     _cos,
-    _lift,
     _sin,
     _sqrt,
     certify_negative_curvature,
@@ -47,7 +48,7 @@ from fourcurv.page import (
 def _operator(m, r) -> curvops.CurvatureOperator:
     """The closed-form operator of the orbit through r, assembled from its
     :func:`orbit_entries` in the coordinate basis, with their bound as err."""
-    (a, b, c, d, e), err = orbit_entries(m, r)
+    [((a, b, c, d, e), err)] = orbit_entries(m, [r])
     M = np.zeros((6, 6))
     M[0, 0] = M[1, 1] = a
     M[2, 2] = b
@@ -213,7 +214,7 @@ def test_stacked_sweep_bitwise_equals_per_orbit_public_path(sweep):
     # against einstein_extreme_witnesses, and the public answers against the orbits
     m = page_metric()
     radii = _SWEEPS[sweep]()
-    orbits = [orbit_spectra(m, r) for r in radii]
+    orbits = orbit_spectra(m, radii)
     sec = []
     for r, o in zip(radii, orbits):
         op = _operator(m, r)
@@ -242,16 +243,15 @@ def test_stacked_sweep_bitwise_equals_per_orbit_public_path(sweep):
 def test_spectra_of_a_non_einstein_profile_match_decompose():
     # beta and beta3 are roundoff on the Page orbits; here they are not
     m = _crooked()
-    for r in chebyshev_radii(16):
-        o = orbit_spectra(m, r)
+    radii = chebyshev_radii(16)
+    for r, o in zip(radii, orbit_spectra(m, radii)):
         _, beta3 = o.B[1:]
         assert abs(beta3) > 1e-3 and o.residual > 1e-3
         _assert_spectra_match(o, _operator(m, r))
 
 
 def test_sphere_spectra_are_those_of_the_identity():
-    for r in [1e-3, *chebyshev_radii(16), math.pi - 1e-3]:
-        o = orbit_spectra(sphere_ansatz(), r)
+    for o in orbit_spectra(sphere_ansatz(), [1e-3, *chebyshev_radii(16), math.pi - 1e-3]):
         assert abs(o.s - 12.0) <= 12 * o.err
         assert abs(o.alpha) <= 2 * o.err and abs(o.gamma) <= 2 * o.err
         assert o.residual <= o.err
@@ -300,8 +300,8 @@ def test_closed_form_sphere_is_identity():
 def test_closed_form_fubini_study_matches_catalog_up_to_orientation():
     fs = _fubini_study()
     ref = curvops.decompose(catalog("fubiniStudy").operator)
-    for r in np.linspace(0.05, math.pi / 2 - 0.05, 9):
-        o = orbit_spectra(fs, r)
+    radii = np.linspace(0.05, math.pi / 2 - 0.05, 9)
+    for r, o in zip(radii, orbit_spectra(fs, radii)):
         tol = 4 * o.err
         assert o.s == pytest.approx(ref.s, abs=tol)
         assert np.abs(_spectrum(o.gamma) - ref.spectrum_plus).max() <= tol
@@ -314,8 +314,8 @@ def test_closed_form_fubini_study_matches_catalog_up_to_orientation():
 def _shaken(profile, rng):
     """``profile`` with every part of its jet moved by one ulp, up or down at random."""
     def f(r):
-        return Jet(*(math.nextafter(x, math.inf if rng.integers(2) else -math.inf)
-                     for x in _lift(profile(r))))
+        return Jet([tuple(math.nextafter(x, math.inf if rng.integers(2) else -math.inf)
+                          for x in point) for point in r.lift(profile(r))])
     return f
 
 
@@ -324,14 +324,15 @@ def test_closed_form_error_covers_jet_roundoff():
     # operator by no more than its reported bound, and leave the witness in place
     m = page_metric()
     radii = chebyshev_radii(16) + [1e-4, math.pi - 1e-4]
-    clean = [orbit_entries(m, r) for r in radii]
+    clean = orbit_entries(m, radii)
     report = certify_negative_curvature(m)
     rng = np.random.default_rng(7)
     for trial in range(3):
         crooked = CohomOneMetric(u=_shaken(m.u, rng), v=_shaken(m.v, rng),
                                  w=_shaken(m.w, rng), metadata={})
         for r, (entries, err) in zip(radii, clean):
-            shift = max(abs(x - y) for x, y in zip(orbit_entries(crooked, r)[0], entries))
+            [(shaken, _)] = orbit_entries(crooked, [r])
+            shift = max(abs(x - y) for x, y in zip(shaken, entries))
             assert 0.0 < shift <= err
         shaken = certify_negative_curvature(crooked)
         assert shaken.witness["psiPlus"] == report.witness["psiPlus"]
@@ -341,10 +342,10 @@ def test_closed_form_error_covers_jet_roundoff():
 
 
 def test_jet_derivatives():
-    # a composition of every operation against its derivatives written out, on a
-    # float, on an array and on long doubles
+    # a composition of every operation against its derivatives written out, on the
+    # reference jet of a float, an array and long doubles
     for r in (0.3, np.array([0.3, 1.1, 2.9]), np.array([0.3, 1.1, 2.9], dtype=np.longdouble)):
-        x = Jet(r, 1.0)
+        x = jet_reference.Jet(r, 1.0)
         sx = _sin(x)
         f = 2.0 * _sqrt(3.0 + _cos(x)) / (x * x) - 1.0 * sx * sx * sx
         g, g1, g2 = 3.0 + np.cos(r), -np.sin(r), -np.cos(r)
@@ -357,30 +358,95 @@ def test_jet_derivatives():
         for got, ref in zip(f, want):
             assert np.asarray(got).dtype == np.asarray(ref).dtype
             assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
-    assert tuple(1.0 - Jet(2.0, 1.0)) == (-1.0, -1.0, -0.0)
+    assert tuple(1.0 - jet_reference.Jet(2.0, 1.0)) == (-1.0, -1.0, -0.0)
     assert type(_sqrt(2.0)) is float and type(_sin(np.float64(1.0))) is float
+
+
+def _same_bits(got, want) -> bool:
+    """Whether two nests of tuples and lists of floats are equal bit for bit, so
+    that -0.0 differs from 0.0."""
+    if type(want) is float:
+        return type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+    return len(got) == len(want) and all(map(_same_bits, got, want))
+
+
+_REFERENCE_SWEEPS = {
+    **{f"{name}-{n}": (metric, (lambda n=n, scale=scale: [scale * r for r in chebyshev_radii(n)]))
+       for name, metric, scale in (("page", page_metric, 1.0), ("sphere", sphere_ansatz, 1.0),
+                                   ("fubini-study", _fubini_study, 0.5))
+       for n in (16, 32, 64)},
+    "page-bolts": (page_metric, lambda: [0.0, math.pi]),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(_REFERENCE_SWEEPS))
+def test_sweep_equals_the_scalar_reference_bit_for_bit(sweep):
+    # one batched pass against the scalar jet of each radius alone: every jet part,
+    # entry, err, spectrum and Phi (on (0, pi/2) for Fubini-Study)
+    metric, radii = _REFERENCE_SWEEPS[sweep]
+    m, radii = metric(), radii()
+    assert _same_bits([tuple(map(tuple, point)) for point in zip(*m.jets(radii))],
+                      [tuple(map(tuple, jet_reference.jets(m, r))) for r in radii])
+    assert _same_bits(transgression(m, radii), [jet_reference.transgression(m, r) for r in radii])
+    if radii[0] == 0.0:
+        # w = 0 at the bolt, and the entries b and d divide by it in either evaluator
+        with pytest.raises(ZeroDivisionError):
+            orbit_entries(m, radii)
+        with pytest.raises(ZeroDivisionError):
+            jet_reference.orbit_entries(m, 0.0)
+        radii = radii[1:]
+    assert _same_bits(orbit_entries(m, radii), [jet_reference.orbit_entries(m, r) for r in radii])
+    assert _same_bits(orbit_spectra(m, radii), [jet_reference.orbit_spectra(m, r) for r in radii])
+
+
+# points with signed zeros among their derivatives, so a zero derivative term that
+# is dropped or reordered shows in the sign of a zero
+_SIGNED_POINTS = [(0.5, 0.0, -0.0), (1.5, -0.0, 0.0), (2.0, -1.0, 0.25), (0.25, 3.0, -0.0)]
+_OPERATIONS = {
+    "add": lambda x, y: x + y, "sub": lambda x, y: x - y, "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y, "neg": lambda x, y: -x, "add-number": lambda x, y: 0.5 + x,
+    "sub-number": lambda x, y: x - 0.25, "number-sub": lambda x, y: 1.0 - x,
+    "mul-number": lambda x, y: x * -0.5, "number-mul": lambda x, y: 2.0 * x,
+    "div-number": lambda x, y: x / 3.0, "number-div": lambda x, y: 3.0 / x,
+    "sqrt": lambda x, y: _sqrt(x), "sin": lambda x, y: _sin(x), "cos": lambda x, y: _cos(x),
+}
+
+
+@pytest.mark.parametrize("op", list(_OPERATIONS))
+def test_jet_operations_equal_the_scalar_reference_bit_for_bit(op):
+    f, pairs = _OPERATIONS[op], list(zip(_SIGNED_POINTS, reversed(_SIGNED_POINTS)))
+    got = f(Jet(_SIGNED_POINTS), Jet(_SIGNED_POINTS[::-1]))
+    want = [tuple(f(jet_reference.Jet(*p), jet_reference.Jet(*q))) for p, q in pairs]
+    assert _same_bits(list(got), want)
+
+
+@pytest.mark.parametrize("check", [verify_einstein, certify_negative_curvature, orbit_entries,
+                                   transgression])
+def test_an_empty_sweep_is_refused(check):
+    with pytest.raises(ValueError, match="^a sweep needs at least one radius$"):
+        check(page_metric(), [])
 
 
 def test_closed_form_char_numbers():
     # chi = 4 and tau = 0 from the bolt terms alone: Phi_chi = -2 Q, Phi_tau = -Q^2
     numbers = integrate_char_numbers(page_metric())
     assert abs(numbers.chi - 4.0) <= 8 * FORMULA_ULPS and abs(numbers.tau) <= 8 * FORMULA_ULPS
-    lower, upper = page_metric().endpoint_data()
-    for r, end in ((0.0, lower), (math.pi, upper)):
-        phi_chi, phi_tau = transgression(page_metric(), r)
+    ends = page_metric().endpoint_data()
+    for r, end, (phi_chi, phi_tau) in zip((0.0, math.pi), ends,
+                                          transgression(page_metric(), (0.0, math.pi))):
         q = end.w_slope_proper if r == 0.0 else -end.w_slope_proper
         assert abs(phi_chi + 2.0 * q) <= FORMULA_ULPS and abs(phi_tau + q * q) <= FORMULA_ULPS
     # the Fubini-Study ansatz on (0, pi/2) ends at a nut and a bolt: its limit at the
     # nut gives (3, -1), the orientation opposite to the complex one
     fs = _fubini_study()
-    (chi0, tau0), (chi1, tau1) = transgression(fs, 1e-8), transgression(fs, math.pi / 2)
+    (chi0, tau0), (chi1, tau1) = transgression(fs, (1e-8, math.pi / 2))
     assert 2.0 * (chi1 - chi0) == pytest.approx(3.0, abs=1e-12)
     assert 4.0 * (tau1 - tau0) / 3.0 == pytest.approx(-1.0, abs=1e-12)
 
 
 def _integrands(m, r) -> tuple[float, float]:
     """``u v^2 w (|A|^2 + |C|^2 - 2 |B|^2, |A|^2 - |C|^2)`` of the orbit through r."""
-    o = orbit_spectra(m, r)
+    [o] = orbit_spectra(m, [r])
     A2, B2, C2 = (sum(x * x for x in block) for block in (o.A, o.B, o.C))
     vol = m.u(r) * m.v(r) ** 2 * m.w(r)
     return vol * (A2 + C2 - 2.0 * B2), vol * (A2 - C2)
@@ -395,7 +461,7 @@ def test_transgression_derivatives_are_the_integrands(metric):
     if metric is _fubini_study:
         radii = [r / 2.0 for r in radii]
     for r in radii:
-        phi = [transgression(m, r + k * h) for k in (-2, -1, 1, 2)]
+        phi = transgression(m, [r + k * h for k in (-2, -1, 1, 2)])
         for n, density in enumerate(_integrands(m, r)):
             f = [p[n] for p in phi]
             derivative = (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h)
@@ -403,7 +469,7 @@ def test_transgression_derivatives_are_the_integrands(metric):
 
 
 def _bolt_limits(m, eps: float) -> tuple[float, float]:
-    (chi0, tau0), (chi1, tau1) = transgression(m, eps), transgression(m, math.pi - eps)
+    (chi0, tau0), (chi1, tau1) = transgression(m, (eps, math.pi - eps))
     return 2.0 * (chi1 - chi0), 4.0 * (tau1 - tau0) / 3.0
 
 
