@@ -115,8 +115,6 @@ def test_catalog_loads_no_chart_module(imported, args):
 
 # the benchmark's page-pipeline set-up
 PAGE_SETUP = ["-c", "from fourcurv import cli, page; cli.build_parser(); page.page_metric()"]
-
-
 PAGE_ALL_FLAGS = ["-m", "fourcurv", "page", "--verify", "--negcurv", "--integrate", "--radii",
                   "2", "--nodes", "16"]
 
@@ -160,22 +158,18 @@ def test_page_loads_no_numpy(imported, case):
 
 # what only reading an operator file needs: a report is written without them
 JSON_ONLY = {"json", "json.decoder", "json.encoder", "json.scanner"}
-GEO = ["-m", "fourcurv", "geo", "--chi", "3", "--tau", "1"]
-SCAN = ["-m", "fourcurv", "scan", "--chi-max", "5"]
+REPORTS = {**PAGE_CASES, "all-flags": PAGE_ALL_FLAGS,
+           "geo": ["-m", "fourcurv", "geo", "--chi", "3", "--tau", "1"],
+           "scan": ["-m", "fourcurv", "scan", "--chi-max", "5"]}
 
 
-@pytest.mark.parametrize("case", [*PAGE_CASES, "all-flags", "geo", "scan"])
+@pytest.mark.parametrize("case", list(REPORTS))
 def test_reports_load_no_json(imported, case):
-    # the page commands also do without numbers; geo and scan load it with fractions
-    args = {**PAGE_CASES, "all-flags": PAGE_ALL_FLAGS, "geo": GEO, "scan": SCAN}[case]
-    modules = imported(args)
+    # the page commands do without numbers too; geo and scan load it with fractions
+    modules = imported(REPORTS[case])
     assert not JSON_ONLY & modules
-    if case in PAGE_CASES or case == "all-flags":
-        assert "numbers" not in modules
+    assert "numbers" not in modules or case in ("geo", "scan")
 
-
-def test_certify_reads_its_operator_with_json(imported):
-    assert "json" in imported(CERTIFY)
 
 
 def test_metric_chart_is_the_only_dataclass():

@@ -8,7 +8,9 @@ The closed-form entries themselves are checked against finite differences of
 the coordinate chart, the round sphere and the Fubini-Study metric of the
 catalog; the diagonal spectra that the answers read are checked against
 ``decompose`` of the assembled 6x6 operator (:func:`_operator`), and the bolt
-terms of chi and tau against their integrands and an orbit quadrature.
+terms of chi and tau against their integrands and an orbit quadrature.  A sweep,
+evaluated in one pass, is held bit for bit to the scalar jet of each of its radii
+(``jet_reference``).
 """
 
 import dataclasses
@@ -331,8 +333,8 @@ def test_closed_form_error_covers_jet_roundoff():
         crooked = CohomOneMetric(u=_shaken(m.u, rng), v=_shaken(m.v, rng),
                                  w=_shaken(m.w, rng), metadata={})
         for r, (entries, err) in zip(radii, clean):
-            [(shaken, _)] = orbit_entries(crooked, [r])
-            shift = max(abs(x - y) for x, y in zip(shaken, entries))
+            [(moved, _)] = orbit_entries(crooked, [r])
+            shift = max(abs(x - y) for x, y in zip(moved, entries))
             assert 0.0 < shift <= err
         shaken = certify_negative_curvature(crooked)
         assert shaken.witness["psiPlus"] == report.witness["psiPlus"]
@@ -370,21 +372,22 @@ def _same_bits(got, want) -> bool:
     return len(got) == len(want) and all(map(_same_bits, got, want))
 
 
+# the radii of `page --radii` 16, 32 and 64 (halved onto (0, pi/2) for Fubini-Study),
+# and the two Page bolts
 _REFERENCE_SWEEPS = {
-    **{f"{name}-{n}": (metric, (lambda n=n, scale=scale: [scale * r for r in chebyshev_radii(n)]))
-       for name, metric, scale in (("page", page_metric, 1.0), ("sphere", sphere_ansatz, 1.0),
-                                   ("fubini-study", _fubini_study, 0.5))
-       for n in (16, 32, 64)},
-    "page-bolts": (page_metric, lambda: [0.0, math.pi]),
-}
+    f"{name}-{n}": (metric, [scale * r for r in chebyshev_radii(n)])
+    for name, metric, scale in (("page", page_metric, 1.0), ("sphere", sphere_ansatz, 1.0),
+                                ("fubini-study", _fubini_study, 0.5))
+    for n in (16, 32, 64)
+} | {"page-bolts": (page_metric, [0.0, math.pi])}
 
 
 @pytest.mark.parametrize("sweep", sorted(_REFERENCE_SWEEPS))
 def test_sweep_equals_the_scalar_reference_bit_for_bit(sweep):
     # one batched pass against the scalar jet of each radius alone: every jet part,
-    # entry, err, spectrum and Phi (on (0, pi/2) for Fubini-Study)
+    # entry, err, spectrum and Phi
     metric, radii = _REFERENCE_SWEEPS[sweep]
-    m, radii = metric(), radii()
+    m = metric()
     assert _same_bits([tuple(map(tuple, point)) for point in zip(*m.jets(radii))],
                       [tuple(map(tuple, jet_reference.jets(m, r))) for r in radii])
     assert _same_bits(transgression(m, radii), [jet_reference.transgression(m, r) for r in radii])
@@ -414,10 +417,10 @@ _OPERATIONS = {
 
 @pytest.mark.parametrize("op", list(_OPERATIONS))
 def test_jet_operations_equal_the_scalar_reference_bit_for_bit(op):
-    f, pairs = _OPERATIONS[op], list(zip(_SIGNED_POINTS, reversed(_SIGNED_POINTS)))
-    got = f(Jet(_SIGNED_POINTS), Jet(_SIGNED_POINTS[::-1]))
-    want = [tuple(f(jet_reference.Jet(*p), jet_reference.Jet(*q))) for p, q in pairs]
-    assert _same_bits(list(got), want)
+    # each point of a sweep against the scalar jet of that point alone
+    f, x, y = _OPERATIONS[op], _SIGNED_POINTS, _SIGNED_POINTS[::-1]
+    want = [tuple(f(jet_reference.Jet(*p), jet_reference.Jet(*q))) for p, q in zip(x, y)]
+    assert _same_bits(list(f(Jet(x), Jet(y))), want)
 
 
 @pytest.mark.parametrize("check", [verify_einstein, certify_negative_curvature, orbit_entries,
